@@ -1,4 +1,4 @@
-//! Trial-runner overhead: `bscope_harness::run_trials` against a raw
+//! Trial-runner overhead: `bscope_harness::run_trials_with` against a raw
 //! sequential loop over the same per-trial work, at several trial costs.
 //!
 //! The interesting question is where the runner's fixed cost (thread
@@ -12,7 +12,7 @@
 //! untraced runner on simulator-driving trials, with the enabled ring
 //! alongside to show what turning tracing on actually costs.
 
-use bscope_harness::{run_trials, run_trials_traced, splitmix64, trial_seed, RunOptions};
+use bscope_harness::{run_trials_traced, run_trials_with, splitmix64, trial_seed, RunOptions};
 use bscope_uarch::SimCore;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -29,7 +29,7 @@ fn work(seed: u64, rounds: u64) -> u64 {
 fn runner_vs_sequential(c: &mut Criterion) {
     const TRIALS: usize = 256;
     for rounds in [100u64, 10_000, 1_000_000] {
-        let mut group = c.benchmark_group(format!("run_trials/{rounds}_rounds_per_trial"));
+        let mut group = c.benchmark_group(format!("run_trials_with/{rounds}_rounds_per_trial"));
         group.throughput(Throughput::Elements(TRIALS as u64));
         group.sample_size(10);
         group.bench_function("raw_sequential_loop", |b| {
@@ -42,11 +42,15 @@ fn runner_vs_sequential(c: &mut Criterion) {
         });
         for threads in [1usize, 2, 8] {
             group.bench_with_input(
-                BenchmarkId::new("run_trials", threads),
+                BenchmarkId::new("run_trials_with", threads),
                 &threads,
                 |b, &threads| {
+                    let opts = RunOptions { threads, ..RunOptions::default() };
                     b.iter(|| {
-                        black_box(run_trials(TRIALS, 7, threads, |_idx, seed| work(seed, rounds)))
+                        black_box(
+                            run_trials_with(TRIALS, 7, &opts, |_idx, seed| work(seed, rounds))
+                                .expect_complete(),
+                        )
                     })
                 },
             );
@@ -78,9 +82,12 @@ fn tracing_overhead(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("untraced_runner", |b| {
         b.iter(|| {
-            black_box(run_trials(TRIALS, 7, 1, |_idx, seed| {
-                sim_trial(seed, &mut bscope_uarch::Tracer::disabled())
-            }))
+            black_box(
+                run_trials_with(TRIALS, 7, &opts, |_idx, seed| {
+                    sim_trial(seed, &mut bscope_uarch::Tracer::disabled())
+                })
+                .expect_complete(),
+            )
         })
     });
     group.bench_function("traced_runner_disabled", |b| {

@@ -1,29 +1,26 @@
-//! Predictor-backend abstraction: the surface the simulated core needs
-//! from *any* directional predictor, plus concrete backends for the three
-//! substrates in this crate (hybrid, TAGE, perceptron).
+//! Predictor backends: the three directional-predictor substrates in this
+//! crate (hybrid, TAGE, perceptron) behind one sealed enum.
 //!
 //! The paper attacks a bimodal+gshare hybrid but notes modern CPUs use
 //! "complex hybrid predictors with unknown organization" (§1), and
 //! follow-on work shows directional-predictor leakage generalises beyond
-//! that organisation. The [`DirectionPredictor`] trait captures the
-//! behavioural contract the rest of the stack (core, OS, attack,
-//! mitigations, experiments) actually relies on — predict, commit, history
-//! and BTB access, PHT-entry inspection for probe decoding, and the
-//! geometry/profile queries the attacker's priming code sizes itself with —
-//! so every layer above `bscope-bpu` runs unchanged on any substrate.
+//! that organisation. [`PredictorBackend`] is the surface the rest of the
+//! stack (core, OS, attack, mitigations, experiments) relies on — predict,
+//! commit, history and BTB access, PHT-entry inspection for probe decoding,
+//! and the geometry/profile queries the attacker's priming code sizes
+//! itself with — so every layer above `bscope-bpu` runs unchanged on any
+//! substrate.
 //!
-//! Dispatch is static: the sealed [`PredictorBackend`] enum wraps the three
-//! implementations and is what [`SimCore`](../../uarch) stores. The trait
-//! exists to *formalise* the contract (and to let property tests drive a
-//! trait object against a directly-driven predictor); the enum keeps the
-//! hot `execute` path monomorphic and the core/system types free of
-//! generic parameters, `Debug`, and `Clone`. A `Box<dyn DirectionPredictor>`
-//! field would have worked too, but would cost a vtable call per simulated
-//! branch on the hottest path in the repository and would lose `Clone`.
+//! Dispatch is static: every method is one `match` over the three variants,
+//! which keeps the hot `execute` path monomorphic and the core/system types
+//! free of generic parameters. The enum is what
+//! [`SimCore`](../../uarch) stores.
 //!
 //! TAGE and the perceptron have no BTB, chooser, or statistics of their
-//! own; [`BackendCommon`] supplies the shared BTB/GHR/stats plumbing so
-//! both expose the same front-end surface the hybrid does.
+//! own; a shared `BackendCommon` supplies the BTB/GHR/stats plumbing so
+//! both expose the same front-end surface the hybrid does. Their wrappers
+//! implement only what differs per substrate: `predict`, `update`,
+//! `pht_state` and `set_pht_state`.
 
 use crate::btb::BranchTargetBuffer;
 use crate::counter::{CounterKind, Outcome, PhtState};
@@ -46,152 +43,6 @@ const TAGE_ALLOC_SEED: u64 = 0x7A6E_5EED;
 /// Tagged components of the TAGE backend (history lengths 4, 8, 16, 32).
 const TAGE_COMPONENTS: usize = 4;
 
-/// The behavioural contract between a directional predictor and the
-/// simulated core.
-///
-/// Everything `SimCore` and the layers above it need is here:
-///
-/// * the **front-end path**: [`predict`](DirectionPredictor::predict) /
-///   [`update`](DirectionPredictor::update) /
-///   [`execute`](DirectionPredictor::execute);
-/// * **probe-decoding state**: [`pht_state`](DirectionPredictor::pht_state)
-///   reads the per-address saturating-FSM state the attack primes and
-///   probes (each backend documents how its state maps onto the four
-///   [`PhtState`]s);
-/// * **shared front-end structures**: the GHR and BTB, which exist on every
-///   backend (via [`BackendCommon`] where the substrate lacks its own);
-/// * **geometry/profile queries**: [`profile`](DirectionPredictor::profile)
-///   returns the *effective* profile — table sizes and counter flavour as
-///   the attacker's priming/decoding code should size itself, which for
-///   non-hybrid backends means a normalised counter kind (see
-///   [`BackendKind::build`]).
-pub trait DirectionPredictor {
-    /// The effective microarchitecture profile of this backend.
-    fn profile(&self) -> &MicroarchProfile;
-
-    /// Produces the front-end prediction for the branch at `addr`.
-    fn predict(&self, addr: VirtAddr) -> Prediction;
-
-    /// Commits a resolved branch. `prediction` must be the value returned
-    /// by [`DirectionPredictor::predict`] for this same dynamic branch.
-    fn update(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-        prediction: &Prediction,
-    );
-
-    /// Predicts and immediately commits one dynamic branch, returning the
-    /// prediction and whether it was correct (the simulation fast path).
-    fn execute(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-    ) -> (Prediction, bool) {
-        let prediction = self.predict(addr);
-        self.update(addr, outcome, target, &prediction);
-        (prediction, prediction.direction == outcome)
-    }
-
-    /// Architectural state of the address-indexed PHT entry for `addr` —
-    /// the state BranchScope primes and probes. For the hybrid this is the
-    /// bimodal PHT entry; for TAGE the base-table counter; the perceptron
-    /// synthesises a state from its bias weight (see [`PerceptronBackend`]).
-    fn pht_state(&self, addr: VirtAddr) -> PhtState;
-
-    /// Forces the address-indexed PHT entry for `addr` into `state`
-    /// (ground-truth hook for experiments and tests).
-    fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState);
-
-    /// Read access to the global history register.
-    fn ghr(&self) -> &GlobalHistoryRegister;
-
-    /// Exclusive access to the global history register.
-    fn ghr_mut(&mut self) -> &mut GlobalHistoryRegister;
-
-    /// Read access to the branch target buffer.
-    fn btb(&self) -> &BranchTargetBuffer;
-
-    /// Exclusive access to the branch target buffer.
-    fn btb_mut(&mut self) -> &mut BranchTargetBuffer;
-
-    /// Cumulative prediction statistics.
-    fn stats(&self) -> PredictionStats;
-
-    /// Resets the statistics counters (predictor state is untouched).
-    fn reset_stats(&mut self);
-
-    /// Resets all predictor state to power-on defaults.
-    fn reset(&mut self);
-}
-
-impl DirectionPredictor for HybridPredictor {
-    fn profile(&self) -> &MicroarchProfile {
-        HybridPredictor::profile(self)
-    }
-
-    fn predict(&self, addr: VirtAddr) -> Prediction {
-        HybridPredictor::predict(self, addr)
-    }
-
-    fn update(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-        prediction: &Prediction,
-    ) {
-        HybridPredictor::update(self, addr, outcome, target, prediction);
-    }
-
-    fn execute(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-    ) -> (Prediction, bool) {
-        HybridPredictor::execute(self, addr, outcome, target)
-    }
-
-    fn pht_state(&self, addr: VirtAddr) -> PhtState {
-        self.bimodal_state(addr)
-    }
-
-    fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
-        self.bimodal_mut().set_state(addr, state);
-    }
-
-    fn ghr(&self) -> &GlobalHistoryRegister {
-        HybridPredictor::ghr(self)
-    }
-
-    fn ghr_mut(&mut self) -> &mut GlobalHistoryRegister {
-        HybridPredictor::ghr_mut(self)
-    }
-
-    fn btb(&self) -> &BranchTargetBuffer {
-        HybridPredictor::btb(self)
-    }
-
-    fn btb_mut(&mut self) -> &mut BranchTargetBuffer {
-        HybridPredictor::btb_mut(self)
-    }
-
-    fn stats(&self) -> PredictionStats {
-        HybridPredictor::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        HybridPredictor::reset_stats(self);
-    }
-
-    fn reset(&mut self) {
-        HybridPredictor::reset(self);
-    }
-}
-
 /// Front-end plumbing every backend needs but the bare TAGE / perceptron
 /// models lack: the effective profile, the global history register, the
 /// branch target buffer, and prediction statistics.
@@ -201,7 +52,7 @@ impl DirectionPredictor for HybridPredictor {
 /// `addr + 2` fall-through convention, and BTB-alias eviction (the
 /// attacker's stage-1 trick) works identically.
 #[derive(Debug, Clone)]
-pub struct BackendCommon {
+struct BackendCommon {
     profile: MicroarchProfile,
     ghr: GlobalHistoryRegister,
     btb: BranchTargetBuffer,
@@ -214,8 +65,7 @@ impl BackendCommon {
     /// # Panics
     ///
     /// Panics if the profile fails [`MicroarchProfile::validate`].
-    #[must_use]
-    pub fn new(profile: MicroarchProfile) -> Self {
+    fn new(profile: MicroarchProfile) -> Self {
         profile.validate().expect("invalid microarchitecture profile");
         BackendCommon {
             ghr: GlobalHistoryRegister::new(profile.ghr_bits),
@@ -223,12 +73,6 @@ impl BackendCommon {
             stats: PredictionStats::new(),
             profile,
         }
-    }
-
-    /// The effective profile.
-    #[must_use]
-    pub fn profile(&self) -> &MicroarchProfile {
-        &self.profile
     }
 
     /// BTB lookup for the predict path: `(btb_hit, predicted_target)`.
@@ -281,7 +125,7 @@ fn state_base_counter(state: PhtState) -> u8 {
 /// The base table is sized like the profile's PHT and indexed purely by
 /// address, so it *is* a bimodal PHT of 2-bit counters — which is why the
 /// effective profile reports [`CounterKind::TwoBit`] regardless of the
-/// machine's native flavour, and why [`pht_state`](DirectionPredictor::pht_state)
+/// machine's native flavour, and why [`pht_state`](Self::pht_state)
 /// maps base counters straight onto the four FSM states. The attack
 /// surface survives: under the attacker's scrambled histories, tagged
 /// entries are allocated in contexts that never recur, so probes fall back
@@ -315,19 +159,9 @@ impl TageBackend {
         TageBackend { common: BackendCommon::new(effective), tage }
     }
 
-    /// The wrapped TAGE model.
+    /// Predicts the branch at `addr` from the current global history.
     #[must_use]
-    pub fn tage(&self) -> &TagePredictor {
-        &self.tage
-    }
-}
-
-impl DirectionPredictor for TageBackend {
-    fn profile(&self) -> &MicroarchProfile {
-        self.common.profile()
-    }
-
-    fn predict(&self, addr: VirtAddr) -> Prediction {
+    pub fn predict(&self, addr: VirtAddr) -> Prediction {
         let tage = self.tage.predict(addr, &self.common.ghr);
         let base = Outcome::from_bool(self.tage.base_counter(addr) >= 2);
         let (btb_hit, target) = self.common.lookup(addr, tage.direction);
@@ -341,7 +175,9 @@ impl DirectionPredictor for TageBackend {
         }
     }
 
-    fn update(
+    /// Trains TAGE on the resolved outcome, then commits the shared
+    /// front-end state.
+    pub fn update(
         &mut self,
         addr: VirtAddr,
         outcome: Outcome,
@@ -352,40 +188,15 @@ impl DirectionPredictor for TageBackend {
         self.common.commit(addr, outcome, target, prediction);
     }
 
-    fn pht_state(&self, addr: VirtAddr) -> PhtState {
+    /// The base-table counter for `addr` as a PHT FSM state.
+    #[must_use]
+    pub fn pht_state(&self, addr: VirtAddr) -> PhtState {
         base_counter_state(self.tage.base_counter(addr))
     }
 
-    fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
+    /// Forces the base-table counter for `addr` to `state`.
+    pub fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
         self.tage.set_base_counter(addr, state_base_counter(state));
-    }
-
-    fn ghr(&self) -> &GlobalHistoryRegister {
-        &self.common.ghr
-    }
-
-    fn ghr_mut(&mut self) -> &mut GlobalHistoryRegister {
-        &mut self.common.ghr
-    }
-
-    fn btb(&self) -> &BranchTargetBuffer {
-        &self.common.btb
-    }
-
-    fn btb_mut(&mut self) -> &mut BranchTargetBuffer {
-        &mut self.common.btb
-    }
-
-    fn stats(&self) -> PredictionStats {
-        self.common.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.common.stats.reset();
-    }
-
-    fn reset(&mut self) {
-        *self = TageBackend::new(self.common.profile.clone());
     }
 }
 
@@ -400,7 +211,7 @@ impl DirectionPredictor for TageBackend {
 /// is attack error collapsing toward coin-flipping (see the
 /// `backend_sweep` experiment).
 ///
-/// [`pht_state`](DirectionPredictor::pht_state) synthesises a state from
+/// [`pht_state`](Self::pht_state) synthesises a state from
 /// the entry's history-independent *bias* weight (`≤ −2` ⇒ SN, `−1` ⇒ WN,
 /// `0..=1` ⇒ WT, `≥ 2` ⇒ ST — zero predicts taken, matching the
 /// perceptron's `y ≥ 0` rule); `set_pht_state` writes the representative
@@ -432,19 +243,9 @@ impl PerceptronBackend {
         PerceptronBackend { common: BackendCommon::new(effective), perceptron }
     }
 
-    /// The wrapped perceptron model.
+    /// Predicts the branch at `addr` from the current global history.
     #[must_use]
-    pub fn perceptron(&self) -> &PerceptronPredictor {
-        &self.perceptron
-    }
-}
-
-impl DirectionPredictor for PerceptronBackend {
-    fn profile(&self) -> &MicroarchProfile {
-        self.common.profile()
-    }
-
-    fn predict(&self, addr: VirtAddr) -> Prediction {
+    pub fn predict(&self, addr: VirtAddr) -> Prediction {
         let direction = self.perceptron.predict(addr, &self.common.ghr);
         let (btb_hit, target) = self.common.lookup(addr, direction);
         Prediction {
@@ -457,7 +258,9 @@ impl DirectionPredictor for PerceptronBackend {
         }
     }
 
-    fn update(
+    /// Trains the perceptron on the resolved outcome, then commits the
+    /// shared front-end state.
+    pub fn update(
         &mut self,
         addr: VirtAddr,
         outcome: Outcome,
@@ -468,7 +271,10 @@ impl DirectionPredictor for PerceptronBackend {
         self.common.commit(addr, outcome, target, prediction);
     }
 
-    fn pht_state(&self, addr: VirtAddr) -> PhtState {
+    /// The state synthesised from the entry's bias weight (see the type
+    /// docs).
+    #[must_use]
+    pub fn pht_state(&self, addr: VirtAddr) -> PhtState {
         match self.perceptron.bias(addr) {
             b if b <= -2 => PhtState::StronglyNotTaken,
             -1 => PhtState::WeaklyNotTaken,
@@ -477,7 +283,9 @@ impl DirectionPredictor for PerceptronBackend {
         }
     }
 
-    fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
+    /// Writes the representative bias for `state` and zeroes the history
+    /// weights.
+    pub fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
         let bias = match state {
             PhtState::StronglyNotTaken => -2,
             PhtState::WeaklyNotTaken => -1,
@@ -485,34 +293,6 @@ impl DirectionPredictor for PerceptronBackend {
             PhtState::StronglyTaken => 2,
         };
         self.perceptron.set_entry(addr, bias);
-    }
-
-    fn ghr(&self) -> &GlobalHistoryRegister {
-        &self.common.ghr
-    }
-
-    fn ghr_mut(&mut self) -> &mut GlobalHistoryRegister {
-        &mut self.common.ghr
-    }
-
-    fn btb(&self) -> &BranchTargetBuffer {
-        &self.common.btb
-    }
-
-    fn btb_mut(&mut self) -> &mut BranchTargetBuffer {
-        &mut self.common.btb
-    }
-
-    fn stats(&self) -> PredictionStats {
-        self.common.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.common.stats.reset();
-    }
-
-    fn reset(&mut self) {
-        *self = PerceptronBackend::new(self.common.profile.clone());
     }
 }
 
@@ -591,10 +371,6 @@ impl FromStr for BackendKind {
 
 /// The predictor substrate a simulated core runs on: one of the three
 /// concrete backends behind static (match) dispatch.
-///
-/// Inherent methods mirror [`DirectionPredictor`] exactly, so callers can
-/// use a core's backend without importing the trait; the trait impl simply
-/// delegates.
 #[derive(Debug, Clone)]
 pub enum PredictorBackend {
     /// The paper's bimodal+gshare hybrid predictor.
@@ -605,13 +381,25 @@ pub enum PredictorBackend {
     Perceptron(PerceptronBackend),
 }
 
-/// Delegates one method call to whichever backend is active.
+/// Delegates a per-substrate method to whichever backend is active.
 macro_rules! dispatch {
     ($self:expr, $bpu:ident => $body:expr) => {
         match $self {
             PredictorBackend::Hybrid($bpu) => $body,
             PredictorBackend::Tage($bpu) => $body,
             PredictorBackend::Perceptron($bpu) => $body,
+        }
+    };
+}
+
+/// Reaches a front-end structure: the hybrid's own, or the `BackendCommon`
+/// TAGE and the perceptron share.
+macro_rules! front_end {
+    ($self:expr, $hybrid:ident => $h:expr, $common:ident => $c:expr) => {
+        match $self {
+            PredictorBackend::Hybrid($hybrid) => $h,
+            PredictorBackend::Tage(TageBackend { common: $common, .. })
+            | PredictorBackend::Perceptron(PerceptronBackend { common: $common, .. }) => $c,
         }
     };
 }
@@ -647,19 +435,23 @@ impl PredictorBackend {
         }
     }
 
-    /// See [`DirectionPredictor::profile`].
+    /// The *effective* microarchitecture profile: table sizes and counter
+    /// flavour as the attacker's priming/decoding code should size itself,
+    /// which for non-hybrid backends means a normalised counter kind (see
+    /// [`BackendKind::build`]).
     #[must_use]
     pub fn profile(&self) -> &MicroarchProfile {
-        dispatch!(self, bpu => DirectionPredictor::profile(bpu))
+        front_end!(self, h => h.profile(), c => &c.profile)
     }
 
-    /// See [`DirectionPredictor::predict`].
+    /// Produces the front-end prediction for the branch at `addr`.
     #[must_use]
     pub fn predict(&self, addr: VirtAddr) -> Prediction {
-        dispatch!(self, bpu => DirectionPredictor::predict(bpu, addr))
+        dispatch!(self, bpu => bpu.predict(addr))
     }
 
-    /// See [`DirectionPredictor::update`].
+    /// Commits a resolved branch. `prediction` must be the value returned
+    /// by [`predict`](Self::predict) for this same dynamic branch.
     pub fn update(
         &mut self,
         addr: VirtAddr,
@@ -667,133 +459,90 @@ impl PredictorBackend {
         target: Option<VirtAddr>,
         prediction: &Prediction,
     ) {
-        dispatch!(self, bpu => DirectionPredictor::update(bpu, addr, outcome, target, prediction));
+        dispatch!(self, bpu => bpu.update(addr, outcome, target, prediction));
     }
 
-    /// See [`DirectionPredictor::execute`].
+    /// Predicts and immediately commits one dynamic branch, returning the
+    /// prediction and whether it was correct (the simulation fast path).
     pub fn execute(
         &mut self,
         addr: VirtAddr,
         outcome: Outcome,
         target: Option<VirtAddr>,
     ) -> (Prediction, bool) {
-        dispatch!(self, bpu => DirectionPredictor::execute(bpu, addr, outcome, target))
+        if let PredictorBackend::Hybrid(h) = self {
+            return h.execute(addr, outcome, target);
+        }
+        let prediction = self.predict(addr);
+        self.update(addr, outcome, target, &prediction);
+        (prediction, prediction.direction == outcome)
     }
 
-    /// See [`DirectionPredictor::pht_state`].
+    /// Architectural state of the address-indexed PHT entry for `addr` —
+    /// the state BranchScope primes and probes. For the hybrid this is the
+    /// bimodal PHT entry; for TAGE the base-table counter; the perceptron
+    /// synthesises a state from its bias weight (see [`PerceptronBackend`]).
     #[must_use]
     pub fn pht_state(&self, addr: VirtAddr) -> PhtState {
-        dispatch!(self, bpu => DirectionPredictor::pht_state(bpu, addr))
+        match self {
+            PredictorBackend::Hybrid(h) => h.bimodal_state(addr),
+            PredictorBackend::Tage(t) => t.pht_state(addr),
+            PredictorBackend::Perceptron(p) => p.pht_state(addr),
+        }
     }
 
-    /// See [`DirectionPredictor::set_pht_state`].
+    /// Forces the address-indexed PHT entry for `addr` into `state`
+    /// (ground-truth hook for experiments and tests).
     pub fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
-        dispatch!(self, bpu => DirectionPredictor::set_pht_state(bpu, addr, state));
+        match self {
+            PredictorBackend::Hybrid(h) => h.bimodal_mut().set_state(addr, state),
+            PredictorBackend::Tage(t) => t.set_pht_state(addr, state),
+            PredictorBackend::Perceptron(p) => p.set_pht_state(addr, state),
+        }
     }
 
-    /// See [`DirectionPredictor::ghr`].
+    /// Read access to the global history register.
     #[must_use]
     pub fn ghr(&self) -> &GlobalHistoryRegister {
-        dispatch!(self, bpu => DirectionPredictor::ghr(bpu))
+        front_end!(self, h => h.ghr(), c => &c.ghr)
     }
 
-    /// See [`DirectionPredictor::ghr_mut`].
+    /// Exclusive access to the global history register.
     #[must_use]
     pub fn ghr_mut(&mut self) -> &mut GlobalHistoryRegister {
-        dispatch!(self, bpu => DirectionPredictor::ghr_mut(bpu))
+        front_end!(self, h => h.ghr_mut(), c => &mut c.ghr)
     }
 
-    /// See [`DirectionPredictor::btb`].
+    /// Read access to the branch target buffer.
     #[must_use]
     pub fn btb(&self) -> &BranchTargetBuffer {
-        dispatch!(self, bpu => DirectionPredictor::btb(bpu))
+        front_end!(self, h => h.btb(), c => &c.btb)
     }
 
-    /// See [`DirectionPredictor::btb_mut`].
+    /// Exclusive access to the branch target buffer.
     #[must_use]
     pub fn btb_mut(&mut self) -> &mut BranchTargetBuffer {
-        dispatch!(self, bpu => DirectionPredictor::btb_mut(bpu))
+        front_end!(self, h => h.btb_mut(), c => &mut c.btb)
     }
 
-    /// See [`DirectionPredictor::stats`].
+    /// Cumulative prediction statistics.
     #[must_use]
     pub fn stats(&self) -> PredictionStats {
-        dispatch!(self, bpu => DirectionPredictor::stats(bpu))
+        front_end!(self, h => h.stats(), c => c.stats)
     }
 
-    /// See [`DirectionPredictor::reset_stats`].
+    /// Resets the statistics counters (predictor state is untouched).
     pub fn reset_stats(&mut self) {
-        dispatch!(self, bpu => DirectionPredictor::reset_stats(bpu));
+        front_end!(self, h => h.reset_stats(), c => c.stats.reset());
     }
 
-    /// See [`DirectionPredictor::reset`].
+    /// Resets all predictor state to power-on defaults. TAGE and the
+    /// perceptron are rebuilt from their (already normalised) profile.
     pub fn reset(&mut self) {
-        dispatch!(self, bpu => DirectionPredictor::reset(bpu));
-    }
-}
-
-impl DirectionPredictor for PredictorBackend {
-    fn profile(&self) -> &MicroarchProfile {
-        PredictorBackend::profile(self)
-    }
-
-    fn predict(&self, addr: VirtAddr) -> Prediction {
-        PredictorBackend::predict(self, addr)
-    }
-
-    fn update(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-        prediction: &Prediction,
-    ) {
-        PredictorBackend::update(self, addr, outcome, target, prediction);
-    }
-
-    fn execute(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-    ) -> (Prediction, bool) {
-        PredictorBackend::execute(self, addr, outcome, target)
-    }
-
-    fn pht_state(&self, addr: VirtAddr) -> PhtState {
-        PredictorBackend::pht_state(self, addr)
-    }
-
-    fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
-        PredictorBackend::set_pht_state(self, addr, state);
-    }
-
-    fn ghr(&self) -> &GlobalHistoryRegister {
-        PredictorBackend::ghr(self)
-    }
-
-    fn ghr_mut(&mut self) -> &mut GlobalHistoryRegister {
-        PredictorBackend::ghr_mut(self)
-    }
-
-    fn btb(&self) -> &BranchTargetBuffer {
-        PredictorBackend::btb(self)
-    }
-
-    fn btb_mut(&mut self) -> &mut BranchTargetBuffer {
-        PredictorBackend::btb_mut(self)
-    }
-
-    fn stats(&self) -> PredictionStats {
-        PredictorBackend::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        PredictorBackend::reset_stats(self);
-    }
-
-    fn reset(&mut self) {
-        PredictorBackend::reset(self);
+        match self {
+            PredictorBackend::Hybrid(h) => h.reset(),
+            _ => *self = self.kind().build(self.profile().clone()),
+        }
     }
 }
 
@@ -863,10 +612,14 @@ mod tests {
             assert_eq!(backend.stats().branches, 2, "{kind}");
             backend.reset_stats();
             assert_eq!(backend.stats().branches, 0, "{kind}");
-            // Reset restores power-on state.
+            // Reset restores power-on state and keeps the effective profile.
+            backend.set_pht_state(0x5000, PhtState::StronglyNotTaken);
             backend.reset();
+            let fresh = kind.build(small_profile());
             assert_eq!(backend.btb().occupancy(), 0, "{kind}");
             assert_eq!(backend.ghr().value(), 0, "{kind}");
+            assert_eq!(backend.profile(), fresh.profile(), "{kind}");
+            assert_eq!(backend.pht_state(0x5000), fresh.pht_state(0x5000), "{kind}");
         }
     }
 
@@ -904,7 +657,7 @@ mod tests {
     #[test]
     fn tage_backend_probe_sequence_shows_the_mh_signature() {
         // End-to-end FSM reasoning on the backend surface (the module-level
-        // argument from `tage.rs`, here through the trait): prime SN, one
+        // argument from `tage.rs`, here through the enum): prime SN, one
         // taken victim execution, then two taken probes observe miss, hit.
         let mut backend = BackendKind::Tage.build(small_profile());
         for _ in 0..3 {
@@ -934,20 +687,5 @@ mod tests {
             (first.direction, second.direction)
         };
         assert_eq!(run(Outcome::Taken), run(Outcome::NotTaken), "probes cannot distinguish");
-    }
-
-    #[test]
-    fn trait_object_dispatch_matches_enum_dispatch() {
-        let mut enum_backend = BackendKind::Tage.build(small_profile());
-        let mut dyn_backend: Box<dyn DirectionPredictor> =
-            Box::new(TageBackend::new(small_profile()));
-        for i in 0..200u64 {
-            let addr = 0x100 + (i % 7) * 0x40;
-            let outcome = Outcome::from_bool(i % 3 == 0);
-            let (a, ca) = enum_backend.execute(addr, outcome, None);
-            let (b, cb) = dyn_backend.execute(addr, outcome, None);
-            assert_eq!((a, ca), (b, cb), "step {i}");
-        }
-        assert_eq!(enum_backend.stats(), dyn_backend.stats());
     }
 }

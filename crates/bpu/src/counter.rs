@@ -8,11 +8,10 @@
 //! We model that with an asymmetric five-state counter whose taken side has
 //! one extra state ([`CounterKind::SkylakeAsymmetric`]).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The direction a conditional branch resolved to (or is predicted to).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Outcome {
     /// The branch was (or is predicted) not taken: fall through.
     NotTaken,
@@ -92,7 +91,7 @@ impl From<bool> for Outcome {
 /// These are the four states of the paper's Figure 3 FSM. On Skylake the
 /// underlying counter has five internal states, but only these four are
 /// architecturally meaningful (and ST/WT are indistinguishable there).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PhtState {
     /// Strongly not-taken (`SN`).
     StronglyNotTaken,
@@ -153,7 +152,7 @@ impl fmt::Display for PhtState {
 }
 
 /// Which saturating-counter flavour a PHT uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CounterKind {
     /// The textbook two-bit counter of Figure 3 (Sandy Bridge, Haswell).
     TwoBit,
@@ -180,7 +179,7 @@ impl CounterKind {
 /// Internally a small saturating counter; the raw level range depends on the
 /// [`CounterKind`]. Values at or above the kind's taken threshold predict
 /// taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Counter {
     kind: CounterKind,
     level: u8,

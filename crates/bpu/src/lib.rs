@@ -23,11 +23,11 @@
 //! (Table 1, footnote 1).
 //!
 //! The hybrid is one of three interchangeable predictor *backends*: the
-//! [`DirectionPredictor`] trait captures the surface the simulated core
-//! needs, the [`PredictorBackend`] enum provides static dispatch over the
-//! hybrid, a TAGE model ([`TageBackend`]) and a perceptron model
-//! ([`PerceptronBackend`]), and [`BackendKind`] selects between them — see
-//! the [`backend`](crate::backend) module docs for the design rationale.
+//! [`PredictorBackend`] enum is the surface the simulated core needs and
+//! dispatches statically over the hybrid, a TAGE model ([`TageBackend`])
+//! and a perceptron model ([`PerceptronBackend`]), and [`BackendKind`]
+//! selects between them — see the [`backend`] module docs for the design
+//! rationale.
 //!
 //! # Example
 //!
@@ -61,10 +61,7 @@ mod selector;
 mod stats;
 mod tage;
 
-pub use backend::{
-    BackendCommon, BackendKind, DirectionPredictor, PerceptronBackend, PredictorBackend,
-    TageBackend,
-};
+pub use backend::{BackendKind, PerceptronBackend, PredictorBackend, TageBackend};
 pub use bimodal::BimodalPredictor;
 pub use btb::{BranchTargetBuffer, BtbEntry};
 pub use counter::{Counter, CounterKind, Outcome, PhtState};

@@ -94,7 +94,7 @@ impl PerceptronPredictor {
 
     /// Overwrites the entry for `addr` with the given bias and all history
     /// weights zeroed — the ground-truth hook backing
-    /// [`DirectionPredictor::set_pht_state`](crate::DirectionPredictor::set_pht_state).
+    /// [`PredictorBackend::set_pht_state`](crate::PredictorBackend::set_pht_state).
     pub fn set_entry(&mut self, addr: VirtAddr, bias: i16) {
         let idx = self.index_of(addr);
         let w = &mut self.weights[idx];

@@ -1,11 +1,10 @@
 //! Microarchitecture profiles for the three CPUs evaluated in the paper.
 
 use crate::counter::CounterKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The microarchitecture families the paper evaluates (§5, Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Microarch {
     /// Intel Sandy Bridge (i7-2600).
     SandyBridge,
@@ -34,7 +33,7 @@ impl fmt::Display for Microarch {
 /// Figures 7–9: correctly-predicted branches measured via `rdtscp` average
 /// ≈85 cycles, mispredicted ones ≈135, with tails up to ≈200 and a
 /// pronounced extra cost + variance on the first (cold-cache) execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingParams {
     /// Mean measured latency of a correctly predicted, i-cache-warm branch
     /// (includes `rdtscp` serialisation overhead, as the paper measures).
@@ -103,7 +102,7 @@ impl Default for TimingParams {
 /// on Skylake/Haswell than Sandy Bridge explaining their lower error rates,
 /// and the Skylake counter quirk). The profiles below encode exactly those
 /// findings and otherwise use representative sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MicroarchProfile {
     /// Which family this profile models.
     pub arch: Microarch,

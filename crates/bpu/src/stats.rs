@@ -1,6 +1,5 @@
 //! Prediction accuracy accounting.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Running counts of predictions made by a BPU, overall and per component.
@@ -8,7 +7,7 @@ use std::fmt;
 /// The simulated equivalent of the `BR_INST_RETIRED` / `BR_MISP_RETIRED`
 /// performance counters the paper's spy reads (§7), kept at BPU level for
 /// experiment bookkeeping. Per-context counters live in `bscope-uarch`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredictionStats {
     /// Conditional branches predicted.
     pub branches: u64,

@@ -163,7 +163,7 @@ impl TagePredictor {
 
     /// Forces the base-table counter for `pc` (clamped to 0–3) — the
     /// ground-truth hook backing
-    /// [`DirectionPredictor::set_pht_state`](crate::DirectionPredictor::set_pht_state).
+    /// [`PredictorBackend::set_pht_state`](crate::PredictorBackend::set_pht_state).
     pub fn set_base_counter(&mut self, pc: VirtAddr, counter: u8) {
         let idx = self.base_index(pc);
         self.base[idx] = counter.min(3);

@@ -139,7 +139,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length bound for [`vec`]: an exact size or a range of sizes.
+    /// Length bound for [`vec`](fn@vec): an exact size or a range of sizes.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

@@ -10,15 +10,13 @@ use crate::attack::{AttackConfig, BranchScope};
 use crate::error::AttackError;
 use bscope_bpu::Outcome;
 use bscope_os::{CpuView, Enclave, EnclaveController, Pid, System, Workload};
-use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Code offset (within the sender binary) of the transmitting branch —
 /// the `0x6d` of the paper's Listing 2 disassembly.
 pub const SENDER_BRANCH_OFFSET: u64 = 0x6d;
 
 /// Outcome of a covert-channel transmission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransmitResult {
     /// Bits recovered by the receiver (same length as the sent message).
     pub received: Vec<bool>,
@@ -165,7 +163,7 @@ impl CovertChannel {
 }
 
 /// Bits recovered by a receiver that does not know the ground truth.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReceivedBits {
     /// The recovered bit stream.
     pub bits: Vec<bool>,
@@ -232,16 +230,10 @@ pub fn bytes_to_bits(payload: &[u8]) -> Vec<bool> {
 /// Reassembles channel bits into bytes (inverse of [`bytes_to_bits`]);
 /// trailing bits that do not fill a byte are dropped.
 #[must_use]
-pub fn bits_to_bytes(bits: &[bool]) -> Bytes {
-    let mut out = BytesMut::with_capacity(bits.len() / 8);
-    for chunk in bits.chunks_exact(8) {
-        let mut byte = 0u8;
-        for &bit in chunk {
-            byte = (byte << 1) | u8::from(bit);
-        }
-        out.put_u8(byte);
-    }
-    out.freeze()
+pub fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
+    bits.chunks_exact(8)
+        .map(|chunk| chunk.iter().fold(0u8, |byte, &bit| (byte << 1) | u8::from(bit)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -2,7 +2,6 @@
 
 use bscope_bpu::{Outcome, VirtAddr};
 use bscope_os::CpuView;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The direction both probing branches execute with.
@@ -11,7 +10,7 @@ use std::fmt;
 /// branches (`NN`); the useful direction is the one *opposite* to the primed
 /// state (probing in the primed direction observes `HH` regardless of the
 /// victim, Table 1 rows 1/3/6/8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProbeKind {
     /// Two taken probe branches (`TT`).
     TakenTaken,
@@ -56,7 +55,7 @@ impl fmt::Display for ProbeKind {
 
 /// Prediction observations of the two probing branches, in the paper's
 /// notation: `H` = correct prediction (hit), `M` = misprediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ProbePattern {
     /// Both probes predicted correctly.
     HH,

@@ -13,10 +13,9 @@ use crate::probe::{probe_with_counters, ProbeKind, ProbePattern};
 use crate::randomize::RandomizationBlock;
 use bscope_bpu::VirtAddr;
 use bscope_os::{Pid, System};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the stability experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StabilityConfig {
     /// Number of randomization blocks to generate and characterise
     /// (the paper uses 10 000; scale to budget).
@@ -48,7 +47,7 @@ impl Default for StabilityConfig {
 }
 
 /// Characterisation of one randomization block (one point of Fig. 4a).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockStability {
     /// Seed the block was generated from.
     pub block_seed: u64,
@@ -74,7 +73,7 @@ impl BlockStability {
 }
 
 /// Distribution of decoded states across blocks (Fig. 4b's pie chart).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StateDistribution {
     /// Blocks decoding to strongly taken.
     pub st: usize,

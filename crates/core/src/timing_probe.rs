@@ -12,7 +12,6 @@ use crate::error::AttackError;
 use crate::probe::{ProbeKind, ProbePattern};
 use bscope_bpu::{Outcome, PhtState, VirtAddr};
 use bscope_os::{CpuView, Pid, System};
-use serde::{Deserialize, Serialize};
 
 /// Classifier separating correctly-predicted from mispredicted branch
 /// latencies.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// Calibrated from labelled samples (the attacker can generate those on its
 /// own branches: train an entry to a strong state, then execute agreeing /
 /// disagreeing branches and time them).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingDetector {
     threshold: f64,
 }
@@ -139,7 +138,7 @@ pub fn collect_latency_samples(
 
 /// Latency statistics of the two probing branches for a given PHT entry
 /// state (one bar group of Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeLatencyStats {
     /// State the entry was set to before each probe pair.
     pub state: PhtState,

@@ -8,7 +8,8 @@ use bscope_uarch::Tracer;
 use std::sync::{Mutex, PoisonError};
 
 /// Experiment scale: `full()` approaches the paper's sample sizes where
-/// affordable; `quick()` runs everything in seconds for smoke testing.
+/// affordable; `quick` (the `--quick` flag) runs everything in seconds for
+/// smoke testing.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
     /// Whether this is the reduced (smoke-test) scale.
@@ -44,7 +45,7 @@ impl Scale {
         }
     }
 
-    #[allow(dead_code)] // handy for unit-style invocations
+    #[cfg(test)]
     pub fn quick() -> Self {
         Scale { quick: true, ..Scale::full() }
     }
@@ -66,8 +67,8 @@ pub const TRACE_EVENTS_PER_TRIAL: usize = 1024;
 
 /// Runs `n` trials through the deterministic parallel runner with this
 /// scale's thread count and fault plan. Seeds derive from
-/// `scale.seed ^ salt`, exactly as the former direct `run_trials` calls,
-/// so results are unchanged — and bit-identical for every thread count.
+/// `scale.seed ^ salt`, so results are bit-identical for every thread
+/// count.
 ///
 /// Each trial receives a [`Tracer`]: disabled (no-op) unless `scale.trace`
 /// is set, in which case per-trial captures accumulate in a global sink the
@@ -186,16 +187,6 @@ pub fn mean(v: &[u64]) -> f64 {
     v.iter().sum::<u64>() as f64 / v.len() as f64
 }
 
-/// Population standard deviation of a u64 sample.
-#[allow(dead_code)] // used by ad-hoc experiment variants
-pub fn std_dev(v: &[u64]) -> f64 {
-    if v.is_empty() {
-        return 0.0;
-    }
-    let m = mean(v);
-    (v.iter().map(|&x| (x as f64 - m).powi(2)).sum::<f64>() / v.len() as f64).sqrt()
-}
-
 /// Percentile (nearest-rank) of a u64 sample.
 pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
@@ -244,7 +235,9 @@ mod tests {
         let mut scale = Scale::quick();
         scale.threads = 2;
         let out = trials(&scale, 8, 0xABC, |idx, seed, _| (idx, seed));
-        assert_eq!(out, bscope_harness::run_trials(8, scale.seed ^ 0xABC, 1, |i, s| (i, s)));
+        let opts = RunOptions { threads: 1, ..RunOptions::default() };
+        let plain = bscope_harness::run_trials_with(8, scale.seed ^ 0xABC, &opts, |i, s| (i, s));
+        assert_eq!(out, plain.expect_complete());
 
         scale.fault = Some(bscope_harness::FaultPlan::keyed(0).panic_on_index(3));
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

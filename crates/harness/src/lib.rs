@@ -9,8 +9,8 @@
 //! * results come back in trial order regardless of which worker ran
 //!   which trial.
 //!
-//! So `run_trials(n, seed, threads, f)` is bit-identical for any
-//! `threads`, including 1 — verified by tests here and regression tests
+//! So a [`run_trials_with`] run is bit-identical for any
+//! `opts.threads`, including 1 — verified by tests here and regression tests
 //! in the experiments binary. This replaces per-worker seed sharding
 //! (previously in fig4), where changing the thread count changed which
 //! seeds were run and therefore the results.
@@ -24,7 +24,7 @@
 //! silently. Every trial body executes under [`std::panic::catch_unwind`];
 //! what happens next is governed by a [`FaultPolicy`]:
 //!
-//! * [`FaultPolicy::Propagate`] (the [`run_trials`] default) re-raises the
+//! * [`FaultPolicy::Propagate`] (the default) re-raises the
 //!   panic of the lowest-index failed trial, with the trial index and seed
 //!   prepended so the failure is attributable and replayable;
 //! * [`FaultPolicy::RecordAndSkip`] records each failure as a
@@ -95,8 +95,7 @@ pub fn resolve_threads(requested: usize) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultPolicy {
     /// Re-raise the panic of the lowest-index failed trial, with the trial
-    /// index and seed prepended to the payload. This is the behaviour of
-    /// the plain [`run_trials`] entry point.
+    /// index and seed prepended to the payload. This is the default.
     #[default]
     Propagate,
     /// Record each failure as a [`TrialError`], leave `None` in that
@@ -265,7 +264,12 @@ pub struct RunOptions {
 
 /// Runs `n` independent trials of `f` and returns a [`TrialReport`]:
 /// results in trial order, with panicking trials handled per
-/// `opts.policy`. See [`run_trials`] for the seed/threading contract.
+/// `opts.policy`.
+///
+/// `f` receives `(trial_idx, seed)` with `seed = trial_seed(base_seed,
+/// trial_idx)`; it must derive all its randomness from that seed. Under
+/// that contract the report is bit-identical for every value of
+/// `opts.threads` (`0` means all available cores).
 ///
 /// # Panics
 ///
@@ -449,38 +453,16 @@ where
     (TrialReport { results, failures: combined.failures }, traces)
 }
 
-/// Runs `n` independent trials of `f` on `threads` worker threads and
-/// returns the results in trial order.
-///
-/// `f` receives `(trial_idx, seed)` with `seed = trial_seed(base_seed,
-/// trial_idx)`; it must derive all its randomness from that seed. Under
-/// that contract the returned vector is bit-identical for every value of
-/// `threads` (`0` means all available cores).
-///
-/// # Panics
-///
-/// A panicking trial is re-raised with its trial index and seed prepended
-/// ([`FaultPolicy::Propagate`]); use [`run_trials_with`] to record and
-/// skip failures instead.
-pub fn run_trials<T, F>(n: usize, base_seed: u64, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, u64) -> T + Sync,
-{
-    run_trials_with(
-        n,
-        base_seed,
-        &RunOptions { threads, policy: FaultPolicy::Propagate, fault: None },
-        f,
-    )
-    .expect_complete()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Default options (propagate panics, no injection) on `threads` workers.
+    fn opts(threads: usize) -> RunOptions {
+        RunOptions { threads, ..RunOptions::default() }
+    }
 
     #[test]
     fn seeds_are_pure_and_distinct() {
@@ -502,7 +484,7 @@ mod tests {
 
     #[test]
     fn results_come_back_in_trial_order() {
-        let out = run_trials(100, 42, 4, |idx, _seed| idx * 3);
+        let out = run_trials_with(100, 42, &opts(4), |idx, _seed| idx * 3).expect_complete();
         assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
     }
 
@@ -512,13 +494,14 @@ mod tests {
         // any thread count. Each trial folds its seed through some mixing
         // so ordering bugs would corrupt the comparison.
         let run = |threads| {
-            run_trials(64, 0xDEAD_BEEF, threads, |idx, seed| {
+            run_trials_with(64, 0xDEAD_BEEF, &opts(threads), |idx, seed| {
                 let mut acc = seed;
                 for _ in 0..(idx % 7) {
                     acc = splitmix64(acc);
                 }
                 (idx, acc)
             })
+            .expect_complete()
         };
         let reference = run(1);
         for threads in [2, 3, 8] {
@@ -530,23 +513,24 @@ mod tests {
     fn zero_threads_means_available_parallelism() {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(5), 5);
-        let out = run_trials(16, 1, 0, |_idx, seed| seed);
-        assert_eq!(out, run_trials(16, 1, 1, |_idx, seed| seed));
+        let out = run_trials_with(16, 1, &opts(0), |_idx, seed| seed);
+        assert_eq!(out, run_trials_with(16, 1, &opts(1), |_idx, seed| seed));
     }
 
     #[test]
     fn handles_zero_and_one_trials() {
-        assert!(run_trials(0, 9, 8, |idx, _| idx).is_empty());
-        assert_eq!(run_trials(1, 9, 8, |idx, _| idx), vec![0]);
+        assert!(run_trials_with(0, 9, &opts(8), |idx, _| idx).expect_complete().is_empty());
+        assert_eq!(run_trials_with(1, 9, &opts(8), |idx, _| idx).expect_complete(), vec![0]);
     }
 
     #[test]
     fn all_trials_run_exactly_once() {
         let counter = AtomicUsize::new(0);
-        let out = run_trials(257, 5, 8, |idx, _| {
+        let out = run_trials_with(257, 5, &opts(8), |idx, _| {
             counter.fetch_add(1, Ordering::Relaxed);
             idx
-        });
+        })
+        .expect_complete();
         assert_eq!(counter.load(Ordering::Relaxed), 257);
         assert_eq!(out.len(), 257);
         assert!(out.iter().enumerate().all(|(i, &v)| i == v));
@@ -554,7 +538,7 @@ mod tests {
 
     #[test]
     fn more_threads_than_trials_is_fine() {
-        let out = run_trials(3, 11, 64, |idx, seed| (idx, seed));
+        let out = run_trials_with(3, 11, &opts(64), |idx, seed| (idx, seed)).expect_complete();
         assert_eq!(out.len(), 3);
         assert_eq!(out[2].1, trial_seed(11, 2));
     }
@@ -571,7 +555,7 @@ mod tests {
     fn propagating_panic_names_trial_index_and_seed() {
         for threads in [1, 4] {
             let msg = panic_text(move || {
-                let _ = run_trials(16, 0xB5C0_9E01, threads, |idx, _seed| {
+                let _ = run_trials_with(16, 0xB5C0_9E01, &opts(threads), |idx, _seed| {
                     assert!(idx != 7, "boom");
                     idx
                 });
@@ -667,10 +651,10 @@ mod tests {
     fn traced_runner_matches_untraced_results_and_stamps_traces() {
         let opts = RunOptions::default();
         let (report, traces) = run_trials_traced(12, 0xB5C0_9E01, &opts, Some(64), traced_body);
-        let plain = run_trials(12, 0xB5C0_9E01, 1, |idx, seed| {
+        let plain = run_trials_with(12, 0xB5C0_9E01, &opts, |idx, seed| {
             traced_body(idx, seed, &mut Tracer::disabled())
         });
-        assert_eq!(report.expect_complete(), plain, "tracing must not change results");
+        assert_eq!(report, plain, "tracing must not change results");
         assert_eq!(traces.len(), 12);
         for (idx, t) in traces.iter().enumerate() {
             assert_eq!(t.trial_index, idx, "traces come back in trial order");

@@ -4,10 +4,9 @@
 
 use bscope_os::{Pid, System};
 use bscope_uarch::PerfCounters;
-use serde::{Deserialize, Serialize};
 
 /// Verdict for one monitored window of a process's execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionSample {
     /// Branches the process retired during the window.
     pub branches: u64,
@@ -27,7 +26,7 @@ pub struct DetectionSample {
 /// with enough branches sustains a misprediction rate above the threshold;
 /// an OS (outside SGX) could then freeze or kill it, or an enclave could
 /// remap itself.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackDetector {
     /// Minimum branches per window before a verdict is attempted.
     pub min_branches: u64,

@@ -121,7 +121,7 @@ impl SimCore {
     ///
     /// # Errors
     ///
-    /// Returns the [`ConfigError`] from [`MeasurementFuzz::validate`],
+    /// Returns the [`ConfigError`](crate::ConfigError) from [`MeasurementFuzz::validate`],
     /// leaving the previous fuzz configuration in place.
     pub fn set_measurement_fuzz(
         &mut self,
@@ -138,7 +138,7 @@ impl SimCore {
     ///
     /// # Errors
     ///
-    /// Returns the [`ConfigError`] from [`NoiseConfig::validate`], leaving
+    /// Returns the [`ConfigError`](crate::ConfigError) from [`NoiseConfig::validate`], leaving
     /// the previous noise configuration in place.
     pub fn set_noise(&mut self, noise: Option<NoiseConfig>) -> Result<(), crate::ConfigError> {
         if let Some(cfg) = &noise {
@@ -152,7 +152,7 @@ impl SimCore {
     ///
     /// # Errors
     ///
-    /// Returns the [`ConfigError`] from [`NoiseConfig::validate`].
+    /// Returns the [`ConfigError`](crate::ConfigError) from [`NoiseConfig::validate`].
     pub fn with_noise(mut self, noise: NoiseConfig) -> Result<Self, crate::ConfigError> {
         self.set_noise(Some(noise))?;
         Ok(self)
@@ -311,9 +311,8 @@ impl SimCore {
         // (Fig. 7); the core clock advances by the much smaller throughput
         // cost of straight-line execution.
         let taken_btb_miss = outcome.is_taken() && !prediction.btb_hit;
-        let mut latency =
-            self.timing.sample_with_btb(&mut self.rng, mispredicted, cold, taken_btb_miss);
-        self.tsc += self.timing.advance_with_btb(mispredicted, cold, taken_btb_miss);
+        let mut latency = self.timing.sample(&mut self.rng, mispredicted, cold, taken_btb_miss);
+        self.tsc += self.timing.advance(mispredicted, cold, taken_btb_miss);
         let mut recorded_miss = mispredicted;
         if let Some(fuzz) = self.fuzz {
             latency = fuzz.fuzz_latency(&mut self.rng, latency);

@@ -1,6 +1,5 @@
 //! Performance counter model.
 
-use serde::{Deserialize, Serialize};
 
 /// Hardware performance counters as visible to one hardware thread.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// these counters are per-logical-CPU, so activity of the sibling SMT thread
 /// does **not** leak into them — the simulated core therefore only counts
 /// branches executed by the foreground context, not injected noise.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfCounters {
     /// `BR_INST_RETIRED.CONDITIONAL` — conditional branches retired.
     pub branches_retired: u64,

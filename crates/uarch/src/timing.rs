@@ -32,15 +32,11 @@ impl TimingModel {
         &self.params
     }
 
-    /// Samples a measured latency for one branch execution.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, mispredicted: bool, cold: bool) -> u64 {
-        self.sample_with_btb(rng, mispredicted, cold, false)
-    }
-
-    /// Samples a measured latency, additionally charging the front-end
-    /// fetch-redirect bubble of a taken branch that missed the BTB — the
-    /// signal prior BTB-presence attacks time (§11).
-    pub fn sample_with_btb<R: Rng + ?Sized>(
+    /// Samples a measured latency for one branch execution. A taken
+    /// branch that missed the BTB (`taken_btb_miss`) is additionally
+    /// charged the front-end fetch-redirect bubble — the signal prior
+    /// BTB-presence attacks time (§11).
+    pub fn sample<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         mispredicted: bool,
@@ -83,17 +79,10 @@ impl TimingModel {
     /// Wall-clock cycles one branch costs in straight-line code — the
     /// amount the core clock advances. Unlike [`TimingModel::sample`],
     /// which models a serialised `rdtscp`-bracketed measurement, ordinary
-    /// branches retire near throughput, stalling only on mispredictions
-    /// and i-cache misses.
+    /// branches retire near throughput, stalling only on mispredictions,
+    /// i-cache misses and the BTB-miss redirect bubble of taken branches.
     #[must_use]
-    pub fn advance(&self, mispredicted: bool, cold: bool) -> u64 {
-        self.advance_with_btb(mispredicted, cold, false)
-    }
-
-    /// Wall-clock advance including the BTB-miss redirect bubble for taken
-    /// branches.
-    #[must_use]
-    pub fn advance_with_btb(&self, mispredicted: bool, cold: bool, taken_btb_miss: bool) -> u64 {
+    pub fn advance(&self, mispredicted: bool, cold: bool, taken_btb_miss: bool) -> u64 {
         let p = &self.params;
         let mut cycles = p.throughput_cycles;
         if mispredicted {
@@ -131,8 +120,8 @@ mod tests {
     fn misprediction_costs_more_on_average() {
         let model = TimingModel::default();
         let mut rng = StdRng::seed_from_u64(1);
-        let hits: Vec<u64> = (0..20_000).map(|_| model.sample(&mut rng, false, false)).collect();
-        let misses: Vec<u64> = (0..20_000).map(|_| model.sample(&mut rng, true, false)).collect();
+        let hits: Vec<u64> = (0..20_000).map(|_| model.sample(&mut rng, false, false, false)).collect();
+        let misses: Vec<u64> = (0..20_000).map(|_| model.sample(&mut rng, true, false, false)).collect();
         let (mh, mm) = (mean_of(&hits), mean_of(&misses));
         assert!(
             mm - mh > 35.0,
@@ -147,8 +136,8 @@ mod tests {
     fn cold_executions_are_slower_and_noisier() {
         let model = TimingModel::default();
         let mut rng = StdRng::seed_from_u64(2);
-        let warm: Vec<u64> = (0..20_000).map(|_| model.sample(&mut rng, false, false)).collect();
-        let cold: Vec<u64> = (0..20_000).map(|_| model.sample(&mut rng, false, true)).collect();
+        let warm: Vec<u64> = (0..20_000).map(|_| model.sample(&mut rng, false, false, false)).collect();
+        let cold: Vec<u64> = (0..20_000).map(|_| model.sample(&mut rng, false, true, false)).collect();
         assert!(mean_of(&cold) > mean_of(&warm) + 10.0);
         let var = |s: &[u64]| {
             let m = mean_of(s);
@@ -167,8 +156,8 @@ mod tests {
         let n = 40_000;
         let mut wrong = 0;
         for _ in 0..n {
-            let h = model.sample(&mut rng, false, false);
-            let m = model.sample(&mut rng, true, false);
+            let h = model.sample(&mut rng, false, false, false);
+            let m = model.sample(&mut rng, true, false, false);
             if h >= m {
                 wrong += 1;
             }
@@ -183,7 +172,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let floor = (model.params().base_hit_cycles * 0.65) as u64;
         for _ in 0..10_000 {
-            assert!(model.sample(&mut rng, false, false) >= floor);
+            assert!(model.sample(&mut rng, false, false, false) >= floor);
         }
     }
 

@@ -2,7 +2,7 @@
 
 use branchscope::attack::{AttackConfig, BranchScope, DirectionDict, ProbeKind};
 use branchscope::bpu::{
-    CounterKind, DirectionPredictor, HybridPredictor, MicroarchProfile, Outcome, PhtState,
+    BackendKind, CounterKind, HybridPredictor, MicroarchProfile, Outcome, PhtState,
 };
 use branchscope::os::{AslrPolicy, System};
 use proptest::prelude::*;
@@ -43,19 +43,18 @@ proptest! {
         }
     }
 
-    /// Backend-refactor property: a hybrid driven through a
-    /// `dyn DirectionPredictor` trait object stays in perfect lockstep with
-    /// a directly-driven `HybridPredictor` — identical prediction stream,
+    /// Backend-dispatch property: a hybrid driven through the
+    /// `PredictorBackend` enum stays in perfect lockstep with a
+    /// directly-driven `HybridPredictor` — identical prediction stream,
     /// identical correctness bits, and identical PHT states everywhere —
-    /// for any branch/outcome sequence. The trait adds behaviour-preserving
-    /// indirection, nothing else.
+    /// for any branch/outcome sequence. The enum adds behaviour-preserving
+    /// dispatch, nothing else.
     #[test]
-    fn trait_dispatched_hybrid_matches_direct_hybrid(
+    fn enum_dispatched_hybrid_matches_direct_hybrid(
         trace in proptest::collection::vec((0u64..8192, any::<bool>()), 1..300),
     ) {
         let mut direct = HybridPredictor::new(MicroarchProfile::skylake());
-        let mut dispatched: Box<dyn DirectionPredictor> =
-            Box::new(HybridPredictor::new(MicroarchProfile::skylake()));
+        let mut dispatched = BackendKind::Hybrid.build(MicroarchProfile::skylake());
         for &(addr, taken) in &trace {
             let outcome = Outcome::from_bool(taken);
             let (pd, cd) = direct.execute(addr, outcome, None);
@@ -64,9 +63,9 @@ proptest! {
             prop_assert_eq!(cd, cb, "correctness diverged at {}", addr);
         }
         // Whole-PHT agreement, not just the addresses the trace visited.
-        let pht_size = DirectionPredictor::profile(&direct).pht_size as u64;
+        let pht_size = direct.profile().pht_size as u64;
         for addr in 0..pht_size {
-            prop_assert_eq!(direct.pht_state(addr), dispatched.pht_state(addr));
+            prop_assert_eq!(direct.bimodal_state(addr), dispatched.pht_state(addr));
         }
         prop_assert_eq!(direct.stats(), dispatched.stats());
         prop_assert_eq!(direct.ghr().value(), dispatched.ghr().value());
