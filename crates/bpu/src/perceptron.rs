@@ -9,8 +9,8 @@
 //! toward chance. Build cores on it with
 //! [`BackendKind::Perceptron`](crate::BackendKind) or `--bpu perceptron`;
 //! the `backend_sweep` experiment and `bscope-mitigations` tests measure
-//! the live attack against it, and the `perceptron_ablation` bench covers
-//! throughput.
+//! the live attack against it, and simbench's `bpu.execute_ns.perceptron`
+//! covers throughput.
 
 use crate::counter::Outcome;
 use crate::ghr::GlobalHistoryRegister;

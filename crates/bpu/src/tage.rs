@@ -27,10 +27,9 @@
 //!    branches evict stale confident tagged entries that would otherwise
 //!    shadow the base table.
 //!
-//! The tests in this module (and the `ablation_substrate_throughput`
-//! bench) document that the attack's prime/probe FSM reasoning carries
-//! over to a TAGE base table, which is why hiding behind "a more complex
-//! predictor" is not by itself a defense.
+//! The tests in this module document that the attack's prime/probe FSM
+//! reasoning carries over to a TAGE base table, which is why hiding behind
+//! "a more complex predictor" is not by itself a defense.
 //! The full simulated stack can run on this substrate — build cores with
 //! [`BackendKind::Tage`](crate::BackendKind) or pass `--bpu tage` to the
 //! experiments binary (the `backend_sweep` experiment measures the live

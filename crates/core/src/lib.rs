@@ -9,7 +9,7 @@
 //! 1. **Prime** — drive the PHT entry that collides with the victim's
 //!    branch into a known strong state, while forcing both processes into
 //!    the simply-indexed 1-level prediction mode
-//!    ([`RandomizationBlock`], [`PrimeStrategy`]);
+//!    ([`RandomizationBlock`], [`TargetedPrime`]);
 //! 2. **Victim execution** — let the slowed-down victim execute the target
 //!    branch exactly once;
 //! 3. **Probe** — execute two spy branches at the colliding address and
@@ -63,7 +63,7 @@ pub use attack::{AttackConfig, BranchScope};
 pub use decode::{decode_state, fsm_transition_row, table1, DecodedState, DirectionDict, Table1Row};
 pub use error::{AttackError, BscopeError, ConfigError};
 pub use poison::BranchPoisoner;
-pub use prime::{PrimeStrategy, SearchedPrime, TargetedPrime};
+pub use prime::{SearchedPrime, TargetedPrime};
 pub use probe::{probe_once, probe_with_counters, ProbeKind, ProbePattern};
 pub use randomize::RandomizationBlock;
 pub use timing_probe::TimingDetector;

@@ -7,34 +7,6 @@ use crate::randomize::RandomizationBlock;
 use bscope_bpu::{Outcome, PhtState, VirtAddr};
 use bscope_os::{CpuView, Pid, System};
 
-/// How the spy primes the victim-colliding PHT entry before stage 2.
-#[derive(Debug, Clone)]
-pub enum PrimeStrategy {
-    /// The fast targeted prime (see [`TargetedPrime`]).
-    Targeted(TargetedPrime),
-    /// The paper's full randomization-block prime (see [`SearchedPrime`]).
-    Searched(SearchedPrime),
-}
-
-impl PrimeStrategy {
-    /// Executes the prime on the spy's CPU view.
-    pub fn prime(&mut self, cpu: &mut CpuView<'_>) {
-        match self {
-            PrimeStrategy::Targeted(t) => t.prime(cpu),
-            PrimeStrategy::Searched(s) => s.prime(cpu),
-        }
-    }
-
-    /// The state the target entry is left in.
-    #[must_use]
-    pub fn primed_state(&self) -> PhtState {
-        match self {
-            PrimeStrategy::Targeted(t) => t.state(),
-            PrimeStrategy::Searched(s) => s.desired(),
-        }
-    }
-}
-
 /// The short, surgical prime the paper sketches as future work: "if we
 /// focus only on evicting a particular branch, we may be able to come up
 /// with a shorter sequence of branches" (§5.2).
@@ -179,7 +151,7 @@ impl SearchedPrime {
     ///
     /// `trials` prime-and-probe repetitions are run per candidate and per
     /// probing variant; a candidate is accepted when every trial decodes to
-    /// the desired state (the paper's ≥85 % dominance criterion, tightened
+    /// the desired state (the paper's ≥85 % dominance threshold, tightened
     /// to "all" for the small trial counts used here).
     ///
     /// # Errors
@@ -343,16 +315,5 @@ mod tests {
         let (mut sys, _victim, spy) = setup();
         let err = SearchedPrime::search(&mut sys, spy, 0x1000, PhtState::StronglyNotTaken, 0, 4, 0);
         assert!(matches!(err, Err(AttackError::InvalidParameter(_))));
-    }
-
-    #[test]
-    fn strategy_dispatches() {
-        let (mut sys, victim, spy) = setup();
-        let target = sys.process(victim).vaddr_of(0x6d);
-        let mut strategy =
-            PrimeStrategy::Targeted(TargetedPrime::new(target, PhtState::StronglyTaken));
-        assert_eq!(strategy.primed_state(), PhtState::StronglyTaken);
-        strategy.prime(&mut sys.cpu(spy));
-        assert_eq!(sys.core().bpu().pht_state(target), PhtState::StronglyTaken);
     }
 }

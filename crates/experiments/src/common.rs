@@ -3,7 +3,8 @@
 //! and small output helpers.
 
 use bscope_bpu::BackendKind;
-use bscope_harness::{run_trials_traced, FaultPlan, FaultPolicy, RunOptions, TrialTrace};
+use bscope_harness::{run_trials_with, FaultPlan, FaultPolicy, RunOptions};
+use bscope_trace::TraceCapture;
 use bscope_uarch::Tracer;
 use std::sync::{Mutex, PoisonError};
 
@@ -71,14 +72,18 @@ pub const TRACE_EVENTS_PER_TRIAL: usize = 1024;
 /// count.
 ///
 /// Each trial receives a [`Tracer`]: disabled (no-op) unless `scale.trace`
-/// is set, in which case per-trial captures accumulate in a global sink the
-/// main loop drains per experiment (see [`drain_traces`]).
+/// is set, in which case it is a ring of [`TRACE_EVENTS_PER_TRIAL`] slots
+/// built, used and drained inside the trial, and the per-trial captures
+/// accumulate in a global sink the main loop drains per experiment (see
+/// [`drain_traces`]). A trace's position depends only on its trial index,
+/// so the drained traces are as thread-count-invariant as the results.
 ///
 /// # Panics
 ///
 /// A panicking (or injected-fault) trial is re-raised with its trial index
 /// and seed attached; the binary's per-experiment isolation turns that
-/// into a failure entry in the `--json` report.
+/// into a failure entry in the `--json` report. The failed call adds no
+/// traces to the sink.
 pub fn trials<T, F>(scale: &Scale, n: usize, salt: u64, f: F) -> Vec<T>
 where
     T: Send,
@@ -86,26 +91,36 @@ where
 {
     let opts =
         RunOptions { threads: scale.threads, policy: FaultPolicy::Propagate, fault: scale.fault };
-    let capacity = if scale.trace { Some(TRACE_EVENTS_PER_TRIAL) } else { None };
-    let (report, traces) = run_trials_traced(n, scale.seed ^ salt, &opts, capacity, f);
-    if !traces.is_empty() {
-        traces_sink().extend(traces);
-    }
-    report.expect_complete()
+    let report = run_trials_with(n, scale.seed ^ salt, &opts, |idx, seed| {
+        if !scale.trace {
+            return (f(idx, seed, &mut Tracer::disabled()), None);
+        }
+        let mut tracer = Tracer::ring(TRACE_EVENTS_PER_TRIAL);
+        let value = f(idx, seed, &mut tracer);
+        (value, Some((idx, seed, tracer.drain())))
+    });
+    let (values, traces): (Vec<T>, Vec<_>) = report.expect_complete().into_iter().unzip();
+    traces_sink().extend(traces.into_iter().flatten());
+    values
 }
+
+/// One trial's trace: `(trial_index, seed, capture)`. The seed makes any
+/// trace line replayable in isolation (`trial_seed(base_seed, trial_index)`
+/// reproduces the trial exactly).
+pub type TrialCapture = (usize, u64, TraceCapture);
 
 /// Per-trial traces captured by [`trials`] since the last drain. Same
 /// scoping discipline as the metric sink: the main loop drains it per
 /// experiment when `--trace`/`--metrics` is active.
-static TRACES: Mutex<Vec<TrialTrace>> = Mutex::new(Vec::new());
+static TRACES: Mutex<Vec<TrialCapture>> = Mutex::new(Vec::new());
 
-fn traces_sink() -> std::sync::MutexGuard<'static, Vec<TrialTrace>> {
+fn traces_sink() -> std::sync::MutexGuard<'static, Vec<TrialCapture>> {
     TRACES.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Takes every trace captured since the last drain, in trial order within
 /// each `trials` call and call order across calls.
-pub fn drain_traces() -> Vec<TrialTrace> {
+pub fn drain_traces() -> Vec<TrialCapture> {
     std::mem::take(&mut traces_sink())
 }
 
@@ -252,34 +267,53 @@ mod tests {
     // capture + drain semantics end to end.
     #[test]
     fn traced_trials_feed_the_sink_and_untraced_ones_do_not() {
+        use bscope_harness::{splitmix64, trial_seed};
         use bscope_uarch::TraceEvent;
+        // Emits idx + 1 events and returns a seed-derived value, so a
+        // tracing-induced change in results or ordering would show.
+        fn body(idx: usize, seed: u64, tracer: &mut Tracer) -> u64 {
+            for _ in 0..=idx {
+                tracer.emit_with(|| TraceEvent::NoiseBurst { injected: 1 });
+            }
+            splitmix64(seed ^ idx as u64)
+        }
         let _ = drain_traces(); // discard anything stale
         let mut scale = Scale::quick();
         scale.threads = 1;
 
         // trace = false: tracer is disabled, sink stays empty.
-        let _ = trials(&scale, 3, 0x11, |_, _, tracer| {
+        let untraced = trials(&scale, 5, 0x11, |idx, seed, tracer| {
             assert!(!tracer.is_enabled());
+            body(idx, seed, tracer)
         });
         assert!(drain_traces().is_empty());
 
-        // trace = true: one TrialTrace per trial, in trial order, stamped
-        // with the replay seed.
+        // trace = true: identical results, and one capture per trial, in
+        // trial order, stamped with the replay seed.
         scale.trace = true;
-        let _ = trials(&scale, 3, 0x11, |idx, _, tracer| {
-            for _ in 0..=idx {
-                tracer.emit_with(|| TraceEvent::NoiseBurst { injected: 1 });
-            }
-        });
+        assert_eq!(trials(&scale, 5, 0x11, body), untraced, "tracing must not change results");
         let traces = drain_traces();
-        assert_eq!(traces.len(), 3);
-        for (idx, t) in traces.iter().enumerate() {
-            assert_eq!(t.trial_index, idx);
-            assert_eq!(t.seed, bscope_harness::trial_seed(scale.seed ^ 0x11, idx as u64));
-            assert_eq!(t.events.len(), idx + 1);
-            assert_eq!(t.metrics.counter("noise_branches"), (idx + 1) as u64);
+        assert_eq!(traces.len(), 5);
+        for (i, (idx, seed, capture)) in traces.iter().enumerate() {
+            assert_eq!(*idx, i);
+            assert_eq!(*seed, trial_seed(scale.seed ^ 0x11, i as u64));
+            assert_eq!(capture.events.len(), i + 1);
+            assert_eq!(capture.events[0].seq, 0, "per-trial sequence numbers restart at zero");
+            assert_eq!(capture.metrics.counter("noise_branches"), (i + 1) as u64);
         }
         // The drain emptied the sink.
         assert!(drain_traces().is_empty());
+
+        // The drained traces do not depend on the thread count.
+        scale.threads = 3;
+        assert_eq!(trials(&scale, 5, 0x11, body), untraced);
+        assert_eq!(drain_traces(), traces, "threads=3 trace diverged");
+
+        // A propagated trial failure leaves no partial traces behind to
+        // leak into the next experiment.
+        scale.fault = Some(FaultPlan::keyed(0).panic_on_index(1));
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| trials(&scale, 5, 0x11, body)))
+            .expect_err("injected fault must propagate");
+        assert!(drain_traces().is_empty(), "a failed run must not feed the sink");
     }
 }

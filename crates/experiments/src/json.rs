@@ -1,12 +1,14 @@
 //! Hand-rolled JSON report for `--json` (the workspace has no JSON
-//! serialisation dependency, and the format here is flat enough that an
-//! escaping-correct emitter is a dozen lines).
+//! serialisation dependency, and the format here is flat enough to emit
+//! by hand; strings go through `bscope_trace::jsonl::escape`).
 //!
 //! Failed experiments still get an entry (`"status": "failed"` plus the
 //! panic or error message and whatever metrics were recorded before the
 //! failure), so a partial report stays well-formed and machine-readable.
 
 use crate::common::Scale;
+use bscope_harness::resolve_threads;
+use bscope_trace::jsonl::escape;
 use std::fmt::Write as _;
 
 /// Per-run report: configuration, per-experiment wall-clock and headline
@@ -14,7 +16,10 @@ use std::fmt::Write as _;
 pub struct Report {
     quick: bool,
     seed: u64,
+    /// Worker threads the run actually used (`--threads 0` resolved).
     threads: usize,
+    /// Cores available on the host.
+    cores: usize,
     experiments: Vec<Entry>,
 }
 
@@ -29,26 +34,6 @@ struct Entry {
     error: Option<String>,
 }
 
-/// JSON string escaping (quotes, backslashes, control characters — both
-/// the C0 range and DEL, which some strict parsers reject raw).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 || c as u32 == 0x7f => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// JSON number: finite floats as-is, non-finite as null (JSON has no NaN).
 fn number(v: f64) -> String {
     if v.is_finite() {
@@ -60,7 +45,13 @@ fn number(v: f64) -> String {
 
 impl Report {
     pub fn new(scale: &Scale) -> Self {
-        Report { quick: scale.quick, seed: scale.seed, threads: scale.threads, experiments: Vec::new() }
+        Report {
+            quick: scale.quick,
+            seed: scale.seed,
+            threads: resolve_threads(scale.threads),
+            cores: resolve_threads(0),
+            experiments: Vec::new(),
+        }
     }
 
     /// Records one experiment: `backend` names the predictor substrate it
@@ -96,6 +87,7 @@ impl Report {
         let _ = writeln!(out, "  \"quick\": {},", self.quick);
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
+        let _ = writeln!(out, "  \"cores\": {},", self.cores);
         let total: f64 = self.experiments.iter().map(|e| e.wall_seconds).sum();
         let _ = writeln!(out, "  \"total_wall_seconds\": {},", number(total));
         let failed: Vec<&Entry> = self.experiments.iter().filter(|e| e.error.is_some()).collect();
@@ -182,24 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn escaping_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn escaping_handles_del_and_non_bmp() {
-        // DEL is a control character some strict parsers reject unescaped.
-        assert_eq!(escape("a\u{7f}b"), "a\\u007fb");
-        // Non-BMP characters pass through as raw UTF-8 (valid JSON) — they
-        // must NOT be mangled into a lone \uXXXX, which would be an
-        // unpaired surrogate.
-        assert_eq!(escape("ok \u{1F600}"), "ok \u{1F600}");
-        // The last pre-control and first post-DEL characters stay raw.
-        assert_eq!(escape("\u{1f}\u{20}\u{7e}\u{80}"), "\\u001f\u{20}\u{7e}\u{80}");
-    }
-
-    #[test]
     fn numbers_stay_valid_json_at_the_extremes() {
         // Subnormals and huge values render in exponent notation, which is
         // valid JSON; non-finite values must become null.
@@ -251,6 +225,16 @@ mod tests {
         assert_balanced(&s);
         assert!(!s.contains("NaN"));
         assert_eq!(number(f64::NAN), "null");
+    }
+
+    #[test]
+    fn report_records_resolved_threads_and_cores() {
+        let mut scale = Scale::quick();
+        scale.threads = 0;
+        let s = Report::new(&scale).to_json();
+        let cores = resolve_threads(0);
+        assert!(s.contains(&format!("\"threads\": {cores},")), "threads 0 is resolved: {s}");
+        assert!(s.contains(&format!("\"cores\": {cores},")), "{s}");
     }
 
     #[test]

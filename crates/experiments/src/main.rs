@@ -401,8 +401,8 @@ fn main() {
         if !traces.is_empty() {
             if want_metrics {
                 let mut agg = bscope_trace::MetricsRegistry::default();
-                for t in &traces {
-                    agg.merge(&t.metrics);
+                for (_, _, capture) in &traces {
+                    agg.merge(&capture.metrics);
                 }
                 println!("trace metrics ({} trials):", traces.len());
                 for (k, v) in agg.summary() {
@@ -411,18 +411,16 @@ fn main() {
                 }
             }
             if trace_path.is_some() {
-                for t in &traces {
-                    trace_lines
-                        .push_str(&bscope_trace::jsonl::trial_begin_line(exp.name, t.trial_index, t.seed));
-                    for e in &t.events {
-                        trace_lines
-                            .push_str(&bscope_trace::jsonl::event_line(exp.name, t.trial_index, e));
+                for (idx, seed, capture) in &traces {
+                    trace_lines.push_str(&bscope_trace::jsonl::trial_begin_line(exp.name, *idx, *seed));
+                    for e in &capture.events {
+                        trace_lines.push_str(&bscope_trace::jsonl::event_line(exp.name, *idx, e));
                     }
                     trace_lines.push_str(&bscope_trace::jsonl::trial_end_line(
                         exp.name,
-                        t.trial_index,
-                        t.events.len(),
-                        t.dropped,
+                        *idx,
+                        capture.events.len(),
+                        capture.dropped,
                     ));
                 }
             }

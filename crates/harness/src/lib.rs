@@ -37,18 +37,9 @@
 //! these paths in CI: per-trial panic/delay decisions keyed off the trial
 //! seed, so an injected fault fires on the same trials for every thread
 //! count.
-//!
-//! # Tracing
-//!
-//! [`run_trials_traced`] extends the same contract to observability: each
-//! trial gets its own [`bscope_trace::Tracer`] and the captured events come
-//! back as [`TrialTrace`]s stamped with `(trial_index, seed)`, collected in
-//! trial order. A run's concatenated trace is therefore bit-identical
-//! across thread counts, just like its results.
 
 #![forbid(unsafe_code)]
 
-use bscope_trace::{MetricsRegistry, TracedEvent, Tracer};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -369,90 +360,6 @@ where
     TrialReport { results, failures }
 }
 
-/// One trial's trace: the events its tracer captured, stamped with the
-/// `(trial_index, seed)` pair that makes any line replayable in isolation
-/// (`trial_seed(base_seed, trial_index)` reproduces the trial exactly).
-///
-/// Collected in trial order by [`run_trials_traced`], so the concatenated
-/// trace of a run is bit-identical for every thread count — the same
-/// guarantee the runner gives for results extends to observability.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrialTrace {
-    /// Index of the trial that produced these events.
-    pub trial_index: usize,
-    /// The trial's seed (`trial_seed(base_seed, trial_index)`).
-    pub seed: u64,
-    /// Retained events in emission order (per-trial `seq` starts at 0).
-    pub events: Vec<TracedEvent>,
-    /// Exact aggregates over every event the trial emitted, including any
-    /// the ring sink evicted.
-    pub metrics: MetricsRegistry,
-    /// Events evicted by the trial's ring sink.
-    pub dropped: u64,
-}
-
-/// Traced variant of [`run_trials_with`]: each trial additionally receives
-/// a `&mut Tracer` — ring-buffered with `capacity.unwrap()` slots when
-/// `capacity` is `Some`, disabled (and free) when `None` — and the traces
-/// come back as [`TrialTrace`]s in trial order alongside the report.
-///
-/// The tracer is constructed, used and drained entirely inside the trial,
-/// so trial isolation and thread-count invariance are preserved by
-/// construction: a trace line's position depends only on
-/// `(trial_index, seq)`, never on scheduling. With `capacity = None` the
-/// trace list is empty and the only cost over [`run_trials_with`] is
-/// passing the disabled tracer.
-///
-/// Trials that panic under [`FaultPolicy::RecordAndSkip`] contribute no
-/// trace (their events unwound with them); their failure is still listed
-/// in the report.
-///
-/// # Panics
-///
-/// Under [`FaultPolicy::Propagate`], re-raises the panic of the
-/// lowest-index failed trial, exactly as [`run_trials_with`].
-pub fn run_trials_traced<T, F>(
-    n: usize,
-    base_seed: u64,
-    opts: &RunOptions,
-    capacity: Option<usize>,
-    f: F,
-) -> (TrialReport<T>, Vec<TrialTrace>)
-where
-    T: Send,
-    F: Fn(usize, u64, &mut Tracer) -> T + Sync,
-{
-    let combined = run_trials_with(n, base_seed, opts, |idx, seed| {
-        let mut tracer = match capacity {
-            Some(cap) => Tracer::ring(cap),
-            None => Tracer::disabled(),
-        };
-        let value = f(idx, seed, &mut tracer);
-        (value, tracer.drain())
-    });
-
-    let mut results = Vec::with_capacity(n);
-    let mut traces = Vec::with_capacity(if capacity.is_some() { n } else { 0 });
-    for (idx, slot) in combined.results.into_iter().enumerate() {
-        match slot {
-            Some((value, capture)) => {
-                results.push(Some(value));
-                if capacity.is_some() {
-                    traces.push(TrialTrace {
-                        trial_index: idx,
-                        seed: trial_seed(base_seed, idx as u64),
-                        events: capture.events,
-                        metrics: capture.metrics,
-                        dropped: capture.dropped,
-                    });
-                }
-            }
-            None => results.push(None),
-        }
-    }
-    (TrialReport { results, failures: combined.failures }, traces)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,90 +527,6 @@ mod tests {
             (0..64).map(|i| keyed.should_panic(i, trial_seed(7, i as u64))).collect::<Vec<_>>()
         );
         assert!(hits.iter().any(|&h| h) && !hits.iter().all(|&h| h));
-    }
-
-    // --- tracing ---
-
-    use bscope_trace::TraceEvent;
-
-    /// A deterministic trial body that emits through the tracer: the seed
-    /// drives both the result and the emitted events.
-    fn traced_body(idx: usize, seed: u64, tracer: &mut Tracer) -> u64 {
-        let mut acc = seed;
-        for round in 0..(idx % 5) + 1 {
-            acc = splitmix64(acc);
-            let latency = 60 + (acc % 100);
-            tracer.emit_with(|| TraceEvent::Branch {
-                ctx: 0,
-                addr: 0x1000 + round as u64,
-                taken: acc & 1 == 1,
-                predicted_taken: acc & 2 == 2,
-                mispredicted: acc & 3 == 3,
-                two_level: false,
-                btb_hit: true,
-                latency,
-            });
-        }
-        acc
-    }
-
-    #[test]
-    fn traced_runner_matches_untraced_results_and_stamps_traces() {
-        let opts = RunOptions::default();
-        let (report, traces) = run_trials_traced(12, 0xB5C0_9E01, &opts, Some(64), traced_body);
-        let plain = run_trials_with(12, 0xB5C0_9E01, &opts, |idx, seed| {
-            traced_body(idx, seed, &mut Tracer::disabled())
-        });
-        assert_eq!(report, plain, "tracing must not change results");
-        assert_eq!(traces.len(), 12);
-        for (idx, t) in traces.iter().enumerate() {
-            assert_eq!(t.trial_index, idx, "traces come back in trial order");
-            assert_eq!(t.seed, trial_seed(0xB5C0_9E01, idx as u64), "stamped with the replay seed");
-            assert_eq!(t.events.len(), idx % 5 + 1);
-            assert_eq!(t.metrics.counter("branches"), (idx % 5 + 1) as u64);
-            assert_eq!(t.events[0].seq, 0, "per-trial sequence numbers restart at zero");
-        }
-    }
-
-    #[test]
-    fn traces_are_thread_count_invariant() {
-        let run = |threads| {
-            let opts = RunOptions { threads, ..RunOptions::default() };
-            run_trials_traced(24, 0xFACE, &opts, Some(64), traced_body)
-        };
-        let (ref_report, ref_traces) = run(1);
-        for threads in [2, 3, 8] {
-            let (report, traces) = run(threads);
-            assert_eq!(report, ref_report, "threads={threads}");
-            assert_eq!(traces, ref_traces, "threads={threads} trace diverged");
-        }
-    }
-
-    #[test]
-    fn no_capacity_means_no_traces_and_no_ring() {
-        let calls = AtomicUsize::new(0);
-        let opts = RunOptions::default();
-        let (report, traces) = run_trials_traced(8, 5, &opts, None, |idx, seed, tracer| {
-            assert!(!tracer.is_enabled(), "capacity=None hands trials a disabled tracer");
-            calls.fetch_add(1, Ordering::Relaxed);
-            traced_body(idx, seed, tracer)
-        });
-        assert!(traces.is_empty());
-        assert_eq!(report.results.len(), 8);
-        assert_eq!(calls.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn failed_trials_contribute_no_trace_but_are_reported() {
-        let plan = FaultPlan::keyed(0x7E57).panic_on_index(3);
-        let opts =
-            RunOptions { threads: 1, policy: FaultPolicy::RecordAndSkip, fault: Some(plan) };
-        let (report, traces) = run_trials_traced(6, 9, &opts, Some(16), traced_body);
-        assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].index, 3);
-        assert!(report.results[3].is_none());
-        assert_eq!(traces.len(), 5, "the failed trial's trace unwound with it");
-        assert!(traces.iter().all(|t| t.trial_index != 3));
     }
 
     #[test]

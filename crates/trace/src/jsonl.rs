@@ -1,6 +1,6 @@
 //! Hand-rolled JSON-Lines rendering of traces (the workspace has no JSON
-//! serialisation dependency; see `bscope-experiments`' `json.rs` for the
-//! same approach applied to the report format).
+//! serialisation dependency; `bscope-experiments`' `json.rs` reuses
+//! [`escape`] for the report format).
 //!
 //! One event per line, each a complete JSON object. Addresses, targets and
 //! seeds are rendered as `"0x..."` hex *strings*: a `u64` does not fit a
@@ -13,7 +13,8 @@ use crate::event::{TraceEvent, TracedEvent};
 use std::fmt::Write as _;
 
 /// JSON string escaping: quotes, backslashes, control characters and DEL.
-fn escape(s: &str) -> String {
+#[must_use]
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -160,5 +161,23 @@ mod tests {
     fn experiment_names_are_escaped() {
         let line = trial_begin_line("we\"ird\x7f", 0, 1);
         assert!(line.contains("we\\\"ird\\u007f"), "line: {line}");
+    }
+
+    #[test]
+    fn escaping_handles_specials() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
+    fn escaping_handles_del_and_non_bmp() {
+        // DEL is a control character some strict parsers reject unescaped.
+        assert_eq!(escape("a\u{7f}b"), "a\\u007fb");
+        // Non-BMP characters pass through as raw UTF-8 (valid JSON) — they
+        // must NOT be mangled into a lone \uXXXX, which would be an
+        // unpaired surrogate.
+        assert_eq!(escape("ok \u{1F600}"), "ok \u{1F600}");
+        // The last pre-control and first post-DEL characters stay raw.
+        assert_eq!(escape("\u{1f}\u{20}\u{7e}\u{80}"), "\\u001f\u{20}\u{7e}\u{80}");
     }
 }
