@@ -1,5 +1,5 @@
-//! Predictor backends: the three directional-predictor substrates in this
-//! crate (hybrid, TAGE, perceptron) behind one sealed enum.
+//! The branch prediction unit's front end, built once over three
+//! direction-predictor substrates (hybrid, TAGE, perceptron).
 //!
 //! The paper attacks a bimodal+gshare hybrid but notes modern CPUs use
 //! "complex hybrid predictors with unknown organization" (§1), and
@@ -11,21 +11,22 @@
 //! itself with — so every layer above `bscope-bpu` runs unchanged on any
 //! substrate.
 //!
-//! Dispatch is static: every method is one `match` over the three variants,
+//! The front end is what BranchScope depends on most, and every substrate
+//! shares it: the effective profile, the global history register, the
+//! branch target buffer and the prediction statistics. A BTB miss sends a
+//! branch to the 1-level PHT (§5.1); taken branches install BTB entries
+//! with the `addr + 2` fall-through convention, so BTB-alias eviction (the
+//! attacker's stage-1 trick) works the same on every substrate; every
+//! branch shifts the GHR. Only the direction prediction differs, and a
+//! private enum dispatches it statically with one `match` per method,
 //! which keeps the hot `execute` path monomorphic and the core/system types
-//! free of generic parameters. The enum is what
+//! free of generic parameters. [`PredictorBackend`] is what
 //! [`SimCore`](../../uarch) stores.
-//!
-//! TAGE and the perceptron have no BTB, chooser, or statistics of their
-//! own; a shared `BackendCommon` supplies the BTB/GHR/stats plumbing so
-//! both expose the same front-end surface the hybrid does. Their wrappers
-//! implement only what differs per substrate: `predict`, `update`,
-//! `pht_state` and `set_pht_state`.
 
 use crate::btb::BranchTargetBuffer;
 use crate::counter::{CounterKind, Outcome, PhtState};
 use crate::ghr::GlobalHistoryRegister;
-use crate::hybrid::{HybridPredictor, Prediction, PredictorKind};
+use crate::hybrid::Hybrid;
 use crate::perceptron::PerceptronPredictor;
 use crate::profile::MicroarchProfile;
 use crate::stats::PredictionStats;
@@ -43,257 +44,36 @@ const TAGE_ALLOC_SEED: u64 = 0x7A6E_5EED;
 /// Tagged components of the TAGE backend (history lengths 4, 8, 16, 32).
 const TAGE_COMPONENTS: usize = 4;
 
-/// Front-end plumbing every backend needs but the bare TAGE / perceptron
-/// models lack: the effective profile, the global history register, the
-/// branch target buffer, and prediction statistics.
+/// Which component produced the final direction prediction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PredictorKind {
+    /// The 1-level bimodal predictor (new branches, or selector preference).
+    Bimodal,
+    /// The 2-level gshare predictor (selector preference on known branches).
+    Gshare,
+}
+
+/// Everything the front end produced for one branch prediction.
 ///
-/// The BTB plays the same role as in the hybrid: presence drives the
-/// "recently seen taken" signal, taken branches install entries with the
-/// `addr + 2` fall-through convention, and BTB-alias eviction (the
-/// attacker's stage-1 trick) works identically.
-#[derive(Debug, Clone)]
-struct BackendCommon {
-    profile: MicroarchProfile,
-    ghr: GlobalHistoryRegister,
-    btb: BranchTargetBuffer,
-    stats: PredictionStats,
-}
-
-impl BackendCommon {
-    /// Builds the shared plumbing for an (already normalised) profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile fails [`MicroarchProfile::validate`].
-    fn new(profile: MicroarchProfile) -> Self {
-        profile.validate().expect("invalid microarchitecture profile");
-        BackendCommon {
-            ghr: GlobalHistoryRegister::new(profile.ghr_bits),
-            btb: BranchTargetBuffer::new(profile.btb_size),
-            stats: PredictionStats::new(),
-            profile,
-        }
-    }
-
-    /// BTB lookup for the predict path: `(btb_hit, predicted_target)`.
-    fn lookup(&self, addr: VirtAddr, direction: Outcome) -> (bool, Option<VirtAddr>) {
-        let target = self.btb.lookup(addr);
-        (target.is_some(), if direction.is_taken() { target } else { None })
-    }
-
-    /// Commit-path bookkeeping shared by all non-hybrid backends: shifts
-    /// the outcome into the GHR, installs the BTB entry for taken branches
-    /// (fall-through convention `addr + 2`), and records statistics.
-    fn commit(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-        prediction: &Prediction,
-    ) {
-        self.ghr.push(outcome);
-        if outcome.is_taken() {
-            self.btb.insert(addr, target.unwrap_or(addr + 2));
-        }
-        self.stats
-            .record(prediction.used == PredictorKind::Gshare, prediction.direction != outcome);
-    }
-}
-
-/// TAGE base-table counter (0–3) to the equivalent PHT FSM state.
-fn base_counter_state(counter: u8) -> PhtState {
-    match counter {
-        0 => PhtState::StronglyNotTaken,
-        1 => PhtState::WeaklyNotTaken,
-        2 => PhtState::WeaklyTaken,
-        _ => PhtState::StronglyTaken,
-    }
-}
-
-/// Inverse of [`base_counter_state`].
-fn state_base_counter(state: PhtState) -> u8 {
-    match state {
-        PhtState::StronglyNotTaken => 0,
-        PhtState::WeaklyNotTaken => 1,
-        PhtState::WeaklyTaken => 2,
-        PhtState::StronglyTaken => 3,
-    }
-}
-
-/// A [`TagePredictor`] dressed as a full predictor backend.
-///
-/// The base table is sized like the profile's PHT and indexed purely by
-/// address, so it *is* a bimodal PHT of 2-bit counters — which is why the
-/// effective profile reports [`CounterKind::TwoBit`] regardless of the
-/// machine's native flavour, and why [`pht_state`](Self::pht_state)
-/// maps base counters straight onto the four FSM states. The attack
-/// surface survives: under the attacker's scrambled histories, tagged
-/// entries are allocated in contexts that never recur, so probes fall back
-/// to the address-indexed base table (see the `tage` module doc and its
-/// `branchscope_fsm_reasoning_holds_on_the_base_table` test).
-///
-/// Prediction mapping: the base-table direction reports as the `bimodal`
-/// component; the final TAGE direction as `gshare`; `used` is `Gshare`
-/// exactly when a tagged (history-indexed) component provided the
-/// prediction.
-#[derive(Debug, Clone)]
-pub struct TageBackend {
-    common: BackendCommon,
-    tage: TagePredictor,
-}
-
-impl TageBackend {
-    /// Builds a TAGE backend for a machine profile. The stored profile is
-    /// normalised: 2-bit counters (the base-table flavour) and a 64-bit
-    /// GHR (room for the longest tagged history).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile fails [`MicroarchProfile::validate`].
-    #[must_use]
-    pub fn new(profile: MicroarchProfile) -> Self {
-        let mut effective = profile;
-        effective.counter_kind = CounterKind::TwoBit;
-        effective.ghr_bits = 64;
-        let tage = TagePredictor::new(effective.pht_size, TAGE_COMPONENTS, TAGE_ALLOC_SEED);
-        TageBackend { common: BackendCommon::new(effective), tage }
-    }
-
-    /// Predicts the branch at `addr` from the current global history.
-    #[must_use]
-    pub fn predict(&self, addr: VirtAddr) -> Prediction {
-        let tage = self.tage.predict(addr, &self.common.ghr);
-        let base = Outcome::from_bool(self.tage.base_counter(addr) >= 2);
-        let (btb_hit, target) = self.common.lookup(addr, tage.direction);
-        Prediction {
-            direction: tage.direction,
-            used: if tage.provider.is_some() { PredictorKind::Gshare } else { PredictorKind::Bimodal },
-            bimodal: base,
-            gshare: tage.direction,
-            btb_hit,
-            target,
-        }
-    }
-
-    /// Trains TAGE on the resolved outcome, then commits the shared
-    /// front-end state.
-    pub fn update(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-        prediction: &Prediction,
-    ) {
-        self.tage.train(addr, &self.common.ghr, outcome);
-        self.common.commit(addr, outcome, target, prediction);
-    }
-
-    /// The base-table counter for `addr` as a PHT FSM state.
-    #[must_use]
-    pub fn pht_state(&self, addr: VirtAddr) -> PhtState {
-        base_counter_state(self.tage.base_counter(addr))
-    }
-
-    /// Forces the base-table counter for `addr` to `state`.
-    pub fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
-        self.tage.set_base_counter(addr, state_base_counter(state));
-    }
-}
-
-/// A [`PerceptronPredictor`] dressed as a full predictor backend.
-///
-/// There is no saturating counter here — the per-entry state is a weight
-/// vector dotted with the history — which is exactly the ablation the
-/// backend exists for: BranchScope's prime (saturate an FSM) → victim (one
-/// transition) → probe (read it back) strategy presumes small per-address
-/// FSM state, and on this substrate a single victim execution nudges one
-/// weight by ±1, far below the decision threshold. The expected headline
-/// is attack error collapsing toward coin-flipping (see the
-/// `backend_sweep` experiment).
-///
-/// [`pht_state`](Self::pht_state) synthesises a state from
-/// the entry's history-independent *bias* weight (`≤ −2` ⇒ SN, `−1` ⇒ WN,
-/// `0..=1` ⇒ WT, `≥ 2` ⇒ ST — zero predicts taken, matching the
-/// perceptron's `y ≥ 0` rule); `set_pht_state` writes the representative
-/// bias and zeroes the history weights. This is a best-effort view for
-/// ground-truth instrumentation, not a claim the attack can decode it.
-///
-/// Prediction mapping: the perceptron is history-driven, so its direction
-/// reports as both components with `used = Gshare`.
-#[derive(Debug, Clone)]
-pub struct PerceptronBackend {
-    common: BackendCommon,
-    perceptron: PerceptronPredictor,
-}
-
-impl PerceptronBackend {
-    /// Builds a perceptron backend for a machine profile (one perceptron
-    /// per PHT entry, history length = the profile's GHR width). The
-    /// stored profile normalises the counter kind to
-    /// [`CounterKind::TwoBit`] so decode dictionaries stay constructible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile fails [`MicroarchProfile::validate`].
-    #[must_use]
-    pub fn new(profile: MicroarchProfile) -> Self {
-        let mut effective = profile;
-        effective.counter_kind = CounterKind::TwoBit;
-        let perceptron = PerceptronPredictor::new(effective.pht_size, effective.ghr_bits);
-        PerceptronBackend { common: BackendCommon::new(effective), perceptron }
-    }
-
-    /// Predicts the branch at `addr` from the current global history.
-    #[must_use]
-    pub fn predict(&self, addr: VirtAddr) -> Prediction {
-        let direction = self.perceptron.predict(addr, &self.common.ghr);
-        let (btb_hit, target) = self.common.lookup(addr, direction);
-        Prediction {
-            direction,
-            used: PredictorKind::Gshare,
-            bimodal: direction,
-            gshare: direction,
-            btb_hit,
-            target,
-        }
-    }
-
-    /// Trains the perceptron on the resolved outcome, then commits the
-    /// shared front-end state.
-    pub fn update(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-        prediction: &Prediction,
-    ) {
-        self.perceptron.train(addr, &self.common.ghr, outcome);
-        self.common.commit(addr, outcome, target, prediction);
-    }
-
-    /// The state synthesised from the entry's bias weight (see the type
-    /// docs).
-    #[must_use]
-    pub fn pht_state(&self, addr: VirtAddr) -> PhtState {
-        match self.perceptron.bias(addr) {
-            b if b <= -2 => PhtState::StronglyNotTaken,
-            -1 => PhtState::WeaklyNotTaken,
-            0 | 1 => PhtState::WeaklyTaken,
-            _ => PhtState::StronglyTaken,
-        }
-    }
-
-    /// Writes the representative bias for `state` and zeroes the history
-    /// weights.
-    pub fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
-        let bias = match state {
-            PhtState::StronglyNotTaken => -2,
-            PhtState::WeaklyNotTaken => -1,
-            PhtState::WeaklyTaken => 0,
-            PhtState::StronglyTaken => 2,
-        };
-        self.perceptron.set_entry(addr, bias);
-    }
+/// The fields name the hybrid's components. TAGE reports its base table as
+/// `bimodal`, its final direction as `gshare`, and `used = Gshare` exactly
+/// when a tagged (history-indexed) component provided the prediction. The
+/// perceptron is history-driven, so its direction reports as both
+/// components with `used = Gshare`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Prediction {
+    /// Final predicted direction.
+    pub direction: Outcome,
+    /// Component the selection logic used.
+    pub used: PredictorKind,
+    /// What the bimodal component predicted.
+    pub bimodal: Outcome,
+    /// What the gshare component predicted.
+    pub gshare: Outcome,
+    /// Whether the branch hit in the BTB (i.e. was recently seen taken).
+    pub btb_hit: bool,
+    /// Predicted target when the direction is taken and the BTB hit.
+    pub target: Option<VirtAddr>,
 }
 
 /// Which predictor substrate to build — the user-facing backend selector
@@ -327,23 +107,42 @@ impl BackendKind {
     /// Builds the backend for a machine profile.
     ///
     /// The hybrid uses the profile verbatim. TAGE and the perceptron store
-    /// a *normalised* effective profile — most importantly
-    /// `counter_kind = TwoBit`, since the TAGE base table is a 2-bit
-    /// counter table and the perceptron's synthesised state view follows
-    /// the same four-state FSM — so attacker code that sizes itself from
-    /// `profile()` (priming, decode dictionaries) keeps working.
+    /// a *normalised* effective profile: `counter_kind = TwoBit`, since the
+    /// TAGE base table is a 2-bit counter table and the perceptron's
+    /// synthesised state view follows the same four-state FSM, and for TAGE
+    /// a 64-bit GHR (room for the longest tagged history). Attacker code
+    /// that sizes itself from [`PredictorBackend::profile`] (priming,
+    /// decode dictionaries) keeps working.
     ///
     /// # Panics
     ///
     /// Panics if the profile fails [`MicroarchProfile::validate`].
     #[must_use]
-    pub fn build(self, profile: MicroarchProfile) -> PredictorBackend {
-        match self {
-            BackendKind::Hybrid => PredictorBackend::Hybrid(HybridPredictor::new(profile)),
-            BackendKind::Tage => PredictorBackend::Tage(TageBackend::new(profile)),
+    pub fn build(self, mut profile: MicroarchProfile) -> PredictorBackend {
+        if self != BackendKind::Hybrid {
+            profile.counter_kind = CounterKind::TwoBit;
+        }
+        if self == BackendKind::Tage {
+            profile.ghr_bits = 64;
+        }
+        profile.validate().expect("invalid microarchitecture profile");
+        let direction = match self {
+            BackendKind::Hybrid => Direction::Hybrid(Hybrid::new(&profile)),
+            BackendKind::Tage => Direction::Tage(TagePredictor::new(
+                profile.pht_size,
+                TAGE_COMPONENTS,
+                TAGE_ALLOC_SEED,
+            )),
             BackendKind::Perceptron => {
-                PredictorBackend::Perceptron(PerceptronBackend::new(profile))
+                Direction::Perceptron(PerceptronPredictor::new(profile.pht_size, profile.ghr_bits))
             }
+        };
+        PredictorBackend {
+            ghr: GlobalHistoryRegister::new(profile.ghr_bits),
+            btb: BranchTargetBuffer::new(profile.btb_size),
+            stats: PredictionStats::new(),
+            direction,
+            profile,
         }
     }
 }
@@ -369,69 +168,45 @@ impl FromStr for BackendKind {
     }
 }
 
-/// The predictor substrate a simulated core runs on: one of the three
-/// concrete backends behind static (match) dispatch.
+/// The direction predictor behind the shared front end.
 #[derive(Debug, Clone)]
-pub enum PredictorBackend {
-    /// The paper's bimodal+gshare hybrid predictor.
-    Hybrid(HybridPredictor),
-    /// TAGE with the shared BTB/GHR/stats plumbing.
-    Tage(TageBackend),
-    /// Perceptron with the shared BTB/GHR/stats plumbing.
-    Perceptron(PerceptronBackend),
+enum Direction {
+    /// The paper's bimodal+gshare hybrid.
+    Hybrid(Hybrid),
+    /// TAGE. Its base table is sized like the profile's PHT and indexed
+    /// purely by address, so it *is* a bimodal PHT of 2-bit counters. Under
+    /// the attacker's scrambled histories, tagged entries are allocated in
+    /// contexts that never recur, so probes fall back to that base table
+    /// (see the `tage` module doc).
+    Tage(TagePredictor),
+    /// Perceptron. There is no saturating counter here — the per-entry
+    /// state is a weight vector dotted with the history — which is exactly
+    /// the ablation this substrate exists for: a single victim execution
+    /// nudges one weight by ±1, far below the decision threshold, so the
+    /// attack error collapses toward coin-flipping (see the
+    /// `backend_sweep` experiment).
+    Perceptron(PerceptronPredictor),
 }
 
-/// Delegates a per-substrate method to whichever backend is active.
-macro_rules! dispatch {
-    ($self:expr, $bpu:ident => $body:expr) => {
-        match $self {
-            PredictorBackend::Hybrid($bpu) => $body,
-            PredictorBackend::Tage($bpu) => $body,
-            PredictorBackend::Perceptron($bpu) => $body,
-        }
-    };
-}
-
-/// Reaches a front-end structure: the hybrid's own, or the `BackendCommon`
-/// TAGE and the perceptron share.
-macro_rules! front_end {
-    ($self:expr, $hybrid:ident => $h:expr, $common:ident => $c:expr) => {
-        match $self {
-            PredictorBackend::Hybrid($hybrid) => $h,
-            PredictorBackend::Tage(TageBackend { common: $common, .. })
-            | PredictorBackend::Perceptron(PerceptronBackend { common: $common, .. }) => $c,
-        }
-    };
+/// The branch prediction unit a simulated core runs on: the shared front
+/// end (profile, GHR, BTB, statistics) over one direction predictor.
+#[derive(Debug, Clone)]
+pub struct PredictorBackend {
+    profile: MicroarchProfile,
+    ghr: GlobalHistoryRegister,
+    btb: BranchTargetBuffer,
+    stats: PredictionStats,
+    direction: Direction,
 }
 
 impl PredictorBackend {
     /// Which substrate this is.
     #[must_use]
     pub fn kind(&self) -> BackendKind {
-        match self {
-            PredictorBackend::Hybrid(_) => BackendKind::Hybrid,
-            PredictorBackend::Tage(_) => BackendKind::Tage,
-            PredictorBackend::Perceptron(_) => BackendKind::Perceptron,
-        }
-    }
-
-    /// The hybrid predictor, if that is the active backend. Hybrid-only
-    /// structures (the selector table, the separate gshare PHT) are reached
-    /// through here; everything else is on the common surface.
-    #[must_use]
-    pub fn as_hybrid(&self) -> Option<&HybridPredictor> {
-        match self {
-            PredictorBackend::Hybrid(h) => Some(h),
-            _ => None,
-        }
-    }
-
-    /// Exclusive access to the hybrid predictor, if active.
-    #[must_use]
-    pub fn as_hybrid_mut(&mut self) -> Option<&mut HybridPredictor> {
-        match self {
-            PredictorBackend::Hybrid(h) => Some(h),
-            _ => None,
+        match self.direction {
+            Direction::Hybrid(_) => BackendKind::Hybrid,
+            Direction::Tage(_) => BackendKind::Tage,
+            Direction::Perceptron(_) => BackendKind::Perceptron,
         }
     }
 
@@ -441,17 +216,57 @@ impl PredictorBackend {
     /// [`BackendKind::build`]).
     #[must_use]
     pub fn profile(&self) -> &MicroarchProfile {
-        front_end!(self, h => h.profile(), c => &c.profile)
+        &self.profile
     }
 
-    /// Produces the front-end prediction for the branch at `addr`.
+    /// Produces the front-end prediction for the branch at `addr`: one BTB
+    /// lookup, then the direction predictor under the current history.
+    #[inline]
     #[must_use]
     pub fn predict(&self, addr: VirtAddr) -> Prediction {
-        dispatch!(self, bpu => bpu.predict(addr))
+        let target = self.btb.lookup(addr);
+        let btb_hit = target.is_some();
+        let (used, bimodal, gshare) = match &self.direction {
+            Direction::Hybrid(h) => h.predict(addr, &self.ghr, btb_hit),
+            Direction::Tage(t) => {
+                let tage = t.predict(addr, &self.ghr);
+                let base = Outcome::from_bool(t.base_counter(addr) >= 2);
+                let used = match tage.provider {
+                    Some(_) => PredictorKind::Gshare,
+                    None => PredictorKind::Bimodal,
+                };
+                (used, base, tage.direction)
+            }
+            Direction::Perceptron(p) => {
+                let direction = p.predict(addr, &self.ghr);
+                (PredictorKind::Gshare, direction, direction)
+            }
+        };
+        let direction = match used {
+            PredictorKind::Bimodal => bimodal,
+            PredictorKind::Gshare => gshare,
+        };
+        Prediction {
+            direction,
+            used,
+            bimodal,
+            gshare,
+            btb_hit,
+            target: if direction.is_taken() { target } else { None },
+        }
     }
 
-    /// Commits a resolved branch. `prediction` must be the value returned
-    /// by [`predict`](Self::predict) for this same dynamic branch.
+    /// Commits a resolved branch: trains the direction predictor under the
+    /// history that produced the prediction, then shifts the outcome into
+    /// the GHR, installs the BTB entry for taken branches and records
+    /// statistics.
+    ///
+    /// `prediction` must be the value returned by [`predict`](Self::predict)
+    /// for this same dynamic branch. `target` is the branch target to
+    /// install when taken; `None` uses the fall-through convention
+    /// `addr + 2` (a two-byte conditional jump, as in the paper's Listing 2
+    /// disassembly).
+    #[inline]
     pub fn update(
         &mut self,
         addr: VirtAddr,
@@ -459,7 +274,24 @@ impl PredictorBackend {
         target: Option<VirtAddr>,
         prediction: &Prediction,
     ) {
-        dispatch!(self, bpu => bpu.update(addr, outcome, target, prediction));
+        match &mut self.direction {
+            Direction::Hybrid(h) => h.train(addr, &self.ghr, outcome, prediction),
+            Direction::Tage(t) => t.train(addr, &self.ghr, outcome),
+            Direction::Perceptron(p) => p.train(addr, &self.ghr, outcome),
+        }
+        self.ghr.push(outcome);
+        if outcome.is_taken() {
+            // An install that allocates the entry for a new branch restarts
+            // the hybrid's chooser for it.
+            if let Direction::Hybrid(h) = &mut self.direction {
+                if !self.btb.contains(addr) {
+                    h.restart_chooser(addr);
+                }
+            }
+            self.btb.insert(addr, target.unwrap_or(addr + 2));
+        }
+        self.stats
+            .record(prediction.used == PredictorKind::Gshare, prediction.direction != outcome);
     }
 
     /// Predicts and immediately commits one dynamic branch, returning the
@@ -470,79 +302,108 @@ impl PredictorBackend {
         outcome: Outcome,
         target: Option<VirtAddr>,
     ) -> (Prediction, bool) {
-        if let PredictorBackend::Hybrid(h) = self {
-            return h.execute(addr, outcome, target);
-        }
         let prediction = self.predict(addr);
         self.update(addr, outcome, target, &prediction);
         (prediction, prediction.direction == outcome)
     }
 
+    /// Makes `addr` a new branch to the front end: evicts its BTB entry and
+    /// restarts its chooser on the hybrid — the state a fresh prime stage
+    /// leaves behind.
+    pub fn forget_branch(&mut self, addr: VirtAddr) {
+        self.btb.evict(addr);
+        if let Direction::Hybrid(h) = &mut self.direction {
+            h.restart_chooser(addr);
+        }
+    }
+
     /// Architectural state of the address-indexed PHT entry for `addr` —
     /// the state BranchScope primes and probes. For the hybrid this is the
-    /// bimodal PHT entry; for TAGE the base-table counter; the perceptron
-    /// synthesises a state from its bias weight (see [`PerceptronBackend`]).
+    /// bimodal PHT entry and for TAGE the base-table counter (0–3). The
+    /// perceptron synthesises a state from the entry's history-independent
+    /// *bias* weight (`≤ −2` ⇒ SN, `−1` ⇒ WN, `0..=1` ⇒ WT, `≥ 2` ⇒ ST —
+    /// zero predicts taken, matching its `y ≥ 0` rule): a best-effort view
+    /// for ground-truth instrumentation, not a claim the attack can decode
+    /// it.
     #[must_use]
     pub fn pht_state(&self, addr: VirtAddr) -> PhtState {
-        match self {
-            PredictorBackend::Hybrid(h) => h.bimodal_state(addr),
-            PredictorBackend::Tage(t) => t.pht_state(addr),
-            PredictorBackend::Perceptron(p) => p.pht_state(addr),
+        match &self.direction {
+            Direction::Hybrid(h) => h.pht_state(addr),
+            Direction::Tage(t) => match t.base_counter(addr) {
+                0 => PhtState::StronglyNotTaken,
+                1 => PhtState::WeaklyNotTaken,
+                2 => PhtState::WeaklyTaken,
+                _ => PhtState::StronglyTaken,
+            },
+            Direction::Perceptron(p) => match p.bias(addr) {
+                b if b <= -2 => PhtState::StronglyNotTaken,
+                -1 => PhtState::WeaklyNotTaken,
+                0 | 1 => PhtState::WeaklyTaken,
+                _ => PhtState::StronglyTaken,
+            },
         }
     }
 
     /// Forces the address-indexed PHT entry for `addr` into `state`
-    /// (ground-truth hook for experiments and tests).
+    /// (ground-truth hook for experiments and tests). The perceptron gets
+    /// the representative bias for `state` and zeroed history weights.
     pub fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
-        match self {
-            PredictorBackend::Hybrid(h) => h.bimodal_mut().set_state(addr, state),
-            PredictorBackend::Tage(t) => t.set_pht_state(addr, state),
-            PredictorBackend::Perceptron(p) => p.set_pht_state(addr, state),
+        match &mut self.direction {
+            Direction::Hybrid(h) => h.set_pht_state(addr, state),
+            Direction::Tage(t) => t.set_base_counter(
+                addr,
+                match state {
+                    PhtState::StronglyNotTaken => 0,
+                    PhtState::WeaklyNotTaken => 1,
+                    PhtState::WeaklyTaken => 2,
+                    PhtState::StronglyTaken => 3,
+                },
+            ),
+            Direction::Perceptron(p) => p.set_entry(
+                addr,
+                match state {
+                    PhtState::StronglyNotTaken => -2,
+                    PhtState::WeaklyNotTaken => -1,
+                    PhtState::WeaklyTaken => 0,
+                    PhtState::StronglyTaken => 2,
+                },
+            ),
         }
     }
 
     /// Read access to the global history register.
     #[must_use]
     pub fn ghr(&self) -> &GlobalHistoryRegister {
-        front_end!(self, h => h.ghr(), c => &c.ghr)
-    }
-
-    /// Exclusive access to the global history register.
-    #[must_use]
-    pub fn ghr_mut(&mut self) -> &mut GlobalHistoryRegister {
-        front_end!(self, h => h.ghr_mut(), c => &mut c.ghr)
+        &self.ghr
     }
 
     /// Read access to the branch target buffer.
     #[must_use]
     pub fn btb(&self) -> &BranchTargetBuffer {
-        front_end!(self, h => h.btb(), c => &c.btb)
+        &self.btb
     }
 
     /// Exclusive access to the branch target buffer.
     #[must_use]
     pub fn btb_mut(&mut self) -> &mut BranchTargetBuffer {
-        front_end!(self, h => h.btb_mut(), c => &mut c.btb)
+        &mut self.btb
     }
 
     /// Cumulative prediction statistics.
     #[must_use]
     pub fn stats(&self) -> PredictionStats {
-        front_end!(self, h => h.stats(), c => c.stats)
+        self.stats
     }
 
     /// Resets the statistics counters (predictor state is untouched).
     pub fn reset_stats(&mut self) {
-        front_end!(self, h => h.reset_stats(), c => c.stats.reset());
+        self.stats.reset();
     }
 
-    /// Resets all predictor state to power-on defaults. TAGE and the
-    /// perceptron are rebuilt from their (already normalised) profile.
+    /// Resets all predictor state to power-on defaults by rebuilding from
+    /// the effective profile.
     pub fn reset(&mut self) {
-        match self {
-            PredictorBackend::Hybrid(h) => h.reset(),
-            _ => *self = self.kind().build(self.profile().clone()),
-        }
+        *self = self.kind().build(self.profile.clone());
     }
 }
 
@@ -580,7 +441,6 @@ mod tests {
     fn hybrid_backend_keeps_the_profile_verbatim() {
         let backend = BackendKind::Hybrid.build(small_profile());
         assert_eq!(*backend.profile(), small_profile());
-        assert!(backend.as_hybrid().is_some());
     }
 
     #[test]
@@ -590,8 +450,15 @@ mod tests {
             assert_eq!(backend.profile().counter_kind, CounterKind::TwoBit, "{kind}");
             assert_eq!(backend.profile().pht_size, 1_024, "{kind}: geometry preserved");
             assert_eq!(backend.profile().btb_size, 256, "{kind}: geometry preserved");
-            assert!(backend.as_hybrid().is_none(), "{kind}");
         }
+        assert_eq!(BackendKind::Tage.build(small_profile()).ghr().len(), 64);
+        assert_eq!(BackendKind::Perceptron.build(small_profile()).ghr().len(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid microarchitecture profile")]
+    fn build_rejects_an_invalid_profile() {
+        let _ = BackendKind::Tage.build(MicroarchProfile { pht_size: 1_000, ..small_profile() });
     }
 
     #[test]
@@ -599,17 +466,21 @@ mod tests {
         for kind in BackendKind::ALL {
             let mut backend = kind.build(small_profile());
             // New branches miss the BTB; taken branches install an entry
-            // with the fall-through convention.
+            // with the given target, or the fall-through convention.
             assert!(!backend.predict(0x5000).btb_hit, "{kind}");
             backend.execute(0x5000, Outcome::Taken, None);
             assert_eq!(backend.btb().lookup(0x5000), Some(0x5002), "{kind}");
             assert!(backend.predict(0x5000).btb_hit, "{kind}");
+            backend.execute(0x5000, Outcome::Taken, Some(0x6000));
+            assert_eq!(backend.btb().lookup(0x5000), Some(0x6000), "{kind}");
+            backend.forget_branch(0x5000);
+            assert!(!backend.predict(0x5000).btb_hit, "{kind}");
             // Not-taken branches do not install BTB entries.
             backend.execute(0x6000, Outcome::NotTaken, None);
             assert!(!backend.btb().contains(0x6000), "{kind}");
             // The GHR shifts on every commit; stats accumulate and reset.
-            assert!(backend.ghr().value() != 0 || backend.stats().branches == 2, "{kind}");
-            assert_eq!(backend.stats().branches, 2, "{kind}");
+            assert_eq!(backend.ghr().value() & 0b111, 0b110, "{kind}");
+            assert_eq!(backend.stats().branches, 3, "{kind}");
             backend.reset_stats();
             assert_eq!(backend.stats().branches, 0, "{kind}");
             // Reset restores power-on state and keeps the effective profile.
@@ -652,6 +523,77 @@ mod tests {
             }
             assert_eq!(backend.pht_state(0x6d), PhtState::StronglyNotTaken, "{kind}");
         }
+    }
+
+    /// Drives the irregular repeating pattern of Fig. 2 through `addr`
+    /// until the hybrid predicts it perfectly from gshare.
+    fn learn_irregular_pattern(backend: &mut PredictorBackend, addr: VirtAddr) {
+        let pattern = [true, false, false, true, true, true, false, true, false, false];
+        for _ in 0..12 {
+            for &bit in &pattern {
+                backend.execute(addr, Outcome::from_bool(bit), None);
+            }
+        }
+        let before = backend.stats();
+        for &bit in pattern.iter().cycle().take(30) {
+            backend.execute(addr, Outcome::from_bool(bit), None);
+        }
+        let delta = backend.stats().since(&before);
+        assert_eq!(delta.mispredictions, 0, "pattern fully learned: {delta}");
+        assert_eq!(delta.gshare_used, 30, "the chooser migrated to gshare: {delta}");
+    }
+
+    #[test]
+    fn hybrid_new_branches_use_the_bimodal_pht() {
+        let mut backend = BackendKind::Hybrid.build(small_profile());
+        assert_eq!(backend.predict(0x5000).used, PredictorKind::Bimodal);
+        // §5.1: "the 1-level predictor will converge to the strongly taken
+        // state after 2-3 executions".
+        for _ in 0..3 {
+            backend.execute(0x100, Outcome::Taken, None);
+        }
+        assert_eq!(backend.pht_state(0x100), PhtState::StronglyTaken);
+        let (p, correct) = backend.execute(0x100, Outcome::Taken, None);
+        assert!(correct && p.used == PredictorKind::Bimodal);
+    }
+
+    #[test]
+    fn hybrid_pht_collides_across_addresses() {
+        // Same-index addresses collide in the bimodal PHT — the attack's
+        // core collision primitive (paper §4); neighbours stay independent.
+        let mut backend = BackendKind::Hybrid.build(small_profile());
+        let victim = 0x30_0000u64;
+        for _ in 0..3 {
+            backend.execute(victim, Outcome::Taken, None);
+        }
+        assert_eq!(backend.pht_state(victim + 1_024), PhtState::StronglyTaken);
+        assert_eq!(backend.pht_state(victim + 1), PhtState::WeaklyNotTaken);
+    }
+
+    #[test]
+    fn hybrid_btb_reallocation_restarts_the_chooser() {
+        let mut backend = BackendKind::Hybrid.build(small_profile());
+        learn_irregular_pattern(&mut backend, 0x700);
+        // An aliasing branch (same BTB set, different tag) takes the slot…
+        backend.execute(0x700 + 256, Outcome::Taken, None);
+        // …so when the original branch is seen taken again it is a *new*
+        // branch to the BPU and its chooser restarts bimodal.
+        backend.execute(0x700, Outcome::Taken, None);
+        let p = backend.predict(0x700);
+        assert!(p.btb_hit && p.used == PredictorKind::Bimodal);
+    }
+
+    #[test]
+    fn hybrid_forget_branch_restarts_the_chooser() {
+        let mut backend = BackendKind::Hybrid.build(small_profile());
+        learn_irregular_pattern(&mut backend, 0x700);
+        backend.forget_branch(0x700);
+        assert!(!backend.btb().contains(0x700));
+        // Reinstall the entry without the allocation path: the chooser
+        // stays where forget_branch left it.
+        backend.btb_mut().insert(0x700, 0x702);
+        let p = backend.predict(0x700);
+        assert!(p.btb_hit && p.used == PredictorKind::Bimodal);
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub struct BtbEntry {
 /// address of a branch that maps to each BTB entry" (paper §2). Per the
 /// paper, the target "is updated only when the branch is taken" (§1), so a
 /// BTB hit also tells the front end that this branch has recently been seen
-/// taken — the presence signal the [`HybridPredictor`](crate::HybridPredictor)
+/// taken — the presence signal the [`PredictorBackend`](crate::PredictorBackend)
 /// uses to decide between 1-level and combined prediction (paper §5.1).
 ///
 /// ```

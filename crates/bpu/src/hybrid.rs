@@ -1,267 +1,114 @@
-//! The combined (hybrid) branch predictor — Figure 1 of the paper.
+//! The paper's direction predictor — Figure 1 without the front end.
+//!
+//! [`PredictorBackend`](crate::PredictorBackend) owns the BTB, GHR and
+//! statistics; this module holds only what is specific to the hybrid: the
+//! 1-level (bimodal) PHT indexed by the branch address (Smith, 1981), the
+//! 2-level (gshare) PHT indexed by the address XORed with the global
+//! history (McFarling, 1993), and the selector table arbitrating between
+//! them.
+//!
+//! Because the bimodal index is a pure function of the branch address,
+//! cross-process collisions there are trivial to establish — the property
+//! BranchScope exploits once it has forced the BPU into 1-level mode. The
+//! gshare index depends on the GHR, so the same static branch occupies a
+//! different entry for every history context, which is why it converges
+//! slowly on new branches (§5.1) and resists attacker collisions.
 
-use crate::bimodal::BimodalPredictor;
-use crate::btb::BranchTargetBuffer;
+use crate::backend::{Prediction, PredictorKind};
 use crate::counter::{Outcome, PhtState};
 use crate::ghr::GlobalHistoryRegister;
-use crate::gshare::GsharePredictor;
+use crate::pht::PatternHistoryTable;
 use crate::profile::MicroarchProfile;
 use crate::selector::SelectorTable;
-use crate::stats::PredictionStats;
 use crate::VirtAddr;
 
-/// Which component produced the final direction prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PredictorKind {
-    /// The 1-level bimodal predictor (new branches, or selector preference).
-    Bimodal,
-    /// The 2-level gshare predictor (selector preference on known branches).
-    Gshare,
-}
-
-/// Everything the front end produced for one branch prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Prediction {
-    /// Final predicted direction.
-    pub direction: Outcome,
-    /// Component the selection logic used.
-    pub used: PredictorKind,
-    /// What the bimodal component predicted.
-    pub bimodal: Outcome,
-    /// What the gshare component predicted.
-    pub gshare: Outcome,
-    /// Whether the branch hit in the BTB (i.e. was recently seen taken).
-    pub btb_hit: bool,
-    /// Predicted target when the direction is taken and the BTB hit.
-    pub target: Option<VirtAddr>,
-}
-
-/// The hybrid direction predictor of Figure 1: bimodal + gshare PHTs, a
-/// selector table, a GHR and a BTB.
+/// Bimodal + gshare PHTs and the selector table.
 ///
 /// # Selection logic
 ///
 /// The paper's §5.1 experiments establish that *branches with no accumulated
 /// history are predicted by the 1-level predictor*, with the 2-level
 /// predictor taking over only after several repetitions of a learnable
-/// pattern. We model this with the BTB as the presence signal: a branch that
-/// misses in the BTB is predicted by the bimodal PHT alone; a branch that
-/// hits is arbitrated by the selector table, which itself starts strongly
-/// biased to the bimodal side and migrates per-branch as gshare proves more
+/// pattern. The BTB is the presence signal: a branch that misses in the BTB
+/// is predicted by the bimodal PHT alone; a branch that hits is arbitrated
+/// by the selector, which restarts strongly bimodal whenever the branch's
+/// BTB entry is allocated and migrates per branch as gshare proves more
 /// accurate.
-///
-/// # Example
-///
-/// ```
-/// use bscope_bpu::{HybridPredictor, MicroarchProfile, Outcome, PredictorKind};
-///
-/// let mut bpu = HybridPredictor::new(MicroarchProfile::haswell());
-/// let p = bpu.predict(0x30_0000);
-/// assert_eq!(p.used, PredictorKind::Bimodal, "new branches use the 1-level predictor");
-/// bpu.update(0x30_0000, Outcome::Taken, None, &p);
-/// ```
 #[derive(Debug, Clone)]
-pub struct HybridPredictor {
-    profile: MicroarchProfile,
-    bimodal: BimodalPredictor,
-    gshare: GsharePredictor,
+pub(crate) struct Hybrid {
+    bimodal: PatternHistoryTable,
+    gshare: PatternHistoryTable,
     selector: SelectorTable,
-    btb: BranchTargetBuffer,
-    ghr: GlobalHistoryRegister,
-    stats: PredictionStats,
 }
 
-impl HybridPredictor {
-    /// Builds a predictor from a microarchitecture profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile fails [`MicroarchProfile::validate`].
-    #[must_use]
-    pub fn new(profile: MicroarchProfile) -> Self {
-        profile.validate().expect("invalid microarchitecture profile");
-        HybridPredictor {
-            bimodal: BimodalPredictor::new(profile.pht_size, profile.counter_kind),
-            gshare: GsharePredictor::new(profile.pht_size, profile.counter_kind),
+impl Hybrid {
+    /// Power-on state for a validated profile.
+    pub(crate) fn new(profile: &MicroarchProfile) -> Self {
+        Hybrid {
+            bimodal: PatternHistoryTable::new(profile.pht_size, profile.counter_kind),
+            gshare: PatternHistoryTable::new(profile.pht_size, profile.counter_kind),
             selector: SelectorTable::new(profile.selector_size),
-            btb: BranchTargetBuffer::new(profile.btb_size),
-            ghr: GlobalHistoryRegister::new(profile.ghr_bits),
-            stats: PredictionStats::new(),
-            profile,
         }
     }
 
-    /// The profile this predictor was built from.
-    #[must_use]
-    pub fn profile(&self) -> &MicroarchProfile {
-        &self.profile
-    }
-
-    /// Produces the front-end prediction for the branch at `addr`.
-    #[must_use]
-    pub fn predict(&self, addr: VirtAddr) -> Prediction {
-        let bimodal = self.bimodal.predict(addr);
-        let gshare = self.gshare.predict(addr, &self.ghr);
-        let target = self.btb.lookup(addr);
-        let btb_hit = target.is_some();
+    /// `(used, bimodal, gshare)` for the branch at `addr`; the selector is
+    /// consulted only for BTB-resident branches.
+    #[inline]
+    pub(crate) fn predict(
+        &self,
+        addr: VirtAddr,
+        ghr: &GlobalHistoryRegister,
+        btb_hit: bool,
+    ) -> (PredictorKind, Outcome, Outcome) {
+        let bimodal = self.bimodal.predict(self.bimodal.index_of(addr));
+        let gshare = self.gshare.predict(self.gshare.index_of(addr ^ ghr.value()));
         let used = if btb_hit && self.selector.prefers_gshare(addr) {
             PredictorKind::Gshare
         } else {
             PredictorKind::Bimodal
         };
-        let direction = match used {
-            PredictorKind::Bimodal => bimodal,
-            PredictorKind::Gshare => gshare,
-        };
-        Prediction {
-            direction,
-            used,
-            bimodal,
-            gshare,
-            btb_hit,
-            target: if direction.is_taken() { target } else { None },
-        }
+        (used, bimodal, gshare)
     }
 
-    /// Commits a resolved branch: trains both component PHTs, the selector
-    /// and the GHR, and installs the BTB entry for taken branches.
-    ///
-    /// `prediction` must be the value returned by [`HybridPredictor::predict`]
-    /// for this same dynamic branch (hardware trains against the history
-    /// state that produced the prediction). `target` is the branch target to
-    /// install when taken; `None` uses the fall-through convention
-    /// `addr + 2` (a two-byte conditional jump, as in the paper's Listing 2
-    /// disassembly).
-    pub fn update(
+    /// Trains both PHTs (gshare under the history that produced the
+    /// prediction) and, for BTB-resident branches, the selector. The
+    /// selector observes component accuracy only for branches it actually
+    /// arbitrates; this keeps single-shot spy branches from perturbing
+    /// chooser state, matching the paper's "new branch ⇒ 1-level" behaviour.
+    #[inline]
+    pub(crate) fn train(
         &mut self,
         addr: VirtAddr,
+        ghr: &GlobalHistoryRegister,
         outcome: Outcome,
-        target: Option<VirtAddr>,
         prediction: &Prediction,
     ) {
-        self.bimodal.update(addr, outcome);
-        self.gshare.update(addr, &self.ghr, outcome);
-        // The selector observes component accuracy only for branches it
-        // actually arbitrates (BTB-resident ones); this keeps single-shot
-        // spy branches from perturbing chooser state, matching the paper's
-        // "new branch ⇒ 1-level" behaviour.
+        let b = self.bimodal.index_of(addr);
+        self.bimodal.update(b, outcome);
+        let g = self.gshare.index_of(addr ^ ghr.value());
+        self.gshare.update(g, outcome);
         if prediction.btb_hit {
-            self.selector
-                .train_outcomes(addr, prediction.bimodal, prediction.gshare, outcome);
+            self.selector.train_outcomes(addr, prediction.bimodal, prediction.gshare, outcome);
         }
-        self.ghr.push(outcome);
-        if outcome.is_taken() {
-            // Selection state is allocated per branch together with its BTB
-            // entry: when the entry is (re)allocated for a new branch, the
-            // chooser for that slot restarts strongly bimodal. This is what
-            // makes "branches with no accumulated history use the 1-level
-            // predictor" (§5.1) hold *stably* — a branch whose BTB entry was
-            // evicted re-enters the BPU as a new branch, chooser included.
-            let same_branch_resident = self.btb.contains(addr);
-            self.btb.insert(addr, target.unwrap_or(addr + 2));
-            if !same_branch_resident {
-                self.selector.set_level(addr, 0);
-            }
-        }
-        self.stats
-            .record(prediction.used == PredictorKind::Gshare, prediction.direction != outcome);
     }
 
-    /// Predicts and immediately commits one dynamic branch, returning the
-    /// prediction and whether it was correct. This is the common fast path
-    /// for simulated execution.
-    pub fn execute(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-    ) -> (Prediction, bool) {
-        let prediction = self.predict(addr);
-        self.update(addr, outcome, target, &prediction);
-        (prediction, prediction.direction == outcome)
+    /// Restarts the chooser for `addr` strongly bimodal. Selection state is
+    /// allocated per branch together with its BTB entry, so a branch whose
+    /// entry was evicted re-enters the BPU as a new branch, chooser
+    /// included — what makes §5.1's 1-level behaviour hold *stably*.
+    pub(crate) fn restart_chooser(&mut self, addr: VirtAddr) {
+        self.selector.restart(addr);
     }
 
-    /// Architectural state of the *bimodal* PHT entry for `addr` — the state
-    /// BranchScope primes and probes.
-    #[must_use]
-    pub fn bimodal_state(&self, addr: VirtAddr) -> PhtState {
-        self.bimodal.state(addr)
+    /// Architectural state of the bimodal PHT entry for `addr`.
+    pub(crate) fn pht_state(&self, addr: VirtAddr) -> PhtState {
+        self.bimodal.state(self.bimodal.index_of(addr))
     }
 
-    /// Read access to the bimodal component.
-    #[must_use]
-    pub fn bimodal(&self) -> &BimodalPredictor {
-        &self.bimodal
-    }
-
-    /// Exclusive access to the bimodal component.
-    #[must_use]
-    pub fn bimodal_mut(&mut self) -> &mut BimodalPredictor {
-        &mut self.bimodal
-    }
-
-    /// Read access to the gshare component.
-    #[must_use]
-    pub fn gshare(&self) -> &GsharePredictor {
-        &self.gshare
-    }
-
-    /// Exclusive access to the gshare component.
-    #[must_use]
-    pub fn gshare_mut(&mut self) -> &mut GsharePredictor {
-        &mut self.gshare
-    }
-
-    /// Read access to the selector table.
-    #[must_use]
-    pub fn selector(&self) -> &SelectorTable {
-        &self.selector
-    }
-
-    /// Exclusive access to the selector table.
-    #[must_use]
-    pub fn selector_mut(&mut self) -> &mut SelectorTable {
-        &mut self.selector
-    }
-
-    /// Read access to the BTB.
-    #[must_use]
-    pub fn btb(&self) -> &BranchTargetBuffer {
-        &self.btb
-    }
-
-    /// Exclusive access to the BTB.
-    #[must_use]
-    pub fn btb_mut(&mut self) -> &mut BranchTargetBuffer {
-        &mut self.btb
-    }
-
-    /// Read access to the global history register.
-    #[must_use]
-    pub fn ghr(&self) -> &GlobalHistoryRegister {
-        &self.ghr
-    }
-
-    /// Exclusive access to the global history register.
-    #[must_use]
-    pub fn ghr_mut(&mut self) -> &mut GlobalHistoryRegister {
-        &mut self.ghr
-    }
-
-    /// Cumulative prediction statistics.
-    #[must_use]
-    pub fn stats(&self) -> PredictionStats {
-        self.stats
-    }
-
-    /// Resets the statistics counters (predictor state is untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    /// Resets all predictor state to power-on defaults.
-    pub fn reset(&mut self) {
-        *self = HybridPredictor::new(self.profile.clone());
+    /// Forces the bimodal PHT entry for `addr` into `state`.
+    pub(crate) fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
+        let b = self.bimodal.index_of(addr);
+        self.bimodal.set_state(b, state);
     }
 }
 
@@ -271,8 +118,8 @@ mod tests {
     use crate::counter::CounterKind;
     use crate::Microarch;
 
-    fn small_profile() -> MicroarchProfile {
-        MicroarchProfile {
+    fn small() -> Hybrid {
+        Hybrid::new(&MicroarchProfile {
             arch: Microarch::Custom,
             pht_size: 1_024,
             counter_kind: CounterKind::TwoBit,
@@ -280,142 +127,86 @@ mod tests {
             selector_size: 256,
             btb_size: 256,
             timing: Default::default(),
+        })
+    }
+
+    /// One dynamic branch with the given BTB presence: predict, train,
+    /// shift the history. Returns `(bimodal_correct, gshare_correct)`.
+    fn step(
+        h: &mut Hybrid,
+        ghr: &mut GlobalHistoryRegister,
+        addr: VirtAddr,
+        outcome: Outcome,
+        btb_hit: bool,
+    ) -> (bool, bool) {
+        let (used, bimodal, gshare) = h.predict(addr, ghr, btb_hit);
+        let direction = if used == PredictorKind::Gshare { gshare } else { bimodal };
+        let prediction = Prediction { direction, used, bimodal, gshare, btb_hit, target: None };
+        h.train(addr, ghr, outcome, &prediction);
+        ghr.push(outcome);
+        (bimodal == outcome, gshare == outcome)
+    }
+
+    #[test]
+    fn gshare_learns_alternation_the_bimodal_pht_cannot() {
+        // A strict T,N,T,N... pattern is unlearnable by a bimodal counter
+        // but trivially learnable by gshare once per-context counters warm
+        // up — the premise of the paper's Fig. 2 experiment.
+        let (mut h, mut ghr) = (small(), GlobalHistoryRegister::new(8));
+        let mut outcome = Outcome::Taken;
+        for _ in 0..32 {
+            step(&mut h, &mut ghr, 0x1234, outcome, false);
+            outcome = outcome.flipped();
         }
-    }
-
-    #[test]
-    fn new_branch_uses_bimodal() {
-        let bpu = HybridPredictor::new(small_profile());
-        let p = bpu.predict(0x5000);
-        assert_eq!(p.used, PredictorKind::Bimodal);
-        assert!(!p.btb_hit);
-    }
-
-    #[test]
-    fn taken_branch_installs_btb_entry() {
-        let mut bpu = HybridPredictor::new(small_profile());
-        let (_, _) = bpu.execute(0x5000, Outcome::Taken, Some(0x6000));
-        assert_eq!(bpu.btb().lookup(0x5000), Some(0x6000));
-        let p = bpu.predict(0x5000);
-        assert!(p.btb_hit);
-    }
-
-    #[test]
-    fn not_taken_branch_does_not_install_btb_entry() {
-        let mut bpu = HybridPredictor::new(small_profile());
-        bpu.execute(0x5000, Outcome::NotTaken, None);
-        assert!(!bpu.btb().contains(0x5000));
-    }
-
-    #[test]
-    fn default_target_is_fall_through_plus_two() {
-        let mut bpu = HybridPredictor::new(small_profile());
-        bpu.execute(0x5000, Outcome::Taken, None);
-        assert_eq!(bpu.btb().lookup(0x5000), Some(0x5002));
-    }
-
-    #[test]
-    fn always_taken_branch_converges_quickly() {
-        // §5.1: "the 1-level predictor will converge to the strongly taken
-        // state after 2-3 executions".
-        let mut bpu = HybridPredictor::new(small_profile());
-        for _ in 0..3 {
-            bpu.execute(0x100, Outcome::Taken, None);
+        let mut bimodal_hits = 0;
+        for _ in 0..32 {
+            let (bimodal, gshare) = step(&mut h, &mut ghr, 0x1234, outcome, false);
+            assert!(gshare, "gshare predicts every alternation");
+            bimodal_hits += usize::from(bimodal);
+            outcome = outcome.flipped();
         }
-        assert_eq!(bpu.bimodal_state(0x100), PhtState::StronglyTaken);
-        let (p, correct) = bpu.execute(0x100, Outcome::Taken, None);
-        assert!(correct);
-        assert_eq!(p.direction, Outcome::Taken);
+        assert!(bimodal_hits <= 16, "bimodal is at best a coin flip: {bimodal_hits}/32");
     }
 
     #[test]
-    fn irregular_pattern_eventually_uses_gshare() {
-        // The Fig. 2 mechanism: an irregular repeating pattern is
-        // unpredictable for the bimodal component but learnable by gshare;
-        // the selector must eventually migrate.
-        let mut bpu = HybridPredictor::new(small_profile());
-        let pattern = [true, false, false, true, true, true, false, true, false, false];
-        let addr = 0x700;
-        for _ in 0..12 {
-            for &bit in &pattern {
-                bpu.execute(addr, Outcome::from_bool(bit), None);
+    fn gshare_trains_only_the_current_history_context() {
+        let (mut h, mut ghr) = (small(), GlobalHistoryRegister::new(6));
+        let trained = h.gshare.index_of(10 ^ ghr.value());
+        step(&mut h, &mut ghr, 10, Outcome::Taken, false);
+        assert_eq!(h.gshare.state(trained), PhtState::WeaklyTaken);
+        let other = h.gshare.index_of(10 ^ ghr.value());
+        assert_ne!(trained, other);
+        assert_eq!(h.gshare.state(other), PhtState::WeaklyNotTaken);
+    }
+
+    #[test]
+    fn selector_moves_only_for_btb_resident_branches() {
+        // An alternating branch: gshare wins every disagreement once warm.
+        let run = |btb_hit: bool| {
+            let (mut h, mut ghr) = (small(), GlobalHistoryRegister::new(8));
+            let mut outcome = Outcome::Taken;
+            for _ in 0..64 {
+                step(&mut h, &mut ghr, 0x300, outcome, btb_hit);
+                outcome = outcome.flipped();
             }
+            h.predict(0x300, &ghr, true).0
+        };
+        assert_eq!(run(false), PredictorKind::Bimodal, "BTB misses never train the chooser");
+        assert_eq!(run(true), PredictorKind::Gshare, "resident branches migrate");
+    }
+
+    #[test]
+    fn restart_chooser_and_set_pht_state_override_training() {
+        let (mut h, mut ghr) = (small(), GlobalHistoryRegister::new(8));
+        let mut outcome = Outcome::Taken;
+        for _ in 0..64 {
+            step(&mut h, &mut ghr, 0x300, outcome, true);
+            outcome = outcome.flipped();
         }
-        // After many repetitions the pattern must be predicted perfectly.
-        let before = bpu.stats();
-        for &bit in pattern.iter().cycle().take(30) {
-            bpu.execute(addr, Outcome::from_bool(bit), None);
-        }
-        let delta = bpu.stats().since(&before);
-        assert_eq!(delta.mispredictions, 0, "pattern fully learned: {delta}");
-        assert!(delta.gshare_used > 0, "gshare must be in use");
-    }
-
-    #[test]
-    fn selector_not_trained_on_btb_miss() {
-        let mut bpu = HybridPredictor::new(small_profile());
-        // Single not-taken execution: BTB miss, selector untouched.
-        bpu.execute(0x300, Outcome::NotTaken, None);
-        assert_eq!(bpu.selector().level(0x300), 0);
-    }
-
-    #[test]
-    fn stats_accumulate_and_reset() {
-        let mut bpu = HybridPredictor::new(small_profile());
-        bpu.execute(0x1, Outcome::Taken, None);
-        bpu.execute(0x1, Outcome::Taken, None);
-        assert_eq!(bpu.stats().branches, 2);
-        bpu.reset_stats();
-        assert_eq!(bpu.stats().branches, 0);
-    }
-
-    #[test]
-    fn reset_clears_all_structures() {
-        let mut bpu = HybridPredictor::new(small_profile());
-        for i in 0..50 {
-            bpu.execute(i * 3, Outcome::Taken, None);
-        }
-        bpu.reset();
-        assert_eq!(bpu.btb().occupancy(), 0);
-        assert_eq!(bpu.ghr().value(), 0);
-        assert_eq!(bpu.stats().branches, 0);
-        assert_eq!(bpu.bimodal_state(0), PhtState::WeaklyNotTaken);
-    }
-
-    #[test]
-    fn btb_reallocation_resets_selection_state() {
-        let mut bpu = HybridPredictor::new(small_profile());
-        // Establish a branch and migrate its chooser toward gshare.
-        bpu.execute(0x100, Outcome::Taken, None);
-        bpu.selector_mut().set_level(0x100, 7);
-        // An aliasing branch (same BTB set, different tag) takes the slot…
-        let alias = 0x100 + 256; // btb_size = 256 in small_profile
-        bpu.execute(alias, Outcome::Taken, None);
-        // …so when the original branch is seen taken again it is a *new*
-        // branch to the BPU and its chooser restarts bimodal.
-        bpu.execute(0x100, Outcome::Taken, None);
-        assert_eq!(bpu.selector().level(0x100), 0);
-    }
-
-    #[test]
-    fn resident_branch_keeps_selection_state() {
-        let mut bpu = HybridPredictor::new(small_profile());
-        bpu.execute(0x100, Outcome::Taken, None);
-        bpu.selector_mut().set_level(0x100, 7);
-        bpu.execute(0x100, Outcome::Taken, None);
-        assert!(bpu.selector().level(0x100) >= 2, "no reallocation, no reset (training may move it by one)");
-    }
-
-    #[test]
-    fn cross_address_collision_in_bimodal_pht() {
-        // Same-index addresses collide in the bimodal PHT — the attack's
-        // core collision primitive (paper §4).
-        let mut bpu = HybridPredictor::new(small_profile());
-        let victim = 0x30_0000u64;
-        let spy = victim + 1_024; // same index, PHT is 1 024 entries
-        for _ in 0..3 {
-            bpu.execute(victim, Outcome::Taken, None);
-        }
-        assert_eq!(bpu.bimodal_state(spy), PhtState::StronglyTaken);
+        h.restart_chooser(0x300);
+        assert_eq!(h.predict(0x300, &ghr, true).0, PredictorKind::Bimodal);
+        h.set_pht_state(0x300 + 1_024, PhtState::StronglyTaken);
+        assert_eq!(h.pht_state(0x300), PhtState::StronglyTaken, "aliases share an entry");
+        assert_eq!(h.predict(0x300, &ghr, false).1, Outcome::Taken);
     }
 }

@@ -1,40 +1,37 @@
 //! Branch prediction unit (BPU) model for the BranchScope reproduction.
 //!
 //! This crate implements the microarchitectural substrate the BranchScope
-//! paper attacks: a hybrid directional branch predictor in the style of
-//! McFarling's combining predictor, composed of
+//! paper attacks: the front end of Figure 1 — a **branch target buffer**
+//! ([`BranchTargetBuffer`]), a direct-mapped cache of branch targets whose
+//! *presence* information drives the paper's "new branches are predicted by
+//! the 1-level predictor" behaviour (§5.1), and a **global history
+//! register** ([`GlobalHistoryRegister`]) — over a hybrid directional
+//! predictor in the style of McFarling's combining predictor:
 //!
-//! * a **1-level bimodal predictor** ([`BimodalPredictor`]) — a pattern
-//!   history table (PHT) of 2-bit saturating counters indexed directly by
-//!   the branch address (Smith, 1981),
-//! * a **2-level gshare predictor** ([`GsharePredictor`]) — a PHT indexed by
-//!   the branch address XOR-folded with a global history register
-//!   (Yeh & Patt, 1991; McFarling, 1993),
-//! * a **selector / chooser table** ([`SelectorTable`]) picking the component
-//!   that has been more accurate for each branch,
-//! * a **branch target buffer** ([`BranchTargetBuffer`]) — a direct-mapped
-//!   cache of branch targets whose *presence* information drives the paper's
-//!   "new branches are predicted by the 1-level predictor" behaviour (§5.1),
+//! * a **1-level bimodal** pattern history table (PHT) of saturating
+//!   counters ([`Counter`]) indexed directly by the branch address
+//!   (Smith, 1981),
+//! * a **2-level gshare** PHT indexed by the branch address XOR-folded with
+//!   the global history (Yeh & Patt, 1991; McFarling, 1993),
+//! * a **selector / chooser table** picking the component that has been
+//!   more accurate for each branch.
 //!
-//! all assembled into a [`HybridPredictor`] and parameterised by a
+//! [`PredictorBackend`] owns the front end once and runs it over one of
+//! three direction predictors: that hybrid, a TAGE model or a perceptron
+//! model; [`BackendKind`] selects between them — see the [`backend`] module
+//! docs for the design rationale. Every backend is parameterised by a
 //! [`MicroarchProfile`] that models the three CPUs evaluated in the paper
 //! (Sandy Bridge, Haswell, Skylake), including the Skylake peculiarity that
 //! makes the strongly-taken and weakly-taken states indistinguishable
 //! (Table 1, footnote 1).
 //!
-//! The hybrid is one of three interchangeable predictor *backends*: the
-//! [`PredictorBackend`] enum is the surface the simulated core needs and
-//! dispatches statically over the hybrid, a TAGE model ([`TageBackend`])
-//! and a perceptron model ([`PerceptronBackend`]), and [`BackendKind`]
-//! selects between them — see the [`backend`] module docs for the design
-//! rationale.
-//!
 //! # Example
 //!
 //! ```
-//! use bscope_bpu::{HybridPredictor, MicroarchProfile, Outcome};
+//! use bscope_bpu::{BackendKind, MicroarchProfile, Outcome, PredictorKind};
 //!
-//! let mut bpu = HybridPredictor::new(MicroarchProfile::skylake());
+//! let mut bpu = BackendKind::Hybrid.build(MicroarchProfile::skylake());
+//! assert_eq!(bpu.predict(0x40_0000).used, PredictorKind::Bimodal, "new branches use the 1-level predictor");
 //! // Train a branch at address 0x40_0000 to be always taken.
 //! for _ in 0..4 {
 //!     let prediction = bpu.predict(0x40_0000);
@@ -48,11 +45,9 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-mod bimodal;
 mod btb;
 mod counter;
 mod ghr;
-mod gshare;
 mod hybrid;
 mod perceptron;
 mod pht;
@@ -61,19 +56,12 @@ mod selector;
 mod stats;
 mod tage;
 
-pub use backend::{BackendKind, PerceptronBackend, PredictorBackend, TageBackend};
-pub use bimodal::BimodalPredictor;
+pub use backend::{BackendKind, Prediction, PredictorBackend, PredictorKind};
 pub use btb::{BranchTargetBuffer, BtbEntry};
 pub use counter::{Counter, CounterKind, Outcome, PhtState};
 pub use ghr::GlobalHistoryRegister;
-pub use gshare::GsharePredictor;
-pub use hybrid::{HybridPredictor, Prediction, PredictorKind};
-pub use perceptron::PerceptronPredictor;
-pub use pht::PatternHistoryTable;
 pub use profile::{Microarch, MicroarchProfile, TimingParams};
-pub use selector::SelectorTable;
 pub use stats::PredictionStats;
-pub use tage::{TagePrediction, TagePredictor};
 
 /// A virtual address of a branch instruction.
 ///

@@ -1,6 +1,6 @@
-//! A perceptron directional predictor (Jiménez & Lin, 2001) — a
-//! first-class predictor backend (wrapped by
-//! [`PerceptronBackend`](crate::PerceptronBackend)).
+//! A perceptron directional predictor (Jiménez & Lin, 2001) — one of the
+//! direction predictors behind
+//! [`PredictorBackend`](crate::PredictorBackend).
 //!
 //! The paper cites perceptron predictors among modern designs (§2, [31]).
 //! This is the stack's structural counter-example: per-branch state is a
@@ -18,22 +18,8 @@ use crate::VirtAddr;
 
 /// A perceptron branch predictor: one weight vector per table entry, dotted
 /// with the global history bits (+1 for taken, −1 for not-taken).
-///
-/// ```
-/// use bscope_bpu::{GlobalHistoryRegister, Outcome, PerceptronPredictor};
-///
-/// let mut ghr = GlobalHistoryRegister::new(16);
-/// let mut p = PerceptronPredictor::new(512, 16);
-/// for _ in 0..32 {
-///     let pred = p.predict(0x1000, &ghr);
-///     p.train(0x1000, &ghr, Outcome::Taken);
-///     ghr.push(Outcome::Taken);
-///     let _ = pred;
-/// }
-/// assert_eq!(p.predict(0x1000, &ghr), Outcome::Taken);
-/// ```
 #[derive(Debug, Clone)]
-pub struct PerceptronPredictor {
+pub(crate) struct PerceptronPredictor {
     /// weights[entry][0] is the bias weight; the rest pair with GHR bits.
     weights: Vec<Vec<i16>>,
     history_bits: u32,
@@ -53,7 +39,7 @@ impl PerceptronPredictor {
     /// Panics if `entries` is not a power of two or `history_bits` is zero
     /// or greater than 63.
     #[must_use]
-    pub fn new(entries: usize, history_bits: u32) -> Self {
+    pub(crate) fn new(entries: usize, history_bits: u32) -> Self {
         assert!(entries.is_power_of_two(), "entries must be a power of two, got {entries}");
         assert!(
             (1..=63).contains(&history_bits),
@@ -67,35 +53,23 @@ impl PerceptronPredictor {
         }
     }
 
-    /// Number of perceptrons in the table.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Whether the table is empty (never true once constructed).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-
     /// Table index for a branch address.
     #[must_use]
-    pub fn index_of(&self, addr: VirtAddr) -> usize {
+    fn index_of(&self, addr: VirtAddr) -> usize {
         (addr & self.mask) as usize
     }
 
     /// The history-independent *bias* weight for `addr` — the closest thing
     /// a perceptron has to a per-address directional state.
     #[must_use]
-    pub fn bias(&self, addr: VirtAddr) -> i16 {
+    pub(crate) fn bias(&self, addr: VirtAddr) -> i16 {
         self.weights[self.index_of(addr)][0]
     }
 
     /// Overwrites the entry for `addr` with the given bias and all history
     /// weights zeroed — the ground-truth hook backing
     /// [`PredictorBackend::set_pht_state`](crate::PredictorBackend::set_pht_state).
-    pub fn set_entry(&mut self, addr: VirtAddr, bias: i16) {
+    pub(crate) fn set_entry(&mut self, addr: VirtAddr, bias: i16) {
         let idx = self.index_of(addr);
         let w = &mut self.weights[idx];
         w.fill(0);
@@ -115,13 +89,13 @@ impl PerceptronPredictor {
 
     /// Predicted direction for `addr` under history `ghr`.
     #[must_use]
-    pub fn predict(&self, addr: VirtAddr, ghr: &GlobalHistoryRegister) -> Outcome {
+    pub(crate) fn predict(&self, addr: VirtAddr, ghr: &GlobalHistoryRegister) -> Outcome {
         Outcome::from_bool(self.output(addr, ghr) >= 0)
     }
 
     /// Trains the perceptron on a resolved outcome (call before shifting the
     /// outcome into the GHR, as with gshare).
-    pub fn train(&mut self, addr: VirtAddr, ghr: &GlobalHistoryRegister, outcome: Outcome) {
+    pub(crate) fn train(&mut self, addr: VirtAddr, ghr: &GlobalHistoryRegister, outcome: Outcome) {
         let y = self.output(addr, ghr);
         let t: i32 = if outcome.is_taken() { 1 } else { -1 };
         let mispredicted = (y >= 0) != outcome.is_taken();
@@ -138,31 +112,32 @@ impl PerceptronPredictor {
             }
         }
     }
-
-    /// Convenience: predict, train, and report correctness in one call.
-    pub fn execute(
-        &mut self,
-        addr: VirtAddr,
-        ghr: &mut GlobalHistoryRegister,
-        outcome: Outcome,
-    ) -> bool {
-        let pred = self.predict(addr, ghr);
-        self.train(addr, ghr, outcome);
-        ghr.push(outcome);
-        pred == outcome
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One dynamic branch: predict, train, shift the outcome into the
+    /// history. Returns whether the prediction was correct.
+    fn step(
+        p: &mut PerceptronPredictor,
+        ghr: &mut GlobalHistoryRegister,
+        addr: VirtAddr,
+        outcome: Outcome,
+    ) -> bool {
+        let correct = p.predict(addr, ghr) == outcome;
+        p.train(addr, ghr, outcome);
+        ghr.push(outcome);
+        correct
+    }
+
     #[test]
     fn learns_biased_branch() {
         let mut ghr = GlobalHistoryRegister::new(8);
         let mut p = PerceptronPredictor::new(64, 8);
         for _ in 0..16 {
-            p.execute(0x42, &mut ghr, Outcome::Taken);
+            step(&mut p, &mut ghr, 0x42, Outcome::Taken);
         }
         assert_eq!(p.predict(0x42, &ghr), Outcome::Taken);
     }
@@ -173,12 +148,12 @@ mod tests {
         let mut p = PerceptronPredictor::new(64, 8);
         let mut outcome = Outcome::Taken;
         for _ in 0..64 {
-            p.execute(0x42, &mut ghr, outcome);
+            step(&mut p, &mut ghr, 0x42, outcome);
             outcome = outcome.flipped();
         }
         let mut correct = 0;
         for _ in 0..20 {
-            if p.execute(0x42, &mut ghr, outcome) {
+            if step(&mut p, &mut ghr, 0x42, outcome) {
                 correct += 1;
             }
             outcome = outcome.flipped();
@@ -191,7 +166,7 @@ mod tests {
         let mut ghr = GlobalHistoryRegister::new(8);
         let mut p = PerceptronPredictor::new(16, 8);
         for i in 0..5_000u64 {
-            p.execute(3, &mut ghr, Outcome::from_bool(i % 7 < 3));
+            step(&mut p, &mut ghr, 3, Outcome::from_bool(i % 7 < 3));
         }
         for w in &p.weights[p.index_of(3)] {
             assert!((-128..=127).contains(&i32::from(*w)));

@@ -1,7 +1,6 @@
 //! The pattern history table: an array of saturating-counter FSMs.
 
 use crate::counter::{Counter, CounterKind, Outcome, PhtState};
-use rand::Rng;
 
 /// A pattern history table (PHT) — `size` saturating counters.
 ///
@@ -9,18 +8,8 @@ use rand::Rng;
 /// in a PHT; they differ only in how the PHT is indexed (paper §2). The
 /// table size must be a power of two (real PHTs are; the paper
 /// reverse-engineers 2^14 entries on its experimental machine, Fig. 5b).
-///
-/// ```
-/// use bscope_bpu::{CounterKind, Outcome, PatternHistoryTable, PhtState};
-///
-/// let mut pht = PatternHistoryTable::new(16_384, CounterKind::TwoBit);
-/// let idx = pht.index_of(0x30_0000);
-/// pht.update(idx, Outcome::Taken);
-/// pht.update(idx, Outcome::Taken);
-/// assert_eq!(pht.state(idx), PhtState::StronglyTaken);
-/// ```
 #[derive(Debug, Clone)]
-pub struct PatternHistoryTable {
+pub(crate) struct PatternHistoryTable {
     entries: Vec<Counter>,
     mask: u64,
 }
@@ -33,7 +22,7 @@ impl PatternHistoryTable {
     ///
     /// Panics if `size` is zero or not a power of two.
     #[must_use]
-    pub fn new(size: usize, kind: CounterKind) -> Self {
+    pub(crate) fn new(size: usize, kind: CounterKind) -> Self {
         assert!(size.is_power_of_two(), "PHT size must be a power of two, got {size}");
         PatternHistoryTable {
             entries: vec![Counter::new(kind); size],
@@ -41,106 +30,41 @@ impl PatternHistoryTable {
         }
     }
 
-    /// Number of entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty (never true for a constructed table).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Maps an arbitrary table-index key to an entry index.
     ///
     /// The PHT index is the key modulo the table size — the byte-granular
     /// modulo indexing the paper establishes in §6.3 / Fig. 5.
     #[must_use]
-    pub fn index_of(&self, key: u64) -> usize {
+    pub(crate) fn index_of(&self, key: u64) -> usize {
         (key & self.mask) as usize
     }
 
     /// Predicted direction of the entry at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
     #[must_use]
-    pub fn predict(&self, index: usize) -> Outcome {
+    pub(crate) fn predict(&self, index: usize) -> Outcome {
         self.entries[index].predict()
     }
 
     /// Advances the FSM at `index` with a resolved outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    pub fn update(&mut self, index: usize, outcome: Outcome) {
+    pub(crate) fn update(&mut self, index: usize, outcome: Outcome) {
         self.entries[index].update(outcome);
     }
 
     /// Architectural state of the entry at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
     #[must_use]
-    pub fn state(&self, index: usize) -> PhtState {
+    pub(crate) fn state(&self, index: usize) -> PhtState {
         self.entries[index].state()
     }
 
-    /// Raw counter at `index` (tests and reverse-engineering tooling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    #[must_use]
-    pub fn counter(&self, index: usize) -> Counter {
-        self.entries[index]
-    }
-
     /// Forces the entry at `index` into an architectural state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    pub fn set_state(&mut self, index: usize, state: PhtState) {
+    pub(crate) fn set_state(&mut self, index: usize, state: PhtState) {
         self.entries[index].set_state(state);
-    }
-
-    /// Resets every entry to weakly not-taken (what a flush mitigation or a
-    /// simulated machine reset does).
-    pub fn reset(&mut self) {
-        let kind = self.entries[0].kind();
-        for e in &mut self.entries {
-            *e = Counter::new(kind);
-        }
-    }
-
-    /// Scrambles every entry into a uniformly random architectural state.
-    ///
-    /// Models the aggregate effect of unrelated system activity on PHT
-    /// contents; also used to set up "dirty" initial conditions in tests.
-    pub fn scramble<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        for e in &mut self.entries {
-            let state = PhtState::ALL[rng.gen_range(0..4)];
-            e.set_state(state);
-        }
-    }
-
-    /// Iterator over the architectural states of all entries.
-    pub fn states(&self) -> impl Iterator<Item = PhtState> + '_ {
-        self.entries.iter().map(|c| c.state())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn index_wraps_modulo_size() {
@@ -174,36 +98,5 @@ mod tests {
         assert_eq!(pht.state(3), PhtState::WeaklyTaken);
         // Unrelated entries untouched.
         assert_eq!(pht.state(4), PhtState::WeaklyNotTaken);
-    }
-
-    #[test]
-    fn reset_restores_default_state() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut pht = PatternHistoryTable::new(256, CounterKind::SkylakeAsymmetric);
-        pht.scramble(&mut rng);
-        pht.reset();
-        assert!(pht.states().all(|s| s == PhtState::WeaklyNotTaken));
-    }
-
-    #[test]
-    fn scramble_is_deterministic_per_seed() {
-        let mut a = PatternHistoryTable::new(512, CounterKind::TwoBit);
-        let mut b = PatternHistoryTable::new(512, CounterKind::TwoBit);
-        a.scramble(&mut StdRng::seed_from_u64(42));
-        b.scramble(&mut StdRng::seed_from_u64(42));
-        assert!(a.states().eq(b.states()));
-    }
-
-    #[test]
-    fn scramble_touches_many_states() {
-        let mut pht = PatternHistoryTable::new(4096, CounterKind::TwoBit);
-        pht.scramble(&mut StdRng::seed_from_u64(1));
-        let mut counts = [0usize; 4];
-        for s in pht.states() {
-            counts[PhtState::ALL.iter().position(|&x| x == s).unwrap()] += 1;
-        }
-        for (i, &c) in counts.iter().enumerate() {
-            assert!(c > 700, "state {i} appeared only {c} times");
-        }
     }
 }

@@ -1,5 +1,5 @@
-//! A TAGE-style predictor (Seznec & Michaud) — a first-class predictor
-//! backend (wrapped by [`TageBackend`](crate::TageBackend)).
+//! A TAGE-style predictor (Seznec & Michaud) — one of the direction
+//! predictors behind [`PredictorBackend`](crate::PredictorBackend).
 //!
 //! The paper attacks a bimodal+gshare hybrid, but notes modern predictors
 //! are "complex hybrid predictors with unknown organization" (§1). TAGE is
@@ -81,30 +81,19 @@ impl TageTable {
     }
 }
 
-/// Result of a TAGE lookup (exposed for tests and analysis).
+/// Result of a TAGE lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TagePrediction {
+pub(crate) struct TagePrediction {
     /// Predicted direction.
-    pub direction: Outcome,
+    pub(crate) direction: Outcome,
     /// Index of the providing tagged table (`None` = base bimodal table).
-    pub provider: Option<usize>,
+    pub(crate) provider: Option<usize>,
 }
 
 /// A TAGE predictor with a bimodal base table and `N` tagged components
 /// over geometrically increasing history lengths.
-///
-/// ```
-/// use bscope_bpu::{GlobalHistoryRegister, Outcome, TagePredictor};
-///
-/// let mut ghr = GlobalHistoryRegister::new(64);
-/// let mut tage = TagePredictor::new(1_024, 4, 42);
-/// for _ in 0..8 {
-///     tage.execute(0x40_0000, &mut ghr, Outcome::Taken);
-/// }
-/// assert_eq!(tage.predict(0x40_0000, &ghr).direction, Outcome::Taken);
-/// ```
 #[derive(Debug, Clone)]
-pub struct TagePredictor {
+pub(crate) struct TagePredictor {
     /// Base table: 2-bit counters indexed by address (the BranchScope
     /// target surface).
     base: Vec<u8>,
@@ -123,7 +112,7 @@ impl TagePredictor {
     ///
     /// Panics if `base_size` is not a power of two or `components == 0`.
     #[must_use]
-    pub fn new(base_size: usize, components: usize, seed: u64) -> Self {
+    pub(crate) fn new(base_size: usize, components: usize, seed: u64) -> Self {
         assert!(base_size.is_power_of_two(), "base size must be a power of two");
         assert!(components > 0, "need at least one tagged component");
         let tables = (0..components)
@@ -141,29 +130,23 @@ impl TagePredictor {
         }
     }
 
-    /// Number of tagged components.
-    #[must_use]
-    pub fn components(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Base-table index for `pc` — address-only, byte-granular, exactly
     /// like the hybrid's bimodal PHT.
     #[must_use]
-    pub fn base_index(&self, pc: VirtAddr) -> usize {
+    fn base_index(&self, pc: VirtAddr) -> usize {
         (pc & self.base_mask) as usize
     }
 
     /// Raw base-table counter (0–3) for `pc`.
     #[must_use]
-    pub fn base_counter(&self, pc: VirtAddr) -> u8 {
+    pub(crate) fn base_counter(&self, pc: VirtAddr) -> u8 {
         self.base[self.base_index(pc)]
     }
 
     /// Forces the base-table counter for `pc` (clamped to 0–3) — the
     /// ground-truth hook backing
     /// [`PredictorBackend::set_pht_state`](crate::PredictorBackend::set_pht_state).
-    pub fn set_base_counter(&mut self, pc: VirtAddr, counter: u8) {
+    pub(crate) fn set_base_counter(&mut self, pc: VirtAddr, counter: u8) {
         let idx = self.base_index(pc);
         self.base[idx] = counter.min(3);
     }
@@ -194,7 +177,7 @@ impl TagePredictor {
     /// to confidence before it takes over from the base — the property the
     /// BranchScope attacker leans on (see the module doc).
     #[must_use]
-    pub fn predict(&self, pc: VirtAddr, ghr: &GlobalHistoryRegister) -> TagePrediction {
+    pub(crate) fn predict(&self, pc: VirtAddr, ghr: &GlobalHistoryRegister) -> TagePrediction {
         for i in (0..self.tables.len()).rev() {
             let t = &self.tables[i];
             let e = t.entries[t.index(pc, ghr)];
@@ -223,7 +206,7 @@ impl TagePredictor {
     /// entry (and the base table when that entry was weak and the alternate
     /// provided — see [`TagePredictor::predict`]) and allocates a
     /// longer-history entry on an effective misprediction.
-    pub fn train(&mut self, pc: VirtAddr, ghr: &GlobalHistoryRegister, outcome: Outcome) {
+    pub(crate) fn train(&mut self, pc: VirtAddr, ghr: &GlobalHistoryRegister, outcome: Outcome) {
         let correct = self.predict(pc, ghr).direction == outcome;
         let hit = self.hit(pc, ghr);
         let mut train_base = hit.is_none();
@@ -267,20 +250,6 @@ impl TagePredictor {
             }
         }
     }
-
-    /// Predict, train and shift the outcome into the history — one dynamic
-    /// branch. Returns whether the prediction was correct.
-    pub fn execute(
-        &mut self,
-        pc: VirtAddr,
-        ghr: &mut GlobalHistoryRegister,
-        outcome: Outcome,
-    ) -> bool {
-        let prediction = self.predict(pc, ghr);
-        self.train(pc, ghr, outcome);
-        ghr.push(outcome);
-        prediction.direction == outcome
-    }
 }
 
 #[cfg(test)]
@@ -289,6 +258,20 @@ mod tests {
 
     fn fresh() -> (TagePredictor, GlobalHistoryRegister) {
         (TagePredictor::new(1_024, 4, 99), GlobalHistoryRegister::new(64))
+    }
+
+    /// One dynamic branch: predict, train, shift the outcome into the
+    /// history. Returns whether the prediction was correct.
+    fn step(
+        tage: &mut TagePredictor,
+        ghr: &mut GlobalHistoryRegister,
+        pc: VirtAddr,
+        outcome: Outcome,
+    ) -> bool {
+        let correct = tage.predict(pc, ghr).direction == outcome;
+        tage.train(pc, ghr, outcome);
+        ghr.push(outcome);
+        correct
     }
 
     #[test]
@@ -301,7 +284,7 @@ mod tests {
     fn biased_branch_converges() {
         let (mut tage, mut ghr) = fresh();
         for _ in 0..6 {
-            tage.execute(0x123, &mut ghr, Outcome::Taken);
+            step(&mut tage, &mut ghr, 0x123, Outcome::Taken);
         }
         assert_eq!(tage.predict(0x123, &ghr).direction, Outcome::Taken);
     }
@@ -311,12 +294,12 @@ mod tests {
         let (mut tage, mut ghr) = fresh();
         let mut outcome = Outcome::Taken;
         for _ in 0..600 {
-            tage.execute(0x55, &mut ghr, outcome);
+            step(&mut tage, &mut ghr, 0x55, outcome);
             outcome = outcome.flipped();
         }
         let mut correct = 0;
         for _ in 0..100 {
-            if tage.execute(0x55, &mut ghr, outcome) {
+            if step(&mut tage, &mut ghr, 0x55, outcome) {
                 correct += 1;
             }
             outcome = outcome.flipped();
@@ -339,7 +322,8 @@ mod tests {
         // to the address-indexed base table.
         let scramble = |tage: &mut TagePredictor, ghr: &mut GlobalHistoryRegister, k: u64| {
             for i in 0..24u64 {
-                tage.execute(0x7a_0000 + k * 131 + i * 3, ghr, Outcome::from_bool((k + i).is_multiple_of(3)));
+                let outcome = Outcome::from_bool((k + i).is_multiple_of(3));
+                step(tage, ghr, 0x7a_0000 + k * 131 + i * 3, outcome);
             }
         };
         // Prime: drive the base counter to strongly not-taken.
@@ -390,7 +374,7 @@ mod tests {
         // Repeated mispredictions allocate tagged entries eventually.
         let mut outcome = Outcome::Taken;
         for _ in 0..64 {
-            tage.execute(0x99, &mut ghr, outcome);
+            step(&mut tage, &mut ghr, 0x99, outcome);
             outcome = outcome.flipped();
         }
         let provided = tage.predict(0x99, &ghr).provider;

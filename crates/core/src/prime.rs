@@ -32,13 +32,21 @@ use bscope_os::{CpuView, Pid, System};
 pub struct TargetedPrime {
     target: VirtAddr,
     state: PhtState,
-    pollution: usize,
     lcg: u64,
 }
 
 impl TargetedPrime {
     /// Region the GHR-scramble branches execute in.
     const SCRAMBLE_REGION: VirtAddr = 0x7a_0000;
+
+    /// Pattern-free pollution branches per prime.
+    ///
+    /// These branches keep the 2-level predictor inaccurate (paper §5.2,
+    /// goal 2): without them gshare eventually memorises the attack's own
+    /// recurring history contexts, the selector migrates the probe branch
+    /// to the 2-level side and the probe observations stop reflecting the
+    /// primed PHT entry.
+    const POLLUTION: usize = 256;
 
     /// Targeted prime leaving the entry colliding with `target` in `state`.
     ///
@@ -49,7 +57,7 @@ impl TargetedPrime {
     #[must_use]
     pub fn new(target: VirtAddr, state: PhtState) -> Self {
         assert!(state.is_strong(), "prime state must be strong (ST or SN), got {state}");
-        TargetedPrime { target, state, pollution: 256, lcg: target ^ 0x9e37_79b9_7f4a_7c15 }
+        TargetedPrime { target, state, lcg: target ^ 0x9e37_79b9_7f4a_7c15 }
     }
 
     /// Target address whose PHT entry is primed.
@@ -62,18 +70,6 @@ impl TargetedPrime {
     #[must_use]
     pub fn state(&self) -> PhtState {
         self.state
-    }
-
-    /// Number of pattern-free pollution branches per prime (default 256).
-    ///
-    /// These branches keep the 2-level predictor inaccurate (paper §5.2,
-    /// goal 2): without them gshare eventually memorises the attack's own
-    /// recurring history contexts, the selector migrates the probe branch
-    /// to the 2-level side and the probe observations stop reflecting the
-    /// primed PHT entry. Lowering this trades prime cost against decode
-    /// reliability.
-    pub fn set_pollution(&mut self, n: usize) {
-        self.pollution = n;
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -101,7 +97,7 @@ impl TargetedPrime {
         //    paper's Listing 1: random directions with no inter-branch
         //    dependencies, unpredictable for gshare.
         let pht_mask = (pht_size - 1) as u64;
-        for _ in 0..self.pollution {
+        for _ in 0..Self::POLLUTION {
             let r = self.next_rand();
             let mut addr = Self::SCRAMBLE_REGION + (r & 0xffff);
             if addr & pht_mask == self.target & pht_mask {

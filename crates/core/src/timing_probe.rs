@@ -154,20 +154,6 @@ pub struct ProbeLatencyStats {
     pub expected: ProbePattern,
 }
 
-/// Resets the non-PHT front-end context of a characterization branch:
-/// evicts its BTB entry and clears its selector entry, the state a fresh
-/// prime stage would leave behind. Characterization experiments (Figs. 7–9)
-/// use this between repetitions so they measure the PHT effect in
-/// isolation, exactly as the paper's controlled single-process experiments
-/// do.
-fn reset_branch_context(sys: &mut System, addr: VirtAddr) {
-    let bpu = sys.core_mut().bpu_mut();
-    bpu.btb_mut().evict(addr);
-    if let Some(hybrid) = bpu.as_hybrid_mut() {
-        hybrid.selector_mut().set_level(addr, 0);
-    }
-}
-
 /// Measures probe-pair latencies as a function of the starting PHT state
 /// (Fig. 9): the entry is repeatedly forced into `state`, probed with
 /// `kind`, and both measurements are collected.
@@ -184,7 +170,10 @@ pub fn probe_latency_by_state(
     let mut seconds = Vec::with_capacity(reps);
     let mut expected = ProbePattern::HH;
     for _ in 0..reps {
-        reset_branch_context(sys, addr);
+        // Evict the BTB entry and restart the chooser — the state a fresh
+        // prime stage leaves behind — so the figure measures the PHT effect
+        // in isolation, as the paper's controlled experiments do.
+        sys.core_mut().bpu_mut().forget_branch(addr);
         sys.core_mut().bpu_mut().set_pht_state(addr, state);
         // Expected pattern from the FSM model (ground truth for the figure
         // annotation).
@@ -293,7 +282,7 @@ mod tests {
         let trials = 300;
         for i in 0..trials {
             let state = if i % 2 == 0 { PhtState::StronglyNotTaken } else { PhtState::WeaklyNotTaken };
-            super::reset_branch_context(&mut sys, addr);
+            sys.core_mut().bpu_mut().forget_branch(addr);
             sys.core_mut().bpu_mut().set_pht_state(addr, state);
             let want = match state {
                 PhtState::StronglyNotTaken => ProbePattern::MM,

@@ -3,11 +3,12 @@
 use crate::if_conversion::IfConvertedVictim;
 use crate::no_predict::NoPredictPolicy;
 use crate::partitioned::PartitionedBpuPolicy;
-use crate::randomized_pht::{register_context, RandomizedPhtPolicy};
-use bscope_bpu::{BackendKind, MicroarchProfile};
+use crate::randomized_pht::RandomizedPhtPolicy;
+use crate::stochastic_fsm::StochasticFsmPolicy;
+use bscope_bpu::{BackendKind, MicroarchProfile, VirtAddr};
 use bscope_core::{AttackConfig, BranchScope};
 use bscope_os::{AslrPolicy, System, Workload};
-use bscope_uarch::{MeasurementFuzz, NOISE_CTX};
+use bscope_uarch::{ContextId, MeasurementFuzz, NOISE_CTX};
 use bscope_victims::{SecretBranchVictim, VICTIM_BRANCH_OFFSET};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -133,73 +134,29 @@ pub fn evaluate_backend(
     let spy = sys.spawn("spy", AslrPolicy::Disabled);
     let target = sys.process(victim).vaddr_of(VICTIM_BRANCH_OFFSET);
     let victim_ctx = sys.process(victim).ctx();
-
-    // Install the defense.
-    match mitigation {
-        Mitigation::None | Mitigation::IfConversion => {}
-        Mitigation::RandomizedPht { rekey_interval } => {
-            let mut policy = RandomizedPhtPolicy::new(seed ^ 0xDEFE_17CE);
-            for ctx in [sys.process(victim).ctx(), sys.process(spy).ctx(), NOISE_CTX] {
-                register_context(&mut policy, ctx);
-            }
-            let policy = match rekey_interval {
-                Some(n) => policy.with_rekey_interval(*n),
-                None => policy,
-            };
-            sys.set_policy(Box::new(policy));
-        }
-        Mitigation::PartitionedBpu { partitions } => {
-            sys.set_policy(Box::new(PartitionedBpuPolicy::new(
-                profile.pht_size as u64,
-                *partitions,
-            )));
-        }
-        Mitigation::NoPredictSensitive => {
-            sys.set_policy(Box::new(
-                NoPredictPolicy::new().with_protected(victim_ctx, target),
-            ));
-        }
-        Mitigation::NoisyMeasurements(fuzz) => {
-            sys.set_measurement_fuzz(Some(*fuzz)).expect("evaluated fuzz configs are valid");
-        }
-        Mitigation::StochasticFsm { skip_probability } => {
-            sys.set_policy(Box::new(crate::stochastic_fsm::StochasticFsmPolicy::new(
-                *skip_probability,
-                seed ^ 0x570C,
-            )));
-        }
+    let keyed = [victim_ctx, sys.process(spy).ctx(), NOISE_CTX];
+    install_policy(&mut sys, mitigation, profile, seed, &keyed, (victim_ctx, target));
+    if let Mitigation::NoisyMeasurements(fuzz) = mitigation {
+        sys.set_measurement_fuzz(Some(*fuzz)).expect("evaluated fuzz configs are valid");
     }
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC2);
     let secret: Vec<bool> = (0..bits).map(|_| rng.gen()).collect();
     let mut attack = BranchScope::new(AttackConfig::for_backend(profile, backend))
         .expect("canonical config is valid");
+    let mut workload: Box<dyn Workload> = match mitigation {
+        Mitigation::IfConversion => Box::new(IfConvertedVictim::new(secret.clone())),
+        _ => Box::new(SecretBranchVictim::new(secret.clone())),
+    };
 
     let mut errors = 0usize;
-    match mitigation {
-        Mitigation::IfConversion => {
-            let mut workload = IfConvertedVictim::new(secret.clone());
-            for &bit in &secret {
-                let outcome = attack.read_bit(&mut sys, spy, target, |sys| {
-                    let mut cpu = sys.cpu(victim);
-                    workload.step(&mut cpu);
-                });
-                if SecretBranchVictim::bit_from_outcome(outcome) != bit {
-                    errors += 1;
-                }
-            }
-        }
-        _ => {
-            let mut workload = SecretBranchVictim::new(secret.clone());
-            for &bit in &secret {
-                let outcome = attack.read_bit(&mut sys, spy, target, |sys| {
-                    let mut cpu = sys.cpu(victim);
-                    workload.step(&mut cpu);
-                });
-                if SecretBranchVictim::bit_from_outcome(outcome) != bit {
-                    errors += 1;
-                }
-            }
+    for &bit in &secret {
+        let outcome = attack.read_bit(&mut sys, spy, target, |sys| {
+            let mut cpu = sys.cpu(victim);
+            workload.step(&mut cpu);
+        });
+        if SecretBranchVictim::bit_from_outcome(outcome) != bit {
+            errors += 1;
         }
     }
 
@@ -221,15 +178,41 @@ pub fn benign_overhead(mitigation: &Mitigation, profile: &MicroarchProfile, seed
     let app = sys.spawn("app", AslrPolicy::Disabled);
     let app_ctx = sys.process(app).ctx();
     let hot_branch = sys.process(app).vaddr_of(0x50);
+    // Under no-prediction, the developer flagged this (hot!) branch as
+    // sensitive.
+    install_policy(&mut sys, mitigation, profile, seed, &[app_ctx], (app_ctx, hot_branch));
+    let iterations = 4_000u64;
+    for i in 0..iterations {
+        let taken = i % 8 != 7;
+        sys.cpu(app).branch_at(0x50, bscope_bpu::Outcome::from_bool(taken));
+    }
+    let counters = sys.cpu(app).counters();
+    counters.branch_misses as f64 / counters.branches_retired as f64
+}
+
+/// Installs `mitigation`'s hardware policy on `sys`, if it has one: the
+/// randomized PHT keys `keyed` in order, and no-prediction protects the
+/// `(context, branch)` pair `protected`. Measurement fuzz and the
+/// if-converted victim are not BPU policies, so this leaves them to the
+/// caller.
+fn install_policy(
+    sys: &mut System,
+    mitigation: &Mitigation,
+    profile: &MicroarchProfile,
+    seed: u64,
+    keyed: &[ContextId],
+    protected: (ContextId, VirtAddr),
+) {
     match mitigation {
         Mitigation::None | Mitigation::IfConversion | Mitigation::NoisyMeasurements(_) => {}
         Mitigation::RandomizedPht { rekey_interval } => {
             let mut policy = RandomizedPhtPolicy::new(seed ^ 0xDEFE_17CE);
-            register_context(&mut policy, app_ctx);
-            let policy = match rekey_interval {
-                Some(n) => policy.with_rekey_interval(*n),
-                None => policy,
-            };
+            for &ctx in keyed {
+                let _ = policy.key_of(ctx);
+            }
+            if let Some(n) = rekey_interval {
+                policy = policy.with_rekey_interval(*n);
+            }
             sys.set_policy(Box::new(policy));
         }
         Mitigation::PartitionedBpu { partitions } => {
@@ -239,23 +222,13 @@ pub fn benign_overhead(mitigation: &Mitigation, profile: &MicroarchProfile, seed
             )));
         }
         Mitigation::NoPredictSensitive => {
-            // The developer flagged this (hot!) branch as sensitive.
-            sys.set_policy(Box::new(NoPredictPolicy::new().with_protected(app_ctx, hot_branch)));
+            let (ctx, addr) = protected;
+            sys.set_policy(Box::new(NoPredictPolicy::new().with_protected(ctx, addr)));
         }
         Mitigation::StochasticFsm { skip_probability } => {
-            sys.set_policy(Box::new(crate::stochastic_fsm::StochasticFsmPolicy::new(
-                *skip_probability,
-                seed ^ 0x570C,
-            )));
+            sys.set_policy(Box::new(StochasticFsmPolicy::new(*skip_probability, seed ^ 0x570C)));
         }
     }
-    let iterations = 4_000u64;
-    for i in 0..iterations {
-        let taken = i % 8 != 7;
-        sys.cpu(app).branch_at(0x50, bscope_bpu::Outcome::from_bool(taken));
-    }
-    let counters = sys.cpu(app).counters();
-    counters.branch_misses as f64 / counters.branches_retired as f64
 }
 
 #[cfg(test)]

@@ -66,12 +66,6 @@ impl SlowdownScheduler {
         SlowdownScheduler::new(1)
     }
 
-    /// Steps granted per slice.
-    #[must_use]
-    pub fn steps_per_slice(&self) -> usize {
-        self.victim_steps_per_slice
-    }
-
     /// Runs one attack round. Returns the trace for this round.
     pub fn round<W: Workload>(
         &self,

@@ -91,12 +91,6 @@ impl System {
         }
     }
 
-    /// Number of physical cores.
-    #[must_use]
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Enables or disables background noise on every core.
     ///
     /// # Errors
@@ -218,16 +212,6 @@ impl System {
     #[must_use]
     pub fn core_mut(&mut self) -> &mut SimCore {
         &mut self.cores[0]
-    }
-
-    /// Read access to a specific core.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[must_use]
-    pub fn core_at(&self, index: usize) -> &SimCore {
-        &self.cores[index]
     }
 }
 

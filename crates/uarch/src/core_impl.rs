@@ -7,8 +7,7 @@ use crate::noise::NoiseConfig;
 use crate::policy::{BpuPolicy, MeasurementFuzz, NoPolicy};
 use crate::timing::TimingModel;
 use bscope_bpu::{
-    HybridPredictor, MicroarchProfile, Outcome, Prediction, PredictorBackend, PredictorKind,
-    VirtAddr,
+    BackendKind, MicroarchProfile, Outcome, Prediction, PredictorBackend, PredictorKind, VirtAddr,
 };
 use bscope_trace::{Span, TraceEvent, Tracer};
 use rand::rngs::StdRng;
@@ -86,7 +85,7 @@ impl SimCore {
     /// hybrid predictor, all randomness derived from `seed`.
     #[must_use]
     pub fn new(profile: MicroarchProfile, seed: u64) -> Self {
-        SimCore::with_backend(PredictorBackend::Hybrid(HybridPredictor::new(profile)), seed)
+        SimCore::with_backend(BackendKind::Hybrid.build(profile), seed)
     }
 
     /// Creates a core running on an explicit predictor backend (see
@@ -173,13 +172,6 @@ impl SimCore {
         std::mem::take(&mut self.tracer)
     }
 
-    /// Exclusive access to the tracer (emit sites outside the core, e.g.
-    /// attack-stage spans, go through this).
-    #[must_use]
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
-    }
-
     /// Emits a [`Span`] begin marker stamped with the current simulated
     /// time. Free when the tracer is disabled.
     pub fn trace_span_begin(&mut self, span: Span) {
@@ -262,19 +254,6 @@ impl SimCore {
         target: Option<VirtAddr>,
     ) -> BranchEvent {
         self.inject_pending_noise();
-        self.execute_branch_quiet(ctx, addr, outcome, target)
-    }
-
-    /// Executes a branch *without* triggering noise injection. Used for the
-    /// noise branches themselves and by schedulers that manage interleaving
-    /// explicitly.
-    pub fn execute_branch_quiet(
-        &mut self,
-        ctx: ContextId,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-    ) -> BranchEvent {
         let cold = !self.icache.touch(addr);
         // Set when the BPU commit path ran for a taken branch (the only
         // case that installs a BTB entry); feeds the trace event below.
@@ -377,12 +356,6 @@ impl SimCore {
         if n > 0 {
             self.inject_noise_burst(n);
         }
-    }
-
-    /// Fresh deterministic RNG stream derived from the core's seed stream,
-    /// for experiment code that needs auxiliary randomness.
-    pub fn fork_rng(&mut self) -> StdRng {
-        StdRng::seed_from_u64(self.rng.gen())
     }
 }
 

@@ -5,8 +5,8 @@
 //!
 //! * [`SimCore`] — a core that executes conditional branches against a
 //!   shared [`PredictorBackend`](bscope_bpu::PredictorBackend) — the paper's
-//!   [`HybridPredictor`](bscope_bpu::HybridPredictor) by default
-//!   ([`SimCore::new`]), or the TAGE / perceptron substrates via
+//!   hybrid predictor by default ([`SimCore::new`]), or the TAGE /
+//!   perceptron substrates via
 //!   [`SimCore::with_backend`] — charges cycles for them and exposes the
 //!   two measurement channels the paper's attacker uses: **performance
 //!   counters** (§7) and the **timestamp counter** (§8);

@@ -2,10 +2,99 @@
 
 use branchscope::attack::{AttackConfig, BranchScope, DirectionDict, ProbeKind};
 use branchscope::bpu::{
-    BackendKind, CounterKind, HybridPredictor, MicroarchProfile, Outcome, PhtState,
+    BackendKind, CounterKind, MicroarchProfile, Outcome, PhtState, PredictorKind,
 };
 use branchscope::os::{AslrPolicy, System};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The Figure 1 front end written out straight-line over flat arrays: the
+/// bimodal and gshare PHTs, a `0..=7` chooser with threshold 4, a
+/// direct-mapped BTB of `(tag, target)` and a masked GHR. It shares no code
+/// with `bscope-bpu`, so lockstep agreement checks the backend's selection
+/// logic, chooser training and restart, and BTB/GHR commit order.
+struct RefHybrid {
+    max_level: u8,
+    bimodal: Vec<u8>,
+    gshare: Vec<u8>,
+    chooser: Vec<u8>,
+    btb: Vec<Option<(u64, u64)>>,
+    ghr: u64,
+    ghr_mask: u64,
+}
+
+/// One dynamic branch as the reference model saw it.
+#[derive(Debug, PartialEq)]
+struct RefPrediction {
+    taken: bool,
+    btb_hit: bool,
+    used_gshare: bool,
+    target: Option<u64>,
+}
+
+impl RefHybrid {
+    fn new(p: &MicroarchProfile) -> Self {
+        RefHybrid {
+            max_level: if p.counter_kind == CounterKind::SkylakeAsymmetric { 4 } else { 3 },
+            bimodal: vec![1; p.pht_size],
+            gshare: vec![1; p.pht_size],
+            chooser: vec![0; p.selector_size],
+            btb: vec![None; p.btb_size],
+            ghr: 0,
+            ghr_mask: (1 << p.ghr_bits) - 1,
+        }
+    }
+
+    fn execute(&mut self, addr: u64, taken: bool) -> RefPrediction {
+        let b = (addr % self.bimodal.len() as u64) as usize;
+        let g = ((addr ^ self.ghr) % self.gshare.len() as u64) as usize;
+        let c = (addr % self.chooser.len() as u64) as usize;
+        let set = (addr % self.btb.len() as u64) as usize;
+        let tag = addr / self.btb.len() as u64;
+        let bimodal = self.bimodal[b] >= 2;
+        let gshare = self.gshare[g] >= 2;
+        let entry = self.btb[set].filter(|&(t, _)| t == tag);
+        let btb_hit = entry.is_some();
+        let used_gshare = btb_hit && self.chooser[c] >= 4;
+        let direction = if used_gshare { gshare } else { bimodal };
+        let step = |level: &mut u8, max: u8| {
+            *level = if taken { (*level + 1).min(max) } else { level.saturating_sub(1) };
+        };
+        step(&mut self.bimodal[b], self.max_level);
+        step(&mut self.gshare[g], self.max_level);
+        // Only BTB-resident branches train the chooser, and only when the
+        // components disagree.
+        if btb_hit && bimodal != gshare {
+            let level = &mut self.chooser[c];
+            *level = if gshare == taken { (*level + 1).min(7) } else { level.saturating_sub(1) };
+        }
+        self.ghr = ((self.ghr << 1) | u64::from(taken)) & self.ghr_mask;
+        if taken {
+            // A taken branch that missed allocates its BTB entry and
+            // restarts its chooser strongly bimodal.
+            if !btb_hit {
+                self.chooser[c] = 0;
+            }
+            self.btb[set] = Some((tag, addr + 2));
+        }
+        RefPrediction {
+            taken: direction,
+            btb_hit,
+            used_gshare,
+            target: entry.filter(|_| direction).map(|(_, target)| target),
+        }
+    }
+
+    fn pht_state(&self, index: usize) -> PhtState {
+        match (self.bimodal[index], self.max_level) {
+            (0, _) => PhtState::StronglyNotTaken,
+            (1, _) => PhtState::WeaklyNotTaken,
+            (2, _) | (3, 4) => PhtState::WeaklyTaken,
+            _ => PhtState::StronglyTaken,
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -34,8 +123,8 @@ proptest! {
     fn hybrid_predictors_stay_in_lockstep(
         trace in proptest::collection::vec((0u64..2048, any::<bool>()), 1..300),
     ) {
-        let mut a = HybridPredictor::new(MicroarchProfile::haswell());
-        let mut b = HybridPredictor::new(MicroarchProfile::haswell());
+        let mut a = BackendKind::Hybrid.build(MicroarchProfile::haswell());
+        let mut b = BackendKind::Hybrid.build(MicroarchProfile::haswell());
         for &(addr, taken) in &trace {
             let (pa, _) = a.execute(addr, Outcome::from_bool(taken), None);
             let (pb, _) = b.execute(addr, Outcome::from_bool(taken), None);
@@ -43,32 +132,57 @@ proptest! {
         }
     }
 
-    /// Backend-dispatch property: a hybrid driven through the
-    /// `PredictorBackend` enum stays in perfect lockstep with a
-    /// directly-driven `HybridPredictor` — identical prediction stream,
-    /// identical correctness bits, and identical PHT states everywhere —
-    /// for any branch/outcome sequence. The enum adds behaviour-preserving
-    /// dispatch, nothing else.
+    /// The hybrid backend agrees branch by branch with [`RefHybrid`] on
+    /// every paper machine: direction, BTB hit, component used, target and
+    /// correctness, then every bimodal PHT entry and the GHR at the end.
+    ///
+    /// Random addresses almost never hit the BTB or migrate a chooser, so
+    /// the stream is a loop body of six branches, each repeating its own
+    /// outcome pattern (period 2-6, never constant) with a rare flip, plus
+    /// occasional taken executions of two BTB aliases of the first branch,
+    /// which evict its entry and so restart its chooser.
     #[test]
-    fn enum_dispatched_hybrid_matches_direct_hybrid(
-        trace in proptest::collection::vec((0u64..8192, any::<bool>()), 1..300),
-    ) {
-        let mut direct = HybridPredictor::new(MicroarchProfile::skylake());
-        let mut dispatched = BackendKind::Hybrid.build(MicroarchProfile::skylake());
-        for &(addr, taken) in &trace {
-            let outcome = Outcome::from_bool(taken);
-            let (pd, cd) = direct.execute(addr, outcome, None);
-            let (pb, cb) = dispatched.execute(addr, outcome, None);
-            prop_assert_eq!(pd, pb, "prediction diverged at {}", addr);
-            prop_assert_eq!(cd, cb, "correctness diverged at {}", addr);
+    fn hybrid_backend_matches_reference_model(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for profile in MicroarchProfile::paper_machines() {
+            let mut backend = BackendKind::Hybrid.build(profile.clone());
+            let mut model = RefHybrid::new(&profile);
+            // (address, period, pattern): bit 0 taken and bit 1 not taken,
+            // so no pattern is constant.
+            let branches: Vec<(u64, u64, u64)> = (0..6u64)
+                .map(|i| (0x40_0000 + i * 0x1f3, rng.gen_range(2..7), (rng.gen::<u64>() | 1) & !2))
+                .collect();
+            let first = branches[0].0;
+            let aliases = [first + profile.btb_size as u64, first + 2 * profile.btb_size as u64];
+            let mut stream = Vec::new();
+            for iter in 0..400u64 {
+                for &(addr, period, pattern) in &branches {
+                    let taken = (pattern >> (iter % period)) & 1 == 1;
+                    stream.push((addr, taken ^ rng.gen_bool(0.01)));
+                }
+                if rng.gen_bool(0.05) {
+                    stream.push((aliases[rng.gen_range(0..2)], true));
+                }
+            }
+            for (addr, taken) in stream {
+                let want = model.execute(addr, taken);
+                let (got, correct) = backend.execute(addr, Outcome::from_bool(taken), None);
+                let got_view = RefPrediction {
+                    taken: got.direction.is_taken(),
+                    btb_hit: got.btb_hit,
+                    used_gshare: got.used == PredictorKind::Gshare,
+                    target: got.target,
+                };
+                prop_assert_eq!(&got_view, &want, "{:?} at {:#x}", profile.arch, addr);
+                prop_assert_eq!(correct, want.taken == taken);
+            }
+            let arch = profile.arch;
+            prop_assert!(backend.stats().gshare_used > 0, "{:?}: chooser never migrated", arch);
+            for index in 0..profile.pht_size {
+                prop_assert_eq!(backend.pht_state(index as u64), model.pht_state(index));
+            }
+            prop_assert_eq!(backend.ghr().value(), model.ghr);
         }
-        // Whole-PHT agreement, not just the addresses the trace visited.
-        let pht_size = direct.profile().pht_size as u64;
-        for addr in 0..pht_size {
-            prop_assert_eq!(direct.bimodal_state(addr), dispatched.pht_state(addr));
-        }
-        prop_assert_eq!(direct.stats(), dispatched.stats());
-        prop_assert_eq!(direct.ghr().value(), dispatched.ghr().value());
     }
 
     /// Priming is idempotent at the architectural level: after a prime, the

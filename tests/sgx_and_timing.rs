@@ -112,8 +112,7 @@ fn timing_probe_separates_strong_states() {
     for i in 0..trials {
         let state =
             if i % 2 == 0 { PhtState::StronglyNotTaken } else { PhtState::WeaklyNotTaken };
-        sys.core_mut().bpu_mut().btb_mut().evict(addr);
-        sys.core_mut().bpu_mut().as_hybrid_mut().unwrap().selector_mut().set_level(addr, 0);
+        sys.core_mut().bpu_mut().forget_branch(addr);
         sys.core_mut().bpu_mut().set_pht_state(addr, state);
         let pattern = detector.probe_with_timing(&mut sys.cpu(spy), addr, ProbeKind::TakenTaken);
         let want_second_hit = state == PhtState::WeaklyNotTaken;
