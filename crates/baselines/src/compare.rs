@@ -4,7 +4,7 @@ use crate::btb_evict::BtbEvictAttack;
 use crate::shadowing::ShadowingAttack;
 use bscope_bpu::{MicroarchProfile, Outcome};
 use bscope_core::{AttackConfig, BranchScope};
-use bscope_os::{AslrPolicy, System};
+use bscope_os::{AslrPolicy, Pid, System};
 use bscope_victims::VICTIM_BRANCH_OFFSET;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,8 +62,32 @@ impl fmt::Display for AttackComparison {
     }
 }
 
-fn accuracy(correct: usize, total: usize) -> f64 {
-    correct as f64 / total as f64
+/// Reads every bit of `secret` with one attack's `read_bit` and returns
+/// the fraction read correctly. The trigger handed to `read_bit` is the
+/// victim's secret branch, between two BTB flushes when `flush_btb` is set.
+fn accuracy(
+    sys: &mut System,
+    victim: Pid,
+    secret: &[Outcome],
+    flush_btb: bool,
+    mut read_bit: impl FnMut(&mut System, &mut dyn FnMut(&mut System)) -> Outcome,
+) -> f64 {
+    let correct = secret
+        .iter()
+        .filter(|&&s| {
+            let mut trigger = |sys: &mut System| {
+                if flush_btb {
+                    sys.core_mut().bpu_mut().btb_mut().clear();
+                }
+                sys.cpu(victim).branch_at(VICTIM_BRANCH_OFFSET, s);
+                if flush_btb {
+                    sys.core_mut().bpu_mut().btb_mut().clear();
+                }
+            };
+            read_bit(sys, &mut trigger) == s
+        })
+        .count();
+    correct as f64 / secret.len() as f64
 }
 
 /// Runs BranchScope, branch shadowing and the BTB eviction attack against
@@ -80,7 +104,7 @@ pub fn compare_attacks(profile: &MicroarchProfile, bits: usize, seed: u64) -> At
 
     // Each attack measures on a fresh machine so residue from one attack
     // cannot contaminate another's calibration.
-    let fresh = |seed: u64| -> (System, bscope_os::Pid, bscope_os::Pid, u64) {
+    let fresh = |seed: u64| -> (System, Pid, Pid, u64) {
         let mut sys = System::new(profile.clone(), seed);
         let victim = sys.spawn("victim", AslrPolicy::Disabled);
         let spy = sys.spawn("spy", AslrPolicy::Disabled);
@@ -89,71 +113,28 @@ pub fn compare_attacks(profile: &MicroarchProfile, bits: usize, seed: u64) -> At
     };
 
     let run = |flush_btb: bool, seed: u64| -> (f64, f64, f64) {
-        // BranchScope.
         let (mut sys, victim, spy, target) = fresh(seed);
         let mut bscope =
             BranchScope::new(AttackConfig::for_profile(profile)).expect("valid config");
-        let mut bscope_ok = 0;
-        for &s in &secret {
-            let read = bscope.read_bit(&mut sys, spy, target, |sys| {
-                if flush_btb {
-                    sys.core_mut().bpu_mut().btb_mut().clear();
-                }
-                sys.cpu(victim).branch_at(VICTIM_BRANCH_OFFSET, s);
-                if flush_btb {
-                    sys.core_mut().bpu_mut().btb_mut().clear();
-                }
-            });
-            if read == s {
-                bscope_ok += 1;
-            }
-        }
+        let bscope_acc = accuracy(&mut sys, victim, &secret, flush_btb, |sys, trigger| {
+            bscope.read_bit(sys, spy, target, trigger)
+        });
 
-        // Branch shadowing.
         let (mut sys, victim, spy, target) = fresh(seed ^ 0x10);
         let mut shadow = ShadowingAttack::new(target);
         shadow.calibrate(&mut sys, spy);
-        let mut shadow_ok = 0;
-        for &s in &secret {
-            let read = shadow.read_bit(&mut sys, spy, 81, |sys| {
-                if flush_btb {
-                    sys.core_mut().bpu_mut().btb_mut().clear();
-                }
-                sys.cpu(victim).branch_at(VICTIM_BRANCH_OFFSET, s);
-                if flush_btb {
-                    sys.core_mut().bpu_mut().btb_mut().clear();
-                }
-            });
-            if read == s {
-                shadow_ok += 1;
-            }
-        }
+        let shadow_acc = accuracy(&mut sys, victim, &secret, flush_btb, |sys, trigger| {
+            shadow.read_bit(sys, spy, 81, trigger)
+        });
 
-        // BTB eviction.
         let (mut sys, victim, spy, target) = fresh(seed ^ 0x20);
         let mut evict = BtbEvictAttack::new(target);
         evict.calibrate(&mut sys, spy, 60);
-        let mut evict_ok = 0;
-        for &s in &secret {
-            let read = evict.read_bit(&mut sys, spy, 41, |sys| {
-                if flush_btb {
-                    sys.core_mut().bpu_mut().btb_mut().clear();
-                }
-                sys.cpu(victim).branch_at(VICTIM_BRANCH_OFFSET, s);
-                if flush_btb {
-                    sys.core_mut().bpu_mut().btb_mut().clear();
-                }
-            });
-            if read == s {
-                evict_ok += 1;
-            }
-        }
+        let evict_acc = accuracy(&mut sys, victim, &secret, flush_btb, |sys, trigger| {
+            evict.read_bit(sys, spy, 41, trigger)
+        });
 
-        (
-            accuracy(bscope_ok, bits),
-            accuracy(shadow_ok, bits),
-            accuracy(evict_ok, bits),
-        )
+        (bscope_acc, shadow_acc, evict_acc)
     };
 
     let (bs_open, sh_open, ev_open) = run(false, seed ^ 1);

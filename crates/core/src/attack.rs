@@ -150,8 +150,10 @@ impl BranchScope {
     /// observed pattern (stage 3 observation, before decoding).
     ///
     /// `trigger` is the stage-2 action: it must cause the victim to execute
-    /// the monitored branch exactly once (slowed-down scheduling or SGX
-    /// single-stepping provide this; see `bscope-os`).
+    /// the monitored branch exactly once, the effect of the threat model's
+    /// victim slowdown. Typically it steps the victim's `Workload` once on
+    /// its `CpuView`, or single-steps an SGX enclave
+    /// (`Enclave::single_step`).
     pub fn observe_bit(
         &mut self,
         sys: &mut System,

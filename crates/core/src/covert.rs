@@ -9,7 +9,7 @@
 use crate::attack::{AttackConfig, BranchScope};
 use crate::error::AttackError;
 use bscope_bpu::Outcome;
-use bscope_os::{CpuView, Enclave, EnclaveController, Pid, System, Workload};
+use bscope_os::{CpuView, Enclave, Pid, System, Workload};
 
 /// Code offset (within the sender binary) of the transmitting branch —
 /// the `0x6d` of the paper's Listing 2 disassembly.
@@ -133,7 +133,7 @@ impl CovertChannel {
 
     /// Receives from inside an SGX enclave (§9.2): the enclave runs an
     /// [`EnclaveSender`] workload; the attacker-controlled OS single-steps
-    /// it between receiver rounds with `controller`.
+    /// it ([`Enclave::single_step`]) as each round's stage 2.
     ///
     /// Returns only what the receiver actually learns ([`ReceivedBits`]);
     /// score it against the ground-truth secret with
@@ -142,7 +142,6 @@ impl CovertChannel {
         &mut self,
         sys: &mut System,
         enclave: &mut Enclave<EnclaveSender>,
-        controller: &EnclaveController,
         receiver: Pid,
         n_bits: usize,
     ) -> ReceivedBits {
@@ -154,7 +153,7 @@ impl CovertChannel {
                 break;
             }
             let outcome = self.attack.read_bit(sys, receiver, target, |sys| {
-                controller.resume(sys, enclave);
+                enclave.single_step(sys);
             });
             bits.push(outcome.is_taken());
         }
@@ -295,14 +294,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         let secret: Vec<bool> = (0..300).map(|_| rng.gen()).collect();
         let mut enclave = Enclave::launch(&mut sys, "trojan-enclave", EnclaveSender::new(secret.clone()));
-        let controller = EnclaveController::new();
-        let received = channel_for(&profile).receive_from_enclave(
-            &mut sys,
-            &mut enclave,
-            &controller,
-            receiver,
-            secret.len(),
-        );
+        let received =
+            channel_for(&profile).receive_from_enclave(&mut sys, &mut enclave, receiver, secret.len());
         assert_eq!(received.bits.len(), secret.len());
         let res = received.score(&secret);
         assert_eq!(res.errors, 0, "noiseless SGX channel must be exact");

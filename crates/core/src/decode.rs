@@ -7,7 +7,7 @@ use std::fmt;
 
 /// Simulates one probe pair on a counter, returning the observed pattern
 /// and leaving the counter in its post-probe state.
-fn run_probe(counter: &mut Counter, probe: ProbeKind) -> ProbePattern {
+pub(crate) fn run_probe(counter: &mut Counter, probe: ProbeKind) -> ProbePattern {
     let first = counter.access(probe.outcome());
     let second = counter.access(probe.outcome());
     ProbePattern::from_hits(first, second)

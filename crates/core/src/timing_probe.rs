@@ -8,6 +8,7 @@
 //! measurement, and amortises residual noise by averaging several
 //! measurements (Fig. 8).
 
+use crate::decode::run_probe;
 use crate::error::AttackError;
 use crate::probe::{ProbeKind, ProbePattern};
 use bscope_bpu::{Outcome, PhtState, VirtAddr};
@@ -165,22 +166,17 @@ pub fn probe_latency_by_state(
     reps: usize,
 ) -> ProbeLatencyStats {
     let addr = 0x7d_0000u64;
-    let counter_kind = sys.core().profile().counter_kind;
+    // Expected pattern from the FSM model (ground truth for the figure
+    // annotation).
+    let expected = run_probe(&mut sys.core().profile().counter_kind.counter_in(state), kind);
     let mut firsts = Vec::with_capacity(reps);
     let mut seconds = Vec::with_capacity(reps);
-    let mut expected = ProbePattern::HH;
     for _ in 0..reps {
         // Evict the BTB entry and restart the chooser — the state a fresh
         // prime stage leaves behind — so the figure measures the PHT effect
         // in isolation, as the paper's controlled experiments do.
         sys.core_mut().bpu_mut().forget_branch(addr);
         sys.core_mut().bpu_mut().set_pht_state(addr, state);
-        // Expected pattern from the FSM model (ground truth for the figure
-        // annotation).
-        let mut c = counter_kind.counter_in(state);
-        let f = c.access(kind.outcome());
-        let s = c.access(kind.outcome());
-        expected = ProbePattern::from_hits(f, s);
         let mut cpu = sys.cpu(spy);
         firsts.push(cpu.branch_at_abs(addr, kind.outcome()).latency);
         seconds.push(cpu.branch_at_abs(addr, kind.outcome()).latency);

@@ -5,7 +5,7 @@ use bscope_bpu::MicroarchProfile;
 use bscope_core::covert::{CovertChannel, EnclaveSender};
 use bscope_core::{AttackConfig, BscopeError};
 use bscope_harness::splitmix64;
-use bscope_os::{AslrPolicy, Enclave, EnclaveController, System};
+use bscope_os::{AslrPolicy, Enclave, System};
 use bscope_uarch::NoiseConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,12 +39,11 @@ fn one_run(
     let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ 0x561));
     let secret = payload(bits, &mut rng);
     let mut enclave = Enclave::launch(&mut sys, "trojan-enclave", EnclaveSender::new(secret.clone()));
-    let controller = EnclaveController::new();
     // The attacker-controlled OS single-steps the enclave; in the
     // isolated setting it also prevents any other activity.
     let mut channel = CovertChannel::new(AttackConfig::for_profile(&profile)).expect("valid config");
     let received = with_tracer(&mut sys, tracer, |sys| {
-        channel.receive_from_enclave(sys, &mut enclave, &controller, receiver, secret.len())
+        channel.receive_from_enclave(sys, &mut enclave, receiver, secret.len())
     });
     received.score(&secret).error_rate
 }

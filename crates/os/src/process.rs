@@ -35,7 +35,6 @@ pub enum AslrPolicy {
 /// address that offsets every branch the process executes.
 #[derive(Debug, Clone)]
 pub struct Process {
-    pid: Pid,
     ctx: ContextId,
     code_base: VirtAddr,
     name: String,
@@ -50,7 +49,6 @@ pub(crate) const ASLR_SPAN: u64 = 1 << 28;
 
 impl Process {
     pub(crate) fn new<R: Rng + ?Sized>(
-        pid: Pid,
         ctx: ContextId,
         name: &str,
         policy: AslrPolicy,
@@ -62,13 +60,7 @@ impl Process {
                 DEFAULT_CODE_BASE + (rng.gen_range(0..ASLR_SPAN) & !0xfff)
             }
         };
-        Process { pid, ctx, code_base, name: name.to_owned() }
-    }
-
-    /// The process identifier.
-    #[must_use]
-    pub fn pid(&self) -> Pid {
-        self.pid
+        Process { ctx, code_base, name: name.to_owned() }
     }
 
     /// The hardware context this process runs in.
@@ -100,8 +92,8 @@ impl Process {
 ///
 /// One *step* is the unit the attacker's slowdown gives the victim: in the
 /// paper's high-resolution attack, a single secret-dependent branch plus its
-/// surrounding non-branch work. Victims, covert-channel senders and noise
-/// generators all implement this.
+/// surrounding non-branch work. Victims and covert-channel senders
+/// implement this; the stage-2 trigger of an attack round steps them once.
 pub trait Workload {
     /// Executes the next step. Returns `false` when the workload finished.
     fn step(&mut self, cpu: &mut CpuView<'_>) -> bool;
@@ -129,7 +121,7 @@ mod tests {
     #[test]
     fn disabled_aslr_uses_fixed_base() {
         let mut rng = StdRng::seed_from_u64(0);
-        let p = Process::new(Pid(1), 0, "victim", AslrPolicy::Disabled, &mut rng);
+        let p = Process::new(0, "victim", AslrPolicy::Disabled, &mut rng);
         assert_eq!(p.code_base(), DEFAULT_CODE_BASE);
         assert_eq!(p.vaddr_of(0x6d), DEFAULT_CODE_BASE + 0x6d);
     }
@@ -137,8 +129,8 @@ mod tests {
     #[test]
     fn aslr_bases_are_page_aligned_and_in_span() {
         let mut rng = StdRng::seed_from_u64(1);
-        for i in 0..100 {
-            let p = Process::new(Pid(i), 0, "v", AslrPolicy::Randomized, &mut rng);
+        for _ in 0..100 {
+            let p = Process::new(0, "v", AslrPolicy::Randomized, &mut rng);
             assert_eq!(p.code_base() & 0xfff, 0, "page aligned");
             assert!(p.code_base() >= DEFAULT_CODE_BASE);
             assert!(p.code_base() < DEFAULT_CODE_BASE + ASLR_SPAN);
@@ -148,8 +140,8 @@ mod tests {
     #[test]
     fn aslr_bases_differ_between_processes() {
         let mut rng = StdRng::seed_from_u64(2);
-        let a = Process::new(Pid(1), 0, "a", AslrPolicy::Randomized, &mut rng);
-        let b = Process::new(Pid(2), 1, "b", AslrPolicy::Randomized, &mut rng);
+        let a = Process::new(0, "a", AslrPolicy::Randomized, &mut rng);
+        let b = Process::new(1, "b", AslrPolicy::Randomized, &mut rng);
         assert_ne!(a.code_base(), b.code_base());
     }
 

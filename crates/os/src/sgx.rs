@@ -10,15 +10,12 @@ use std::fmt;
 pub enum SgxError {
     /// Direct access to enclave memory was attempted from outside.
     ProtectedMemory,
-    /// The enclave program already ran to completion.
-    Finished,
 }
 
 impl fmt::Display for SgxError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             SgxError::ProtectedMemory => "enclave memory is protected from outside access",
-            SgxError::Finished => "enclave program has finished",
         })
     }
 }
@@ -33,6 +30,11 @@ impl Error for SgxError {}
 /// the BPU, which is exactly what BranchScope exploits. The enclave's
 /// secret lives inside the `Workload`; the only architectural output the
 /// outside world gets is [`SgxError::ProtectedMemory`].
+///
+/// The attacker controls the OS: it runs the enclave one step at a time
+/// with [`Enclave::single_step`] and can stop all other activity on the
+/// core with [`System::set_noise`]`(None)` ("SGX isolated" rows of
+/// Table 3).
 #[derive(Debug)]
 pub struct Enclave<W> {
     pid: Pid,
@@ -77,76 +79,17 @@ impl<W: Workload> Enclave<W> {
         Err(SgxError::ProtectedMemory)
     }
 
-    fn step(&mut self, sys: &mut System) -> bool {
+    /// Single-steps the enclave, as the malicious OS of the SGX threat
+    /// model does by interrupting it after every instruction (§9.2, as in
+    /// branch-shadowing attacks). Returns whether a step ran: once the
+    /// program has finished, nothing runs and this returns `false`.
+    pub fn single_step(&mut self, sys: &mut System) -> bool {
         if self.finished {
             return false;
         }
-        let mut cpu = sys.cpu(self.pid);
-        let more = self.program.step(&mut cpu);
+        self.finished = !self.program.step(&mut sys.cpu(self.pid));
         self.steps_executed += 1;
-        self.finished = !more;
-        more
-    }
-}
-
-/// The malicious operating system of the SGX threat model (§9.2).
-///
-/// "The control over the OS gives the attacker unique capabilities":
-/// configure the APIC so the enclave is interrupted after a chosen number
-/// of instructions (precise single-stepping, as in branch-shadowing
-/// attacks), and suppress all other activity on the core ("SGX isolated"
-/// rows of Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EnclaveController {
-    interrupt_interval: usize,
-}
-
-impl EnclaveController {
-    /// A controller interrupting the enclave after every step — the
-    /// high-resolution configuration the attack uses.
-    #[must_use]
-    pub fn new() -> Self {
-        EnclaveController { interrupt_interval: 1 }
-    }
-
-    /// Configures the APIC-style timer to interrupt after `steps` enclave
-    /// steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps` is zero.
-    pub fn set_interrupt_interval(&mut self, steps: usize) {
-        assert!(steps > 0, "interrupt interval must be at least one step");
-        self.interrupt_interval = steps;
-    }
-
-    /// Current interrupt interval.
-    #[must_use]
-    pub fn interrupt_interval(&self) -> usize {
-        self.interrupt_interval
-    }
-
-    /// Resumes the enclave until the next interrupt (or completion).
-    /// Returns the number of steps that actually ran.
-    pub fn resume<W: Workload>(&self, sys: &mut System, enclave: &mut Enclave<W>) -> usize {
-        let mut steps = 0;
-        while steps < self.interrupt_interval && !enclave.finished {
-            enclave.step(sys);
-            steps += 1;
-        }
-        steps
-    }
-
-    /// The attacker-controlled OS prevents other processes from running —
-    /// removing the noise source entirely (Table 3, "SGX isolated").
-    pub fn suppress_noise(&self, sys: &mut System) {
-        sys.set_noise(None).expect("disabling noise is always valid");
-    }
-}
-
-impl Default for EnclaveController {
-    fn default() -> Self {
-        EnclaveController::new()
+        true
     }
 }
 
@@ -155,7 +98,6 @@ mod tests {
     use super::*;
     use crate::system::CpuView;
     use bscope_bpu::{MicroarchProfile, Outcome, PhtState};
-    use bscope_uarch::NoiseConfig;
 
     struct SecretSender {
         bits: Vec<bool>,
@@ -184,14 +126,13 @@ mod tests {
     }
 
     #[test]
-    fn controller_single_steps_enclave() {
+    fn single_step_runs_one_step() {
         let mut sys = System::new(MicroarchProfile::skylake(), 2);
         let mut enclave = Enclave::launch(&mut sys, "enclave", SecretSender {
             bits: vec![true, false, true],
             next: 0,
         });
-        let ctrl = EnclaveController::new();
-        assert_eq!(ctrl.resume(&mut sys, &mut enclave), 1);
+        assert!(enclave.single_step(&mut sys));
         assert_eq!(enclave.steps_executed(), 1);
         assert!(!enclave.finished());
     }
@@ -205,51 +146,20 @@ mod tests {
             bits: vec![true, true, true],
             next: 0,
         });
-        let ctrl = EnclaveController::new();
-        while !enclave.finished() {
-            if ctrl.resume(&mut sys, &mut enclave) == 0 {
-                break;
-            }
-        }
+        while enclave.single_step(&mut sys) {}
+        assert_eq!(enclave.steps_executed(), 3);
         let addr = sys.process(enclave.pid()).vaddr_of(0x6d);
         assert_eq!(sys.core().bpu().pht_state(addr), PhtState::StronglyTaken);
     }
 
     #[test]
-    fn suppress_noise_silences_background() {
-        let mut sys =
-            System::new(MicroarchProfile::skylake(), 4).with_noise(NoiseConfig::heavy()).unwrap();
-        let p = sys.spawn("spy", AslrPolicy::Disabled);
-        EnclaveController::new().suppress_noise(&mut sys);
-        let before = sys.core().bpu().stats().branches;
-        for i in 0..100 {
-            sys.cpu(p).branch_at(i * 3, Outcome::Taken);
-        }
-        let executed = sys.core().bpu().stats().branches - before;
-        assert_eq!(executed, 100, "no noise branches once suppressed");
-    }
-
-    #[test]
-    fn interval_validation() {
-        let mut ctrl = EnclaveController::new();
-        ctrl.set_interrupt_interval(5);
-        assert_eq!(ctrl.interrupt_interval(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one step")]
-    fn zero_interval_rejected() {
-        EnclaveController::new().set_interrupt_interval(0);
-    }
-
-    #[test]
-    fn resume_on_finished_enclave_is_zero() {
+    fn single_step_on_finished_enclave_runs_nothing() {
         let mut sys = System::new(MicroarchProfile::skylake(), 5);
         let mut enclave =
             Enclave::launch(&mut sys, "enclave", SecretSender { bits: vec![true], next: 0 });
-        let ctrl = EnclaveController::new();
-        assert_eq!(ctrl.resume(&mut sys, &mut enclave), 1, "the last step is counted");
+        assert!(enclave.single_step(&mut sys), "the last step runs");
         assert!(enclave.finished());
-        assert_eq!(ctrl.resume(&mut sys, &mut enclave), 0);
+        assert!(!enclave.single_step(&mut sys));
+        assert_eq!(enclave.steps_executed(), 1);
     }
 }

@@ -2,10 +2,11 @@
 
 use crate::process::{AslrPolicy, Pid, Process};
 use bscope_bpu::{BackendKind, MicroarchProfile, Outcome, VirtAddr};
-use bscope_uarch::{BranchEvent, NoiseConfig, PerfCounters, SimCore};
+use bscope_uarch::{
+    BpuPolicy, BranchEvent, ConfigError, MeasurementFuzz, NoiseConfig, PerfCounters, SimCore,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, Mutex};
 
 /// A single-core system hosting co-resident processes.
 ///
@@ -27,9 +28,8 @@ use std::sync::{Arc, Mutex};
 /// ```
 #[derive(Debug)]
 pub struct System {
-    cores: Vec<SimCore>,
+    core: SimCore,
     processes: Vec<Process>,
-    core_of: Vec<usize>,
     rng: StdRng,
 }
 
@@ -39,138 +39,61 @@ impl System {
     /// paper's hybrid predictor.
     #[must_use]
     pub fn new(profile: MicroarchProfile, seed: u64) -> Self {
-        System::with_cores(profile, seed, 1)
+        System::with_backend(profile, BackendKind::Hybrid, seed)
     }
 
     /// Creates a single-core system on an explicit predictor backend;
     /// [`System::new`] is the [`BackendKind::Hybrid`] special case.
     #[must_use]
     pub fn with_backend(profile: MicroarchProfile, backend: BackendKind, seed: u64) -> Self {
-        System::with_cores_backend(profile, backend, seed, 1)
-    }
-
-    /// Creates a system with `cores` physical cores, each with its own
-    /// (unshared) branch prediction unit. Processes on different cores
-    /// share *nothing* the attack can use — the negative control for the
-    /// threat model's co-residency requirement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero.
-    #[must_use]
-    pub fn with_cores(profile: MicroarchProfile, seed: u64, cores: usize) -> Self {
-        System::with_cores_backend(profile, BackendKind::Hybrid, seed, cores)
-    }
-
-    /// Creates a multi-core system where every core's BPU is built on the
-    /// given predictor backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero.
-    #[must_use]
-    pub fn with_cores_backend(
-        profile: MicroarchProfile,
-        backend: BackendKind,
-        seed: u64,
-        cores: usize,
-    ) -> Self {
-        assert!(cores > 0, "a system needs at least one core");
         System {
-            cores: (0..cores)
-                .map(|i| {
-                    SimCore::with_backend(
-                        backend.build(profile.clone()),
-                        seed.wrapping_add(i as u64 * 0x9E37),
-                    )
-                })
-                .collect(),
+            core: SimCore::with_backend(backend.build(profile), seed),
             processes: Vec::new(),
-            core_of: Vec::new(),
             rng: StdRng::seed_from_u64(seed ^ 0x5353_5353),
         }
     }
 
-    /// Enables or disables background noise on every core.
+    /// Enables background noise on the core, or disables it with `None`.
     ///
     /// # Errors
     ///
-    /// Returns the [`bscope_uarch::ConfigError`] from
-    /// [`NoiseConfig::validate`]; no core's configuration is changed.
-    pub fn set_noise(&mut self, noise: Option<NoiseConfig>) -> Result<(), bscope_uarch::ConfigError> {
-        if let Some(cfg) = &noise {
-            cfg.validate()?;
-        }
-        for core in &mut self.cores {
-            core.set_noise(noise.clone()).expect("validated above");
-        }
-        Ok(())
+    /// Returns the [`ConfigError`] from [`NoiseConfig::validate`], leaving
+    /// the previous noise configuration in place.
+    pub fn set_noise(&mut self, noise: Option<NoiseConfig>) -> Result<(), ConfigError> {
+        self.core.set_noise(noise)
     }
 
     /// Builder-style noise configuration.
     ///
     /// # Errors
     ///
-    /// Returns the [`bscope_uarch::ConfigError`] from
-    /// [`NoiseConfig::validate`].
-    pub fn with_noise(mut self, noise: NoiseConfig) -> Result<Self, bscope_uarch::ConfigError> {
+    /// Returns the [`ConfigError`] from [`NoiseConfig::validate`].
+    pub fn with_noise(mut self, noise: NoiseConfig) -> Result<Self, ConfigError> {
         self.set_noise(Some(noise))?;
         Ok(self)
     }
 
-    /// Installs a hardware mitigation policy on the primary core (§10.2).
-    pub fn set_policy(&mut self, policy: Box<dyn bscope_uarch::BpuPolicy>) {
-        self.cores[0].set_policy(policy);
+    /// Installs a hardware mitigation policy on the core (§10.2).
+    pub fn set_policy(&mut self, policy: Box<dyn BpuPolicy>) {
+        self.core.set_policy(policy);
     }
 
-    /// Installs or removes measurement-channel fuzzing on every core
-    /// (§10.2).
+    /// Installs or removes measurement-channel fuzzing on the core (§10.2).
     ///
     /// # Errors
     ///
-    /// Returns the [`bscope_uarch::ConfigError`] from
-    /// [`bscope_uarch::MeasurementFuzz::validate`]; no core's
-    /// configuration is changed.
-    pub fn set_measurement_fuzz(
-        &mut self,
-        fuzz: Option<bscope_uarch::MeasurementFuzz>,
-    ) -> Result<(), bscope_uarch::ConfigError> {
-        if let Some(f) = &fuzz {
-            f.validate()?;
-        }
-        for core in &mut self.cores {
-            core.set_measurement_fuzz(fuzz).expect("validated above");
-        }
-        Ok(())
+    /// Returns the [`ConfigError`] from [`MeasurementFuzz::validate`],
+    /// leaving the previous fuzz configuration in place.
+    pub fn set_measurement_fuzz(&mut self, fuzz: Option<MeasurementFuzz>) -> Result<(), ConfigError> {
+        self.core.set_measurement_fuzz(fuzz)
     }
 
-    /// Spawns a process on core 0 and returns its pid.
+    /// Spawns a process on the core and returns its pid.
     pub fn spawn(&mut self, name: &str, aslr: AslrPolicy) -> Pid {
-        self.spawn_on(name, aslr, 0)
-    }
-
-    /// Spawns a process pinned to a specific physical core.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn spawn_on(&mut self, name: &str, aslr: AslrPolicy, core: usize) -> Pid {
-        assert!(core < self.cores.len(), "core {core} out of range");
         let pid = Pid(self.processes.len() as u32);
         let ctx = pid.0; // one hardware context per process in this model
-        self.processes.push(Process::new(pid, ctx, name, aslr, &mut self.rng));
-        self.core_of.push(core);
+        self.processes.push(Process::new(ctx, name, aslr, &mut self.rng));
         pid
-    }
-
-    /// The physical core a process is pinned to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` was not spawned by this system.
-    #[must_use]
-    pub fn core_of(&self, pid: Pid) -> usize {
-        self.core_of[pid.0 as usize]
     }
 
     /// Process metadata.
@@ -196,22 +119,19 @@ impl System {
     ///
     /// Panics if `pid` was not spawned by this system.
     pub fn cpu(&mut self, pid: Pid) -> CpuView<'_> {
-        let proc = &self.processes[pid.0 as usize];
-        let core_idx = self.core_of[pid.0 as usize];
-        CpuView { core: &mut self.cores[core_idx], proc }
+        CpuView { core: &mut self.core, proc: &self.processes[pid.0 as usize] }
     }
 
-    /// Direct access to the primary core (core 0) — the shared core of the
-    /// single-core attack setting.
+    /// Direct access to the shared core.
     #[must_use]
     pub fn core(&self) -> &SimCore {
-        &self.cores[0]
+        &self.core
     }
 
-    /// Exclusive access to the primary core.
+    /// Exclusive access to the shared core.
     #[must_use]
     pub fn core_mut(&mut self) -> &mut SimCore {
-        &mut self.cores[0]
+        &mut self.core
     }
 }
 
@@ -229,18 +149,6 @@ pub struct CpuView<'a> {
 }
 
 impl CpuView<'_> {
-    /// The owning process's metadata.
-    #[must_use]
-    pub fn process(&self) -> &Process {
-        self.proc
-    }
-
-    /// Virtual address of the code at `offset` in this process.
-    #[must_use]
-    pub fn vaddr_of(&self, offset: u64) -> VirtAddr {
-        self.proc.vaddr_of(offset)
-    }
-
     /// Executes a conditional branch at a code-segment offset.
     pub fn branch_at(&mut self, offset: u64, outcome: Outcome) -> BranchEvent {
         let addr = self.proc.vaddr_of(offset);
@@ -283,29 +191,6 @@ impl CpuView<'_> {
     #[must_use]
     pub fn core_mut(&mut self) -> &mut SimCore {
         self.core
-    }
-}
-
-/// A [`System`] behind an `Arc<Mutex<_>>` so covert-channel endpoints in
-/// different threads (sender/receiver tests, parallel harnesses) can share
-/// one machine.
-#[derive(Debug, Clone)]
-pub struct SharedSystem(Arc<Mutex<System>>);
-
-impl SharedSystem {
-    /// Wraps a system for shared access.
-    #[must_use]
-    pub fn new(system: System) -> Self {
-        SharedSystem(Arc::new(Mutex::new(system)))
-    }
-
-    /// Runs `f` with exclusive access to the system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous holder of the lock panicked.
-    pub fn with<T>(&self, f: impl FnOnce(&mut System) -> T) -> T {
-        f(&mut self.0.lock().expect("system lock poisoned"))
     }
 }
 
@@ -361,15 +246,41 @@ mod tests {
         );
     }
 
+    /// BPU branches (foreground plus background noise) behind `n`
+    /// foreground branches of `pid`.
+    fn bpu_branches_behind(sys: &mut System, pid: Pid, n: u64) -> u64 {
+        let before = sys.core().bpu().stats().branches;
+        for i in 0..n {
+            sys.cpu(pid).branch_at(i * 3, Outcome::Taken);
+        }
+        sys.core().bpu().stats().branches - before
+    }
+
     #[test]
-    fn shared_system_round_trips() {
-        let sys = SharedSystem::new(System::new(MicroarchProfile::skylake(), 5));
-        let pid = sys.with(|s| s.spawn("p", AslrPolicy::Disabled));
-        let retired = sys.with(|s| {
-            s.cpu(pid).branch_at(0, Outcome::Taken);
-            s.cpu(pid).counters().branches_retired
-        });
-        assert_eq!(retired, 1);
+    fn invalid_configuration_is_a_typed_error_and_keeps_the_old_one() {
+        let mut sys =
+            System::new(MicroarchProfile::skylake(), 7).with_noise(NoiseConfig::heavy()).unwrap();
+        let p = sys.spawn("spy", AslrPolicy::Disabled);
+        let bad_noise = NoiseConfig { taken_bias: 2.0, ..NoiseConfig::heavy() };
+        assert!(matches!(
+            sys.set_noise(Some(bad_noise)),
+            Err(ConfigError::OutOfRange { config: "NoiseConfig", field: "taken_bias", .. })
+        ));
+        let bad_fuzz = MeasurementFuzz { counter_flip_probability: 1.5, extra_timing_sigma: 0.0 };
+        assert!(matches!(
+            sys.set_measurement_fuzz(Some(bad_fuzz)),
+            Err(ConfigError::OutOfRange { config: "MeasurementFuzz", .. })
+        ));
+        assert!(bpu_branches_behind(&mut sys, p, 100) > 100, "the heavy noise keeps running");
+    }
+
+    #[test]
+    fn set_noise_none_silences_background() {
+        let mut sys =
+            System::new(MicroarchProfile::skylake(), 4).with_noise(NoiseConfig::heavy()).unwrap();
+        let p = sys.spawn("spy", AslrPolicy::Disabled);
+        sys.set_noise(None).unwrap();
+        assert_eq!(bpu_branches_behind(&mut sys, p, 100), 100, "no noise branches once disabled");
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! * [`AslrVictim`] — a victim with a branch at an ASLR-randomized address,
 //!   the derandomization target (§9.2 "ASLR value recovery").
 //!
-//! All victims implement [`Workload`](bscope_os::Workload) so they can be
-//! slowed down by the scheduler or single-stepped by the SGX controller.
+//! All victims implement [`Workload`](bscope_os::Workload), so an attack
+//! round's stage-2 trigger can step them exactly once (the slowed-down
+//! victim of the threat model), or an [`Enclave`](bscope_os::Enclave) can
+//! single-step them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

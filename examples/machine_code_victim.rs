@@ -1,7 +1,7 @@
 //! End-to-end attack against a victim expressed as *machine code*: the
 //! paper's Listing 2 assembled with byte-accurate layout (the secret `je`
-//! at offset 0x6d), stepped by the slowed-down scheduler, read by
-//! BranchScope.
+//! at offset 0x6d), stepped once per attack round as the slowed-down
+//! victim, read by BranchScope.
 //!
 //! ```text
 //! cargo run --release --example machine_code_victim

@@ -10,7 +10,7 @@
 use branchscope::attack::covert::{bits_to_bytes, bytes_to_bits, CovertChannel, EnclaveSender};
 use branchscope::attack::AttackConfig;
 use branchscope::bpu::MicroarchProfile;
-use branchscope::os::{AslrPolicy, Enclave, EnclaveController, System};
+use branchscope::os::{AslrPolicy, Enclave, System};
 use branchscope::uarch::NoiseConfig;
 
 fn main() {
@@ -27,13 +27,11 @@ fn main() {
 
     // …but the attacker controls the OS: it suppresses noise and
     // single-steps the enclave between BranchScope rounds.
-    let controller = EnclaveController::new();
-    controller.suppress_noise(&mut sys);
+    sys.set_noise(None).expect("disabling noise is always valid");
 
     let mut channel = CovertChannel::new(AttackConfig::for_profile(&profile))
         .expect("canonical configuration is valid");
-    let received =
-        channel.receive_from_enclave(&mut sys, &mut enclave, &controller, receiver, secret_bits.len());
+    let received = channel.receive_from_enclave(&mut sys, &mut enclave, receiver, secret_bits.len());
 
     let leaked = bits_to_bytes(&received.bits);
     println!("leaked from enclave: {:?}", String::from_utf8_lossy(&leaked));

@@ -7,7 +7,7 @@
 //! * [`bpu`] — the branch prediction unit model (PHT, GHR, gshare, bimodal,
 //!   selector, BTB, hybrid predictor, microarchitecture profiles),
 //! * [`uarch`] — the simulated CPU core (timing, TSC, i-cache, perf counters),
-//! * [`os`] — processes, SMT scheduling, noise and the SGX enclave model,
+//! * [`os`] — one shared core, its processes and the SGX enclave model,
 //! * [`attack`] — the BranchScope attack itself (prime+probe on the
 //!   directional predictor, covert channel, PHT reverse engineering),
 //! * [`victims`] — victim programs with secret-dependent branches,

@@ -1,9 +1,10 @@
-//! Cross-crate integration tests: the full attack against scheduled
-//! victims on every paper machine.
+//! Cross-crate integration tests: the full attack against single-stepped
+//! victims on every paper machine, plus the threat model's negative
+//! controls (no collision, ASLR, no co-residency).
 
 use branchscope::attack::{AttackConfig, BranchScope};
 use branchscope::bpu::{MicroarchProfile, Outcome};
-use branchscope::os::{AslrPolicy, SlowdownScheduler, System, Workload};
+use branchscope::os::{AslrPolicy, System, Workload};
 use branchscope::uarch::NoiseConfig;
 use branchscope::victims::{SecretBranchVictim, VICTIM_BRANCH_OFFSET};
 use rand::rngs::StdRng;
@@ -14,10 +15,10 @@ fn random_secret(n: usize, seed: u64) -> Vec<bool> {
     (0..n).map(|_| rng.gen()).collect()
 }
 
-/// Reads a victim's whole secret through the scheduler-driven threat model
-/// (stage interleaving provided by `SlowdownScheduler`, not by direct
-/// victim calls) and returns the bit error count.
-fn attack_under_scheduler(profile: &MicroarchProfile, bits: usize, seed: u64) -> usize {
+/// Reads a victim's whole secret through the threat model's slowed-down
+/// victim (one workload step per attack round) and returns the bit error
+/// count.
+fn attack_single_stepped(profile: &MicroarchProfile, bits: usize, seed: u64) -> usize {
     let mut sys = System::new(profile.clone(), seed);
     let victim = sys.spawn("victim", AslrPolicy::Disabled);
     let spy = sys.spawn("spy", AslrPolicy::Disabled);
@@ -26,14 +27,12 @@ fn attack_under_scheduler(profile: &MicroarchProfile, bits: usize, seed: u64) ->
     let secret = random_secret(bits, seed ^ 0xE2E);
     let mut workload = SecretBranchVictim::new(secret.clone());
     let mut attack = BranchScope::new(AttackConfig::for_profile(profile)).unwrap();
-    let sched = SlowdownScheduler::single_step();
 
     let mut errors = 0;
     for &bit in &secret {
         let outcome = attack.read_bit(&mut sys, spy, target, |sys| {
-            // Stage 2 through the OS model: the scheduler grants the victim
-            // exactly one step.
-            sched.round(sys, victim, &mut workload, |_| {}, |_| {});
+            // Stage 2: the slowed-down victim runs exactly one step.
+            workload.step(&mut sys.cpu(victim));
         });
         if SecretBranchVictim::bit_from_outcome(outcome) != bit {
             errors += 1;
@@ -45,7 +44,7 @@ fn attack_under_scheduler(profile: &MicroarchProfile, bits: usize, seed: u64) ->
 #[test]
 fn attack_recovers_secrets_on_all_three_machines() {
     for profile in MicroarchProfile::paper_machines() {
-        let errors = attack_under_scheduler(&profile, 400, 0xA11);
+        let errors = attack_single_stepped(&profile, 400, 0xA11);
         assert_eq!(errors, 0, "{}: {errors} errors on a quiet machine", profile.arch);
     }
 }
@@ -172,15 +171,16 @@ fn aslr_breaks_naive_targeting() {
 
 #[test]
 fn co_residency_is_required() {
-    // Threat-model negative control (§3): on a two-core system with the
-    // victim pinned to the other physical core, the spy shares no BPU with
-    // it and the attack reads nothing — only co-resident victims leak.
+    // Threat-model negative control (§3): with the victim on another
+    // physical core (its own `System`, so its own BPU), the spy shares no
+    // predictor state with it and the attack reads nothing — only
+    // co-resident victims leak.
     let profile = MicroarchProfile::skylake();
-    let mut sys = System::with_cores(profile.clone(), 0xC02E, 2);
-    let victim_remote = sys.spawn_on("victim-remote", AslrPolicy::Disabled, 1);
-    let spy = sys.spawn_on("spy", AslrPolicy::Disabled, 0);
-    assert_ne!(sys.core_of(victim_remote), sys.core_of(spy));
-    let target = sys.process(victim_remote).vaddr_of(VICTIM_BRANCH_OFFSET);
+    let mut sys = System::new(profile.clone(), 0xC02E);
+    let mut remote = System::new(profile.clone(), 0xC02E + 0x9E37);
+    let victim_remote = remote.spawn("victim-remote", AslrPolicy::Disabled);
+    let spy = sys.spawn("spy", AslrPolicy::Disabled);
+    let target = remote.process(victim_remote).vaddr_of(VICTIM_BRANCH_OFFSET);
 
     let secret = random_secret(200, 0x99);
     let mut workload = SecretBranchVictim::new(secret.clone());
@@ -188,9 +188,8 @@ fn co_residency_is_required() {
     let reads: Vec<Outcome> = secret
         .iter()
         .map(|_| {
-            attack.read_bit(&mut sys, spy, target, |sys| {
-                let mut cpu = sys.cpu(victim_remote);
-                workload.step(&mut cpu);
+            attack.read_bit(&mut sys, spy, target, |_| {
+                workload.step(&mut remote.cpu(victim_remote));
             })
         })
         .collect();
@@ -200,7 +199,7 @@ fn co_residency_is_required() {
     );
 
     // …and the same victim moved onto the spy's core leaks immediately.
-    let victim_local = sys.spawn_on("victim-local", AslrPolicy::Disabled, 0);
+    let victim_local = sys.spawn("victim-local", AslrPolicy::Disabled);
     let target = sys.process(victim_local).vaddr_of(VICTIM_BRANCH_OFFSET);
     let read = attack.read_bit(&mut sys, spy, target, |sys| {
         sys.cpu(victim_local).branch_at(VICTIM_BRANCH_OFFSET, Outcome::Taken);

@@ -5,7 +5,7 @@ use branchscope::attack::covert::{CovertChannel, EnclaveSender};
 use branchscope::attack::timing_probe::TimingDetector;
 use branchscope::attack::{AttackConfig, ProbeKind};
 use branchscope::bpu::{MicroarchProfile, Outcome, PhtState};
-use branchscope::os::{AslrPolicy, Enclave, EnclaveController, System};
+use branchscope::os::{AslrPolicy, Enclave, System};
 use branchscope::uarch::NoiseConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,10 +28,8 @@ fn sgx_isolated_is_at_least_as_good_as_noisy() {
         let secret = random_bits(3_000, 0x51);
         let mut enclave =
             Enclave::launch(&mut sys, "enclave", EnclaveSender::new(secret.clone()));
-        let controller = EnclaveController::new();
         let mut channel = CovertChannel::new(AttackConfig::for_profile(&profile)).unwrap();
-        let received = channel
-            .receive_from_enclave(&mut sys, &mut enclave, &controller, receiver, secret.len());
+        let received = channel.receive_from_enclave(&mut sys, &mut enclave, receiver, secret.len());
         rates.push(received.score(&secret).error_rate);
     }
     let (noisy, isolated) = (rates[0], rates[1]);
@@ -48,10 +46,8 @@ fn enclave_memory_is_unreadable_but_branches_leak() {
     let secret = random_bits(64, 0xBEEF);
     let mut enclave = Enclave::launch(&mut sys, "enclave", EnclaveSender::new(secret.clone()));
     assert!(enclave.read_memory(0).is_err());
-    let controller = EnclaveController::new();
     let mut channel = CovertChannel::new(AttackConfig::for_profile(&profile)).unwrap();
-    let received =
-        channel.receive_from_enclave(&mut sys, &mut enclave, &controller, receiver, secret.len());
+    let received = channel.receive_from_enclave(&mut sys, &mut enclave, receiver, secret.len());
     assert_eq!(received.bits, secret, "the BPU leaks what SGX memory protection hides");
 }
 
