@@ -51,11 +51,11 @@ impl BtbEvictAttack {
             let addr = scratch + (i as u64) * 13;
             // Train the branch (installs the entry), then time it resident…
             sys.cpu(spy).branch_at_abs(addr, Outcome::Taken);
-            resident.push(sys.cpu(spy).branch_at_abs(addr, Outcome::Taken).latency);
+            resident.push(sys.cpu(spy).timed_branch_at_abs(addr, Outcome::Taken));
             // …evict through an alias and time the (taken-bias-trained)
             // branch again with a BTB miss.
             sys.cpu(spy).branch_at_abs(addr + btb_size, Outcome::Taken);
-            evicted.push(sys.cpu(spy).branch_at_abs(addr, Outcome::Taken).latency);
+            evicted.push(sys.cpu(spy).timed_branch_at_abs(addr, Outcome::Taken));
         }
         let mean = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len() as f64;
         self.threshold = (mean(&resident) + mean(&evicted)) / 2.0;
@@ -82,7 +82,7 @@ impl BtbEvictAttack {
     pub fn detect(&self, sys: &mut System, spy: Pid) -> Outcome {
         assert!(self.threshold > 0.0, "calibrate() must run before detection");
         let filler = self.filler_addr(sys);
-        let latency = sys.cpu(spy).branch_at_abs(filler, Outcome::Taken).latency;
+        let latency = sys.cpu(spy).timed_branch_at_abs(filler, Outcome::Taken);
         // Slow ⇒ our entry was evicted ⇒ the victim's branch was taken.
         Outcome::from_bool(latency as f64 > self.threshold)
     }

@@ -72,7 +72,7 @@ impl ShadowingAttack {
     fn timed_shadow(&self, sys: &mut System, spy: Pid, addr: VirtAddr) -> u64 {
         // Warm the shadow's PHT entry toward taken first so the measurement
         // isolates the BTB effect from direction mispredictions.
-        sys.cpu(spy).branch_at_abs(addr, Outcome::Taken).latency
+        sys.cpu(spy).timed_branch_at_abs(addr, Outcome::Taken)
     }
 
     /// Stage 1: clear the victim's BTB slot.

@@ -93,8 +93,8 @@ impl TimingDetector {
         addr: VirtAddr,
         kind: ProbeKind,
     ) -> ProbePattern {
-        let first = cpu.branch_at_abs(addr, kind.outcome()).latency;
-        let second = cpu.branch_at_abs(addr, kind.outcome()).latency;
+        let first = cpu.timed_branch_at_abs(addr, kind.outcome());
+        let second = cpu.timed_branch_at_abs(addr, kind.outcome());
         ProbePattern::from_hits(!self.classify_mean(&[first]), !self.classify_mean(&[second]))
     }
 }
@@ -132,7 +132,7 @@ pub fn collect_latency_samples(
             sys.core_mut().icache_mut().flush();
         }
         let outcome = if mispredicted { Outcome::NotTaken } else { Outcome::Taken };
-        out.push(sys.cpu(spy).branch_at_abs(addr, outcome).latency);
+        out.push(sys.cpu(spy).timed_branch_at_abs(addr, outcome));
     }
     out
 }
@@ -178,8 +178,8 @@ pub fn probe_latency_by_state(
         sys.core_mut().bpu_mut().forget_branch(addr);
         sys.core_mut().bpu_mut().set_pht_state(addr, state);
         let mut cpu = sys.cpu(spy);
-        firsts.push(cpu.branch_at_abs(addr, kind.outcome()).latency);
-        seconds.push(cpu.branch_at_abs(addr, kind.outcome()).latency);
+        firsts.push(cpu.timed_branch_at_abs(addr, kind.outcome()));
+        seconds.push(cpu.timed_branch_at_abs(addr, kind.outcome()));
     }
     let stats = |v: &[u64]| {
         let mean = v.iter().sum::<u64>() as f64 / v.len() as f64;

@@ -156,7 +156,7 @@ fn aslr(scale: &Scale) -> Result<(), BscopeError> {
                 let mut cpu = sys.cpu(victim);
                 victim_prog.step(&mut cpu); // keep the victim's BTB entry warm
             }
-            total += sys.cpu(spy).branch_at_abs(addr, Outcome::Taken).latency;
+            total += sys.cpu(spy).timed_branch_at_abs(addr, Outcome::Taken);
             // Evict what the probe installed so the next measurement sees
             // only the victim's entry (if any).
             sys.core_mut().bpu_mut().btb_mut().evict(addr);

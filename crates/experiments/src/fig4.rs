@@ -114,7 +114,7 @@ mod tests {
         let fraction = StateDistribution::from_blocks(&points).stable_fraction();
         // Pinned value; update deliberately when the seed schedule, the
         // simulator, or the PRNG stream changes.
-        let expected = 0.733_333_333_333_333_3;
+        let expected = 0.666_666_666_666_666_6;
         assert_eq!(fraction, expected, "quick-scale fig4 stable fraction drifted");
     }
 }

@@ -1,10 +1,11 @@
 //! Figure 7: measured latency of a single branch, correctly vs incorrectly
 //! predicted, for both actual directions.
 
-use crate::common::{mean, percentile, Scale};
+use crate::common::{mean, percentile, trials, with_tracer, Scale};
 use bscope_bpu::{MicroarchProfile, Outcome, PhtState};
 use bscope_core::BscopeError;
 use bscope_os::{AslrPolicy, System};
+use bscope_uarch::Tracer;
 
 /// Times one branch whose prediction outcome is controlled exactly: the
 /// entry is trained so its prediction agrees (hit) or disagrees (miss) with
@@ -17,24 +18,27 @@ fn samples(
     mispredict: bool,
     n: usize,
     seed: u64,
+    tracer: &mut Tracer,
 ) -> Vec<u64> {
     let mut sys = System::new(profile.clone(), seed);
     let pid = sys.spawn("bench", AslrPolicy::Disabled);
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let addr = 0x100_0000 + sys.cpu(pid).counters().branches_retired * 7;
-        let predicted = if mispredict { executed.flipped() } else { executed };
-        let state = match predicted {
-            Outcome::Taken => PhtState::StronglyTaken,
-            Outcome::NotTaken => PhtState::StronglyNotTaken,
-        };
-        // Warm the i-cache with a first (untimed) execution, then force the
-        // desired prediction and record the second execution.
-        sys.cpu(pid).branch_at_abs(addr, predicted);
-        sys.core_mut().bpu_mut().set_pht_state(addr, state);
-        out.push(sys.cpu(pid).branch_at_abs(addr, executed).latency);
-    }
-    out
+    with_tracer(&mut sys, tracer, |sys| {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let addr = 0x100_0000 + sys.cpu(pid).counters().branches_retired * 7;
+            let predicted = if mispredict { executed.flipped() } else { executed };
+            let state = match predicted {
+                Outcome::Taken => PhtState::StronglyTaken,
+                Outcome::NotTaken => PhtState::StronglyNotTaken,
+            };
+            // Warm the i-cache with a first (untimed) execution, then force
+            // the desired prediction and time the second execution.
+            sys.cpu(pid).branch_at_abs(addr, predicted);
+            sys.core_mut().bpu_mut().set_pht_state(addr, state);
+            out.push(sys.cpu(pid).timed_branch_at_abs(addr, executed));
+        }
+        out
+    })
 }
 
 pub fn run(scale: &Scale) -> Result<(), BscopeError> {
@@ -45,14 +49,19 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
         "{:<26} {:>8} {:>6} {:>6} {:>6} {:>6}",
         "case", "mean", "p5", "p50", "p95", "p99"
     );
-    let mut means = std::collections::HashMap::new();
-    for (label, executed, mispredict) in [
+    let cases = [
         ("(a) not-taken, hit", Outcome::NotTaken, false),
         ("(a) not-taken, miss", Outcome::NotTaken, true),
         ("(b) taken, hit", Outcome::Taken, false),
         ("(b) taken, miss", Outcome::Taken, true),
-    ] {
-        let mut v = samples(&profile, executed, mispredict, n, scale.seed);
+    ];
+    // One trial per case, each on its own machine.
+    let per_case = trials(scale, cases.len(), 0xF167, |idx, seed, tracer| {
+        let (_, executed, mispredict) = cases[idx];
+        samples(&profile, executed, mispredict, n, seed, tracer)
+    });
+    let mut means = std::collections::HashMap::new();
+    for ((label, _, _), mut v) in cases.into_iter().zip(per_case) {
         v.sort_unstable();
         let m = mean(&v);
         means.insert(label, m);

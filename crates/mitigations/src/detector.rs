@@ -150,7 +150,7 @@ mod tests {
         let before = PerfCounters::new();
         let mut after = PerfCounters::new();
         for _ in 0..10 {
-            after.record_branch(true, 100);
+            after.record_branch(true);
         }
         let sample = detector.evaluate_window(&before, &after);
         assert!(!sample.flagged, "too few branches for a verdict");

@@ -1,7 +1,7 @@
 //! No-prediction for flagged sensitive branches (§10.2).
 
 use bscope_bpu::VirtAddr;
-use bscope_uarch::{BpuPolicy, ContextId};
+use bscope_uarch::{BpuPolicy, ContextId, Route};
 use std::collections::HashSet;
 
 /// The developer-assisted defense: "a software developer can indicate the
@@ -48,8 +48,12 @@ impl NoPredictPolicy {
 }
 
 impl BpuPolicy for NoPredictPolicy {
-    fn bypass_prediction(&self, ctx: ContextId, addr: VirtAddr) -> bool {
-        self.protected.contains(&(ctx, addr))
+    fn route(&mut self, ctx: ContextId, addr: VirtAddr, _tsc: u64) -> Route {
+        if self.protected.contains(&(ctx, addr)) {
+            Route::Bypass
+        } else {
+            Route::Predict(addr)
+        }
     }
 }
 
@@ -86,9 +90,9 @@ mod tests {
 
     #[test]
     fn protection_is_per_context() {
-        let policy = NoPredictPolicy::new().with_protected(1, 0x6d);
-        assert!(policy.bypass_prediction(1, 0x6d));
-        assert!(!policy.bypass_prediction(0, 0x6d));
+        let mut policy = NoPredictPolicy::new().with_protected(1, 0x6d);
+        assert_eq!(policy.route(1, 0x6d, 0), Route::Bypass);
+        assert_eq!(policy.route(0, 0x6d, 0), Route::Predict(0x6d));
         assert_eq!(policy.protected_count(), 1);
     }
 }

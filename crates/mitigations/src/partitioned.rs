@@ -1,7 +1,7 @@
 //! BPU partitioning (§10.2 "Partitioning the BPU").
 
 use bscope_bpu::VirtAddr;
-use bscope_uarch::{BpuPolicy, ContextId};
+use bscope_uarch::{BpuPolicy, ContextId, Route};
 
 /// Partitions the predictor tables between hardware contexts: each context
 /// is confined to its own slice of the index space, so "the attacker loses
@@ -41,12 +41,12 @@ impl PartitionedBpuPolicy {
 }
 
 impl BpuPolicy for PartitionedBpuPolicy {
-    fn index_addr(&self, ctx: ContextId, addr: VirtAddr) -> VirtAddr {
+    fn route(&mut self, ctx: ContextId, addr: VirtAddr, _tsc: u64) -> Route {
         let slice = self.partition_size();
         let base = u64::from(ctx % self.partitions) * slice;
         // Preserve the high address bits so BTB tags still distinguish
         // branches; only the low (index) bits are partitioned.
-        (addr & !(self.table_span - 1)) | base | (addr % slice)
+        Route::Predict((addr & !(self.table_span - 1)) | base | (addr % slice))
     }
 }
 
@@ -54,12 +54,21 @@ impl BpuPolicy for PartitionedBpuPolicy {
 mod tests {
     use super::*;
 
+    /// The low (index) bits of the predictor address `p` routes `addr` of
+    /// `ctx` to, within a `span`-entry table.
+    fn low_bits(mut p: PartitionedBpuPolicy, ctx: ContextId, addr: VirtAddr, span: u64) -> u64 {
+        match p.route(ctx, addr, 0) {
+            Route::Predict(indexed) => indexed & (span - 1),
+            other => panic!("partitioning always predicts, got {other:?}"),
+        }
+    }
+
     #[test]
     fn contexts_map_to_disjoint_slices() {
         let p = PartitionedBpuPolicy::new(16_384, 4);
         assert_eq!(p.partition_size(), 4_096);
-        let a = p.index_addr(0, 0x40_006d) & 16_383;
-        let b = p.index_addr(1, 0x40_006d) & 16_383;
+        let a = low_bits(p, 0, 0x40_006d, 16_384);
+        let b = low_bits(p, 1, 0x40_006d, 16_384);
         assert_ne!(a, b);
         assert!(a < 4_096);
         assert!((4_096..8_192).contains(&b));
@@ -70,8 +79,8 @@ mod tests {
         // Within one partition the predictor still works normally.
         let p = PartitionedBpuPolicy::new(16_384, 4);
         assert_eq!(
-            p.index_addr(2, 0x1000) & 16_383,
-            p.index_addr(2, 0x1000 + 4_096) & 16_383,
+            low_bits(p, 2, 0x1000, 16_384),
+            low_bits(p, 2, 0x1000 + 4_096, 16_384),
             "aliasing within the partition is preserved"
         );
     }
@@ -79,7 +88,7 @@ mod tests {
     #[test]
     fn context_wraps_across_partition_count() {
         let p = PartitionedBpuPolicy::new(1_024, 2);
-        assert_eq!(p.index_addr(0, 7) & 1_023, p.index_addr(2, 7) & 1_023);
+        assert_eq!(low_bits(p, 0, 7, 1_024), low_bits(p, 2, 7, 1_024));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Stochastic prediction FSM (§10.2 "Other solutions").
 
 use bscope_bpu::VirtAddr;
-use bscope_uarch::{BpuPolicy, ContextId};
+use bscope_uarch::{BpuPolicy, ContextId, Route};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,8 +45,12 @@ impl StochasticFsmPolicy {
 }
 
 impl BpuPolicy for StochasticFsmPolicy {
-    fn suppress_update(&mut self, _ctx: ContextId, _addr: VirtAddr) -> bool {
-        self.skip_probability > 0.0 && self.rng.gen_bool(self.skip_probability)
+    fn route(&mut self, _ctx: ContextId, addr: VirtAddr, _tsc: u64) -> Route {
+        if self.skip_probability > 0.0 && self.rng.gen_bool(self.skip_probability) {
+            Route::PredictNoUpdate(addr)
+        } else {
+            Route::Predict(addr)
+        }
     }
 }
 

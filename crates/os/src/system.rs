@@ -149,7 +149,8 @@ pub struct CpuView<'a> {
 }
 
 impl CpuView<'_> {
-    /// Executes a conditional branch at a code-segment offset.
+    /// Executes a conditional branch at a code-segment offset. Untimed:
+    /// see [`CpuView::timed_branch_at_abs`] for an `rdtscp`-bracketed one.
     pub fn branch_at(&mut self, offset: u64, outcome: Outcome) -> BranchEvent {
         let addr = self.proc.vaddr_of(offset);
         self.core.execute_branch_in(self.proc.ctx(), addr, outcome, None)
@@ -159,6 +160,14 @@ impl CpuView<'_> {
     /// the spy uses this after placing its code to collide with the victim.
     pub fn branch_at_abs(&mut self, addr: VirtAddr, outcome: Outcome) -> BranchEvent {
         self.core.execute_branch_in(self.proc.ctx(), addr, outcome, None)
+    }
+
+    /// Executes a conditional branch at an absolute virtual address between
+    /// two `rdtscp` reads and returns what the pair measured (§8, Fig. 7).
+    /// The branch itself behaves exactly as under
+    /// [`CpuView::branch_at_abs`].
+    pub fn timed_branch_at_abs(&mut self, addr: VirtAddr, outcome: Outcome) -> u64 {
+        self.core.execute_timed_branch_in(self.proc.ctx(), addr, outcome).1
     }
 
     /// Reads the timestamp counter (`rdtscp`).

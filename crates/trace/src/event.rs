@@ -56,8 +56,8 @@ impl std::fmt::Display for Span {
 pub enum TraceEvent {
     /// One conditional branch retired by the simulated core: the full
     /// predictor decision (predicted direction, whether the hybrid's
-    /// selector chose the 2-level side, BTB hit) plus the measured latency
-    /// an `rdtscp` pair around the branch would report.
+    /// selector chose the 2-level side, BTB hit) plus, for a timed branch,
+    /// the latency the `rdtscp` pair around it read.
     Branch {
         /// Hardware context (logical CPU) that executed the branch.
         ctx: u32,
@@ -74,8 +74,10 @@ pub enum TraceEvent {
         two_level: bool,
         /// Whether the BTB held the branch's target.
         btb_hit: bool,
-        /// Measured latency in cycles.
-        latency: u64,
+        /// Measured latency in cycles: `Some` only when the branch was
+        /// timed, since a latency exists only where code brackets the
+        /// branch with `rdtscp`.
+        latency: Option<u64>,
     },
     /// A taken branch installed (or refreshed) its BTB entry.
     BtbInstall {

@@ -80,8 +80,12 @@ pub fn event_line(experiment: &str, trial: usize, e: &TracedEvent) -> String {
                 out,
                 ",\"ctx\":{ctx},\"addr\":\"{addr:#x}\",\"taken\":{taken},\
                  \"predicted_taken\":{predicted_taken},\"mispredicted\":{mispredicted},\
-                 \"two_level\":{two_level},\"btb_hit\":{btb_hit},\"latency\":{latency}"
+                 \"two_level\":{two_level},\"btb_hit\":{btb_hit}"
             );
+            // Only a timed branch has a latency; the key is omitted otherwise.
+            if let Some(latency) = latency {
+                let _ = write!(out, ",\"latency\":{latency}");
+            }
         }
         TraceEvent::BtbInstall { addr, target } => {
             let _ = write!(out, ",\"addr\":\"{addr:#x}\",\"target\":\"{target:#x}\"");
@@ -119,7 +123,7 @@ mod tests {
                         mispredicted: true,
                         two_level: false,
                         btb_hit: false,
-                        latency: 131,
+                        latency: Some(131),
                     },
                 },
             ),
@@ -155,6 +159,23 @@ mod tests {
         assert!(lines[1].contains("\"addr\":\"0x300000\"") && lines[1].contains("\"latency\":131"));
         assert!(lines[4].contains("\"span\":\"prime\"") && lines[4].contains("\"tsc\":9"));
         assert!(lines[5].contains("\"events\":4") && lines[5].contains("\"dropped\":0"));
+    }
+
+    #[test]
+    fn untimed_branches_omit_the_latency_key() {
+        let event = TraceEvent::Branch {
+            ctx: 1,
+            addr: 0x40,
+            taken: false,
+            predicted_taken: false,
+            mispredicted: false,
+            two_level: false,
+            btb_hit: false,
+            latency: None,
+        };
+        let line = event_line("fig4", 0, &TracedEvent { seq: 0, event });
+        assert!(line.ends_with("\"btb_hit\":false}\n"), "line: {line}");
+        assert!(!line.contains("latency"), "line: {line}");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! The pieces:
 //!
 //! * [`TraceEvent`] — the event vocabulary: per-branch predictor decisions
-//!   (direction, selector choice, BTB hit, latency), BTB installs,
+//!   (direction, selector choice, BTB hit, and the latency of a timed
+//!   branch), BTB installs,
 //!   background-noise bursts, and begin/end markers for attack-stage
 //!   [`Span`]s (prime, victim window, probe, randomization block);
 //! * [`TraceSink`] — where events go. The trait's methods default to
@@ -139,7 +140,7 @@ mod tests {
             mispredicted: true,
             two_level: false,
             btb_hit: false,
-            latency,
+            latency: Some(latency),
         }
     }
 

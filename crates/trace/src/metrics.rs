@@ -163,7 +163,7 @@ impl MetricsRegistry {
     /// Folds a trace event into the standard counters and histograms:
     /// `branches`, `mispredicts`, `two_level_predictions`, `btb_hits`,
     /// `btb_installs`, `noise_branches`, per-span `spans/...` counts and
-    /// the `branch_latency` histogram.
+    /// the `branch_latency` histogram (timed branches only).
     pub fn observe_event(&mut self, event: &TraceEvent) {
         match *event {
             TraceEvent::Branch { mispredicted, two_level, btb_hit, latency, .. } => {
@@ -177,7 +177,9 @@ impl MetricsRegistry {
                 if btb_hit {
                     self.incr("btb_hits", 1);
                 }
-                self.observe("branch_latency", latency);
+                if let Some(latency) = latency {
+                    self.observe("branch_latency", latency);
+                }
             }
             TraceEvent::BtbInstall { .. } => self.incr("btb_installs", 1),
             TraceEvent::NoiseBurst { injected } => {
@@ -279,7 +281,7 @@ mod tests {
                     mispredicted: v > 100,
                     two_level: false,
                     btb_hit: true,
-                    latency: v,
+                    latency: Some(v),
                 });
             }
             r

@@ -4,11 +4,12 @@ use crate::counters::PerfCounters;
 use crate::event::BranchEvent;
 use crate::icache::InstructionCache;
 use crate::noise::NoiseConfig;
-use crate::policy::{BpuPolicy, MeasurementFuzz, NoPolicy};
+use crate::policy::{BpuPolicy, MeasurementFuzz, Route};
 use crate::timing::TimingModel;
 use bscope_bpu::{
     BackendKind, MicroarchProfile, Outcome, Prediction, PredictorBackend, PredictorKind, VirtAddr,
 };
+use bscope_harness::splitmix64;
 use bscope_trace::{Span, TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,12 +24,37 @@ pub type ContextId = u32;
 /// Context id of the background-noise (SMT sibling) activity.
 pub const NOISE_CTX: ContextId = ContextId::MAX;
 
+/// Seed tag of the background-noise stream.
+const NOISE_STREAM: u64 = 0x4E01_5E00_D1A7_0003;
+
+/// The static prediction of a branch that bypasses the predictor.
+const STATIC_NOT_TAKEN: Prediction = Prediction {
+    direction: Outcome::NotTaken,
+    used: PredictorKind::Bimodal,
+    bimodal: Outcome::NotTaken,
+    gshare: Outcome::NotTaken,
+    btb_hit: false,
+    target: None,
+};
+
 /// A simulated physical core: one shared branch prediction unit, a cycle
 /// clock, an instruction cache, per-context performance counters and an
 /// optional background-noise context (the SMT sibling).
 ///
-/// All stochastic behaviour (latency jitter, noise) flows from the seed
-/// passed to [`SimCore::new`], so every experiment is reproducible.
+/// The seed passed to [`SimCore::new`] feeds three independent streams, so
+/// the core pays only for what some caller observes:
+///
+/// * **noise** — arrival gaps, addresses and outcomes of background
+///   branches come from their own generator, seeded from the core seed;
+/// * **latency** — the jitter and spike of a timed branch are a pure
+///   function of (seed, foreground-branch index), computed only when the
+///   branch is timed;
+/// * **fuzz** — measurement fuzzing's counter flip and timing jitter are a
+///   pure function of the same key.
+///
+/// Timing one more branch therefore moves no other branch's latency, no
+/// noise arrival and no predictor state, and every experiment is
+/// reproducible from its seed.
 ///
 /// # Example
 ///
@@ -39,8 +65,10 @@ pub const NOISE_CTX: ContextId = ContextId::MAX;
 /// let mut core = SimCore::new(MicroarchProfile::haswell(), 1);
 /// let before = core.counters(0);
 /// core.execute_branch(0x40_0000, Outcome::Taken);
+/// let (_, latency) = core.execute_timed_branch_in(0, 0x40_0000, Outcome::Taken);
 /// let delta = core.counters(0).since(&before);
-/// assert_eq!(delta.branches_retired, 1);
+/// assert_eq!(delta.branches_retired, 2);
+/// assert!(latency > 50);
 /// ```
 #[derive(Debug)]
 pub struct SimCore {
@@ -49,21 +77,33 @@ pub struct SimCore {
     icache: InstructionCache,
     counters: Vec<PerfCounters>,
     tsc: u64,
-    last_noise_tsc: u64,
-    rng: StdRng,
+    /// Keys the latency and fuzz draws.
+    seed: u64,
+    /// Foreground branches retired so far: the index that keys the next
+    /// foreground branch's latency and fuzz draws.
+    branches: u64,
     noise: Option<NoiseParams>,
-    policy: Box<dyn BpuPolicy>,
+    noise_rng: StdRng,
+    /// Exact (fractional) cycle of the next noise arrival.
+    noise_arrival: f64,
+    /// First integral cycle at or after `noise_arrival`; `u64::MAX` when
+    /// no arrival is scheduled. A branch with no noise due costs one
+    /// compare against it.
+    next_noise_at: u64,
+    /// `None` is the unmitigated machine: no policy call at all.
+    policy: Option<Box<dyn BpuPolicy>>,
     fuzz: Option<MeasurementFuzz>,
     /// Structured-event tracer; disabled (and free) by default.
     tracer: Tracer,
 }
 
-/// Validated, `Copy` image of a [`NoiseConfig`], cached so the per-branch
-/// noise checks in [`SimCore::execute_branch_in`] stay allocation-free
-/// (`NoiseConfig` holds a `Range`, which is not `Copy`).
+/// Validated, `Copy` image of a [`NoiseConfig`], cached so the noise path
+/// stays allocation-free (`NoiseConfig` holds a `Range`, which is not
+/// `Copy`).
 #[derive(Debug, Clone, Copy)]
 struct NoiseParams {
-    branches_per_kcycle: f64,
+    /// Mean gap between arrivals, in cycles; infinite at rate zero.
+    mean_gap: f64,
     addr_lo: u64,
     addr_hi: u64,
     taken_bias: f64,
@@ -72,7 +112,7 @@ struct NoiseParams {
 impl From<&NoiseConfig> for NoiseParams {
     fn from(cfg: &NoiseConfig) -> Self {
         NoiseParams {
-            branches_per_kcycle: cfg.branches_per_kcycle,
+            mean_gap: 1_000.0 / cfg.branches_per_kcycle,
             addr_lo: cfg.addr_range.start,
             addr_hi: cfg.addr_range.end,
             taken_bias: cfg.taken_bias,
@@ -100,10 +140,13 @@ impl SimCore {
             icache: InstructionCache::l1i_default(),
             counters: vec![PerfCounters::new(); 2],
             tsc: 0,
-            last_noise_tsc: 0,
-            rng: StdRng::seed_from_u64(seed),
+            seed,
+            branches: 0,
             noise: None,
-            policy: Box::new(NoPolicy),
+            noise_rng: StdRng::seed_from_u64(splitmix64(seed ^ NOISE_STREAM)),
+            noise_arrival: f64::INFINITY,
+            next_noise_at: u64::MAX,
+            policy: None,
             fuzz: None,
             tracer: Tracer::disabled(),
         }
@@ -112,7 +155,7 @@ impl SimCore {
     /// Installs a hardware mitigation policy (see [`BpuPolicy`]); the
     /// default is the unmitigated machine.
     pub fn set_policy(&mut self, policy: Box<dyn BpuPolicy>) {
-        self.policy = policy;
+        self.policy = Some(policy);
     }
 
     /// Installs measurement-channel fuzzing (noisy counters/timers, §10.2),
@@ -134,6 +177,9 @@ impl SimCore {
     }
 
     /// Enables background (SMT sibling) noise; pass `None` to disable.
+    /// Re-arms the arrival schedule from the current cycle: the first
+    /// arrival under the new configuration is one exponential gap from
+    /// now. A rate of zero, like `None`, schedules no arrival.
     ///
     /// # Errors
     ///
@@ -144,6 +190,8 @@ impl SimCore {
             cfg.validate()?;
         }
         self.noise = noise.as_ref().map(NoiseParams::from);
+        self.noise_arrival = self.tsc as f64;
+        self.schedule_next_noise();
         Ok(())
     }
 
@@ -212,8 +260,8 @@ impl SimCore {
     }
 
     /// Current value of the timestamp counter (`rdtscp`, §8). Reading it is
-    /// free in the model; measurement overhead is folded into branch
-    /// latencies, as in the paper's measurements.
+    /// free in the model; measurement overhead is folded into timed
+    /// branch latencies, as in the paper's measurements.
     #[must_use]
     pub fn rdtscp(&self) -> u64 {
         self.tsc
@@ -243,9 +291,11 @@ impl SimCore {
 
     /// Executes one conditional branch in an explicit context.
     ///
-    /// Injects pending background noise first (if configured), then runs
-    /// the branch through the shared BPU, charges its latency on the cycle
-    /// clock and records it in `ctx`'s performance counters.
+    /// Injects the background noise due by now first (if configured), then
+    /// routes the branch through the installed policy (if any) into the
+    /// shared BPU, advances the cycle clock by its throughput cost and
+    /// records it in `ctx`'s performance counters. Samples no latency:
+    /// nobody timed this branch.
     pub fn execute_branch_in(
         &mut self,
         ctx: ContextId,
@@ -253,55 +303,76 @@ impl SimCore {
         outcome: Outcome,
         target: Option<VirtAddr>,
     ) -> BranchEvent {
+        self.retire::<false>(ctx, addr, outcome, target).0
+    }
+
+    /// Executes one conditional branch exactly as
+    /// [`SimCore::execute_branch_in`] does (fall-through target), bracketed
+    /// by an `rdtscp` pair: also returns the latency that pair reads
+    /// (Fig. 7). Timing changes nothing else — the predictor, the clock,
+    /// the counters and the noise schedule evolve as for an untimed branch.
+    pub fn execute_timed_branch_in(
+        &mut self,
+        ctx: ContextId,
+        addr: VirtAddr,
+        outcome: Outcome,
+    ) -> (BranchEvent, u64) {
+        let (event, latency) = self.retire::<true>(ctx, addr, outcome, None);
+        (event, latency.unwrap_or_default())
+    }
+
+    /// One foreground branch; `TIMED` selects whether its latency is
+    /// sampled (`Some`) or not (`None`).
+    #[inline(always)]
+    fn retire<const TIMED: bool>(
+        &mut self,
+        ctx: ContextId,
+        addr: VirtAddr,
+        outcome: Outcome,
+        target: Option<VirtAddr>,
+    ) -> (BranchEvent, Option<u64>) {
         self.inject_pending_noise();
+        let index = self.branches;
+        self.branches += 1;
         let cold = !self.icache.touch(addr);
+        let route = match &mut self.policy {
+            None => Route::Predict(addr),
+            Some(policy) => policy.route(ctx, addr, self.tsc),
+        };
         // Set when the BPU commit path ran for a taken branch (the only
         // case that installs a BTB entry); feeds the trace event below.
         let mut btb_install: Option<(VirtAddr, VirtAddr)> = None;
-        let (prediction, mispredicted) = if self.policy.bypass_prediction(ctx, addr) {
-            // §10.2 "removing prediction for sensitive branches": static
-            // not-taken prediction, no BPU state touched.
-            let prediction = Prediction {
-                direction: Outcome::NotTaken,
-                used: PredictorKind::Bimodal,
-                bimodal: Outcome::NotTaken,
-                gshare: Outcome::NotTaken,
-                btb_hit: false,
-                target: None,
-            };
-            (prediction, outcome.is_taken())
-        } else {
-            let indexed = self.policy.index_addr(ctx, addr);
-            if self.policy.suppress_update(ctx, addr) {
-                // Stochastic-FSM defense: predict normally, skip the state
-                // transition for this dynamic branch.
-                let prediction = self.bpu.predict(indexed);
-                (prediction, prediction.direction != outcome)
-            } else {
+        let (prediction, mispredicted) = match route {
+            Route::Predict(indexed) => {
                 let (prediction, correct) = self.bpu.execute(indexed, outcome, target);
                 if outcome.is_taken() {
                     btb_install = Some((indexed, target.unwrap_or(indexed + 2)));
                 }
                 (prediction, !correct)
             }
+            Route::PredictNoUpdate(indexed) => {
+                let prediction = self.bpu.predict(indexed);
+                (prediction, prediction.direction != outcome)
+            }
+            Route::Bypass => (STATIC_NOT_TAKEN, outcome.is_taken()),
         };
-        self.policy.on_branch(self.tsc);
-        // `latency` is what an rdtscp pair around this branch would report
-        // (Fig. 7); the core clock advances by the much smaller throughput
-        // cost of straight-line execution.
+        // The latency is what an rdtscp pair around this branch would
+        // report (Fig. 7); the core clock advances by the much smaller
+        // throughput cost of straight-line execution.
         let taken_btb_miss = outcome.is_taken() && !prediction.btb_hit;
-        let mut latency = self.timing.sample(&mut self.rng, mispredicted, cold, taken_btb_miss);
+        let mut latency = TIMED
+            .then(|| self.timing.sample(self.seed, index, mispredicted, cold, taken_btb_miss));
         self.tsc += self.timing.advance(mispredicted, cold, taken_btb_miss);
         let mut recorded_miss = mispredicted;
         if let Some(fuzz) = self.fuzz {
-            latency = fuzz.fuzz_latency(&mut self.rng, latency);
-            recorded_miss = fuzz.fuzz_miss(&mut self.rng, mispredicted);
+            recorded_miss = fuzz.fuzz_miss(self.seed, index, mispredicted);
+            latency = latency.map(|l| fuzz.fuzz_latency(self.seed, index, l));
         }
         let slot = ctx as usize;
         if slot >= self.counters.len() {
             self.counters.resize(slot + 1, PerfCounters::new());
         }
-        self.counters[slot].record_branch(recorded_miss, latency);
+        self.counters[slot].record_branch(recorded_miss);
         if self.tracer.is_enabled() {
             self.tracer.emit_with(|| TraceEvent::Branch {
                 ctx,
@@ -317,22 +388,22 @@ impl SimCore {
                 self.tracer.emit_with(|| TraceEvent::BtbInstall { addr, target });
             }
         }
-        BranchEvent { addr, outcome, prediction, mispredicted: recorded_miss, latency, cold }
+        (BranchEvent { addr, outcome, prediction, mispredicted: recorded_miss, cold }, latency)
     }
 
     /// Injects `n` background branches immediately (regardless of the
-    /// configured rate). Returns how many were injected.
+    /// configured rate and without moving the arrival schedule). Returns
+    /// how many were injected.
     ///
     /// Background branches share the BPU but are executed by the sibling
     /// hardware thread: they appear in no foreground context's counters and
     /// their latency does not advance the foreground clock.
     pub fn inject_noise_burst(&mut self, n: usize) -> usize {
-        let Some(cfg) = self.noise else { return 0 };
+        if self.noise.is_none() {
+            return 0;
+        }
         for _ in 0..n {
-            let addr = self.rng.gen_range(cfg.addr_lo..cfg.addr_hi);
-            let outcome = Outcome::from_bool(self.rng.gen_bool(cfg.taken_bias));
-            let indexed = self.policy.index_addr(NOISE_CTX, addr);
-            self.bpu.execute(indexed, outcome, None);
+            self.execute_noise_branch();
         }
         if n > 0 {
             let injected = u32::try_from(n).unwrap_or(u32::MAX);
@@ -341,45 +412,59 @@ impl SimCore {
         n
     }
 
+    /// Injects one background branch for every arrival at or before the
+    /// current cycle.
+    #[inline(always)]
     fn inject_pending_noise(&mut self) {
-        let Some(cfg) = self.noise else {
-            self.last_noise_tsc = self.tsc;
-            return;
-        };
-        let elapsed = self.tsc - self.last_noise_tsc;
-        self.last_noise_tsc = self.tsc;
-        if elapsed == 0 {
-            return;
-        }
-        let lambda = cfg.branches_per_kcycle * elapsed as f64 / 1_000.0;
-        let n = poisson(&mut self.rng, lambda);
-        if n > 0 {
-            self.inject_noise_burst(n);
+        if self.tsc >= self.next_noise_at {
+            self.inject_due_noise();
         }
     }
-}
 
-/// Poisson sampler: Knuth's method for small rates, a Gaussian
-/// approximation for large ones (where Knuth's product underflows).
-fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> usize {
-    if lambda <= 0.0 {
-        return 0;
-    }
-    if lambda > 64.0 {
-        let n = lambda + lambda.sqrt() * crate::timing::gaussian(rng);
-        return n.max(0.0).round() as usize;
-    }
-    let l = (-lambda).exp();
-    let mut k = 0usize;
-    let mut p = 1.0f64;
-    loop {
-        p *= rng.gen_range(0.0f64..1.0);
-        if p <= l {
-            return k;
+    #[cold]
+    #[inline(never)]
+    fn inject_due_noise(&mut self) {
+        let mut injected = 0u32;
+        while self.tsc >= self.next_noise_at {
+            self.execute_noise_branch();
+            injected = injected.saturating_add(1);
+            self.schedule_next_noise();
         }
-        k += 1;
-        if k > 10_000 {
-            return k; // Defensive cap; unreachable for sane lambda.
+        self.tracer.emit_with(|| TraceEvent::NoiseBurst { injected });
+    }
+
+    /// Moves the next arrival one exponential gap past the current one, or
+    /// unschedules noise when it is off or its rate is zero.
+    fn schedule_next_noise(&mut self) {
+        let mean_gap = match self.noise {
+            Some(cfg) if cfg.mean_gap.is_finite() => cfg.mean_gap,
+            _ => {
+                self.noise_arrival = f64::INFINITY;
+                self.next_noise_at = u64::MAX;
+                return;
+            }
+        };
+        let u: f64 = self.noise_rng.gen_range(0.0..1.0);
+        self.noise_arrival += mean_gap * -(1.0 - u).ln();
+        // Arrivals are continuous; one at time t is due once tsc >= t,
+        // that is once tsc >= ceil(t).
+        self.next_noise_at = self.noise_arrival.ceil() as u64;
+    }
+
+    /// One background branch, drawn from the noise stream and routed like
+    /// every other BPU access.
+    fn execute_noise_branch(&mut self) {
+        let Some(cfg) = self.noise else { return };
+        let addr = self.noise_rng.gen_range(cfg.addr_lo..cfg.addr_hi);
+        let outcome = Outcome::from_bool(self.noise_rng.gen_bool(cfg.taken_bias));
+        let route = match &mut self.policy {
+            None => Route::Predict(addr),
+            Some(policy) => policy.route(NOISE_CTX, addr, self.tsc),
+        };
+        // Nothing to commit for the other routes, and the sibling's own
+        // prediction is observable to no one.
+        if let Route::Predict(indexed) = route {
+            self.bpu.execute(indexed, outcome, None);
         }
     }
 }
@@ -458,7 +543,9 @@ mod tests {
                 .with_noise(NoiseConfig::system_activity())
                 .unwrap();
             (0..100)
-                .map(|i| c.execute_branch(0x9000 + i * 3, Outcome::from_bool(i % 3 == 0)).latency)
+                .map(|i| {
+                    c.execute_timed_branch_in(0, 0x9000 + i * 3, Outcome::from_bool(i % 3 == 0)).1
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
@@ -498,11 +585,20 @@ mod tests {
                 c.set_tracer(Tracer::ring(4096));
             }
             c.trace_span_begin(Span::Prime);
-            let events: Vec<u64> = (0..300)
-                .map(|i| c.execute_branch(0x9000 + i * 3, Outcome::from_bool(i % 3 == 0)).latency)
+            // Every fifth branch is timed; the rest run plain.
+            let latencies: Vec<u64> = (0..300)
+                .filter_map(|i| {
+                    let (addr, outcome) = (0x9000 + i * 3, Outcome::from_bool(i % 3 == 0));
+                    if i % 5 == 0 {
+                        Some(c.execute_timed_branch_in(0, addr, outcome).1)
+                    } else {
+                        c.execute_branch(addr, outcome);
+                        None
+                    }
+                })
                 .collect();
             c.trace_span_end(Span::Prime);
-            (events, c.rdtscp(), c.take_tracer().drain())
+            (latencies, c.rdtscp(), c.take_tracer().drain())
         };
         let (lat_on, tsc_on, capture) = run(true);
         let (lat_off, tsc_off, empty) = run(false);
@@ -514,7 +610,11 @@ mod tests {
         assert_eq!(capture.metrics.counter("spans/prime"), 1);
         assert_eq!(capture.metrics.counter("btb_installs"), 100, "every third branch is taken");
         assert!(capture.metrics.counter("noise_branches") > 0, "noise bursts are traced");
-        assert_eq!(capture.metrics.histogram("branch_latency").unwrap().count(), 300);
+        assert_eq!(
+            capture.metrics.histogram("branch_latency").unwrap().count(),
+            60,
+            "only the timed branches have a latency"
+        );
         // Span markers carry the simulated clock, never wall-clock.
         match (capture.events.first(), capture.events.last()) {
             (
@@ -532,7 +632,7 @@ mod tests {
         for _ in 0..3 {
             c.execute_branch(0x700, Outcome::Taken);
         }
-        let ev = c.execute_branch(0x700, Outcome::NotTaken);
+        let (ev, timed) = c.execute_timed_branch_in(0, 0x700, Outcome::NotTaken);
         assert!(ev.mispredicted);
         let capture = c.take_tracer().drain();
         let branches: Vec<&TracedEvent> = capture
@@ -541,10 +641,14 @@ mod tests {
             .filter(|e| matches!(e.event, TraceEvent::Branch { .. }))
             .collect();
         assert_eq!(branches.len(), 4);
-        match branches[3].event {
-            TraceEvent::Branch { taken, predicted_taken, mispredicted, latency, .. } => {
+        match (branches[0].event, branches[3].event) {
+            (
+                TraceEvent::Branch { latency: plain, .. },
+                TraceEvent::Branch { taken, predicted_taken, mispredicted, latency, .. },
+            ) => {
                 assert!(!taken && predicted_taken && mispredicted);
-                assert_eq!(latency, ev.latency);
+                assert_eq!(plain, None, "an untimed branch has no latency");
+                assert_eq!(latency, Some(timed));
             }
             _ => unreachable!(),
         }
@@ -553,11 +657,97 @@ mod tests {
     }
 
     #[test]
-    fn poisson_mean_is_close() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let n = 20_000;
-        let total: usize = (0..n).map(|_| poisson(&mut rng, 2.5)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 2.5).abs() < 0.1, "poisson mean {mean}");
+    fn noise_arrivals_keep_the_configured_rate() {
+        let mut c = core().with_noise(NoiseConfig::system_activity()).unwrap();
+        let before = c.bpu().stats().branches;
+        c.advance_cycles(1_000_000);
+        let injected = c.bpu().stats().branches - before;
+        // 8 per kcycle over 1M cycles: mean 8000, sd ~89.
+        assert!((7_600..8_400).contains(&injected), "injected {injected}");
+    }
+
+    #[test]
+    fn set_noise_rearms_from_now_and_rate_zero_never_fires() {
+        let mut c = core();
+        c.advance_cycles(1_000_000);
+        let quiet = NoiseConfig { branches_per_kcycle: 0.0, ..NoiseConfig::heavy() };
+        c.set_noise(Some(quiet)).unwrap();
+        let before = c.bpu().stats().branches;
+        c.advance_cycles(100_000);
+        assert_eq!(c.bpu().stats().branches, before, "rate zero never fires");
+        assert_eq!(c.inject_noise_burst(3), 3, "bursts still work at rate zero");
+        // Arming at tsc = 1.1M must not replay the elapsed time as a burst.
+        c.set_noise(Some(NoiseConfig::heavy())).unwrap();
+        let before = c.bpu().stats().branches;
+        c.advance_cycles(1);
+        assert!(c.bpu().stats().branches - before < 5, "no backlog from before arming");
+    }
+
+    /// One branch of a random stream: (context, address, taken, timed).
+    type Step = (bool, u64, bool, bool);
+
+    /// A core's state after a stream: tsc, both contexts' counters, noise
+    /// branches injected, predictor stats and every PHT entry.
+    type EndState = (u64, [PerfCounters; 2], u64, bscope_bpu::PredictionStats, Vec<PhtState>);
+
+    /// Runs `stream` with heavy noise and strong fuzz on a fresh core,
+    /// timing the steps `timed` selects. Returns the timed latencies by
+    /// stream position and the end state.
+    fn run_stream(
+        seed: u64,
+        stream: &[Step],
+        timed: impl Fn(usize, &Step) -> bool,
+    ) -> (Vec<(usize, u64)>, EndState) {
+        let mut c = SimCore::new(MicroarchProfile::haswell(), seed)
+            .with_noise(NoiseConfig::heavy())
+            .unwrap();
+        c.set_measurement_fuzz(Some(MeasurementFuzz::strong())).unwrap();
+        let mut latencies = Vec::new();
+        for (i, step) in stream.iter().enumerate() {
+            let &(ctx, addr, taken, _) = step;
+            let (ctx, addr) = (u32::from(ctx), 0x40_0000 + addr);
+            let outcome = Outcome::from_bool(taken);
+            if timed(i, step) {
+                latencies.push((i, c.execute_timed_branch_in(ctx, addr, outcome).1));
+            } else {
+                c.execute_branch_in(ctx, addr, outcome, None);
+            }
+        }
+        let counters = [c.counters(0), c.counters(1)];
+        let foreground = counters[0].branches_retired + counters[1].branches_retired;
+        let stats = c.bpu().stats();
+        let pht = (0..c.profile().pht_size as u64).map(|i| c.bpu().pht_state(i)).collect();
+        (latencies, (c.rdtscp(), counters, stats.branches - foreground, stats, pht))
+    }
+
+    use proptest::collection::vec;
+    use proptest::prelude::{any, ProptestConfig};
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Timing is an observer: timing a random subset of branches leaves
+        /// the predictor, the clock, the counters and the noise schedule
+        /// exactly as timing none does, and each timed latency equals the
+        /// one the same branch reports when every branch is timed.
+        #[test]
+        fn timing_a_branch_changes_nothing_else(
+            seed in any::<u64>(),
+            stream in vec((any::<bool>(), 0u64..4096, any::<bool>(), 0u8..4), 100..400),
+        ) {
+            // A quarter of the branches are timed in the subset run.
+            let stream: Vec<Step> =
+                stream.into_iter().map(|(ctx, addr, taken, t)| (ctx, addr, taken, t == 0)).collect();
+            let (some, some_state) = run_stream(seed, &stream, |_, s| s.3);
+            let (none, none_state) = run_stream(seed, &stream, |_, _| false);
+            let (all, all_state) = run_stream(seed, &stream, |_, _| true);
+            proptest::prop_assert!(none.is_empty());
+            proptest::prop_assert_eq!(&some_state, &none_state);
+            proptest::prop_assert_eq!(&all_state, &none_state);
+            proptest::prop_assert!(none_state.2 > 0, "the noise ran");
+            for (i, latency) in some {
+                proptest::prop_assert_eq!(latency, all[i].1, "branch {} lazily vs eagerly", i);
+            }
+        }
     }
 }

@@ -1,6 +1,5 @@
 //! Performance counter model.
 
-
 /// Hardware performance counters as visible to one hardware thread.
 ///
 /// The paper's spy (Listing 3) brackets its probing branch with reads of the
@@ -14,8 +13,6 @@ pub struct PerfCounters {
     pub branches_retired: u64,
     /// `BR_MISP_RETIRED.CONDITIONAL` — mispredicted conditional branches.
     pub branch_misses: u64,
-    /// Core cycle counter (`CPU_CLK_UNHALTED`-like; equals the TSC here).
-    pub cycles: u64,
 }
 
 impl PerfCounters {
@@ -26,12 +23,11 @@ impl PerfCounters {
     }
 
     /// Records one retired conditional branch.
-    pub fn record_branch(&mut self, mispredicted: bool, latency: u64) {
+    pub fn record_branch(&mut self, mispredicted: bool) {
         self.branches_retired += 1;
         if mispredicted {
             self.branch_misses += 1;
         }
-        self.cycles += latency;
     }
 
     /// Counter deltas since an earlier snapshot.
@@ -48,7 +44,6 @@ impl PerfCounters {
         PerfCounters {
             branches_retired: self.branches_retired.saturating_sub(earlier.branches_retired),
             branch_misses: self.branch_misses.saturating_sub(earlier.branch_misses),
-            cycles: self.cycles.saturating_sub(earlier.cycles),
         }
     }
 }
@@ -60,14 +55,13 @@ mod tests {
     #[test]
     fn record_and_delta() {
         let mut c = PerfCounters::new();
-        c.record_branch(true, 130);
+        c.record_branch(true);
         let snap = c;
-        c.record_branch(false, 80);
-        c.record_branch(true, 140);
+        c.record_branch(false);
+        c.record_branch(true);
         let d = c.since(&snap);
         assert_eq!(d.branches_retired, 2);
         assert_eq!(d.branch_misses, 1);
-        assert_eq!(d.cycles, 220);
     }
 
     /// Regression test: snapshots taken out of order must yield a zero
@@ -75,17 +69,16 @@ mod tests {
     #[test]
     fn out_of_order_snapshots_saturate_instead_of_panicking() {
         let mut c = PerfCounters::new();
-        c.record_branch(true, 130);
+        c.record_branch(true);
         let later = c;
-        c.record_branch(false, 80);
+        c.record_branch(false);
         let d = later.since(&c); // swapped arguments: earlier is newer
         assert_eq!(d, PerfCounters::new());
         // Partial inversion (one field behind, others ahead) also degrades
         // field-wise rather than panicking.
-        let skewed = PerfCounters { branches_retired: 0, branch_misses: 5, cycles: 100 };
+        let skewed = PerfCounters { branches_retired: 0, branch_misses: 5 };
         let d = c.since(&skewed);
         assert_eq!(d.branches_retired, 2);
         assert_eq!(d.branch_misses, 0);
-        assert_eq!(d.cycles, 110);
     }
 }

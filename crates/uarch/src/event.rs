@@ -4,9 +4,11 @@ use bscope_bpu::{Outcome, Prediction, VirtAddr};
 
 /// Everything observable about one dynamically executed branch.
 ///
-/// `latency` is the value an attacker timing the branch with back-to-back
-/// `rdtscp` instructions would measure (paper §8); `mispredicted` is what
-/// the `BR_MISP_RETIRED` performance counter records (paper §7).
+/// `mispredicted` is what the `BR_MISP_RETIRED` performance counter
+/// records (paper §7). There is no latency here: a latency exists only
+/// where the caller brackets the branch with `rdtscp` (paper §8), which
+/// [`SimCore::execute_timed_branch_in`](crate::SimCore::execute_timed_branch_in)
+/// models and returns alongside the event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchEvent {
     /// Virtual address of the branch instruction.
@@ -17,8 +19,6 @@ pub struct BranchEvent {
     pub prediction: Prediction,
     /// Whether the predicted direction was wrong.
     pub mispredicted: bool,
-    /// Measured latency in cycles (timing channel).
-    pub latency: u64,
     /// Whether this execution missed the instruction cache (first touch).
     pub cold: bool,
 }
@@ -61,7 +61,6 @@ mod tests {
                 target: None,
             },
             mispredicted,
-            latency: 100,
             cold: false,
         }
     }

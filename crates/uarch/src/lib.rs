@@ -10,15 +10,19 @@
 //!   [`SimCore::with_backend`] — charges cycles for them and exposes the
 //!   two measurement channels the paper's attacker uses: **performance
 //!   counters** (§7) and the **timestamp counter** (§8);
-//! * [`TimingModel`] — per-branch latency calibrated against the paper's
+//! * [`TimingModel`] — the latency of a timed branch
+//!   ([`SimCore::execute_timed_branch_in`]), calibrated against the paper's
 //!   Figure 7 distributions (hit ≈ 85 cycles, misprediction ≈ +50, heavy
-//!   upper tail, extra cost and variance for cold-i-cache executions);
+//!   upper tail, extra cost and variance for cold-i-cache executions) and
+//!   sampled only for branches the caller times;
 //! * [`InstructionCache`] — a direct-mapped i-cache model driving the
 //!   first-vs-second measurement gap of Figure 8;
 //! * [`PerfCounters`] — retired-branch / mispredicted-branch counters as
 //!   read by `spy_function()` in the paper's Listing 3;
 //! * [`NoiseConfig`] / SMT background activity — unrelated branch execution
-//!   sharing the BPU, the "with noise" condition of Tables 2 and 3.
+//!   sharing the BPU, the "with noise" condition of Tables 2 and 3;
+//! * [`BpuPolicy`] / [`Route`] — the one hook the §10.2 hardware defenses
+//!   use to remap, freeze or bypass a branch's predictor access.
 //!
 //! # Example
 //!
@@ -49,7 +53,7 @@ pub use core_impl::{ContextId, SimCore, NOISE_CTX};
 // Re-exported so downstream crates can instrument a core without naming
 // `bscope-trace` directly.
 pub use bscope_trace::{Span, TraceEvent, TracedEvent, Tracer};
-pub use policy::{BpuPolicy, MeasurementFuzz, NoPolicy};
+pub use policy::{BpuPolicy, MeasurementFuzz, Route};
 pub use counters::PerfCounters;
 pub use event::BranchEvent;
 pub use icache::InstructionCache;

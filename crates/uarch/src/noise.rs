@@ -8,7 +8,10 @@ use std::ops::Range;
 /// Models the two measurement environments of Tables 2 and 3. Background
 /// activity is **time-based**: the sibling context executes unrelated
 /// conditional branches at a mean rate per 1 000 cycles of wall-clock,
-/// regardless of what the foreground thread is doing. The exposure that
+/// regardless of what the foreground thread is doing. Arrivals form a
+/// Poisson process: the gaps between them are exponentially distributed,
+/// and the core schedules the next arrival rather than drawing a count on
+/// every branch. The exposure that
 /// matters to the attack is therefore proportional to *elapsed time* — the
 /// randomization block, the spy's `usleep` while waiting for the victim
 /// (Listing 3), and the probe itself — exactly as on real SMT hardware.
@@ -17,7 +20,9 @@ use std::ops::Range;
 /// foreground thread's performance counters, which are per-logical-CPU.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NoiseConfig {
-    /// Mean background branches per 1 000 cycles (Poisson-distributed).
+    /// Mean background branches per 1 000 cycles; the gaps between
+    /// arrivals are exponential with mean `1000 / branches_per_kcycle`
+    /// cycles. Zero disables the timed arrivals.
     pub branches_per_kcycle: f64,
     /// Virtual address range the background branches are drawn from.
     pub addr_range: Range<u64>,

@@ -1,62 +1,53 @@
 //! Hardware mitigation hooks (paper §10.2).
 //!
-//! The hardware defenses the paper proposes all intervene in the same two
-//! places: how a branch address is mapped to predictor state (PHT index
-//! randomization, BPU partitioning) and whether a branch engages the
-//! predictor at all (no-prediction for flagged sensitive branches).
-//! [`BpuPolicy`] exposes exactly those two decision points to the core;
-//! concrete policies live in the `bscope-mitigations` crate.
+//! The hardware defenses the paper proposes all make one decision per
+//! branch: where the branch meets the shared predictor, and whether it
+//! meets it at all. PHT index randomization and BPU partitioning remap the
+//! address the predictor structures see; no-prediction for flagged
+//! sensitive branches bypasses the predictor; the stochastic FSM predicts
+//! but skips the state update. [`BpuPolicy::route`] is that one decision
+//! point, returning a [`Route`]; concrete policies live in the
+//! `bscope-mitigations` crate. A core with no policy installed is the
+//! unmitigated machine and makes no policy call.
 
 use crate::config::ConfigError;
 use crate::core_impl::ContextId;
+use crate::timing::Draws;
 use bscope_bpu::VirtAddr;
-use rand::Rng;
 
-/// A hardware-level branch prediction policy installed on a core.
-///
-/// The default implementation is the unmitigated machine: identity index
-/// mapping and every branch predicted dynamically.
-pub trait BpuPolicy: std::fmt::Debug + Send {
-    /// The address presented to the predictor structures for a branch of
-    /// context `ctx` at architectural address `addr`. Index randomization
-    /// and partitioning override this.
-    fn index_addr(&self, ctx: ContextId, addr: VirtAddr) -> VirtAddr {
-        let _ = ctx;
-        addr
-    }
+/// Stream tag of the measurement-fuzz draws (counter flip, timing jitter).
+const FUZZ_STREAM: u64 = 0xF022_F022_D1A7_0002;
 
-    /// Whether this branch must bypass the predictor entirely: statically
-    /// predicted not-taken and no BPU state updated ("the CPU must avoid
-    /// predicting these branches, rely always on static prediction and
-    /// avoid updating any BPU structures", §10.2).
-    fn bypass_prediction(&self, ctx: ContextId, addr: VirtAddr) -> bool {
-        let _ = (ctx, addr);
-        false
-    }
-
-    /// Invoked once per executed branch with the current cycle count;
-    /// periodic-rerandomization policies re-key here.
-    fn on_branch(&mut self, tsc: u64) {
-        let _ = tsc;
-    }
-
-    /// Whether this branch's *update* to the predictor state should be
-    /// suppressed. Returning `true` stochastically implements the paper's
-    /// "change the prediction FSM to make it more stochastic" defense
-    /// (§10.2): the FSM still predicts, but its transitions no longer
-    /// deterministically follow the observed outcomes, so the attacker can
-    /// no longer map probe patterns back to the victim's direction.
-    fn suppress_update(&mut self, ctx: ContextId, addr: VirtAddr) -> bool {
-        let _ = (ctx, addr);
-        false
-    }
+/// How one branch meets the shared predictor, as decided by a
+/// [`BpuPolicy`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// Predict and commit the update at this predictor address (the
+    /// branch's own address on the unmitigated machine; a remapped one
+    /// under index randomization or partitioning).
+    Predict(VirtAddr),
+    /// Predict at this address but commit nothing: the stochastic-FSM
+    /// defense skipping a state transition.
+    PredictNoUpdate(VirtAddr),
+    /// Bypass the predictor entirely: statically predicted not-taken, no
+    /// BPU state read or updated ("the CPU must avoid predicting these
+    /// branches, rely always on static prediction and avoid updating any
+    /// BPU structures", §10.2).
+    Bypass,
 }
 
-/// The unmitigated baseline policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoPolicy;
-
-impl BpuPolicy for NoPolicy {}
+/// A hardware-level branch prediction policy installed on a core.
+pub trait BpuPolicy: std::fmt::Debug + Send {
+    /// Routes the branch of context `ctx` at architectural address `addr`,
+    /// executing at cycle `tsc`.
+    ///
+    /// The one rule: the core calls `route` exactly once for every branch,
+    /// before the branch touches the BPU — every foreground branch of
+    /// every context, timed or not, and every background noise branch,
+    /// with `ctx` = [`NOISE_CTX`](crate::NOISE_CTX). A policy that counts
+    /// branches (periodic re-keying) therefore counts them all.
+    fn route(&mut self, ctx: ContextId, addr: VirtAddr, tsc: u64) -> Route;
+}
 
 /// Measurement-channel fuzzing (§10.2 "Other solutions"): degrade the
 /// attacker's ability to observe branch outcomes by adding noise to the
@@ -103,21 +94,28 @@ impl MeasurementFuzz {
         Ok(())
     }
 
-    /// Applies counter fuzz to a misprediction flag.
-    pub(crate) fn fuzz_miss<R: Rng + ?Sized>(&self, rng: &mut R, mispredicted: bool) -> bool {
-        if self.counter_flip_probability > 0.0 && rng.gen_bool(self.counter_flip_probability) {
-            !mispredicted
-        } else {
-            mispredicted
-        }
+    /// The misprediction flag the counters record for foreground branch
+    /// `index` of a core seeded with `seed`: flipped with probability
+    /// [`counter_flip_probability`](Self::counter_flip_probability). A pure
+    /// function of its arguments, like [`TimingModel::sample`](crate::TimingModel::sample).
+    #[must_use]
+    pub fn fuzz_miss(&self, seed: u64, index: u64, mispredicted: bool) -> bool {
+        let flip = self.counter_flip_probability > 0.0
+            && Draws::new(seed, index, FUZZ_STREAM).unit() < self.counter_flip_probability;
+        mispredicted != flip
     }
 
-    /// Applies timing fuzz to a measured latency.
-    pub(crate) fn fuzz_latency<R: Rng + ?Sized>(&self, rng: &mut R, latency: u64) -> u64 {
+    /// The timed latency of foreground branch `index` of a core seeded
+    /// with `seed`, with the extra Gaussian jitter applied. A pure function
+    /// of its arguments.
+    #[must_use]
+    pub fn fuzz_latency(&self, seed: u64, index: u64, latency: u64) -> u64 {
         if self.extra_timing_sigma <= 0.0 {
             return latency;
         }
-        let jitter = self.extra_timing_sigma * crate::timing::gaussian(rng);
+        let mut draws = Draws::new(seed, index, FUZZ_STREAM);
+        let _flip = draws.next_u64(); // the counter flip's draw
+        let jitter = self.extra_timing_sigma * draws.gaussian();
         (latency as f64 + jitter).max(1.0).round() as u64
     }
 }
@@ -125,31 +123,30 @@ impl MeasurementFuzz {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn no_policy_is_identity() {
-        let p = NoPolicy;
-        assert_eq!(p.index_addr(3, 0x1234), 0x1234);
-        assert!(!p.bypass_prediction(3, 0x1234));
-    }
 
     #[test]
     fn fuzz_flips_at_configured_rate() {
         let fuzz = MeasurementFuzz { counter_flip_probability: 0.5, extra_timing_sigma: 0.0 };
-        let mut rng = StdRng::seed_from_u64(1);
-        let flips = (0..10_000).filter(|_| fuzz.fuzz_miss(&mut rng, false)).count();
+        let flips = (0..10_000).filter(|&i| fuzz.fuzz_miss(1, i, false)).count();
         assert!((4_000..6_000).contains(&flips), "flips {flips}");
     }
 
     #[test]
     fn zero_fuzz_is_transparent() {
         let fuzz = MeasurementFuzz { counter_flip_probability: 0.0, extra_timing_sigma: 0.0 };
-        let mut rng = StdRng::seed_from_u64(2);
-        assert!(fuzz.fuzz_miss(&mut rng, true));
-        assert!(!fuzz.fuzz_miss(&mut rng, false));
-        assert_eq!(fuzz.fuzz_latency(&mut rng, 120), 120);
+        assert!(fuzz.fuzz_miss(2, 0, true));
+        assert!(!fuzz.fuzz_miss(2, 1, false));
+        assert_eq!(fuzz.fuzz_latency(2, 2, 120), 120);
+    }
+
+    #[test]
+    fn timing_fuzz_spreads_latencies() {
+        let fuzz = MeasurementFuzz::strong();
+        let fuzzed: Vec<u64> = (0..2_000).map(|i| fuzz.fuzz_latency(3, i, 120)).collect();
+        let mean = fuzzed.iter().sum::<u64>() as f64 / fuzzed.len() as f64;
+        assert!((110.0..130.0).contains(&mean), "jitter is zero-mean: {mean}");
+        assert!(fuzzed.iter().any(|&l| l > 200) && fuzzed.iter().any(|&l| l < 40));
+        assert_eq!(fuzz.fuzz_latency(3, 7, 120), fuzzed[7], "a pure function of the key");
     }
 
     #[test]

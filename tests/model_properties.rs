@@ -2,9 +2,18 @@
 
 use branchscope::attack::{AttackConfig, BranchScope, DirectionDict, ProbeKind};
 use branchscope::bpu::{
-    BackendKind, CounterKind, MicroarchProfile, Outcome, PhtState, PredictorKind,
+    BackendKind, CounterKind, MicroarchProfile, Outcome, PhtState, Prediction, PredictorBackend,
+    PredictorKind,
+};
+use branchscope::mitigations::{
+    NoPredictPolicy, PartitionedBpuPolicy, RandomizedPhtPolicy, StochasticFsmPolicy,
 };
 use branchscope::os::{AslrPolicy, System};
+use branchscope::uarch::{
+    BpuPolicy, BranchEvent, InstructionCache, MeasurementFuzz, NoiseConfig, PerfCounters, Route,
+    SimCore, TimingModel, NOISE_CTX,
+};
+use bscope_harness::splitmix64;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,6 +103,179 @@ impl RefHybrid {
             _ => PhtState::StronglyTaken,
         }
     }
+}
+
+/// Seed tag of the core's noise stream: noise draws from
+/// `StdRng::seed_from_u64(splitmix64(seed ^ NOISE_STREAM))`.
+const NOISE_STREAM: u64 = 0x4E01_5E00_D1A7_0003;
+
+/// `SimCore` written out straight-line over a [`PredictorBackend`] (which
+/// [`RefHybrid`] checks): it samples every branch's latency eagerly,
+/// checks for due noise arrivals inline on every branch by comparing
+/// fractional arrival times, and routes every BPU access through the
+/// policy inline. Lockstep agreement with the lazy, scheduled core checks
+/// the index keying of the latency and fuzz draws, the noise schedule and
+/// its re-arming, and where the policy call sits.
+struct RefCore {
+    bpu: PredictorBackend,
+    timing: TimingModel,
+    icache: InstructionCache,
+    policy: Option<Box<dyn BpuPolicy>>,
+    fuzz: Option<MeasurementFuzz>,
+    noise: Option<NoiseConfig>,
+    noise_rng: StdRng,
+    next_arrival: f64,
+    seed: u64,
+    /// Foreground branches so far.
+    n: u64,
+    tsc: u64,
+    counters: [PerfCounters; 2],
+}
+
+impl RefCore {
+    fn new(bpu: PredictorBackend, seed: u64) -> Self {
+        RefCore {
+            timing: TimingModel::new(bpu.profile().timing),
+            bpu,
+            icache: InstructionCache::l1i_default(),
+            policy: None,
+            fuzz: None,
+            noise: None,
+            noise_rng: StdRng::seed_from_u64(splitmix64(seed ^ NOISE_STREAM)),
+            next_arrival: f64::INFINITY,
+            seed,
+            n: 0,
+            tsc: 0,
+            counters: [PerfCounters::new(); 2],
+        }
+    }
+
+    fn set_noise(&mut self, noise: Option<NoiseConfig>) {
+        self.noise = noise;
+        self.next_arrival = self.tsc as f64;
+        self.draw_gap();
+    }
+
+    fn draw_gap(&mut self) {
+        match &self.noise {
+            Some(cfg) if cfg.branches_per_kcycle > 0.0 => {
+                let u: f64 = self.noise_rng.gen_range(0.0..1.0);
+                self.next_arrival += (1_000.0 / cfg.branches_per_kcycle) * -(1.0 - u).ln();
+            }
+            _ => self.next_arrival = f64::INFINITY,
+        }
+    }
+
+    fn route(&mut self, ctx: u32, addr: u64) -> Route {
+        match &mut self.policy {
+            Some(policy) => policy.route(ctx, addr, self.tsc),
+            None => Route::Predict(addr),
+        }
+    }
+
+    fn inject_due_noise(&mut self) {
+        while self.next_arrival <= self.tsc as f64 {
+            let cfg = self.noise.clone().expect("an arrival is scheduled only with noise on");
+            let addr = self.noise_rng.gen_range(cfg.addr_range.clone());
+            let outcome = Outcome::from_bool(self.noise_rng.gen_bool(cfg.taken_bias));
+            if let Route::Predict(indexed) = self.route(NOISE_CTX, addr) {
+                self.bpu.execute(indexed, outcome, None);
+            }
+            self.draw_gap();
+        }
+    }
+
+    fn advance_cycles(&mut self, cycles: u64) {
+        self.tsc += cycles;
+        self.inject_due_noise();
+    }
+
+    /// One foreground branch and the latency it would measure if timed.
+    fn branch(&mut self, ctx: u32, addr: u64, outcome: Outcome) -> (BranchEvent, u64) {
+        self.inject_due_noise();
+        let index = self.n;
+        self.n += 1;
+        let cold = !self.icache.touch(addr);
+        let (prediction, mispredicted) = match self.route(ctx, addr) {
+            Route::Predict(indexed) => {
+                let (prediction, correct) = self.bpu.execute(indexed, outcome, None);
+                (prediction, !correct)
+            }
+            Route::PredictNoUpdate(indexed) => {
+                let prediction = self.bpu.predict(indexed);
+                (prediction, prediction.direction != outcome)
+            }
+            Route::Bypass => {
+                let nt = Outcome::NotTaken;
+                let prediction = Prediction {
+                    direction: nt,
+                    used: PredictorKind::Bimodal,
+                    bimodal: nt,
+                    gshare: nt,
+                    btb_hit: false,
+                    target: None,
+                };
+                (prediction, outcome.is_taken())
+            }
+        };
+        let taken_btb_miss = outcome.is_taken() && !prediction.btb_hit;
+        let mut latency = self.timing.sample(self.seed, index, mispredicted, cold, taken_btb_miss);
+        let t = self.bpu.profile().timing;
+        let mut advance = t.throughput_cycles;
+        for (stalled, stall) in [
+            (mispredicted, t.mispredict_stall),
+            (cold, t.cold_stall),
+            (taken_btb_miss, t.btb_miss_taken_stall),
+        ] {
+            advance += if stalled { stall } else { 0.0 };
+        }
+        self.tsc += advance.max(1.0).round() as u64;
+        let mut recorded = mispredicted;
+        if let Some(fuzz) = self.fuzz {
+            recorded = fuzz.fuzz_miss(self.seed, index, mispredicted);
+            latency = fuzz.fuzz_latency(self.seed, index, latency);
+        }
+        self.counters[ctx as usize].record_branch(recorded);
+        (BranchEvent { addr, outcome, prediction, mispredicted: recorded, cold }, latency)
+    }
+}
+
+/// The defenses the lockstep covers: none, each §10.2 hardware policy and
+/// measurement fuzzing.
+const DEFENSES: [&str; 7] =
+    ["none", "randomized", "randomized+rekey", "partitioned", "no-predict", "stochastic", "fuzz"];
+
+/// Branch address of pool slot `slot`: a small pool, so branches collide
+/// in the PHT and the BTB.
+fn pool_addr(slot: u64) -> u64 {
+    0x40_0000 + slot * 0x1f3
+}
+
+/// A fresh instance of `defense` (every call builds an identical one).
+fn defense(
+    name: &str,
+    seed: u64,
+    pht_size: usize,
+) -> (Option<Box<dyn BpuPolicy>>, Option<MeasurementFuzz>) {
+    let keyed = |mut p: RandomizedPhtPolicy| {
+        for ctx in [0, 1, NOISE_CTX] {
+            let _ = p.key_of(ctx);
+        }
+        p
+    };
+    let policy: Option<Box<dyn BpuPolicy>> = match name {
+        "randomized" => Some(Box::new(keyed(RandomizedPhtPolicy::new(seed)))),
+        "randomized+rekey" => {
+            Some(Box::new(keyed(RandomizedPhtPolicy::new(seed).with_rekey_interval(37))))
+        }
+        "partitioned" => Some(Box::new(PartitionedBpuPolicy::new(pht_size as u64, 4))),
+        "no-predict" => Some(Box::new(
+            NoPredictPolicy::new().with_protected(0, pool_addr(0)).with_protected(1, pool_addr(1)),
+        )),
+        "stochastic" => Some(Box::new(StochasticFsmPolicy::new(0.3, seed))),
+        _ => None,
+    };
+    (policy, (name == "fuzz").then(MeasurementFuzz::strong))
 }
 
 proptest! {
@@ -248,5 +430,73 @@ proptest! {
             sys.cpu(victim).branch_at(0x6d, Outcome::from_bool(secret));
         });
         prop_assert_eq!(read, Outcome::from_bool(secret));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `SimCore` agrees step by step with [`RefCore`] on random streams of
+    /// timed and plain branches from two contexts, clock advances and
+    /// noise re-configurations, on every backend, under every defense,
+    /// with noise on and off: every branch event, every timed latency,
+    /// then the counters, the clock, every PHT entry, the GHR and the
+    /// predictor statistics.
+    #[test]
+    fn sim_core_matches_reference_core(
+        seed in any::<u64>(),
+        ops in proptest::collection::vec((0u8..16, any::<bool>(), 0u64..48, any::<bool>()), 50..250),
+    ) {
+        let profile = MicroarchProfile::paper_machines()[(seed % 3) as usize].clone();
+        for backend in BackendKind::ALL {
+            for name in DEFENSES {
+                for noisy in [false, true] {
+                    let mut core = SimCore::with_backend(backend.build(profile.clone()), seed);
+                    let mut reference = RefCore::new(backend.build(profile.clone()), seed);
+                    let (policy, fuzz) = defense(name, seed, profile.pht_size);
+                    if let Some(policy) = policy {
+                        core.set_policy(policy);
+                    }
+                    core.set_measurement_fuzz(fuzz).unwrap();
+                    (reference.policy, reference.fuzz) = defense(name, seed, profile.pht_size);
+                    if noisy {
+                        core.set_noise(Some(NoiseConfig::heavy())).unwrap();
+                        reference.set_noise(Some(NoiseConfig::heavy()));
+                    }
+                    let what = format!("{:?}/{backend}/{name}/noise {noisy}", profile.arch);
+                    for (step, &(kind, ctx, slot, taken)) in ops.iter().enumerate() {
+                        let (ctx, addr, outcome) = (u32::from(ctx), pool_addr(slot), Outcome::from_bool(taken));
+                        match kind {
+                            0 => {
+                                core.advance_cycles(slot * 41);
+                                reference.advance_cycles(slot * 41);
+                            }
+                            1 if noisy => {
+                                let cfg = [None, Some(NoiseConfig::isolated_core()), Some(NoiseConfig::heavy())]
+                                    [(slot % 3) as usize]
+                                    .clone();
+                                core.set_noise(cfg.clone()).unwrap();
+                                reference.set_noise(cfg);
+                            }
+                            2..=4 => {
+                                let got = core.execute_timed_branch_in(ctx, addr, outcome);
+                                prop_assert_eq!(got, reference.branch(ctx, addr, outcome), "{} step {}", what, step);
+                            }
+                            _ => {
+                                let got = core.execute_branch_in(ctx, addr, outcome, None);
+                                prop_assert_eq!(got, reference.branch(ctx, addr, outcome).0, "{} step {}", what, step);
+                            }
+                        }
+                    }
+                    prop_assert_eq!(core.rdtscp(), reference.tsc, "{}", what);
+                    prop_assert_eq!([core.counters(0), core.counters(1)], reference.counters, "{}", what);
+                    prop_assert_eq!(core.bpu().stats(), reference.bpu.stats(), "{}", what);
+                    prop_assert_eq!(core.bpu().ghr().value(), reference.bpu.ghr().value(), "{}", what);
+                    for index in 0..profile.pht_size as u64 {
+                        prop_assert_eq!(core.bpu().pht_state(index), reference.bpu.pht_state(index), "{} entry {}", what, index);
+                    }
+                }
+            }
+        }
     }
 }
