@@ -329,6 +329,29 @@ mod tests {
         assert_eq!(c.state(), PhtState::StronglyNotTaken);
     }
 
+    /// `update` against the FSM written out as a table: every level of
+    /// both counter kinds under both outcomes, saturation at zero and at
+    /// the top level included.
+    #[test]
+    fn update_matches_the_transition_table() {
+        // (kind, next level after taken, next level after not-taken), each
+        // indexed by the current level.
+        let tables: [(CounterKind, &[u8], &[u8]); 2] = [
+            (CounterKind::TwoBit, &[1, 2, 3, 3], &[0, 0, 1, 2]),
+            (CounterKind::SkylakeAsymmetric, &[1, 2, 3, 4, 4], &[0, 0, 1, 2, 3]),
+        ];
+        for (kind, taken, not_taken) in tables {
+            assert_eq!(taken.len(), usize::from(Counter::new(kind).max_level()) + 1);
+            for (level, (&up, &down)) in (0u8..).zip(taken.iter().zip(not_taken)) {
+                for (outcome, want) in [(Outcome::Taken, up), (Outcome::NotTaken, down)] {
+                    let mut c = Counter { kind, level };
+                    c.update(outcome);
+                    assert_eq!(c.level(), want, "{kind:?} level {level}, {outcome}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn weak_states_predict_their_side() {
         for kind in [CounterKind::TwoBit, CounterKind::SkylakeAsymmetric] {

@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 ///
 /// let block = RandomizationBlock::generate(7, 1_000, 0x70_0000);
 /// assert_eq!(block.len(), 1_000);
-/// assert!(block.span_bytes() >= 2_000);
+/// assert_eq!(block.seed(), 7);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RandomizationBlock {
@@ -90,38 +90,11 @@ impl RandomizationBlock {
         self.seed
     }
 
-    /// Base virtual address of the block's code.
-    #[must_use]
-    pub fn region_base(&self) -> VirtAddr {
-        self.region_base
-    }
-
-    /// Code bytes spanned by the block.
-    #[must_use]
-    pub fn span_bytes(&self) -> u64 {
-        self.branches.last().map_or(0, |&(off, _)| u64::from(off) + 2)
-    }
-
     /// Executes the whole block on the spy's CPU view (stage 1).
     pub fn execute(&self, cpu: &mut CpuView<'_>) {
         cpu.core_mut().trace_span_begin(Span::Randomize);
-        for &(off, outcome) in &self.branches {
-            cpu.branch_at_abs(self.region_base + u64::from(off), outcome);
-        }
+        cpu.block_at_abs(self.region_base, &self.branches);
         cpu.core_mut().trace_span_end(Span::Randomize);
-    }
-
-    /// How many of the block's branches collide with `addr` in a bimodal
-    /// PHT of `pht_size` entries (analysis helper; the attacker's offline
-    /// "which block touches my target entry how" question).
-    #[must_use]
-    pub fn collisions_with(&self, pht_size: usize, addr: VirtAddr) -> usize {
-        let mask = (pht_size - 1) as u64;
-        let want = addr & mask;
-        self.branches
-            .iter()
-            .filter(|&&(off, _)| (self.region_base + u64::from(off)) & mask == want)
-            .count()
     }
 
     /// Offline convergence analysis of one PHT entry under this block: the
@@ -166,17 +139,6 @@ impl RandomizationBlock {
         let first = levels[0].state();
         levels.iter().all(|c| c.state() == first).then_some(first)
     }
-
-    /// Fraction of the PHT's entries touched by at least one block branch.
-    #[must_use]
-    pub fn pht_coverage(&self, pht_size: usize) -> f64 {
-        let mask = (pht_size - 1) as u64;
-        let mut touched = vec![false; pht_size];
-        for &(off, _) in &self.branches {
-            touched[((self.region_base + u64::from(off)) & mask) as usize] = true;
-        }
-        touched.iter().filter(|&&t| t).count() as f64 / pht_size as f64
-    }
 }
 
 #[cfg(test)]
@@ -184,6 +146,14 @@ mod tests {
     use super::*;
     use bscope_bpu::PhtState;
     use bscope_os::{AslrPolicy, System};
+
+    /// The PHT entries of a `pht_size`-entry table the block's branches
+    /// index, one per branch.
+    fn entries(block: &RandomizationBlock, pht_size: usize) -> impl Iterator<Item = usize> + '_ {
+        let mask = (pht_size - 1) as u64;
+        let base = block.region_base;
+        block.branches.iter().map(move |&(off, _)| ((base + u64::from(off)) & mask) as usize)
+    }
 
     #[test]
     fn generation_is_deterministic() {
@@ -216,7 +186,11 @@ mod tests {
         // PHT".
         let profile = bscope_bpu::MicroarchProfile::skylake();
         let block = RandomizationBlock::for_profile(&profile, 11);
-        let coverage = block.pht_coverage(profile.pht_size);
+        let mut touched = vec![false; profile.pht_size];
+        for entry in entries(&block, profile.pht_size) {
+            touched[entry] = true;
+        }
+        let coverage = touched.iter().filter(|&&t| t).count() as f64 / profile.pht_size as f64;
         assert!(coverage > 0.85, "coverage {coverage:.3}");
     }
 
@@ -246,7 +220,8 @@ mod tests {
         // …and the block must have rewritten the victim's PHT entry
         // (it collides with several block branches).
         let pht = sys.core().profile().pht_size;
-        assert!(block.collisions_with(pht, victim_addr) > 0);
+        let victim_entry = (victim_addr & (pht as u64 - 1)) as usize;
+        assert!(entries(&block, pht).any(|entry| entry == victim_entry));
     }
 
     #[test]

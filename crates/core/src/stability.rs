@@ -131,7 +131,7 @@ impl StateDistribution {
 /// times per probing variant on the given system.
 ///
 /// This is the per-trial unit the parallel experiment harness fans out
-/// over; [`analyze_stability`] is the sequential convenience wrapper.
+/// over.
 pub fn characterize_block(
     sys: &mut System,
     spy: Pid,
@@ -169,19 +169,6 @@ pub fn characterize_block(
     BlockStability { block_seed, tt_dominant, tt_frequency, nn_dominant, nn_frequency, state }
 }
 
-/// Runs the Fig. 4 experiment: characterises `config.blocks` randomization
-/// blocks on the given system (enable noise on the system beforehand to
-/// reproduce the paper's environment).
-pub fn analyze_stability(
-    sys: &mut System,
-    spy: Pid,
-    config: &StabilityConfig,
-) -> Vec<BlockStability> {
-    (0..config.blocks)
-        .map(|i| characterize_block(sys, spy, config, config.seed + i as u64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,6 +186,17 @@ mod tests {
             btb_size: 256,
             timing: Default::default(),
         }
+    }
+
+    /// Characterises `config.blocks` blocks in turn on one system.
+    fn analyze_stability(
+        sys: &mut System,
+        spy: Pid,
+        config: &StabilityConfig,
+    ) -> Vec<BlockStability> {
+        (0..config.blocks)
+            .map(|i| characterize_block(sys, spy, config, config.seed + i as u64))
+            .collect()
     }
 
     fn config(blocks: usize, reps: usize) -> StabilityConfig {

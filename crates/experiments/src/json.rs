@@ -34,6 +34,9 @@ struct Entry {
     /// backend-aware experiments, `"hybrid"` for the rest.
     backend: String,
     wall_seconds: f64,
+    /// Simulated branches (foreground plus noise) the experiment's cores
+    /// executed.
+    sim_branches: u64,
     metrics: Vec<(String, f64)>,
     /// `Some(message)` when the experiment failed (typed error or panic).
     error: Option<String>,
@@ -60,7 +63,8 @@ impl Report {
     }
 
     /// Records one experiment: `backend` names the predictor substrate it
-    /// ran on; `error` is `None` on success, or the failure message of a
+    /// ran on and `sim_branches` counts the simulated branches it executed;
+    /// `error` is `None` on success, or the failure message of a
     /// panicked/errored experiment. Metrics recorded before the failure
     /// are kept — they belong to this entry, not the next experiment's.
     pub fn record(
@@ -68,6 +72,7 @@ impl Report {
         name: &str,
         backend: &str,
         wall_seconds: f64,
+        sim_branches: u64,
         metrics: Vec<(String, f64)>,
         error: Option<String>,
     ) {
@@ -75,6 +80,7 @@ impl Report {
             name: name.to_owned(),
             backend: backend.to_owned(),
             wall_seconds,
+            sim_branches,
             metrics,
             error,
         });
@@ -155,6 +161,13 @@ impl Report {
                 let _ = writeln!(out, "      \"error\": \"{}\",", escape(err));
             }
             let _ = writeln!(out, "      \"wall_seconds\": {},", number(e.wall_seconds));
+            // Outside "metrics": wall-clock derived, so never pinned.
+            let _ = writeln!(out, "      \"sim_branches\": {},", e.sim_branches);
+            let _ = writeln!(
+                out,
+                "      \"ns_per_sim_branch\": {},",
+                number(e.wall_seconds * 1e9 / e.sim_branches as f64)
+            );
             out.push_str("      \"metrics\": {");
             for (j, (k, v)) in e.metrics.iter().enumerate() {
                 out.push_str(if j == 0 { "\n" } else { ",\n" });
@@ -357,9 +370,9 @@ mod tests {
 
         let registry = ["fig2", "fig4", "fig9", "t\u{e9}"];
         let mut r = Report::new(&Scale::quick());
-        r.record("fig2", "hybrid", 0.1, vec![], None);
+        r.record("fig2", "hybrid", 0.1, 0, vec![], None);
         let pinned = vec![("fig4/stable_fraction".into(), 0.733_333_333_333_333_3)];
-        r.record("fig4", "hybrid", 0.1, pinned, None);
+        r.record("fig4", "hybrid", 0.1, 0, pinned, None);
         assert!(r.check(&golden, &registry).is_empty());
         // An entry for an experiment that no longer exists is a difference,
         // whether or not the run selected everything.
@@ -370,8 +383,8 @@ mod tests {
 
         let mut off = Report::new(&Scale::quick());
         let drifted = vec![("fig4/stable_fraction".into(), 0.7), ("x".into(), 1.0)];
-        off.record("fig4", "hybrid", 0.1, drifted, None);
-        off.record("fig9", "hybrid", 0.1, vec![], None);
+        off.record("fig4", "hybrid", 0.1, 0, drifted, None);
+        off.record("fig9", "hybrid", 0.1, 0, vec![], None);
         assert_eq!(
             off.check(&golden, &registry),
             [
@@ -381,7 +394,7 @@ mod tests {
             ]
         );
         let mut short = Report::new(&Scale::quick());
-        short.record("fig4", "hybrid", 0.1, vec![], None);
+        short.record("fig4", "hybrid", 0.1, 0, vec![], None);
         assert_eq!(
             short.check(&golden, &registry),
             ["fig4: fig4/stable_fraction: missing, want 0.7333333333333333"]
@@ -392,7 +405,7 @@ mod tests {
     fn a_report_checks_clean_against_itself() {
         let mut r = Report::new(&Scale::quick());
         let metrics = vec![("table2/a \"q\"".into(), 0.1 + 0.2), ("nan".into(), f64::NAN)];
-        r.record("table2", "hybrid", 0.1, metrics, None);
+        r.record("table2", "hybrid", 0.1, 0, metrics, None);
         // The report's own JSON, reshaped to the golden format.
         let golden = "{\"table2\": {\"table2/a \\\"q\\\"\": 0.30000000000000004, \"nan\": null}}";
         assert!(r.check(&parse_golden(golden).unwrap(), &["table2"]).is_empty());
@@ -436,12 +449,22 @@ mod tests {
         let mut scale = Scale::quick();
         scale.threads = 4;
         let mut r = Report::new(&scale);
-        r.record("fig4", "hybrid", 1.25, vec![("fig4/stable_fraction".into(), 0.83)], None);
-        r.record("empty", "tage", 0.5, vec![], None);
+        r.record(
+            "fig4",
+            "hybrid",
+            1.25,
+            2_500_000_000,
+            vec![("fig4/stable_fraction".into(), 0.83)],
+            None,
+        );
+        r.record("empty", "tage", 0.5, 0, vec![], None);
         let s = r.to_json();
         assert!(s.contains("\"threads\": 4"));
         assert!(s.contains("\"fig4/stable_fraction\": 0.83"));
         assert!(s.contains("\"wall_seconds\": 1.25"));
+        assert!(s.contains("\"sim_branches\": 2500000000"));
+        assert!(s.contains("\"ns_per_sim_branch\": 0.5,"));
+        assert!(s.contains("\"ns_per_sim_branch\": null,"), "no branches, no rate: {s}");
         assert!(s.contains("\"status\": \"ok\""));
         assert!(s.contains("\"backend\": \"hybrid\""));
         assert!(s.contains("\"backend\": \"tage\""));
@@ -465,11 +488,12 @@ mod tests {
     #[test]
     fn failed_experiments_keep_partial_metrics_and_are_listed() {
         let mut r = Report::new(&Scale::quick());
-        r.record("table1", "hybrid", 0.1, vec![("table1/rows".into(), 8.0)], None);
+        r.record("table1", "hybrid", 0.1, 0, vec![("table1/rows".into(), 8.0)], None);
         r.record(
             "table2",
             "perceptron",
             0.2,
+            0,
             vec![("table2/partial".into(), 1.0)],
             Some("trial 3 (seed 0x0000000000000001) panicked: injected fault\n\"quoted\"".into()),
         );

@@ -20,8 +20,11 @@
 //! (see `bscope-harness`) — so `--threads` only changes wall-clock.
 //!
 //! `--json PATH` writes a machine-readable report: per-experiment
-//! wall-clock seconds, status, the predictor backend the experiment ran
-//! on, and the headline metrics each experiment records.
+//! wall-clock seconds, simulated branches (foreground plus noise, as
+//! `sim_branches`, with `ns_per_sim_branch` = wall-clock / branches),
+//! status, the predictor backend the experiment ran on, and the headline
+//! metrics each experiment records. Only the metrics are pinned by
+//! `--check`.
 //!
 //! `--trace PATH` captures structured per-trial traces from the
 //! trial-parallel experiments and writes them as JSONL (one event per
@@ -77,6 +80,7 @@ mod table3;
 
 use bscope_core::BscopeError;
 use bscope_harness::FaultPlan;
+use bscope_uarch::SimCore;
 use common::Scale;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -413,9 +417,14 @@ fn main() {
         // a mid-experiment failure belong to *its* report entry and must
         // not leak into the next experiment's.
         let scope = common::MetricScope::enter();
+        // Every core an experiment builds is dropped by the time it
+        // returns, on whichever thread ran it, so the difference is its
+        // simulated branches.
+        let sim_before = SimCore::dropped_sim_branches();
         let started = std::time::Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| (exp.run)(&scale_local)));
         let elapsed = started.elapsed();
+        let sim_branches = SimCore::dropped_sim_branches() - sim_before;
         // Drain this experiment's traces (empty unless --trace/--metrics).
         // Aggregated metrics are recorded while the scope is still open so
         // they land on this experiment's report entry.
@@ -464,7 +473,7 @@ fn main() {
         // `--bpu` said; the report entry records what actually happened.
         let backend =
             if exp.backend_aware { scale.backend } else { bscope_bpu::BackendKind::Hybrid };
-        report.record(exp.name, backend.name(), elapsed.as_secs_f64(), metrics, error);
+        report.record(exp.name, backend.name(), elapsed.as_secs_f64(), sim_branches, metrics, error);
     }
 
     let any_failed = report.has_failures();

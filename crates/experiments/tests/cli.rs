@@ -372,13 +372,48 @@ fn fault_free_runs_are_unaffected_by_fault_plumbing() {
     let strip = |p: &PathBuf| {
         let s = std::fs::read_to_string(p).unwrap();
         std::fs::remove_file(p).ok();
-        // Only wall-clock and the echoed thread count may differ.
+        // Only wall-clock, the rate derived from it and the echoed thread
+        // count may differ.
         s.lines()
-            .filter(|l| !l.contains("wall_seconds") && !l.contains("\"threads\""))
+            .filter(|l| {
+                !l.contains("wall_seconds")
+                    && !l.contains("ns_per_sim_branch")
+                    && !l.contains("\"threads\"")
+            })
             .collect::<Vec<_>>()
             .join("\n")
     };
     assert_eq!(strip(&json_a), strip(&json_b), "metrics identical across thread counts");
+}
+
+/// The `sim_branches` of each `--json` entry counts foreground and noise
+/// branches on every core the experiment built, whichever worker ran them:
+/// it is the same at 1 and 4 threads, and `ns_per_sim_branch` sits next to
+/// it.
+#[test]
+fn sim_branches_are_counted_and_thread_count_invariant() {
+    let ledger = |threads: &str| {
+        let json = scratch(&format!("cli_ledger_{threads}.json"));
+        let out = run(&["--quick", "--threads", threads, "--json", json.to_str().unwrap(), "table2", "fig7"]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        let report = std::fs::read_to_string(&json).unwrap();
+        std::fs::remove_file(&json).ok();
+        let field = |line: &str, key: &str| {
+            line.trim().strip_prefix(&format!("\"{key}\": "))?.strip_suffix(',').map(str::to_owned)
+        };
+        let counts: Vec<u64> =
+            report.lines().filter_map(|l| field(l, "sim_branches")).map(|v| v.parse().unwrap()).collect();
+        let rates: Vec<f64> =
+            report.lines().filter_map(|l| field(l, "ns_per_sim_branch")).map(|v| v.parse().unwrap()).collect();
+        assert_eq!((counts.len(), rates.len()), (2, 2), "one of each per entry:\n{report}");
+        assert!(counts.iter().all(|&n| n > 0) && rates.iter().all(|&r| r > 0.0), "{report}");
+        counts
+    };
+    let one = ledger("1");
+    // fig7 times 5 000 samples in each of 4 cases, two branches each; it
+    // runs no noise.
+    assert_eq!(one[1], 40_000);
+    assert_eq!(ledger("4"), one);
 }
 
 /// The pinned quick-scale metrics (`golden/quick_metrics.json`).

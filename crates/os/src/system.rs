@@ -162,6 +162,14 @@ impl CpuView<'_> {
         self.core.execute_branch_in(self.proc.ctx(), addr, outcome, None)
     }
 
+    /// Executes a straight-line block of conditional branches at absolute
+    /// addresses `base + offset`, each resolving to its outcome — the same
+    /// as one [`CpuView::branch_at_abs`] per branch, through
+    /// [`SimCore::execute_block`].
+    pub fn block_at_abs(&mut self, base: VirtAddr, branches: &[(u32, Outcome)]) {
+        self.core.execute_block(self.proc.ctx(), base, branches);
+    }
+
     /// Executes a conditional branch at an absolute virtual address between
     /// two `rdtscp` reads and returns what the pair measured (§8, Fig. 7).
     /// The branch itself behaves exactly as under

@@ -13,6 +13,7 @@ use bscope_harness::splitmix64;
 use bscope_trace::{Span, TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a hardware context (logical CPU / process) on the core.
 ///
@@ -26,6 +27,10 @@ pub const NOISE_CTX: ContextId = ContextId::MAX;
 
 /// Seed tag of the background-noise stream.
 const NOISE_STREAM: u64 = 0x4E01_5E00_D1A7_0003;
+
+/// Simulated branches of every core dropped so far in this process (see
+/// [`SimCore::dropped_sim_branches`]).
+static DROPPED_SIM_BRANCHES: AtomicU64 = AtomicU64::new(0);
 
 /// The static prediction of a branch that bypasses the predictor.
 const STATIC_NOT_TAKEN: Prediction = Prediction {
@@ -82,6 +87,8 @@ pub struct SimCore {
     /// Foreground branches retired so far: the index that keys the next
     /// foreground branch's latency and fuzz draws.
     branches: u64,
+    /// Background-noise branches executed so far.
+    noise_branches: u64,
     noise: Option<NoiseParams>,
     noise_rng: StdRng,
     /// Exact (fractional) cycle of the next noise arrival.
@@ -142,6 +149,7 @@ impl SimCore {
             tsc: 0,
             seed,
             branches: 0,
+            noise_branches: 0,
             noise: None,
             noise_rng: StdRng::seed_from_u64(splitmix64(seed ^ NOISE_STREAM)),
             noise_arrival: f64::INFINITY,
@@ -274,6 +282,32 @@ impl SimCore {
         self.counters.get(ctx as usize).copied().unwrap_or_default()
     }
 
+    /// `ctx`'s performance counters, allocated on its first branch.
+    fn counters_mut(&mut self, ctx: ContextId) -> &mut PerfCounters {
+        let slot = ctx as usize;
+        if slot >= self.counters.len() {
+            self.counters.resize(slot + 1, PerfCounters::new());
+        }
+        &mut self.counters[slot]
+    }
+
+    /// Simulated branches this core has executed: every foreground branch
+    /// of every context plus every background-noise branch, whatever route
+    /// the policy gave it. Always counted; needs no tracer.
+    #[must_use]
+    pub fn sim_branches(&self) -> u64 {
+        self.branches + self.noise_branches
+    }
+
+    /// The sum of [`SimCore::sim_branches`] over every core dropped so far
+    /// in this process. A caller that reads it before and after a piece of
+    /// work whose cores are all dropped by its end gets that work's
+    /// simulated branches, whichever threads ran them.
+    #[must_use]
+    pub fn dropped_sim_branches() -> u64 {
+        DROPPED_SIM_BRANCHES.load(Ordering::Relaxed)
+    }
+
     /// Advances the cycle clock without executing branches (models `nop`
     /// padding, `usleep`, or victim non-branch work). Background activity
     /// keeps running during the elapsed time — the spy's wait for the
@@ -319,6 +353,44 @@ impl SimCore {
     ) -> (BranchEvent, u64) {
         let (event, latency) = self.retire::<true>(ctx, addr, outcome, None);
         (event, latency.unwrap_or_default())
+    }
+
+    /// Executes a straight-line block of conditional branches in `ctx`:
+    /// branch `i` sits at `base + branches[i].0` and resolves to
+    /// `branches[i].1`, with the fall-through target. The predictor, the
+    /// clock, the counters and the noise schedule end exactly as after one
+    /// [`SimCore::execute_branch_in`] per branch; no [`BranchEvent`] is
+    /// returned, since nothing observes a branch of the block (stage 1 of
+    /// the attack, §5.2).
+    ///
+    /// With no tracer, [`BpuPolicy`] or [`MeasurementFuzz`] installed, the
+    /// block takes a fast path. It samples no latency and builds no event.
+    /// It keeps the one-compare noise check before each branch, so noise
+    /// arrives on the same branches, and it updates the counters once per
+    /// block. Otherwise it is the per-branch loop, so a trace and every
+    /// defense see each branch exactly as before.
+    pub fn execute_block(&mut self, ctx: ContextId, base: VirtAddr, branches: &[(u32, Outcome)]) {
+        if self.tracer.is_enabled() || self.policy.is_some() || self.fuzz.is_some() {
+            for &(offset, outcome) in branches {
+                self.retire::<false>(ctx, base + u64::from(offset), outcome, None);
+            }
+            return;
+        }
+        let mut misses = 0;
+        for &(offset, outcome) in branches {
+            self.inject_pending_noise();
+            let addr = base + u64::from(offset);
+            let cold = !self.icache.touch(addr);
+            let (prediction, correct) = self.bpu.execute(addr, outcome, None);
+            let taken_btb_miss = outcome.is_taken() && !prediction.btb_hit;
+            self.tsc += self.timing.advance(!correct, cold, taken_btb_miss);
+            misses += u64::from(!correct);
+        }
+        let retired = branches.len() as u64;
+        self.branches += retired;
+        let counters = self.counters_mut(ctx);
+        counters.branches_retired += retired;
+        counters.branch_misses += misses;
     }
 
     /// One foreground branch; `TIMED` selects whether its latency is
@@ -368,11 +440,7 @@ impl SimCore {
             recorded_miss = fuzz.fuzz_miss(self.seed, index, mispredicted);
             latency = latency.map(|l| fuzz.fuzz_latency(self.seed, index, l));
         }
-        let slot = ctx as usize;
-        if slot >= self.counters.len() {
-            self.counters.resize(slot + 1, PerfCounters::new());
-        }
-        self.counters[slot].record_branch(recorded_miss);
+        self.counters_mut(ctx).record_branch(recorded_miss);
         if self.tracer.is_enabled() {
             self.tracer.emit_with(|| TraceEvent::Branch {
                 ctx,
@@ -455,6 +523,7 @@ impl SimCore {
     /// every other BPU access.
     fn execute_noise_branch(&mut self) {
         let Some(cfg) = self.noise else { return };
+        self.noise_branches += 1;
         let addr = self.noise_rng.gen_range(cfg.addr_lo..cfg.addr_hi);
         let outcome = Outcome::from_bool(self.noise_rng.gen_bool(cfg.taken_bias));
         let route = match &mut self.policy {
@@ -466,6 +535,12 @@ impl SimCore {
         if let Route::Predict(indexed) = route {
             self.bpu.execute(indexed, outcome, None);
         }
+    }
+}
+
+impl Drop for SimCore {
+    fn drop(&mut self) {
+        DROPPED_SIM_BRANCHES.fetch_add(self.sim_branches(), Ordering::Relaxed);
     }
 }
 
@@ -654,6 +729,57 @@ mod tests {
         }
         // The three taken branches each installed their BTB entry.
         assert_eq!(capture.metrics.counter("btb_installs"), 3);
+    }
+
+    /// `execute_block` is the per-branch loop. Two blocks, one per
+    /// context, under heavy noise: with a ring tracer the capture is the
+    /// same; without one (the fast path) the clock, the counters, the
+    /// noise, the predictor and the next timed branch's latency are.
+    #[test]
+    fn execute_block_matches_the_per_branch_loop() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut offset = 0u32;
+        let block: Vec<(u32, Outcome)> = (0..5_000)
+            .map(|_| {
+                let branch = (offset, Outcome::from_bool(rng.gen_bool(0.5)));
+                offset += 2 + u32::from(rng.gen_bool(0.5));
+                branch
+            })
+            .collect();
+        let run = |traced: bool, as_block: bool| {
+            let mut c = core().with_noise(NoiseConfig::heavy()).unwrap();
+            if traced {
+                c.set_tracer(Tracer::ring(1 << 16));
+            }
+            for ctx in [0, 1] {
+                if as_block {
+                    c.execute_block(ctx, 0x70_0000, &block);
+                } else {
+                    for &(offset, outcome) in &block {
+                        c.execute_branch_in(ctx, 0x70_0000 + u64::from(offset), outcome, None);
+                    }
+                }
+            }
+            let latency = c.execute_timed_branch_in(0, 0x9000, Outcome::Taken).1;
+            let pht: Vec<PhtState> =
+                (0..c.profile().pht_size as u64).map(|i| c.bpu().pht_state(i)).collect();
+            let state = (c.rdtscp(), [c.counters(0), c.counters(1)], c.bpu().stats(), latency, pht);
+            (state, c.sim_branches(), c.take_tracer().drain())
+        };
+        let (loop_state, loop_sim, loop_capture) = run(true, false);
+        let (block_state, block_sim, block_capture) = run(true, true);
+        assert_eq!(block_capture, loop_capture, "traced block differs from the loop");
+        assert_eq!(block_capture.metrics.counter("branches"), 10_001);
+        assert!(block_capture.metrics.counter("noise_branches") > 0, "the noise ran");
+        assert_eq!((&block_state, block_sim), (&loop_state, loop_sim));
+        let (fast_state, fast_sim, _) = run(false, true);
+        assert_eq!(fast_state, loop_state, "fast path differs from the loop");
+        assert_eq!(fast_sim, loop_sim);
+        assert_eq!(
+            loop_sim,
+            10_001 + block_capture.metrics.counter("noise_branches"),
+            "sim_branches counts foreground and noise"
+        );
     }
 
     #[test]

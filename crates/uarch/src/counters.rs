@@ -22,12 +22,12 @@ impl PerfCounters {
         PerfCounters::default()
     }
 
-    /// Records one retired conditional branch.
+    /// Records one retired conditional branch (branch-free: the miss flag
+    /// is added as an integer).
+    #[inline]
     pub fn record_branch(&mut self, mispredicted: bool) {
         self.branches_retired += 1;
-        if mispredicted {
-            self.branch_misses += 1;
-        }
+        self.branch_misses += u64::from(mispredicted);
     }
 
     /// Counter deltas since an earlier snapshot.

@@ -58,13 +58,32 @@ impl Draws {
 #[derive(Debug, Clone)]
 pub struct TimingModel {
     params: TimingParams,
+    /// [`TimingModel::advance`] for each combination of its three flags,
+    /// indexed by `stall_index`; computed once, so the per-branch clock
+    /// step is a table read with no branch on the flags.
+    advance: [u64; 8],
+}
+
+/// Index of a (mispredicted, cold, taken-BTB-miss) combination.
+fn stall_index(mispredicted: bool, cold: bool, taken_btb_miss: bool) -> usize {
+    usize::from(mispredicted) | usize::from(cold) << 1 | usize::from(taken_btb_miss) << 2
 }
 
 impl TimingModel {
     /// Model with the given parameters.
     #[must_use]
     pub fn new(params: TimingParams) -> Self {
-        TimingModel { params }
+        let stalls = [params.mispredict_stall, params.cold_stall, params.btb_miss_taken_stall];
+        let advance = std::array::from_fn(|index| {
+            let mut cycles = params.throughput_cycles;
+            for (bit, stall) in stalls.into_iter().enumerate() {
+                if index >> bit & 1 == 1 {
+                    cycles += stall;
+                }
+            }
+            cycles.max(1.0).round() as u64
+        });
+        TimingModel { params, advance }
     }
 
     /// The latency an `rdtscp` pair around foreground branch `index` of a
@@ -115,20 +134,10 @@ impl TimingModel {
     /// `rdtscp`-bracketed measurement, ordinary branches retire near
     /// throughput, stalling only on mispredictions, i-cache misses and the
     /// BTB-miss redirect bubble of taken branches.
+    #[inline]
     #[must_use]
     pub fn advance(&self, mispredicted: bool, cold: bool, taken_btb_miss: bool) -> u64 {
-        let p = &self.params;
-        let mut cycles = p.throughput_cycles;
-        if mispredicted {
-            cycles += p.mispredict_stall;
-        }
-        if cold {
-            cycles += p.cold_stall;
-        }
-        if taken_btb_miss {
-            cycles += p.btb_miss_taken_stall;
-        }
-        cycles.max(1.0).round() as u64
+        self.advance[stall_index(mispredicted, cold, taken_btb_miss)]
     }
 }
 

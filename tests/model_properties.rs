@@ -128,6 +128,8 @@ struct RefCore {
     seed: u64,
     /// Foreground branches so far.
     n: u64,
+    /// Background-noise branches so far.
+    noise_branches: u64,
     tsc: u64,
     counters: [PerfCounters; 2],
 }
@@ -145,6 +147,7 @@ impl RefCore {
             next_arrival: f64::INFINITY,
             seed,
             n: 0,
+            noise_branches: 0,
             tsc: 0,
             counters: [PerfCounters::new(); 2],
         }
@@ -178,6 +181,7 @@ impl RefCore {
             let cfg = self.noise.clone().expect("an arrival is scheduled only with noise on");
             let addr = self.noise_rng.gen_range(cfg.addr_range.clone());
             let outcome = Outcome::from_bool(self.noise_rng.gen_bool(cfg.taken_bias));
+            self.noise_branches += 1;
             if let Route::Predict(indexed) = self.route(NOISE_CTX, addr) {
                 self.bpu.execute(indexed, outcome, None);
             }
@@ -249,6 +253,21 @@ const DEFENSES: [&str; 7] =
 /// in the PHT and the BTB.
 fn pool_addr(slot: u64) -> u64 {
     0x40_0000 + slot * 0x1f3
+}
+
+/// A straight-line run of 1-64 branches for step `step` of a stream
+/// seeded with `seed`, as `SimCore::execute_block` takes it: offsets from
+/// the run's base rising by 2 or 3 bytes, random outcomes.
+fn block_run(seed: u64, step: usize) -> Vec<(u32, Outcome)> {
+    let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ step as u64));
+    let mut offset = 0u32;
+    (0..rng.gen_range(1..=64))
+        .map(|_| {
+            let branch = (offset, Outcome::from_bool(rng.gen_bool(0.5)));
+            offset += rng.gen_range(2..=3);
+            branch
+        })
+        .collect()
 }
 
 /// A fresh instance of `defense` (every call builds an identical one).
@@ -437,15 +456,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// `SimCore` agrees step by step with [`RefCore`] on random streams of
-    /// timed and plain branches from two contexts, clock advances and
-    /// noise re-configurations, on every backend, under every defense,
-    /// with noise on and off: every branch event, every timed latency,
-    /// then the counters, the clock, every PHT entry, the GHR and the
-    /// predictor statistics.
+    /// timed and plain branches and straight-line blocks
+    /// (`SimCore::execute_block`, replayed branch by branch by the
+    /// reference) from two contexts, clock advances and noise
+    /// re-configurations, on every backend, under every defense, with noise
+    /// on and off: every branch event, every timed latency, then the
+    /// counters, the clock, the simulated-branch count, every PHT entry,
+    /// the GHR and the predictor statistics.
     #[test]
     fn sim_core_matches_reference_core(
         seed in any::<u64>(),
-        ops in proptest::collection::vec((0u8..16, any::<bool>(), 0u64..48, any::<bool>()), 50..250),
+        ops in proptest::collection::vec((0u8..18, any::<bool>(), 0u64..48, any::<bool>()), 50..250),
     ) {
         let profile = MicroarchProfile::paper_machines()[(seed % 3) as usize].clone();
         for backend in BackendKind::ALL {
@@ -482,6 +503,13 @@ proptest! {
                                 let got = core.execute_timed_branch_in(ctx, addr, outcome);
                                 prop_assert_eq!(got, reference.branch(ctx, addr, outcome), "{} step {}", what, step);
                             }
+                            16 | 17 => {
+                                let run = block_run(seed, step);
+                                core.execute_block(ctx, addr, &run);
+                                for (offset, outcome) in run {
+                                    reference.branch(ctx, addr + u64::from(offset), outcome);
+                                }
+                            }
                             _ => {
                                 let got = core.execute_branch_in(ctx, addr, outcome, None);
                                 prop_assert_eq!(got, reference.branch(ctx, addr, outcome).0, "{} step {}", what, step);
@@ -489,6 +517,7 @@ proptest! {
                         }
                     }
                     prop_assert_eq!(core.rdtscp(), reference.tsc, "{}", what);
+                    prop_assert_eq!(core.sim_branches(), reference.n + reference.noise_branches, "{}", what);
                     prop_assert_eq!([core.counters(0), core.counters(1)], reference.counters, "{}", what);
                     prop_assert_eq!(core.bpu().stats(), reference.bpu.stats(), "{}", what);
                     prop_assert_eq!(core.bpu().ghr().value(), reference.bpu.ghr().value(), "{}", what);
