@@ -1,7 +1,7 @@
 //! §9.2 attack applications: Montgomery-ladder key recovery, libjpeg IDCT
 //! complexity recovery, and ASLR derandomization.
 
-use crate::common::Scale;
+use crate::common::{metric, Scale};
 use bscope_bpu::{MicroarchProfile, Outcome};
 use bscope_core::{AttackConfig, BranchScope, BscopeError};
 use bscope_os::{AslrPolicy, System, Workload};
@@ -44,6 +44,7 @@ fn montgomery(scale: &Scale) -> Result<(), BscopeError> {
         wrong,
         ladder.result().expect("ladder finished"),
     );
+    metric("apps/montgomery/wrong_key_bits", f64::from(wrong));
     Ok(())
 }
 
@@ -96,6 +97,7 @@ fn jpeg(scale: &Scale) -> Result<(), BscopeError> {
         truths.len() * 8
     );
     println!("  i.e. the relative complexity of each pixel block (paper Sec. 9.2).");
+    metric("apps/jpeg/column_flags_correct", correct as f64);
     Ok(())
 }
 
@@ -167,7 +169,10 @@ fn aslr(scale: &Scale) -> Result<(), BscopeError> {
         "  phase 2: {} candidate(s) after the BTB-presence pass (true base {true_base:#x})",
         candidates.len()
     );
-    if candidates.contains(&true_base) {
+    let survives = candidates.contains(&true_base);
+    metric("apps/aslr/candidates_left", candidates.len() as f64);
+    metric("apps/aslr/true_base_survives", f64::from(u8::from(survives)));
+    if survives {
         println!(
             "  true base survives -> ASLR entropy reduced from {} pages to {}",
             1u64 << 16,
@@ -222,6 +227,8 @@ fn sliding_window(scale: &Scale) -> Result<(), BscopeError> {
         "  {correct}/{recovered} of them correct — \"limited information can still be\"",
     );
     println!("  \"recovered\" from windowed implementations (paper Sec. 9.2, citing [6]).");
+    metric("apps/sliding_window/bits_recovered", recovered as f64);
+    metric("apps/sliding_window/bits_correct", correct as f64);
     Ok(())
 }
 

@@ -1,6 +1,6 @@
 //! §10 ablation: attack error rate under each proposed defense.
 
-use crate::common::Scale;
+use crate::common::{metric, Scale};
 use bscope_bpu::MicroarchProfile;
 use bscope_core::BscopeError;
 use bscope_mitigations::{benign_overhead, evaluate, MeasurementFuzz, Mitigation};
@@ -25,6 +25,8 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
         let report = evaluate(&m, &profile, bits, scale.seed);
         let overhead = benign_overhead(&m, &profile, scale.seed);
         println!("  {report}   [benign mispredict rate {:>5.2}%]", 100.0 * overhead);
+        metric(format!("mitigations/{m}/error_pct"), 100.0 * report.error_rate);
+        metric(format!("mitigations/{m}/benign_mispredict_pct"), 100.0 * overhead);
     }
     println!("\npaper (Sec. 10): all of these block the side channel; software-only schemes");
     println!("(if-conversion) and measurement fuzzing still leave covert channels possible.");
