@@ -79,7 +79,7 @@ impl BtbEvictAttack {
     /// # Panics
     ///
     /// Panics if [`BtbEvictAttack::calibrate`] has not run.
-    pub fn detect(&self, sys: &mut System, spy: Pid) -> Outcome {
+    fn detect(&self, sys: &mut System, spy: Pid) -> Outcome {
         assert!(self.threshold > 0.0, "calibrate() must run before detection");
         let filler = self.filler_addr(sys);
         let latency = sys.cpu(spy).timed_branch_at_abs(filler, Outcome::Taken);

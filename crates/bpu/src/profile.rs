@@ -169,21 +169,6 @@ impl MicroarchProfile {
         }
     }
 
-    /// Profile for an arch enum value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arch` is [`Microarch::Custom`]; build those by hand.
-    #[must_use]
-    pub fn for_arch(arch: Microarch) -> Self {
-        match arch {
-            Microarch::SandyBridge => Self::sandy_bridge(),
-            Microarch::Haswell => Self::haswell(),
-            Microarch::Skylake => Self::skylake(),
-            Microarch::Custom => panic!("custom profiles must be constructed explicitly"),
-        }
-    }
-
     /// The three paper-evaluated profiles, in paper order (Table 2 lists
     /// Skylake, Haswell, Sandy Bridge).
     #[must_use]
@@ -259,13 +244,6 @@ mod tests {
         let mut p = MicroarchProfile::skylake();
         p.ghr_bits = 0;
         assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn for_arch_round_trips() {
-        for arch in [Microarch::SandyBridge, Microarch::Haswell, Microarch::Skylake] {
-            assert_eq!(MicroarchProfile::for_arch(arch).arch, arch);
-        }
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub fn scan_states(
 /// # Panics
 ///
 /// Panics if `w` is zero or the vector holds fewer than two windows.
-pub fn hamming_ratio<R: Rng + ?Sized>(
+fn hamming_ratio<R: Rng + ?Sized>(
     states: &[DecodedState],
     w: usize,
     max_pairs: usize,

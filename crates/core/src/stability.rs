@@ -64,14 +64,6 @@ pub struct BlockStability {
     pub state: DecodedState,
 }
 
-impl BlockStability {
-    /// Whether both probing variants met the dominance threshold.
-    #[must_use]
-    pub fn is_stable(&self, threshold: f64) -> bool {
-        self.tt_frequency >= threshold && self.nn_frequency >= threshold
-    }
-}
-
 /// Distribution of decoded states across blocks (Fig. 4b's pie chart).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StateDistribution {
@@ -283,7 +275,5 @@ mod tests {
         assert_eq!(dist.unknown, 1);
         assert_eq!(dist.total(), 2);
         assert!((dist.stable_fraction() - 0.5).abs() < 1e-12);
-        assert!(blocks[0].is_stable(0.85));
-        assert!(!blocks[1].is_stable(0.85));
     }
 }

@@ -34,7 +34,7 @@ impl TimingDetector {
     /// Returns [`AttackError::InvalidParameter`] if either sample set is
     /// empty or the means are not separated (hits at least as slow as
     /// misses).
-    pub fn from_samples(hits: &[u64], misses: &[u64]) -> Result<Self, AttackError> {
+    fn from_samples(hits: &[u64], misses: &[u64]) -> Result<Self, AttackError> {
         if hits.is_empty() || misses.is_empty() {
             return Err(AttackError::InvalidParameter(
                 "calibration needs at least one sample of each class".to_owned(),
@@ -55,7 +55,9 @@ impl TimingDetector {
     ///
     /// # Errors
     ///
-    /// Propagates [`TimingDetector::from_samples`] errors.
+    /// Returns [`AttackError::InvalidParameter`] if `samples` is zero or
+    /// the hit and miss latency means are not separated (hits at least as
+    /// slow as misses).
     pub fn calibrate(
         sys: &mut System,
         spy: Pid,
@@ -78,7 +80,7 @@ impl TimingDetector {
     ///
     /// Panics if `measurements` is empty.
     #[must_use]
-    pub fn classify_mean(&self, measurements: &[u64]) -> bool {
+    fn classify_mean(&self, measurements: &[u64]) -> bool {
         assert!(!measurements.is_empty(), "need at least one measurement");
         let mean = measurements.iter().sum::<u64>() as f64 / measurements.len() as f64;
         mean > self.threshold

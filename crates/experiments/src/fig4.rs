@@ -16,7 +16,7 @@ use bscope_uarch::NoiseConfig;
 /// worker-sharded version, where per-worker seeds tied the results to the
 /// worker count. Trial seeds derive from `scale.seed ^ 0xF164`, unchanged
 /// from when this took a bare seed.
-pub fn analyze_parallel(config: &StabilityConfig, scale: &Scale) -> Vec<BlockStability> {
+fn analyze_parallel(config: &StabilityConfig, scale: &Scale) -> Vec<BlockStability> {
     trials(scale, config.blocks, 0xF164, |idx, trial_seed, tracer| {
         let mut sys = System::new(MicroarchProfile::haswell(), trial_seed)
             .with_noise(NoiseConfig::isolated_core())

@@ -131,7 +131,7 @@ impl Report {
     }
 
     /// Serialises the report.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"quick\": {},", self.quick);

@@ -34,7 +34,7 @@
 //!   therefore which trials fail — never depend on scheduling.
 //!
 //! [`FaultPlan`] provides deterministic fault *injection* for exercising
-//! these paths in CI: per-trial panic/delay decisions keyed off the trial
+//! these paths in CI: per-trial panic decisions keyed off the trial
 //! seed, so an injected fault fires on the same trials for every thread
 //! count.
 
@@ -142,12 +142,6 @@ pub struct TrialReport<T> {
 }
 
 impl<T> TrialReport<T> {
-    /// `true` when every trial produced a result.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
-
     /// Unwraps a fully successful report into the plain result vector.
     ///
     /// # Panics
@@ -162,13 +156,14 @@ impl<T> TrialReport<T> {
     }
 }
 
-/// Deterministic per-trial fault injection: panic and/or delay decisions
-/// keyed off the trial seed (and optionally a specific trial index), so an
-/// injected fault fires on the same trials regardless of thread count.
+/// Deterministic per-trial fault injection: panic decisions keyed off the
+/// trial seed (and optionally a specific trial index), so an injected
+/// fault fires on the same trials regardless of thread count.
 ///
-/// Delays perturb *scheduling* without touching results — useful for
-/// demonstrating that [`FaultPolicy::RecordAndSkip`] output really is
-/// invariant under worker-interleaving changes.
+/// The crate's own tests also arm seed-keyed delays, which perturb
+/// *scheduling* without touching results, to show that
+/// [`FaultPolicy::RecordAndSkip`] output is invariant under worker
+/// interleaving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     salt: u64,
@@ -178,7 +173,7 @@ pub struct FaultPlan {
     delay_micros: u64,
 }
 
-/// Prefix of every panic message raised by [`FaultPlan::apply`].
+/// Prefix of every panic message an armed [`FaultPlan`] raises.
 pub const INJECTED_FAULT_PREFIX: &str = "injected fault";
 
 impl FaultPlan {
@@ -204,15 +199,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sleep `micros` on roughly one in `one_in` trials (seed-keyed), to
-    /// shake worker scheduling without changing any result.
-    #[must_use]
-    pub fn delay_one_in(mut self, one_in: u64, micros: u64) -> Self {
-        self.delay_one_in = one_in;
-        self.delay_micros = micros;
-        self
-    }
-
     /// Whether the plan panics this trial. Pure function of `(index, seed)`.
     #[must_use]
     pub fn should_panic(&self, index: usize, seed: u64) -> bool {
@@ -229,7 +215,7 @@ impl FaultPlan {
     ///
     /// Panics when [`FaultPlan::should_panic`] selects this trial — that
     /// is the plan's entire purpose.
-    pub fn apply(&self, index: usize, seed: u64) {
+    fn apply(&self, index: usize, seed: u64) {
         if self.delay_one_in > 0
             && self.delay_micros > 0
             && splitmix64(seed ^ self.salt ^ 0xDE1A).is_multiple_of(self.delay_one_in)
@@ -490,20 +476,21 @@ mod tests {
         assert_eq!(report.results.len(), 10);
         assert!(report.results[1].is_none() && report.results[5].is_none());
         assert_eq!(report.results[2], Some(4));
-        assert!(!report.is_complete());
+        assert!(!report.failures.is_empty());
     }
 
     #[test]
     fn skip_policy_output_is_thread_count_invariant() {
         // Panics are seed-keyed and a seed-keyed delay shakes scheduling;
         // the report must still be identical for every thread count.
-        let plan = FaultPlan::keyed(0xFA17).panic_one_in(5).delay_one_in(3, 200);
+        let panics = FaultPlan::keyed(0xFA17).panic_one_in(5);
+        let plan = FaultPlan { delay_one_in: 3, delay_micros: 200, ..panics };
         let run = |threads| {
             let opts = RunOptions { threads, policy: FaultPolicy::RecordAndSkip, fault: Some(plan) };
             run_trials_with(48, 0xB5C0_9E01, &opts, |idx, seed| (idx, splitmix64(seed)))
         };
         let reference = run(1);
-        assert!(!reference.is_complete(), "plan should fault some trials");
+        assert!(!reference.failures.is_empty(), "plan should fault some trials");
         assert!(reference.failures.len() < 48, "plan should not fault every trial");
         for threads in [2, 3, 8] {
             assert_eq!(run(threads), reference, "threads={threads} diverged");

@@ -17,6 +17,8 @@ use bscope_os::{CpuView, Workload};
 pub struct IfConvertedVictim {
     secret: Vec<bool>,
     index: usize,
+    /// The (dummy) data result of the computation — the secret still
+    /// *influences dataflow*, just not control flow.
     accumulator: u64,
 }
 
@@ -32,13 +34,6 @@ impl IfConvertedVictim {
     #[must_use]
     pub fn bits_executed(&self) -> usize {
         self.index
-    }
-
-    /// The (dummy) data result of the computation — demonstrates the
-    /// secret still *influences dataflow*, just not control flow.
-    #[must_use]
-    pub fn accumulator(&self) -> u64 {
-        self.accumulator
     }
 }
 
@@ -84,7 +79,7 @@ mod tests {
             let mut v = IfConvertedVictim::new(secret);
             let mut cpu = sys.cpu(pid);
             v.run(&mut cpu, 10);
-            v.accumulator()
+            v.accumulator
         };
         let a = run(vec![true, false], &mut sys);
         let b = run(vec![false, true], &mut sys);

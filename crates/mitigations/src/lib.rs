@@ -12,9 +12,7 @@
 //! * [`StochasticFsmPolicy`] — randomly suppressed FSM updates, the
 //!   "more stochastic" prediction FSM of §10.2;
 //! * noisy counters/timers via
-//!   [`MeasurementFuzz`] (re-exported);
-//! * [`AttackDetector`] — the §10.2 detection class: flags the spy's
-//!   pathological misprediction footprint from performance counters.
+//!   [`MeasurementFuzz`] (re-exported).
 //!
 //! The software defense (§10.1) is [`IfConvertedVictim`]: a victim whose
 //! secret-dependent branch has been compiled into a `cmov`, executing no
@@ -23,11 +21,12 @@
 //! [`evaluate`] runs the covert-channel benchmark under a mitigation and
 //! reports the residual error rate — an unprotected channel reads with
 //! <1 % error; a dead channel sits at ≈50 % (coin flipping).
+//! [`benign_overhead`] reports what the same defense costs a benign
+//! workload in mispredictions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod detector;
 mod eval;
 mod if_conversion;
 mod no_predict;
@@ -36,7 +35,6 @@ mod randomized_pht;
 mod stochastic_fsm;
 
 pub use bscope_uarch::MeasurementFuzz;
-pub use detector::{AttackDetector, DetectionSample};
 pub use eval::{benign_overhead, evaluate, evaluate_backend, EvalReport, Mitigation};
 pub use if_conversion::IfConvertedVictim;
 pub use no_predict::NoPredictPolicy;

@@ -29,21 +29,10 @@ impl NoPredictPolicy {
     }
 
     /// Flags the branch at `addr` in context `ctx` as sensitive.
-    pub fn protect(&mut self, ctx: ContextId, addr: VirtAddr) {
-        self.protected.insert((ctx, addr));
-    }
-
-    /// Builder-style [`NoPredictPolicy::protect`].
     #[must_use]
     pub fn with_protected(mut self, ctx: ContextId, addr: VirtAddr) -> Self {
-        self.protect(ctx, addr);
+        self.protected.insert((ctx, addr));
         self
-    }
-
-    /// Number of protected branches.
-    #[must_use]
-    pub fn protected_count(&self) -> usize {
-        self.protected.len()
     }
 }
 
@@ -93,6 +82,5 @@ mod tests {
         let mut policy = NoPredictPolicy::new().with_protected(1, 0x6d);
         assert_eq!(policy.route(1, 0x6d, 0), Route::Bypass);
         assert_eq!(policy.route(0, 0x6d, 0), Route::Predict(0x6d));
-        assert_eq!(policy.protected_count(), 1);
     }
 }

@@ -35,7 +35,7 @@ impl PartitionedBpuPolicy {
 
     /// Entries available to each context.
     #[must_use]
-    pub fn partition_size(&self) -> u64 {
+    fn partition_size(&self) -> u64 {
         self.table_span / u64::from(self.partitions)
     }
 }

@@ -133,7 +133,7 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Adds `by` to the named counter.
-    pub fn incr(&mut self, name: &'static str, by: u64) {
+    fn incr(&mut self, name: &'static str, by: u64) {
         *self.counters.entry(name).or_insert(0) += by;
     }
 

@@ -29,23 +29,6 @@ impl PerfCounters {
         self.branches_retired += 1;
         self.branch_misses += u64::from(mispredicted);
     }
-
-    /// Counter deltas since an earlier snapshot.
-    ///
-    /// Intended invariant: `earlier` is a snapshot taken *before* `self`
-    /// on the same context, so every field of `self` is `>=` the
-    /// corresponding field of `earlier`. The subtraction saturates at zero
-    /// rather than assuming it: counters on real hardware can be reset or
-    /// sampled out of order, and an out-of-order snapshot used to panic on
-    /// underflow in debug builds (and wrap to garbage in release builds)
-    /// instead of degrading to a zero delta.
-    #[must_use]
-    pub fn since(&self, earlier: &PerfCounters) -> PerfCounters {
-        PerfCounters {
-            branches_retired: self.branches_retired.saturating_sub(earlier.branches_retired),
-            branch_misses: self.branch_misses.saturating_sub(earlier.branch_misses),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -53,32 +36,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_and_delta() {
+    fn record_counts_branches_and_misses() {
         let mut c = PerfCounters::new();
         c.record_branch(true);
-        let snap = c;
         c.record_branch(false);
         c.record_branch(true);
-        let d = c.since(&snap);
-        assert_eq!(d.branches_retired, 2);
-        assert_eq!(d.branch_misses, 1);
-    }
-
-    /// Regression test: snapshots taken out of order must yield a zero
-    /// delta, not a debug-build underflow panic.
-    #[test]
-    fn out_of_order_snapshots_saturate_instead_of_panicking() {
-        let mut c = PerfCounters::new();
-        c.record_branch(true);
-        let later = c;
-        c.record_branch(false);
-        let d = later.since(&c); // swapped arguments: earlier is newer
-        assert_eq!(d, PerfCounters::new());
-        // Partial inversion (one field behind, others ahead) also degrades
-        // field-wise rather than panicking.
-        let skewed = PerfCounters { branches_retired: 0, branch_misses: 5 };
-        let d = c.since(&skewed);
-        assert_eq!(d.branches_retired, 2);
-        assert_eq!(d.branch_misses, 0);
+        assert_eq!(c, PerfCounters { branches_retired: 3, branch_misses: 2 });
     }
 }

@@ -41,14 +41,8 @@ impl CoefficientBlock {
     ///
     /// Panics if `c >= 8`.
     #[must_use]
-    pub fn column_ac_free(&self, c: usize) -> bool {
+    fn column_ac_free(&self, c: usize) -> bool {
         (1..BLOCK_DIM).all(|r| self.coeffs[r][c] == 0)
-    }
-
-    /// Number of AC-free columns (0–8): the block's "simplicity score".
-    #[must_use]
-    pub fn ac_free_columns(&self) -> usize {
-        (0..BLOCK_DIM).filter(|&c| self.column_ac_free(c)).count()
     }
 }
 
@@ -72,27 +66,20 @@ impl CoefficientBlock {
 /// let mut victim = IdctVictim::new(vec![CoefficientBlock::flat(100)]);
 /// let mut cpu = sys.cpu(pid);
 /// victim.run(&mut cpu, 64);
-/// assert_eq!(victim.branches_executed(), 8); // one zero test per column
+/// assert_eq!(cpu.counters().branches_retired, 8); // one zero test per column
 /// ```
 #[derive(Debug, Clone)]
 pub struct IdctVictim {
     blocks: Vec<CoefficientBlock>,
     block_idx: usize,
     column: usize,
-    branches: usize,
 }
 
 impl IdctVictim {
     /// Victim decoding the given blocks in order.
     #[must_use]
     pub fn new(blocks: Vec<CoefficientBlock>) -> Self {
-        IdctVictim { blocks, block_idx: 0, column: 0, branches: 0 }
-    }
-
-    /// Total zero-test branches executed so far.
-    #[must_use]
-    pub fn branches_executed(&self) -> usize {
-        self.branches
+        IdctVictim { blocks, block_idx: 0, column: 0 }
     }
 
     /// Ground-truth per-column shortcut pattern for block `b`, in execution
@@ -109,12 +96,6 @@ impl IdctVictim {
         }
         out
     }
-
-    /// Number of blocks in the input.
-    #[must_use]
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
 }
 
 impl Workload for IdctVictim {
@@ -129,7 +110,6 @@ impl Workload for IdctVictim {
         // fault channel the prior attacks used), but BranchScope reads the
         // branch itself.
         cpu.work(if shortcut { 8 } else { 60 });
-        self.branches += 1;
         self.column += 1;
         if self.column == BLOCK_DIM {
             self.column = 0;
@@ -149,8 +129,7 @@ mod tests {
     #[test]
     fn flat_block_is_fully_ac_free() {
         let b = CoefficientBlock::flat(42);
-        assert_eq!(b.ac_free_columns(), 8);
-        assert!(b.column_ac_free(0));
+        assert!((0..8).all(|c| b.column_ac_free(c)));
     }
 
     #[test]
@@ -161,7 +140,6 @@ mod tests {
         let b = CoefficientBlock::new(coeffs);
         assert!(!b.column_ac_free(2));
         assert!(b.column_ac_free(1));
-        assert_eq!(b.ac_free_columns(), 7);
     }
 
     #[test]
@@ -171,8 +149,7 @@ mod tests {
         let mut v = IdctVictim::new(vec![CoefficientBlock::flat(1), CoefficientBlock::flat(2)]);
         let mut cpu = sys.cpu(pid);
         v.run(&mut cpu, 1_000);
-        assert_eq!(v.branches_executed(), 16);
-        assert_eq!(v.block_count(), 2);
+        assert_eq!(cpu.counters().branches_retired, 16);
     }
 
     #[test]
@@ -205,7 +182,7 @@ mod tests {
                 prop_assert_eq!(block.column_ac_free(c), expect);
                 victim.step(&mut cpu);
             }
-            prop_assert_eq!(victim.branches_executed(), 8);
+            prop_assert_eq!(cpu.counters().branches_retired, 8);
         }
     }
 }

@@ -4,8 +4,9 @@
 //! users (and the `examples/` and `tests/` in this repository) can depend on
 //! a single crate:
 //!
-//! * [`bpu`] — the branch prediction unit model (PHT, GHR, gshare, bimodal,
-//!   selector, BTB, hybrid predictor, microarchitecture profiles),
+//! * [`bpu`] — the branch prediction unit model: three predictor backends
+//!   (the paper's hybrid of bimodal PHT, gshare and selector; TAGE;
+//!   perceptron) behind one BTB and GHR, and the microarchitecture profiles,
 //! * [`uarch`] — the simulated CPU core (timing, TSC, i-cache, perf counters),
 //! * [`os`] — one shared core, its processes and the SGX enclave model,
 //! * [`attack`] — the BranchScope attack itself (prime+probe on the
@@ -13,8 +14,6 @@
 //! * [`victims`] — victim programs with secret-dependent branches,
 //! * [`mitigations`] — §10 defenses and their evaluation,
 //! * [`baselines`] — prior BTB-based attacks,
-//! * [`isa`] — a tiny instruction set + interpreter so programs with
-//!   byte-accurate branch layout can run on the simulated machine,
 //! * [`trace`] — structured event tracing and metrics (ring-buffer sinks,
 //!   counters/histograms, JSONL rendering) with a zero-cost disabled path.
 //!
@@ -32,7 +31,6 @@
 #![forbid(unsafe_code)]
 
 pub use bscope_baselines as baselines;
-pub use bscope_isa as isa;
 pub use bscope_bpu as bpu;
 pub use bscope_core as attack;
 pub use bscope_mitigations as mitigations;
