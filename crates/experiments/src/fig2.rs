@@ -1,7 +1,7 @@
 //! Figure 2: mispredictions per iteration while the 2-level predictor
 //! learns a repeating 10-bit random pattern.
 
-use crate::common::{bar, Scale};
+use crate::common::{bar, metric, Scale};
 use bscope_bpu::{MicroarchProfile, Outcome};
 use bscope_core::BscopeError;
 use bscope_os::{AslrPolicy, System};
@@ -38,11 +38,13 @@ fn learning_curve(profile: &MicroarchProfile, runs: usize, seed: u64) -> Vec<f64
 
 pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     let runs = scale.n(400, 50);
-    let machines =
-        [("i5-6200U (Skylake)", MicroarchProfile::skylake()), ("i7-2600 (Sandy Bridge)", MicroarchProfile::sandy_bridge())];
+    let machines = [
+        ("i5-6200U (Skylake)", "Skylake", MicroarchProfile::skylake()),
+        ("i7-2600 (Sandy Bridge)", "Sandy Bridge", MicroarchProfile::sandy_bridge()),
+    ];
     let curves: Vec<(&str, Vec<f64>)> = machines
         .iter()
-        .map(|(name, p)| (*name, learning_curve(p, runs, scale.seed)))
+        .map(|(name, _, p)| (*name, learning_curve(p, runs, scale.seed)))
         .collect();
 
     println!("avg mispredictions per 10-branch iteration ({runs} runs)\n");
@@ -57,8 +59,13 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
             bar(curves[1].1[i], 5.0, 20),
         );
     }
-    let converged =
-        |c: &[f64]| c.iter().position(|&m| m < 0.5).map_or("never".into(), |i| (i + 1).to_string());
+    // Iterations until the average first drops below 0.5; `None` is "never".
+    let learned = |c: &[f64]| c.iter().position(|&m| m < 0.5).map(|i| i + 1);
+    let converged = |c: &[f64]| learned(c).map_or("never".into(), |i| i.to_string());
+    for ((_, short, _), (_, curve)) in machines.iter().zip(&curves) {
+        metric(format!("fig2/{short}/iter1_mispredictions"), curve[0]);
+        metric(format!("fig2/{short}/iterations_to_learn"), learned(curve).map_or(f64::NAN, |i| i as f64));
+    }
     println!("\npaper: ~5 mispredictions in iteration 1, accuracy ~100% after 5-7 repetitions,");
     println!("       Skylake learning slightly faster.");
     println!(

@@ -1,7 +1,7 @@
 //! Figure 6: demonstration of covert-channel decoding with the spy's
 //! pattern dictionary.
 
-use crate::common::Scale;
+use crate::common::{metric, Scale};
 use bscope_bpu::{MicroarchProfile, Outcome};
 use bscope_core::{AttackConfig, BranchScope, BscopeError, ProbePattern};
 use bscope_os::{AslrPolicy, System};
@@ -53,6 +53,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
             .collect(),
     );
     let errors = original.iter().zip(&decoded).filter(|(a, b)| a != b).count();
+    metric("fig6/erroneous_bits", errors as f64);
     println!("\n{errors} erroneous bit(s) out of {} under elevated noise;", original.len());
     println!("paper's figure likewise demonstrates one erroneously received bit.");
     Ok(())

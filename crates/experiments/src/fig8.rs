@@ -2,7 +2,7 @@
 //! of averaged rdtscp measurements, for the first (cold) and second (warm)
 //! executions.
 
-use crate::common::{bar, Scale};
+use crate::common::{bar, metric, Scale};
 use bscope_bpu::MicroarchProfile;
 use bscope_core::timing_probe::detection_error_rate;
 use bscope_core::BscopeError;
@@ -37,6 +37,9 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
             bar(warm, 0.35, 22),
         );
     }
+    metric("fig8/cold_error_pct_k1", 100.0 * first_k1);
+    metric("fig8/warm_error_pct_k1", 100.0 * second_k1);
+    metric("fig8/warm_error_pct_k9", 100.0 * second_k9);
     println!("\npaper: 1st measurement 20-30% error; 2nd ~10% at k=1, approaching 0 by k~10.");
     println!(
         "ours : 1st at k=1: {:.1}%; 2nd at k=1: {:.1}%; 2nd at k=9: {:.2}%.",

@@ -1,7 +1,7 @@
 //! Figure 9: probe-pair latency (first and second measurement) as a
 //! function of the PHT entry's starting state, for both probe directions.
 
-use crate::common::Scale;
+use crate::common::{metric, Scale};
 use bscope_bpu::{MicroarchProfile, PhtState};
 use bscope_core::timing_probe::probe_latency_by_state;
 use bscope_core::{BscopeError, ProbeKind};
@@ -28,6 +28,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
             let mut sys = System::new(profile.clone(), scale.seed);
             let spy = sys.spawn("spy", AslrPolicy::Disabled);
             let stats = probe_latency_by_state(&mut sys, spy, state, kind, reps);
+            metric(format!("fig9/{kind}/{}/second_mean_cycles", state.mnemonic()), stats.second_mean);
             println!(
                 "{:<10} {:>7.1} ±{:>4.1} {:>7.1} ±{:>4.1}   {}({})",
                 state.mnemonic(),

@@ -2,7 +2,7 @@
 //! the mechanistic version of the paper's §7 explanation that Sandy
 //! Bridge's higher error rates come from its smaller predictor tables.
 
-use crate::common::Scale;
+use crate::common::{metric, Scale};
 use bscope_bpu::{CounterKind, Microarch, MicroarchProfile};
 use bscope_core::covert::CovertChannel;
 use bscope_core::{AttackConfig, BscopeError};
@@ -39,6 +39,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
         let receiver = sys.spawn("spy", AslrPolicy::Disabled);
         let mut channel = CovertChannel::new(AttackConfig::for_profile(&profile))?;
         let result = channel.transmit(&mut sys, sender, receiver, &message);
+        metric(format!("sensitivity/pht_{pht_size}/error_pct"), 100.0 * result.error_rate);
         println!("{pht_size:>10} {:>9.3}%", 100.0 * result.error_rate);
     }
     println!("\nbigger tables dilute the background noise across more entries, so the");

@@ -431,6 +431,9 @@ fn check_passes_against_the_golden_file_and_fails_on_any_difference() {
     let selection = ["mitigations", "apps", "baselines"];
     let out = run(&[&args[..], &[golden.to_str().unwrap()], &selection[..]].concat());
     assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let selection = ["fig2", "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "sensitivity"];
+    let out = run(&[&args[..], &[golden.to_str().unwrap()], &selection[..]].concat());
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
 
     // Alter one pinned metric: the same run must now fail, naming it.
     let text = std::fs::read_to_string(&golden).expect("golden file readable");
