@@ -1,7 +1,6 @@
 //! BranchScope vs. BTB-based baselines, with and without a BTB defense.
 
-use crate::btb_evict::BtbEvictAttack;
-use crate::shadowing::ShadowingAttack;
+use crate::btb_timing::{BtbSignal, BtbTimingAttack};
 use bscope_bpu::{MicroarchProfile, Outcome};
 use bscope_core::{AttackConfig, BranchScope};
 use bscope_os::{AslrPolicy, Pid, System};
@@ -120,21 +119,15 @@ pub fn compare_attacks(profile: &MicroarchProfile, bits: usize, seed: u64) -> At
             bscope.read_bit(sys, spy, target, trigger)
         });
 
-        let (mut sys, victim, spy, target) = fresh(seed ^ 0x10);
-        let mut shadow = ShadowingAttack::new(target);
-        shadow.calibrate(&mut sys, spy);
-        let shadow_acc = accuracy(&mut sys, victim, &secret, flush_btb, |sys, trigger| {
-            shadow.read_bit(sys, spy, 81, trigger)
-        });
-
-        let (mut sys, victim, spy, target) = fresh(seed ^ 0x20);
-        let mut evict = BtbEvictAttack::new(target);
-        evict.calibrate(&mut sys, spy, 60);
-        let evict_acc = accuracy(&mut sys, victim, &secret, flush_btb, |sys, trigger| {
-            evict.read_bit(sys, spy, 41, trigger)
-        });
-
-        (bscope_acc, shadow_acc, evict_acc)
+        let btb = |signal, salt, rounds| {
+            let (mut sys, victim, spy, target) = fresh(seed ^ salt);
+            let mut attack = BtbTimingAttack::new(signal, target);
+            attack.calibrate(&mut sys, spy, 60);
+            accuracy(&mut sys, victim, &secret, flush_btb, |sys, trigger| {
+                attack.read_bit(sys, spy, rounds, trigger)
+            })
+        };
+        (bscope_acc, btb(BtbSignal::Shadowing, 0x10, 81), btb(BtbSignal::Eviction, 0x20, 41))
     };
 
     let (bs_open, sh_open, ev_open) = run(false, seed ^ 1);

@@ -6,12 +6,14 @@
 //! presence is observable through the front-end fetch-redirect bubble a
 //! taken branch suffers on a BTB miss.
 //!
-//! * [`BtbEvictAttack`] — Aciiçmez-style: the spy installs its own entry in
-//!   the victim's BTB set and detects whether the victim's taken branch
-//!   evicted it;
-//! * [`ShadowingAttack`] — Lee et al. branch shadowing: the spy's shadow
-//!   branch at the colliding address directly observes whether the victim's
-//!   branch left a BTB entry;
+//! * [`BtbTimingAttack`] — both prior attacks as one type. Each round the
+//!   spy installs its own entry in the victim's BTB set, lets the victim
+//!   run, and times one branch; the [`BtbSignal`] picks which. With
+//!   [`BtbSignal::Shadowing`] (Lee et al. branch shadowing) the spy's
+//!   shadow branch at the victim's address observes whether the victim's
+//!   branch left a BTB entry. With [`BtbSignal::Eviction`] (Aciiçmez-style)
+//!   the spy detects whether the victim's taken branch evicted its own
+//!   entry. One calibration and one majority vote serve both;
 //! * [`compare_attacks`] — runs both baselines and BranchScope against the same
 //!   victim, with and without a BTB-flush defense, reproducing the paper's
 //!   claim that *BranchScope is not affected by defenses against BTB-based
@@ -20,10 +22,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod btb_evict;
+mod btb_timing;
 mod compare;
-mod shadowing;
 
-pub use btb_evict::BtbEvictAttack;
+pub use btb_timing::{BtbSignal, BtbTimingAttack};
 pub use compare::{compare_attacks, AttackComparison, ComparisonRow};
-pub use shadowing::ShadowingAttack;

@@ -230,7 +230,7 @@ impl PredictorBackend {
             Direction::Hybrid(h) => h.predict(addr, &self.ghr, btb_hit),
             Direction::Tage(t) => {
                 let tage = t.predict(addr, &self.ghr);
-                let base = Outcome::from_bool(t.base_counter(addr) >= 2);
+                let base = t.pht_state(addr).predicted();
                 let used = match tage.provider {
                     Some(_) => PredictorKind::Gshare,
                     None => PredictorKind::Bimodal,
@@ -319,7 +319,7 @@ impl PredictorBackend {
 
     /// Architectural state of the address-indexed PHT entry for `addr` —
     /// the state BranchScope primes and probes. For the hybrid this is the
-    /// bimodal PHT entry and for TAGE the base-table counter (0–3). The
+    /// bimodal PHT entry and for TAGE the base-table entry. The
     /// perceptron synthesises a state from the entry's history-independent
     /// *bias* weight (`≤ −2` ⇒ SN, `−1` ⇒ WN, `0..=1` ⇒ WT, `≥ 2` ⇒ ST —
     /// zero predicts taken, matching its `y ≥ 0` rule): a best-effort view
@@ -329,12 +329,7 @@ impl PredictorBackend {
     pub fn pht_state(&self, addr: VirtAddr) -> PhtState {
         match &self.direction {
             Direction::Hybrid(h) => h.pht_state(addr),
-            Direction::Tage(t) => match t.base_counter(addr) {
-                0 => PhtState::StronglyNotTaken,
-                1 => PhtState::WeaklyNotTaken,
-                2 => PhtState::WeaklyTaken,
-                _ => PhtState::StronglyTaken,
-            },
+            Direction::Tage(t) => t.pht_state(addr),
             Direction::Perceptron(p) => match p.bias(addr) {
                 b if b <= -2 => PhtState::StronglyNotTaken,
                 -1 => PhtState::WeaklyNotTaken,
@@ -350,15 +345,7 @@ impl PredictorBackend {
     pub fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
         match &mut self.direction {
             Direction::Hybrid(h) => h.set_pht_state(addr, state),
-            Direction::Tage(t) => t.set_base_counter(
-                addr,
-                match state {
-                    PhtState::StronglyNotTaken => 0,
-                    PhtState::WeaklyNotTaken => 1,
-                    PhtState::WeaklyTaken => 2,
-                    PhtState::StronglyTaken => 3,
-                },
-            ),
+            Direction::Tage(t) => t.set_pht_state(addr, state),
             Direction::Perceptron(p) => p.set_entry(
                 addr,
                 match state {

@@ -88,7 +88,7 @@ impl Hybrid {
         let g = self.gshare.index_of(addr ^ ghr.value());
         self.gshare.update(g, outcome);
         if prediction.btb_hit {
-            self.selector.train_outcomes(addr, prediction.bimodal, prediction.gshare, outcome);
+            self.selector.train(addr, prediction.bimodal == outcome, prediction.gshare == outcome);
         }
     }
 

@@ -1,6 +1,5 @@
 //! The selector (chooser) table arbitrating between component predictors.
 
-use crate::counter::Outcome;
 use crate::VirtAddr;
 
 /// Selector table: one 3-bit confidence counter per entry, indexed by the
@@ -67,18 +66,6 @@ impl SelectorTable {
         let idx = self.index_of(addr);
         self.levels[idx] = 0;
     }
-
-    /// Helper wrapping [`SelectorTable::train`] with predicted/actual
-    /// outcomes from both components.
-    pub(crate) fn train_outcomes(
-        &mut self,
-        addr: VirtAddr,
-        bimodal_pred: Outcome,
-        gshare_pred: Outcome,
-        actual: Outcome,
-    ) {
-        self.train(addr, bimodal_pred == actual, gshare_pred == actual);
-    }
 }
 
 #[cfg(test)]
@@ -118,19 +105,6 @@ mod tests {
         assert!(sel.prefers_gshare(0), "no move on agreement");
         sel.train(0, true, false);
         assert!(!sel.prefers_gshare(0), "still at the threshold, one loss drops below");
-    }
-
-    #[test]
-    fn train_outcomes_matches_train() {
-        let mut a = SelectorTable::new(16);
-        let mut b = SelectorTable::new(16);
-        for _ in 0..SelectorTable::GSHARE_THRESHOLD {
-            a.train(5, false, true);
-            b.train_outcomes(5, Outcome::NotTaken, Outcome::Taken, Outcome::Taken);
-        }
-        assert!(a.prefers_gshare(5) && b.prefers_gshare(5));
-        b.restart(5);
-        assert!(!b.prefers_gshare(5), "restart returns to strongly bimodal");
     }
 
     proptest! {

@@ -10,8 +10,10 @@
 //!
 //! That fallback is exactly the property BranchScope exploits in the
 //! hybrid: a branch the tagged tables have never seen is predicted by a
-//! simply-indexed per-address counter. Two mechanisms make the fallback
-//! reachable to an attacker in practice:
+//! simply-indexed per-address counter. Here the base table is literally
+//! the hybrid's bimodal PHT: a [`PatternHistoryTable`] of 2-bit counters,
+//! indexed by `pc` modulo its size, starting weakly not-taken. Two
+//! mechanisms make the fallback reachable to an attacker in practice:
 //!
 //! 1. **Weak entries do not provide** (Seznec's *use-alt-on-na*): a
 //!    newly-allocated tagged entry starts at one of the two centre counter
@@ -35,8 +37,9 @@
 //! experiments binary (the `backend_sweep` experiment measures the live
 //! attack against it).
 
-use crate::counter::Outcome;
+use crate::counter::{CounterKind, Outcome, PhtState};
 use crate::ghr::GlobalHistoryRegister;
+use crate::pht::PatternHistoryTable;
 use crate::VirtAddr;
 
 /// One entry of a tagged TAGE component.
@@ -94,10 +97,9 @@ pub(crate) struct TagePrediction {
 /// over geometrically increasing history lengths.
 #[derive(Debug, Clone)]
 pub(crate) struct TagePredictor {
-    /// Base table: 2-bit counters indexed by address (the BranchScope
-    /// target surface).
-    base: Vec<u8>,
-    base_mask: u64,
+    /// Base table: the address-indexed PHT of 2-bit counters (the
+    /// BranchScope target surface).
+    base: PatternHistoryTable,
     tables: Vec<TageTable>,
     /// Simple LFSR state for allocation randomisation.
     lfsr: u64,
@@ -113,8 +115,8 @@ impl TagePredictor {
     /// Panics if `base_size` is not a power of two or `components == 0`.
     #[must_use]
     pub(crate) fn new(base_size: usize, components: usize, seed: u64) -> Self {
-        assert!(base_size.is_power_of_two(), "base size must be a power of two");
         assert!(components > 0, "need at least one tagged component");
+        let base = PatternHistoryTable::new(base_size, CounterKind::TwoBit);
         let tables = (0..components)
             .map(|i| TageTable {
                 entries: vec![TageEntry::default(); base_size],
@@ -122,33 +124,19 @@ impl TagePredictor {
                 mask: (base_size - 1) as u64,
             })
             .collect();
-        TagePredictor {
-            base: vec![1; base_size], // weakly not-taken
-            base_mask: (base_size - 1) as u64,
-            tables,
-            lfsr: seed | 1,
-        }
+        TagePredictor { base, tables, lfsr: seed | 1 }
     }
 
-    /// Base-table index for `pc` — address-only, byte-granular, exactly
-    /// like the hybrid's bimodal PHT.
+    /// Architectural state of the base-table entry for `pc`.
     #[must_use]
-    fn base_index(&self, pc: VirtAddr) -> usize {
-        (pc & self.base_mask) as usize
+    pub(crate) fn pht_state(&self, pc: VirtAddr) -> PhtState {
+        self.base.state(self.base.index_of(pc))
     }
 
-    /// Raw base-table counter (0–3) for `pc`.
-    #[must_use]
-    pub(crate) fn base_counter(&self, pc: VirtAddr) -> u8 {
-        self.base[self.base_index(pc)]
-    }
-
-    /// Forces the base-table counter for `pc` (clamped to 0–3) — the
-    /// ground-truth hook backing
-    /// [`PredictorBackend::set_pht_state`](crate::PredictorBackend::set_pht_state).
-    pub(crate) fn set_base_counter(&mut self, pc: VirtAddr, counter: u8) {
-        let idx = self.base_index(pc);
-        self.base[idx] = counter.min(3);
+    /// Forces the base-table entry for `pc` into `state`.
+    pub(crate) fn set_pht_state(&mut self, pc: VirtAddr, state: PhtState) {
+        let idx = self.base.index_of(pc);
+        self.base.set_state(idx, state);
     }
 
     /// Whether a tagged counter is *weak* (newly allocated or untrained):
@@ -189,7 +177,7 @@ impl TagePredictor {
             }
         }
         TagePrediction {
-            direction: Outcome::from_bool(self.base[self.base_index(pc)] >= 2),
+            direction: self.base.predict(self.base.index_of(pc)),
             provider: None,
         }
     }
@@ -226,9 +214,8 @@ impl TagePredictor {
             }
         }
         if train_base {
-            let idx = self.base_index(pc);
-            let c = &mut self.base[idx];
-            *c = if outcome.is_taken() { (*c + 1).min(3) } else { c.saturating_sub(1) };
+            let idx = self.base.index_of(pc);
+            self.base.update(idx, outcome);
         }
         // On a misprediction, try to allocate an entry in a longer-history
         // component (classic TAGE allocation with usefulness guard). New
@@ -331,11 +318,11 @@ mod tests {
             scramble(&mut tage, &mut ghr, k);
             tage.train(addr, &ghr, Outcome::NotTaken);
         }
-        assert_eq!(tage.base_counter(addr), 0, "SN");
+        assert_eq!(tage.pht_state(addr), PhtState::StronglyNotTaken);
         // Victim: one taken execution (under yet another history).
         scramble(&mut tage, &mut ghr, 10);
         tage.train(addr, &ghr, Outcome::Taken);
-        assert_eq!(tage.base_counter(addr), 1, "WN — the victim's direction is encoded");
+        assert_eq!(tage.pht_state(addr), PhtState::WeaklyNotTaken, "the victim's direction is encoded");
         // Probe: two taken reads observe M then H — Table 1's MH row.
         scramble(&mut tage, &mut ghr, 20);
         let first = tage.predict(addr, &ghr).provider.is_none()
@@ -358,7 +345,11 @@ mod tests {
             tage.train(0x777, &ghr, Outcome::Taken);
             ghr.push(Outcome::Taken);
         }
-        assert!(tage.base_counter(0x777 + 1_024) >= 2, "alias sees a taken-leaning counter");
+        assert_eq!(
+            tage.pht_state(0x777 + 1_024).predicted(),
+            Outcome::Taken,
+            "alias sees a taken-leaning counter"
+        );
         let mut fresh_hist = GlobalHistoryRegister::new(64);
         fresh_hist.scramble(&mut rand::rngs::mock::StepRng::new(0x9e3779b97f4a7c15, 0x517c_c1b7_2722_0a95));
         // Under an unrelated history, the alias reads the base table.

@@ -55,11 +55,7 @@ pub fn compute(scale: &Scale, bits: usize) -> Result<Vec<(f64, f64)>, BscopeErro
         let mut channel =
             CovertChannel::new(AttackConfig::for_backend(&profile, scale.backend)).expect("valid");
         let result = with_tracer(&mut sys, tracer, |sys| {
-            if redundancy == 1 {
-                channel.transmit(sys, sender, receiver, &message)
-            } else {
-                channel.transmit_with_redundancy(sys, sender, receiver, &message, redundancy)
-            }
+            channel.transmit_with_redundancy(sys, sender, receiver, &message, redundancy)
         });
         (result.error_rate, message.len() as f64 * 1e6 / result.cycles as f64)
     }))

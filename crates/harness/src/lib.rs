@@ -15,8 +15,12 @@
 //! (previously in fig4), where changing the thread count changed which
 //! seeds were run and therefore the results.
 //!
-//! Work distribution is a shared atomic counter, so long and short trials
-//! interleave without any static partitioning assumptions.
+//! There is one worker loop. Each worker claims the next trial index from
+//! a shared atomic counter, so long and short trials interleave without
+//! any static partitioning, and keeps its own `(index, result)` pairs; the
+//! runner puts them back in trial order at the end. With one thread the
+//! calling thread runs the loop and nothing is spawned; with more, each
+//! worker is a scoped thread. Either way every trial takes the same path.
 //!
 //! # Fault tolerance
 //!
@@ -41,9 +45,8 @@
 #![forbid(unsafe_code)]
 
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// SplitMix64 mixing step: maps any `u64` to a well-scrambled `u64`.
@@ -274,74 +277,53 @@ where
         .map_err(|payload| TrialError { index: idx, seed, message: panic_message(&*payload) })
     };
 
-    let mut failures: Vec<TrialError>;
-    let results: Vec<Option<T>>;
-    if threads <= 1 {
-        failures = Vec::new();
-        let mut out = Vec::with_capacity(n);
-        for idx in 0..n {
-            match one_trial(idx) {
-                Ok(v) => out.push(Some(v)),
-                Err(e) => {
-                    if opts.policy == FaultPolicy::Propagate {
-                        panic!("{e}");
-                    }
-                    failures.push(e);
-                    out.push(None);
-                }
+    let next = AtomicUsize::new(0);
+    let abort = AtomicBool::new(false);
+    let worker = || {
+        let mut done = Vec::new();
+        while !abort.load(Ordering::Relaxed) {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= n {
+                break;
             }
+            let result = one_trial(idx);
+            if result.is_err() && opts.policy == FaultPolicy::Propagate {
+                // No point finishing the run we are about to abandon.
+                abort.store(true, Ordering::Relaxed);
+            }
+            done.push((idx, result));
         }
-        results = out;
+        done
+    };
+    // A lone worker is the calling thread, so one thread spawns nothing.
+    // Otherwise every worker is a scoped thread and the calling thread only
+    // collects: running trials on it as well measured a few percent slower
+    // on the two-thread `covert_table2` benchmark workload.
+    let mut done = if threads == 1 {
+        worker()
     } else {
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let failed: Mutex<Vec<TrialError>> = Mutex::new(Vec::new());
-
         std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    match one_trial(idx) {
-                        Ok(v) => *slots[idx].lock().expect("trial slot poisoned") = Some(v),
-                        Err(e) => {
-                            failed.lock().expect("failure list poisoned").push(e);
-                            if opts.policy == FaultPolicy::Propagate {
-                                // No point finishing the run we are about
-                                // to abandon; results are discarded.
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-        });
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect()
+        })
+    };
+    done.sort_unstable_by_key(|&(idx, _)| idx);
 
-        failures = failed.into_inner().expect("failure list poisoned");
-        failures.sort_by_key(|e| e.index);
-        if opts.policy == FaultPolicy::Propagate {
-            if let Some(first) = failures.first() {
-                panic!("{first}");
+    // In trial order, so Propagate re-raises the lowest-index failure.
+    let mut results = Vec::with_capacity(done.len());
+    let mut failures = Vec::new();
+    for (_, result) in done {
+        match result {
+            Ok(v) => results.push(Some(v)),
+            Err(e) if opts.policy == FaultPolicy::Propagate => panic!("{e}"),
+            Err(e) => {
+                failures.push(e);
+                results.push(None);
             }
         }
-        results = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("trial slot poisoned"))
-            .collect();
-    }
-
-    if opts.policy == FaultPolicy::RecordAndSkip {
-        debug_assert!(
-            results.iter().filter(|r| r.is_none()).count() == failures.len(),
-            "every empty slot must have a matching failure"
-        );
     }
     TrialReport { results, failures }
 }
@@ -408,6 +390,13 @@ mod tests {
         assert_eq!(resolve_threads(5), 5);
         let out = run_trials_with(16, 1, &opts(0), |_idx, seed| seed);
         assert_eq!(out, run_trials_with(16, 1, &opts(1), |_idx, seed| seed));
+    }
+
+    #[test]
+    fn one_thread_runs_every_trial_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let out = run_trials_with(8, 2, &opts(1), |_, _| std::thread::current().id());
+        assert!(out.expect_complete().iter().all(|&id| id == caller));
     }
 
     #[test]
