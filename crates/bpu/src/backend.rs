@@ -30,7 +30,7 @@ use crate::hybrid::Hybrid;
 use crate::perceptron::PerceptronPredictor;
 use crate::profile::MicroarchProfile;
 use crate::stats::PredictionStats;
-use crate::tage::TagePredictor;
+use crate::tage::{TageLookup, TagePredictor};
 use crate::VirtAddr;
 use std::fmt;
 use std::str::FromStr;
@@ -40,9 +40,6 @@ use std::str::FromStr;
 /// two cores built from the same profile start bit-identical, exactly like
 /// the hybrid's power-on state.
 const TAGE_ALLOC_SEED: u64 = 0x7A6E_5EED;
-
-/// Tagged components of the TAGE backend (history lengths 4, 8, 16, 32).
-const TAGE_COMPONENTS: usize = 4;
 
 /// Which component produced the final direction prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,6 +71,50 @@ pub struct Prediction {
     pub btb_hit: bool,
     /// Predicted target when the direction is taken and the BTB hit.
     pub target: Option<VirtAddr>,
+}
+
+impl Prediction {
+    /// The front end's prediction from a direction predictor's answer and
+    /// the BTB's `target` for the branch: `used` picks the final direction,
+    /// and a taken prediction that hit the BTB carries its target.
+    #[inline]
+    fn new(
+        used: PredictorKind,
+        bimodal: Outcome,
+        gshare: Outcome,
+        target: Option<VirtAddr>,
+    ) -> Self {
+        let direction = match used {
+            PredictorKind::Bimodal => bimodal,
+            PredictorKind::Gshare => gshare,
+        };
+        Prediction {
+            direction,
+            used,
+            bimodal,
+            gshare,
+            btb_hit: target.is_some(),
+            target: if direction.is_taken() { target } else { None },
+        }
+    }
+
+    /// TAGE's answer: the base table as `bimodal`, the final direction as
+    /// `gshare`, which is used when a tagged component provided it.
+    #[inline]
+    fn tage(lookup: &TageLookup, target: Option<VirtAddr>) -> Self {
+        let used = match lookup.provider {
+            Some(_) => PredictorKind::Gshare,
+            None => PredictorKind::Bimodal,
+        };
+        Prediction::new(used, lookup.base, lookup.direction, target)
+    }
+
+    /// The perceptron's answer for output `y`, reported as both components.
+    #[inline]
+    fn perceptron(y: i32, target: Option<VirtAddr>) -> Self {
+        let direction = Outcome::from_bool(y >= 0);
+        Prediction::new(PredictorKind::Gshare, direction, direction, target)
+    }
 }
 
 /// Which predictor substrate to build — the user-facing backend selector
@@ -128,11 +169,9 @@ impl BackendKind {
         profile.validate().expect("invalid microarchitecture profile");
         let direction = match self {
             BackendKind::Hybrid => Direction::Hybrid(Hybrid::new(&profile)),
-            BackendKind::Tage => Direction::Tage(TagePredictor::new(
-                profile.pht_size,
-                TAGE_COMPONENTS,
-                TAGE_ALLOC_SEED,
-            )),
+            BackendKind::Tage => {
+                Direction::Tage(TagePredictor::new(profile.pht_size, TAGE_ALLOC_SEED))
+            }
             BackendKind::Perceptron => {
                 Direction::Perceptron(PerceptronPredictor::new(profile.pht_size, profile.ghr_bits))
             }
@@ -219,66 +258,58 @@ impl PredictorBackend {
         &self.profile
     }
 
-    /// Produces the front-end prediction for the branch at `addr`: one BTB
-    /// lookup, then the direction predictor under the current history.
+    /// Produces the front-end prediction for the branch at `addr` without
+    /// committing it: one BTB lookup, then the direction predictor under the
+    /// current history.
     #[inline]
     #[must_use]
     pub fn predict(&self, addr: VirtAddr) -> Prediction {
         let target = self.btb.lookup(addr);
-        let btb_hit = target.is_some();
-        let (used, bimodal, gshare) = match &self.direction {
-            Direction::Hybrid(h) => h.predict(addr, &self.ghr, btb_hit),
-            Direction::Tage(t) => {
-                let tage = t.predict(addr, &self.ghr);
-                let base = t.pht_state(addr).predicted();
-                let used = match tage.provider {
-                    Some(_) => PredictorKind::Gshare,
-                    None => PredictorKind::Bimodal,
-                };
-                (used, base, tage.direction)
+        match &self.direction {
+            Direction::Hybrid(h) => {
+                let (used, bimodal, gshare) = h.predict(addr, &self.ghr, target.is_some());
+                Prediction::new(used, bimodal, gshare, target)
             }
-            Direction::Perceptron(p) => {
-                let direction = p.predict(addr, &self.ghr);
-                (PredictorKind::Gshare, direction, direction)
-            }
-        };
-        let direction = match used {
-            PredictorKind::Bimodal => bimodal,
-            PredictorKind::Gshare => gshare,
-        };
-        Prediction {
-            direction,
-            used,
-            bimodal,
-            gshare,
-            btb_hit,
-            target: if direction.is_taken() { target } else { None },
+            Direction::Tage(t) => Prediction::tage(&t.lookup(addr, &self.ghr), target),
+            Direction::Perceptron(p) => Prediction::perceptron(p.output(addr, &self.ghr), target),
         }
     }
 
-    /// Commits a resolved branch: trains the direction predictor under the
-    /// history that produced the prediction, then shifts the outcome into
-    /// the GHR, installs the BTB entry for taken branches and records
-    /// statistics.
+    /// Predicts and commits one dynamic branch, returning the prediction and
+    /// whether it was correct — the only commit path. The direction
+    /// predictor looks the branch up once and trains from that lookup under
+    /// the history that produced it; then the outcome shifts into the GHR,
+    /// a taken branch installs its BTB entry and the statistics record the
+    /// branch.
     ///
-    /// `prediction` must be the value returned by [`predict`](Self::predict)
-    /// for this same dynamic branch. `target` is the branch target to
-    /// install when taken; `None` uses the fall-through convention
-    /// `addr + 2` (a two-byte conditional jump, as in the paper's Listing 2
-    /// disassembly).
-    #[inline]
-    pub fn update(
+    /// `target` is the branch target to install when taken; `None` uses
+    /// the fall-through convention `addr + 2` (a two-byte conditional jump,
+    /// as in the paper's Listing 2 disassembly).
+    pub fn execute(
         &mut self,
         addr: VirtAddr,
         outcome: Outcome,
         target: Option<VirtAddr>,
-        prediction: &Prediction,
-    ) {
-        match &mut self.direction {
-            Direction::Hybrid(h) => h.train(addr, &self.ghr, outcome, prediction),
-            Direction::Tage(t) => t.train(addr, &self.ghr, outcome),
-            Direction::Perceptron(p) => p.train(addr, &self.ghr, outcome),
-        }
+    ) -> (Prediction, bool) {
+        let btb_target = self.btb.lookup(addr);
+        let prediction = match &mut self.direction {
+            Direction::Hybrid(h) => {
+                let (used, bimodal, gshare) = h.predict(addr, &self.ghr, btb_target.is_some());
+                let prediction = Prediction::new(used, bimodal, gshare, btb_target);
+                h.train(addr, &self.ghr, outcome, &prediction);
+                prediction
+            }
+            Direction::Tage(t) => {
+                let lookup = t.lookup(addr, &self.ghr);
+                t.train(&lookup, outcome);
+                Prediction::tage(&lookup, btb_target)
+            }
+            Direction::Perceptron(p) => {
+                let y = p.output(addr, &self.ghr);
+                p.train(addr, &self.ghr, y, outcome);
+                Prediction::perceptron(y, btb_target)
+            }
+        };
         self.ghr.push(outcome);
         if outcome.is_taken() {
             // An install that allocates the entry for a new branch restarts
@@ -292,18 +323,6 @@ impl PredictorBackend {
         }
         self.stats
             .record(prediction.used == PredictorKind::Gshare, prediction.direction != outcome);
-    }
-
-    /// Predicts and immediately commits one dynamic branch, returning the
-    /// prediction and whether it was correct (the simulation fast path).
-    pub fn execute(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-    ) -> (Prediction, bool) {
-        let prediction = self.predict(addr);
-        self.update(addr, outcome, target, &prediction);
         (prediction, prediction.direction == outcome)
     }
 

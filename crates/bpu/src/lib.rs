@@ -32,13 +32,13 @@
 //!
 //! let mut bpu = BackendKind::Hybrid.build(MicroarchProfile::skylake());
 //! assert_eq!(bpu.predict(0x40_0000).used, PredictorKind::Bimodal, "new branches use the 1-level predictor");
-//! // Train a branch at address 0x40_0000 to be always taken.
+//! // Train a branch at address 0x40_0000 to be always taken: `execute`
+//! // predicts and commits one dynamic branch, and is the only commit path.
 //! for _ in 0..4 {
-//!     let prediction = bpu.predict(0x40_0000);
-//!     bpu.update(0x40_0000, Outcome::Taken, Some(0x40_0040), &prediction);
+//!     bpu.execute(0x40_0000, Outcome::Taken, Some(0x40_0040));
 //! }
-//! let prediction = bpu.predict(0x40_0000);
-//! assert_eq!(prediction.direction, Outcome::Taken);
+//! let (prediction, correct) = bpu.execute(0x40_0000, Outcome::Taken, Some(0x40_0040));
+//! assert!(correct && prediction.target == Some(0x40_0040));
 //! ```
 
 #![forbid(unsafe_code)]
