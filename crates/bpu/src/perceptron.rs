@@ -29,7 +29,8 @@ use std::ops::Range;
 pub(crate) struct PerceptronPredictor {
     /// Every entry's weights in one flat table of rows of `history_bits + 1`:
     /// a row's first weight is the bias, the rest pair with GHR bits.
-    weights: Vec<i16>,
+    /// Weights are 8-bit and saturate rather than wrap.
+    weights: Vec<i8>,
     history_bits: u32,
     threshold: i32,
     mask: u64,
@@ -71,14 +72,14 @@ impl PerceptronPredictor {
     /// The history-independent *bias* weight for `addr` — the closest thing
     /// a perceptron has to a per-address directional state.
     #[must_use]
-    pub(crate) fn bias(&self, addr: VirtAddr) -> i16 {
+    pub(crate) fn bias(&self, addr: VirtAddr) -> i8 {
         self.weights[self.row(addr).start]
     }
 
     /// Overwrites the entry for `addr` with the given bias and all history
     /// weights zeroed — the ground-truth hook backing
     /// [`PredictorBackend::set_pht_state`](crate::PredictorBackend::set_pht_state).
-    pub(crate) fn set_entry(&mut self, addr: VirtAddr, bias: i16) {
+    pub(crate) fn set_entry(&mut self, addr: VirtAddr, bias: i8) {
         let row = self.row(addr);
         let w = &mut self.weights[row];
         w.fill(0);
@@ -114,14 +115,14 @@ impl PerceptronPredictor {
     ) {
         let mispredicted = (y >= 0) != outcome.is_taken();
         if mispredicted || y.abs() <= self.threshold {
-            let t: i16 = if outcome.is_taken() { 1 } else { -1 };
+            let t: i8 = if outcome.is_taken() { 1 } else { -1 };
             let hist = ghr.value();
             let row = self.row(addr);
             let w = &mut self.weights[row];
-            w[0] = w[0].saturating_add(t).clamp(-128, 127);
+            w[0] = w[0].saturating_add(t);
             for (bit, weight) in w[1..].iter_mut().enumerate() {
                 let x = if (hist >> bit) & 1 == 1 { 1 } else { -1 };
-                *weight = weight.saturating_add(t * x).clamp(-128, 127);
+                *weight = weight.saturating_add(t * x);
             }
         }
     }
@@ -174,15 +175,18 @@ mod tests {
         assert!(correct >= 19, "perceptron should master T/N alternation, got {correct}/20");
     }
 
+    /// Training past the 8-bit range saturates the weights instead of
+    /// wrapping them. With y = 0 every call trains, and the all-not-taken
+    /// history drives each history weight to the other extreme (`!bias`).
     #[test]
     fn weights_stay_bounded() {
-        let mut ghr = GlobalHistoryRegister::new(8);
+        let ghr = GlobalHistoryRegister::new(8);
         let mut p = PerceptronPredictor::new(16, 8);
-        for i in 0..5_000u64 {
-            step(&mut p, &mut ghr, 3, Outcome::from_bool(i % 7 < 3));
-        }
-        for w in &p.weights {
-            assert!((-128..=127).contains(&i32::from(*w)));
+        for (outcome, bias) in [(Outcome::Taken, i8::MAX), (Outcome::NotTaken, i8::MIN)] {
+            (0..300).for_each(|_| p.train(3, &ghr, 0, outcome));
+            let row = &p.weights[p.row(3)];
+            assert_eq!(row[0], bias, "bias after training {outcome:?}");
+            assert!(row[1..].iter().all(|&w| w == !bias), "history weights: {row:?}");
         }
     }
 

@@ -18,43 +18,14 @@
 //! perceptron collapses to a coin flip because its per-branch state is a
 //! weight vector with no FSM for the probes to read.
 
-use crate::common::{metric, trials, with_tracer, Scale};
+use crate::common::{metric, trials, Scale};
+use crate::covert_cell::{covert_cell, CovertCell, Payload};
 use bscope_bpu::{BackendKind, MicroarchProfile};
-use bscope_core::covert::CovertChannel;
-use bscope_core::{AttackConfig, BscopeError};
-use bscope_harness::splitmix64;
-use bscope_os::{AslrPolicy, System};
+use bscope_core::BscopeError;
 use bscope_uarch::NoiseConfig;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Noise settings, in row order: isolated core, then system activity.
 const SETTINGS: usize = 2;
-
-/// Error rate and throughput (bits per Mcycle) of one random-payload
-/// transmission; all randomness derives from the trial `seed`.
-fn one_run(
-    backend: BackendKind,
-    noise: Option<&NoiseConfig>,
-    bits: usize,
-    seed: u64,
-    tracer: &mut bscope_uarch::Tracer,
-) -> (f64, f64) {
-    let profile = MicroarchProfile::skylake();
-    let mut sys = System::with_backend(profile.clone(), backend, seed);
-    if let Some(noise) = noise {
-        sys.set_noise(Some(noise.clone())).expect("noise config validated before fan-out");
-    }
-    let sender = sys.spawn("trojan", AslrPolicy::Disabled);
-    let receiver = sys.spawn("spy", AslrPolicy::Disabled);
-    let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ 0xB4CE));
-    let message: Vec<bool> = (0..bits).map(|_| rng.gen()).collect();
-    let mut channel =
-        CovertChannel::new(AttackConfig::for_backend(&profile, backend)).expect("valid config");
-    let result =
-        with_tracer(&mut sys, tracer, |sys| channel.transmit(sys, sender, receiver, &message));
-    (result.error_rate, result.bits_per_mcycle())
-}
 
 /// One backend's row: `(error_rate, bits_per_mcycle)` per noise setting.
 type SweepRow = [(f64, f64); SETTINGS];
@@ -69,34 +40,30 @@ pub fn compute(
     runs: usize,
 ) -> Result<Vec<(BackendKind, SweepRow)>, BscopeError> {
     let profile = MicroarchProfile::skylake();
-    for backend in BackendKind::ALL {
-        CovertChannel::new(AttackConfig::for_backend(&profile, backend))?;
-    }
-    let noise = NoiseConfig::system_activity();
-    noise.validate()?;
-    let settings = [None, Some(noise)];
+    let settings: [Option<NoiseConfig>; SETTINGS] = [None, Some(NoiseConfig::system_activity())];
+    let cells: Vec<CovertCell> = BackendKind::ALL
+        .iter()
+        .flat_map(|&backend| {
+            let payload = Payload::Random { salt: 0xB4CE };
+            settings.each_ref().map(|noise| {
+                CovertCell::new(&profile, backend, noise.as_ref(), payload, bits)
+            })
+        })
+        .collect();
+    cells.iter().try_for_each(CovertCell::validate)?;
 
-    let cells = BackendKind::ALL.len() * SETTINGS;
-    let per_trial = trials(scale, cells * runs, 0xBAC2, |idx, seed, tracer| {
-        let cell = idx / runs;
-        one_run(
-            BackendKind::ALL[cell / SETTINGS],
-            settings[cell % SETTINGS].as_ref(),
-            bits,
-            seed,
-            tracer,
-        )
+    let per_trial = trials(scale, cells.len() * runs, 0xBAC2, |idx, seed, tracer| {
+        let result = covert_cell(&cells[idx / runs], seed, tracer);
+        (result.error_rate, result.bits_per_mcycle())
     });
 
     Ok(BackendKind::ALL
-        .iter()
-        .enumerate()
-        .map(|(b, &backend)| {
+        .into_iter()
+        .zip(per_trial.chunks_exact(SETTINGS * runs))
+        .map(|(backend, row_runs)| {
             let mut row = [(0.0, 0.0); SETTINGS];
-            for (s, cell_avg) in row.iter_mut().enumerate() {
-                let cell = b * SETTINGS + s;
-                let runs_of_cell = &per_trial[cell * runs..(cell + 1) * runs];
-                let n = runs as f64;
+            let n = runs as f64;
+            for (cell_avg, runs_of_cell) in row.iter_mut().zip(row_runs.chunks_exact(runs)) {
                 *cell_avg = (
                     runs_of_cell.iter().map(|r| r.0).sum::<f64>() / n,
                     runs_of_cell.iter().map(|r| r.1).sum::<f64>() / n,
@@ -153,20 +120,11 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_thread_count_invariant;
 
     #[test]
     fn sweep_is_thread_count_invariant() {
-        let mut scale = Scale::quick();
-        scale.threads = 1;
-        let sequential = compute(&scale, 60, 1).expect("valid preset configs");
-        for threads in [2, 8] {
-            scale.threads = threads;
-            assert_eq!(
-                compute(&scale, 60, 1).expect("valid preset configs"),
-                sequential,
-                "threads={threads}"
-            );
-        }
+        assert_thread_count_invariant(|scale| compute(scale, 60, 1).expect("valid preset configs"));
     }
 
     /// The headline ordering the experiment exists to demonstrate: the

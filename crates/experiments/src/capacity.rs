@@ -1,12 +1,11 @@
 //! Extension (beyond the paper): covert-channel capacity — error rate and
 //! throughput as functions of background noise and repetition coding.
 
-use crate::common::{metric, trials, with_tracer, Scale};
+use crate::common::{metric, trials, Scale};
+use crate::covert_cell::{covert_cell, CovertCell, Payload};
 use bscope_bpu::MicroarchProfile;
-use bscope_core::covert::CovertChannel;
-use bscope_core::{AttackConfig, BscopeError};
+use bscope_core::BscopeError;
 use bscope_harness::splitmix64;
-use bscope_os::{AslrPolicy, System};
 use bscope_uarch::NoiseConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,43 +20,33 @@ const NOISE_LEVELS: [(&str, f64); 5] = [
 
 const REDUNDANCIES: [usize; 3] = [1, 3, 5];
 
-/// Error rate and throughput (bits per Mcycle) of one grid cell. Channel
-/// and noise configurations for every grid row are validated before the
-/// fan-out.
+/// Error rate and throughput (bits per Mcycle) of one grid cell. Every
+/// cell is validated before the fan-out.
 pub fn compute(scale: &Scale, bits: usize) -> Result<Vec<(f64, f64)>, BscopeError> {
     let profile = MicroarchProfile::skylake();
-    CovertChannel::new(AttackConfig::for_backend(&profile, scale.backend))?;
-    for (_, rate) in NOISE_LEVELS {
-        if rate > 0.0 {
-            NoiseConfig { branches_per_kcycle: rate, ..NoiseConfig::system_activity() }
-                .validate()?;
-        }
-    }
+    let noises = NOISE_LEVELS.map(|(_, rate)| {
+        (rate > 0.0)
+            .then(|| NoiseConfig { branches_per_kcycle: rate, ..NoiseConfig::system_activity() })
+    });
     // One shared message for the whole grid (derived from the scale seed,
     // not the per-trial seed) so cells differ only in noise and coding.
     let mut rng = StdRng::seed_from_u64(splitmix64(scale.seed ^ 0xCAB));
     let message: Vec<bool> = (0..bits).map(|_| rng.gen()).collect();
-    let cells = NOISE_LEVELS.len() * REDUNDANCIES.len();
+    let shared = Payload::Given(&message);
+    let cells: Vec<CovertCell> = noises
+        .iter()
+        .flat_map(|noise| {
+            REDUNDANCIES.map(|redundancy| CovertCell {
+                redundancy,
+                ..CovertCell::new(&profile, scale.backend, noise.as_ref(), shared, bits)
+            })
+        })
+        .collect();
+    cells.iter().try_for_each(CovertCell::validate)?;
 
-    Ok(trials(scale, cells, 0xCA9, |idx, seed, tracer| {
-        let (_, rate) = NOISE_LEVELS[idx / REDUNDANCIES.len()];
-        let redundancy = REDUNDANCIES[idx % REDUNDANCIES.len()];
-        let mut sys = System::with_backend(profile.clone(), scale.backend, seed);
-        if rate > 0.0 {
-            sys.set_noise(Some(NoiseConfig {
-                branches_per_kcycle: rate,
-                ..NoiseConfig::system_activity()
-            }))
-            .expect("noise config validated before fan-out");
-        }
-        let sender = sys.spawn("trojan", AslrPolicy::Disabled);
-        let receiver = sys.spawn("spy", AslrPolicy::Disabled);
-        let mut channel =
-            CovertChannel::new(AttackConfig::for_backend(&profile, scale.backend)).expect("valid");
-        let result = with_tracer(&mut sys, tracer, |sys| {
-            channel.transmit_with_redundancy(sys, sender, receiver, &message, redundancy)
-        });
-        (result.error_rate, message.len() as f64 * 1e6 / result.cycles as f64)
+    Ok(trials(scale, cells.len(), 0xCA9, |idx, seed, tracer| {
+        let result = covert_cell(&cells[idx], seed, tracer);
+        (result.error_rate, result.bits_per_mcycle())
     }))
 }
 
@@ -95,15 +84,10 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_thread_count_invariant;
 
     #[test]
     fn grid_is_thread_count_invariant() {
-        let mut scale = Scale::quick();
-        scale.threads = 1;
-        let sequential = compute(&scale, 100).expect("valid preset configs");
-        for threads in [2, 8] {
-            scale.threads = threads;
-            assert_eq!(compute(&scale, 100).expect("valid preset configs"), sequential, "threads={threads}");
-        }
+        assert_thread_count_invariant(|scale| compute(scale, 100).expect("valid preset configs"));
     }
 }

@@ -140,6 +140,19 @@ pub fn with_tracer<T>(
     out
 }
 
+/// Asserts that `compute` gives the same result at 1, 2 and 8 worker
+/// threads of a quick-scale run.
+#[cfg(test)]
+pub fn assert_thread_count_invariant<T>(compute: impl Fn(&Scale) -> T)
+where
+    T: PartialEq + std::fmt::Debug,
+{
+    let sequential = compute(&Scale { threads: 1, ..Scale::quick() });
+    for threads in [2, 8] {
+        assert_eq!(compute(&Scale { threads, ..Scale::quick() }), sequential, "threads={threads}");
+    }
+}
+
 /// Headline metrics reported by experiments since the last drain; the main
 /// loop scopes the sink per experiment (see [`MetricScope`]) when emitting
 /// `--json`.

@@ -1,0 +1,115 @@
+//! The one covert-channel trial behind table2, table3, capacity,
+//! backend_sweep and sensitivity: build a machine, start the sender and the
+//! receiver, derive the message, transmit it (prime → trojan → probe per
+//! bit) and score what the receiver decoded.
+
+use crate::common::with_tracer;
+use bscope_bpu::{BackendKind, MicroarchProfile};
+use bscope_core::covert::{CovertChannel, EnclaveSender, TransmitResult};
+use bscope_core::{AttackConfig, BscopeError};
+use bscope_harness::splitmix64;
+use bscope_os::{AslrPolicy, Enclave, System};
+use bscope_uarch::{NoiseConfig, Tracer};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Where the trojan runs: in an ordinary co-resident process (§7, Table 2)
+/// or in an SGX enclave that the OS single-steps (§9.2, Table 3).
+pub enum Sender {
+    Process,
+    Enclave,
+}
+
+/// The message a cell transmits.
+#[derive(Clone, Copy)]
+pub enum Payload<'a> {
+    AllZero,
+    AllOne,
+    /// Uniform bits drawn from `StdRng::seed_from_u64(splitmix64(seed ^ salt))`
+    /// for the trial `seed`, so every trial sends its own message.
+    Random { salt: u64 },
+    /// The first `bits` bits of a message shared by every trial.
+    Given(&'a [bool]),
+}
+
+/// One cell of a covert-channel experiment; [`covert_cell`] runs one trial
+/// of it.
+pub struct CovertCell<'a> {
+    pub profile: &'a MicroarchProfile,
+    pub backend: BackendKind,
+    /// Background noise on the shared core; `None` runs it quiet.
+    pub noise: Option<&'a NoiseConfig>,
+    pub sender: Sender,
+    pub payload: Payload<'a>,
+    /// Payload bits per transmission.
+    pub bits: usize,
+    /// Times a process sender repeats each bit for the receiver to
+    /// majority-vote (odd; 1 sends the payload raw).
+    pub redundancy: usize,
+}
+
+impl<'a> CovertCell<'a> {
+    /// A raw transmission from a process sender.
+    pub fn new(
+        profile: &'a MicroarchProfile,
+        backend: BackendKind,
+        noise: Option<&'a NoiseConfig>,
+        payload: Payload<'a>,
+        bits: usize,
+    ) -> Self {
+        let sender = Sender::Process;
+        CovertCell { profile, backend, noise, sender, payload, bits, redundancy: 1 }
+    }
+
+    /// Checks the channel and noise configuration, so an experiment fails
+    /// with a typed error before its fan-out instead of panicking in a
+    /// worker thread.
+    pub fn validate(&self) -> Result<(), BscopeError> {
+        CovertChannel::new(AttackConfig::for_backend(self.profile, self.backend))?;
+        if let Some(noise) = self.noise {
+            noise.validate()?;
+        }
+        Ok(())
+    }
+}
+
+/// Runs one transmission of `cell` on a fresh machine. Every random choice
+/// (machine, noise, random payload) derives from `seed`, and the core
+/// carries `tracer` while it transmits.
+///
+/// # Panics
+///
+/// Panics if `cell` does not pass [`CovertCell::validate`].
+pub fn covert_cell(cell: &CovertCell<'_>, seed: u64, tracer: &mut Tracer) -> TransmitResult {
+    let mut sys = System::with_backend(cell.profile.clone(), cell.backend, seed);
+    sys.set_noise(cell.noise.cloned()).expect("noise config validated before fan-out");
+    let mut channel = CovertChannel::new(AttackConfig::for_backend(cell.profile, cell.backend))
+        .expect("channel validated before fan-out");
+    let message: Vec<bool> = match cell.payload {
+        Payload::AllZero => vec![false; cell.bits],
+        Payload::AllOne => vec![true; cell.bits],
+        Payload::Random { salt } => {
+            let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ salt));
+            (0..cell.bits).map(|_| rng.gen()).collect()
+        }
+        Payload::Given(message) => message[..cell.bits].to_vec(),
+    };
+    match cell.sender {
+        Sender::Process => {
+            let sender = sys.spawn("trojan", AslrPolicy::Disabled);
+            let receiver = sys.spawn("spy", AslrPolicy::Disabled);
+            with_tracer(&mut sys, tracer, |sys| {
+                channel.transmit_with_redundancy(sys, sender, receiver, &message, cell.redundancy)
+            })
+        }
+        Sender::Enclave => {
+            let receiver = sys.spawn("spy", AslrPolicy::Disabled);
+            let mut enclave =
+                Enclave::launch(&mut sys, "trojan-enclave", EnclaveSender::new(message.clone()));
+            let received = with_tracer(&mut sys, tracer, |sys| {
+                channel.receive_from_enclave(sys, &mut enclave, receiver, message.len())
+            });
+            received.score(&message)
+        }
+    }
+}

@@ -63,6 +63,7 @@ mod apps;
 mod backend_sweep;
 mod capacity;
 mod common;
+mod covert_cell;
 mod fig2;
 mod fig4;
 mod fig5;

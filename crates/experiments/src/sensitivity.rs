@@ -3,11 +3,10 @@
 //! Bridge's higher error rates come from its smaller predictor tables.
 
 use crate::common::{metric, Scale};
-use bscope_bpu::{CounterKind, Microarch, MicroarchProfile};
-use bscope_core::covert::CovertChannel;
-use bscope_core::{AttackConfig, BscopeError};
-use bscope_os::{AslrPolicy, System};
-use bscope_uarch::NoiseConfig;
+use crate::covert_cell::{covert_cell, CovertCell, Payload};
+use bscope_bpu::{BackendKind, CounterKind, Microarch, MicroarchProfile};
+use bscope_core::BscopeError;
+use bscope_uarch::{NoiseConfig, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,18 +26,17 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     let bits = scale.n(6_000, 800);
     let mut rng = StdRng::seed_from_u64(scale.seed ^ 0x5E5);
     let message: Vec<bool> = (0..bits).map(|_| rng.gen()).collect();
+    let noise = NoiseConfig::system_activity();
+    let shared = Payload::Given(&message);
 
     println!("covert-channel error vs PHT size ({bits} bits, system noise)\n");
     println!("{:>10} {:>10}", "PHT size", "error");
     for log2 in 10..=16 {
         let pht_size = 1usize << log2;
         let profile = profile_with_pht(pht_size);
-        let mut sys = System::new(profile.clone(), scale.seed ^ log2 as u64)
-            .with_noise(NoiseConfig::system_activity())?;
-        let sender = sys.spawn("trojan", AslrPolicy::Disabled);
-        let receiver = sys.spawn("spy", AslrPolicy::Disabled);
-        let mut channel = CovertChannel::new(AttackConfig::for_profile(&profile))?;
-        let result = channel.transmit(&mut sys, sender, receiver, &message);
+        let cell = CovertCell::new(&profile, BackendKind::Hybrid, Some(&noise), shared, bits);
+        cell.validate()?;
+        let result = covert_cell(&cell, scale.seed ^ log2 as u64, &mut Tracer::disabled());
         metric(format!("sensitivity/pht_{pht_size}/error_pct"), 100.0 * result.error_rate);
         println!("{pht_size:>10} {:>9.3}%", 100.0 * result.error_rate);
     }

@@ -1,100 +1,49 @@
 //! Table 2: covert-channel error rates on three CPUs, isolated vs noisy.
 
-use crate::common::{metric, trials, with_tracer, Scale};
-use bscope_bpu::{BackendKind, MicroarchProfile};
-use bscope_core::covert::CovertChannel;
-use bscope_core::{AttackConfig, BscopeError};
-use bscope_harness::splitmix64;
-use bscope_os::{AslrPolicy, System};
+use crate::common::{metric, trials, Scale};
+use crate::covert_cell::{covert_cell, CovertCell, Payload};
+use bscope_bpu::MicroarchProfile;
+use bscope_core::BscopeError;
 use bscope_uarch::NoiseConfig;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-#[derive(Clone, Copy)]
-enum Payload {
-    AllZero,
-    AllOne,
-    Random,
-}
-
-impl Payload {
-    fn bits(self, n: usize, rng: &mut StdRng) -> Vec<bool> {
-        match self {
-            Payload::AllZero => vec![false; n],
-            Payload::AllOne => vec![true; n],
-            Payload::Random => (0..n).map(|_| rng.gen()).collect(),
-        }
-    }
-}
-
-const PAYLOADS: [Payload; 3] = [Payload::AllZero, Payload::AllOne, Payload::Random];
-
-/// One transmission run of one table cell; all randomness (machine, noise,
-/// message) derives from the trial `seed` handed out by the runner.
-fn one_run(
-    profile: &MicroarchProfile,
-    backend: BackendKind,
-    noise: &NoiseConfig,
-    payload: Payload,
-    bits: usize,
-    seed: u64,
-    tracer: &mut bscope_uarch::Tracer,
-) -> f64 {
-    let mut sys = System::with_backend(profile.clone(), backend, seed)
-        .with_noise(noise.clone())
-        .expect("noise config validated before fan-out");
-    let sender = sys.spawn("trojan", AslrPolicy::Disabled);
-    let receiver = sys.spawn("spy", AslrPolicy::Disabled);
-    let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ 0x7AB1E2));
-    let message = payload.bits(bits, &mut rng);
-    let mut channel =
-        CovertChannel::new(AttackConfig::for_backend(profile, backend)).expect("valid config");
-    with_tracer(&mut sys, tracer, |sys| {
-        channel.transmit(sys, sender, receiver, &message).error_rate
-    })
-}
+const PAYLOADS: [Payload<'static>; 3] =
+    [Payload::AllZero, Payload::AllOne, Payload::Random { salt: 0x7AB1E2 }];
 
 /// Computes the full table: six machine/noise rows of three payload error
 /// rates (in percent). All `6 rows x 3 payloads x runs` transmissions are
 /// independent trials fanned out over `scale.threads` workers; the result
-/// is identical for every thread count.
-///
-/// Channel and noise configurations are validated up front, outside the
-/// fan-out, so a misconfiguration is a typed error rather than a panic in
-/// some worker thread.
+/// is identical for every thread count. Every cell is validated before
+/// the fan-out.
 pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<(String, [f64; 3])>, BscopeError> {
     let machines = MicroarchProfile::paper_machines();
     let settings =
         [("isolated", NoiseConfig::isolated_core()), ("with noise", NoiseConfig::system_activity())];
-    for machine in &machines {
-        CovertChannel::new(AttackConfig::for_backend(machine, scale.backend))?;
-    }
-    for (_, noise) in &settings {
-        noise.validate()?;
-    }
     // Cell order fixes trial indices (and so per-trial seeds): changing it
     // intentionally changes results, like any other seed-schedule change.
-    let cells: Vec<(usize, usize, usize)> = (0..machines.len())
-        .flat_map(|m| (0..settings.len()).flat_map(move |s| (0..PAYLOADS.len()).map(move |p| (m, s, p))))
+    let rows: Vec<(&MicroarchProfile, &(&str, NoiseConfig))> =
+        machines.iter().flat_map(|m| settings.iter().map(move |s| (m, s))).collect();
+    let cells: Vec<CovertCell> = rows
+        .iter()
+        .flat_map(|&(profile, (_, noise))| {
+            PAYLOADS
+                .map(|payload| CovertCell::new(profile, scale.backend, Some(noise), payload, bits))
+        })
         .collect();
+    cells.iter().try_for_each(CovertCell::validate)?;
 
     let per_trial = trials(scale, cells.len() * runs, 0x7AB2E2, |idx, seed, tracer| {
-        let (m, s, p) = cells[idx / runs];
-        one_run(&machines[m], scale.backend, &settings[s].1, PAYLOADS[p], bits, seed, tracer)
+        covert_cell(&cells[idx / runs], seed, tracer).error_rate
     });
 
-    Ok(cells
-        .chunks_exact(PAYLOADS.len())
-        .enumerate()
-        .map(|(row, row_cells)| {
-            let (m, s, _) = row_cells[0];
+    Ok(rows
+        .iter()
+        .zip(per_trial.chunks_exact(PAYLOADS.len() * runs))
+        .map(|((profile, (setting, _)), row_runs)| {
             let mut errors = [0.0f64; 3];
-            for (p, cell_err) in errors.iter_mut().enumerate() {
-                let cell = row * PAYLOADS.len() + p;
-                let runs_of_cell = &per_trial[cell * runs..(cell + 1) * runs];
+            for (cell_err, runs_of_cell) in errors.iter_mut().zip(row_runs.chunks_exact(runs)) {
                 *cell_err = 100.0 * runs_of_cell.iter().sum::<f64>() / runs as f64;
             }
-            (format!("{} {}", machines[m].arch, settings[s].0), errors)
+            (format!("{} {setting}", profile.arch), errors)
         })
         .collect())
 }
@@ -146,18 +95,13 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_thread_count_invariant;
 
     /// The tentpole property on the real experiment: the table is
     /// bit-identical no matter how many workers computed it.
     #[test]
     fn table_is_thread_count_invariant() {
-        let mut scale = Scale::quick();
-        scale.threads = 1;
-        let sequential = compute(&scale, 200, 2).expect("valid preset configs");
-        for threads in [2, 8] {
-            scale.threads = threads;
-            assert_eq!(compute(&scale, 200, 2).expect("valid preset configs"), sequential, "threads={threads}");
-        }
+        assert_thread_count_invariant(|scale| compute(scale, 200, 2).expect("valid preset configs"));
     }
 
     /// Regression pin of one quick-scale cell (Skylake isolated / random
@@ -182,7 +126,7 @@ mod tests {
     #[test]
     fn explicit_hybrid_backend_reproduces_the_pinned_table() {
         let mut explicit = Scale::quick();
-        explicit.backend = BackendKind::Hybrid;
+        explicit.backend = bscope_bpu::BackendKind::Hybrid;
         let rows = compute(&explicit, 1_000, 2).expect("valid preset configs");
         assert_eq!(rows, compute(&Scale::quick(), 1_000, 2).expect("valid preset configs"));
         assert_eq!(rows[0].1[2], 0.15, "pinned pre-refactor value drifted");

@@ -1,80 +1,42 @@
 //! Table 3: covert channel with the trojan (sender) inside an SGX enclave.
 
-use crate::common::{metric, trials, with_tracer, Scale};
-use bscope_bpu::MicroarchProfile;
-use bscope_core::covert::{CovertChannel, EnclaveSender};
-use bscope_core::{AttackConfig, BscopeError};
-use bscope_harness::splitmix64;
-use bscope_os::{AslrPolicy, Enclave, System};
+use crate::common::{metric, trials, Scale};
+use crate::covert_cell::{covert_cell, CovertCell, Payload, Sender};
+use bscope_bpu::{BackendKind, MicroarchProfile};
+use bscope_core::BscopeError;
 use bscope_uarch::NoiseConfig;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-type PayloadFn = fn(usize, &mut StdRng) -> Vec<bool>;
-
-fn all0(n: usize, _: &mut StdRng) -> Vec<bool> {
-    vec![false; n]
-}
-
-fn all1(n: usize, _: &mut StdRng) -> Vec<bool> {
-    vec![true; n]
-}
-
-fn random(n: usize, rng: &mut StdRng) -> Vec<bool> {
-    (0..n).map(|_| rng.gen()).collect()
-}
-
-/// One enclave transmission run; machine and secret derive from `seed`.
-fn one_run(
-    noise: Option<&NoiseConfig>,
-    payload: PayloadFn,
-    bits: usize,
-    seed: u64,
-    tracer: &mut bscope_uarch::Tracer,
-) -> f64 {
-    let profile = MicroarchProfile::skylake();
-    let mut sys = System::new(profile.clone(), seed);
-    sys.set_noise(noise.cloned()).expect("noise config validated before fan-out");
-    let receiver = sys.spawn("spy", AslrPolicy::Disabled);
-    let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ 0x561));
-    let secret = payload(bits, &mut rng);
-    let mut enclave = Enclave::launch(&mut sys, "trojan-enclave", EnclaveSender::new(secret.clone()));
-    // The attacker-controlled OS single-steps the enclave; in the
-    // isolated setting it also prevents any other activity.
-    let mut channel = CovertChannel::new(AttackConfig::for_profile(&profile)).expect("valid config");
-    let received = with_tracer(&mut sys, tracer, |sys| {
-        channel.receive_from_enclave(sys, &mut enclave, receiver, secret.len())
-    });
-    received.score(&secret).error_rate
-}
 
 /// Computes both table rows (error rates in percent): all
 /// `2 settings x 3 payloads x runs` transmissions run as independent
-/// trials on the deterministic parallel runner. Channel and noise
-/// configurations are validated before the fan-out, so a bad config is a
-/// typed error instead of a worker-thread panic.
+/// trials on the deterministic parallel runner. Every cell is validated
+/// before the fan-out.
 pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<[f64; 3]>, BscopeError> {
+    let profile = MicroarchProfile::skylake();
+    // The attacker-controlled OS single-steps the enclave; in the isolated
+    // setting it also prevents any other activity.
     let settings: [Option<NoiseConfig>; 2] = [Some(NoiseConfig::system_activity()), None];
-    let payloads: [PayloadFn; 3] = [all0, all1, random];
-    let cells = settings.len() * payloads.len();
-    CovertChannel::new(AttackConfig::for_profile(&MicroarchProfile::skylake()))?;
-    for noise in settings.iter().flatten() {
-        noise.validate()?;
-    }
+    let payloads = [Payload::AllZero, Payload::AllOne, Payload::Random { salt: 0x561 }];
+    let cells: Vec<CovertCell> = settings
+        .iter()
+        .flat_map(|noise| {
+            payloads.map(|payload| CovertCell {
+                sender: Sender::Enclave,
+                ..CovertCell::new(&profile, BackendKind::Hybrid, noise.as_ref(), payload, bits)
+            })
+        })
+        .collect();
+    cells.iter().try_for_each(CovertCell::validate)?;
 
-    let per_trial = trials(scale, cells * runs, 0x560, |idx, seed, tracer| {
-        let cell = idx / runs;
-        let noise = settings[cell / payloads.len()].as_ref();
-        one_run(noise, payloads[cell % payloads.len()], bits, seed, tracer)
+    let per_trial = trials(scale, cells.len() * runs, 0x560, |idx, seed, tracer| {
+        covert_cell(&cells[idx / runs], seed, tracer).error_rate
     });
 
-    Ok((0..settings.len())
-        .map(|s| {
+    Ok(per_trial
+        .chunks_exact(payloads.len() * runs)
+        .map(|row_runs| {
             let mut row = [0.0f64; 3];
-            for (p, err) in row.iter_mut().enumerate() {
-                let cell = s * 3 + p;
-                *err = 100.0 * per_trial[cell * runs..(cell + 1) * runs].iter().sum::<f64>()
-                    / runs as f64;
+            for (err, runs_of_cell) in row.iter_mut().zip(row_runs.chunks_exact(runs)) {
+                *err = 100.0 * runs_of_cell.iter().sum::<f64>() / runs as f64;
             }
             row
         })
@@ -112,15 +74,10 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_thread_count_invariant;
 
     #[test]
     fn table_is_thread_count_invariant() {
-        let mut scale = Scale::quick();
-        scale.threads = 1;
-        let sequential = compute(&scale, 200, 2).expect("valid preset configs");
-        for threads in [2, 8] {
-            scale.threads = threads;
-            assert_eq!(compute(&scale, 200, 2).expect("valid preset configs"), sequential, "threads={threads}");
-        }
+        assert_thread_count_invariant(|scale| compute(scale, 200, 2).expect("valid preset configs"));
     }
 }

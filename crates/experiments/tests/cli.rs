@@ -271,11 +271,14 @@ fn json_report_survives_a_real_parser() {
 
 #[test]
 fn trace_is_deterministic_and_thread_count_invariant() {
+    // table3 runs the SGX enclave sender, next to fig4's ordinary processes.
+    let selection = ["fig4", "table3"];
     let capture = |name: &str, threads: &str| {
         let path = scratch(name);
         let out = experiments()
             .args(["--quick", "--seed", "0xB5C09E01", "--threads", threads])
-            .args(["--trace", path.to_str().unwrap(), "fig4"])
+            .args(["--trace", path.to_str().unwrap()])
+            .args(selection)
             .output()
             .expect("binary runs");
         assert!(out.status.success(), "stderr: {}", stderr(&out));
@@ -289,43 +292,49 @@ fn trace_is_deterministic_and_thread_count_invariant() {
     let c = capture("cli_trace_c.jsonl", "4");
     assert_eq!(a, c, "traces must be identical for every thread count");
 
-    assert!(!a.is_empty(), "fig4 is trial-parallel, so the trace has events");
-    // The file is already in (trial, seq) order: a stable sort on that key
-    // must be the identity permutation.
     let field = |line: &str, name: &str| -> Option<u64> {
         line.split(&format!("\"{name}\":")).nth(1).map(|rest| {
             rest.chars().take_while(char::is_ascii_digit).collect::<String>().parse().unwrap()
         })
     };
-    let lines: Vec<&str> = a.lines().collect();
-    let keys: Vec<(u64, u64)> = lines
-        .iter()
-        .map(|l| {
-            // trial_begin/trial_end carry no seq: they bracket the trial's
-            // events, so they key below/above any event sequence number.
-            let seq = match field(l, "seq") {
-                Some(s) => s,
-                None if l.contains("\"type\":\"trial_begin\"") => 0,
-                None => u64::MAX,
-            };
-            (field(l, "trial").expect("every line is trial-stamped"), seq)
-        })
-        .collect();
-    let mut sorted = keys.clone();
-    sorted.sort(); // stable
-    assert_eq!(keys, sorted, "trace lines arrive sorted by (trial, seq)");
-    // Every trial opened is closed, with an accurate retained-event count.
-    for line in &lines {
-        if line.contains("\"type\":\"trial_end\"") {
-            let trial = field(line, "trial").unwrap();
-            let events = field(line, "events").unwrap();
-            let observed = lines
-                .iter()
-                .filter(|l| l.contains("\"seq\":") && field(l, "trial") == Some(trial))
-                .count() as u64;
-            assert_eq!(events, observed, "trial {trial} event count");
+    let mut seen = 0;
+    for name in selection {
+        let tag = format!("\"experiment\":\"{name}\"");
+        let lines: Vec<&str> = a.lines().filter(|l| l.contains(&tag)).collect();
+        assert!(!lines.is_empty(), "{name} is trial-parallel, so the trace has events");
+        seen += lines.len();
+        // Each experiment's lines are in (trial, seq) order: a stable sort
+        // on that key must be the identity permutation.
+        let keys: Vec<(u64, u64)> = lines
+            .iter()
+            .map(|l| {
+                // trial_begin/trial_end carry no seq: they bracket the trial's
+                // events, so they key below/above any event sequence number.
+                let seq = match field(l, "seq") {
+                    Some(s) => s,
+                    None if l.contains("\"type\":\"trial_begin\"") => 0,
+                    None => u64::MAX,
+                };
+                (field(l, "trial").expect("every line is trial-stamped"), seq)
+            })
+            .collect();
+        let mut sorted = keys.clone();
+        sorted.sort(); // stable
+        assert_eq!(keys, sorted, "{name}: trace lines arrive sorted by (trial, seq)");
+        // Every trial opened is closed, with an accurate retained-event count.
+        for line in &lines {
+            if line.contains("\"type\":\"trial_end\"") {
+                let trial = field(line, "trial").unwrap();
+                let events = field(line, "events").unwrap();
+                let observed = lines
+                    .iter()
+                    .filter(|l| l.contains("\"seq\":") && field(l, "trial") == Some(trial))
+                    .count() as u64;
+                assert_eq!(events, observed, "{name}: trial {trial} event count");
+            }
         }
     }
+    assert_eq!(seen, a.lines().count(), "every line names a selected experiment");
     // Each line is a complete JSON object by a real parser's standards.
     assert_python_accepts(
         "import json,sys; [json.loads(l) for l in sys.stdin if l.strip()]",
@@ -425,9 +434,18 @@ fn golden() -> PathBuf {
 fn check_passes_against_the_golden_file_and_fails_on_any_difference() {
     let args = ["--quick", "--threads", "2", "--check"];
     let golden = golden();
-    let out = run(&[&args[..], &[golden.to_str().unwrap(), "table2", "table3"]].concat());
+    let covert = ["table2", "table3", "capacity", "backend_sweep"];
+    let out = run(&[&args[..], &[golden.to_str().unwrap()], &covert[..]].concat());
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("[check: metrics match"), "{}", stdout(&out));
+    // The TAGE and perceptron substrates have their own pins.
+    for backend in ["tage", "perceptron"] {
+        let pins = golden.with_file_name(format!("quick_metrics_{backend}.json"));
+        let substrate = ["--quick", "--threads", "1", "--bpu", backend, "--check"];
+        let selection = [pins.to_str().unwrap(), "table2", "capacity", "backend_sweep"];
+        let out = run(&[&substrate[..], &selection[..]].concat());
+        assert!(out.status.success(), "{backend}: stderr: {}", stderr(&out));
+    }
     let selection = ["mitigations", "apps", "baselines"];
     let out = run(&[&args[..], &[golden.to_str().unwrap()], &selection[..]].concat());
     assert!(out.status.success(), "stderr: {}", stderr(&out));
