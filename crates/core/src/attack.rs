@@ -137,12 +137,29 @@ impl BranchScope {
         prime.prime(&mut sys.cpu(spy));
     }
 
-    /// Runs stage 1 (prime) only. Useful when composing a custom stage-3
+    /// Runs stage 1 (prime) only: the same stage 1 as
+    /// [`BranchScope::observe_bit`], reinforcement on history-indexed
+    /// backends included. Useful when composing a custom stage-3
     /// observation, e.g. probing through the §8 timing channel instead of
     /// the performance counters.
     pub fn prime(&mut self, sys: &mut System, spy: Pid, target: VirtAddr) {
         sys.core_mut().trace_span_begin(Span::Prime);
         self.run_prime(sys, spy, target);
+        if sys.core().bpu().kind() != BackendKind::Hybrid {
+            // Reinforce the prime under fresh history contexts: on a
+            // tagged/history-indexed substrate, individual saturation steps
+            // can be absorbed by stale tagged entries, so the spy repeats
+            // the saturating execution with a re-scramble before each step
+            // (harmlessly redundant when the base entry is already
+            // saturated). The final scramble leaves the *victim's* upcoming
+            // execution in a fresh context too.
+            let direction = self.config.primed.predicted();
+            for _ in 0..4 {
+                self.scramble_history(sys, spy, target);
+                sys.cpu(spy).branch_at_abs(target, direction);
+            }
+            self.scramble_history(sys, spy, target);
+        }
         sys.core_mut().trace_span_end(Span::Prime);
     }
 
@@ -161,25 +178,8 @@ impl BranchScope {
         target: VirtAddr,
         trigger: impl FnOnce(&mut System),
     ) -> ProbePattern {
-        sys.core_mut().trace_span_begin(Span::Prime);
-        self.run_prime(sys, spy, target); // stage 1
+        self.prime(sys, spy, target); // stage 1
         let history_indexed = sys.core().bpu().kind() != BackendKind::Hybrid;
-        if history_indexed {
-            // Reinforce the prime under fresh history contexts: on a
-            // tagged/history-indexed substrate, individual saturation steps
-            // can be absorbed by stale tagged entries, so the spy repeats
-            // the saturating execution with a re-scramble before each step
-            // (harmlessly redundant when the base entry is already
-            // saturated). The final scramble leaves the *victim's* upcoming
-            // execution in a fresh context too.
-            let direction = self.config.primed.predicted();
-            for _ in 0..4 {
-                self.scramble_history(sys, spy, target);
-                sys.cpu(spy).branch_at_abs(target, direction);
-            }
-            self.scramble_history(sys, spy, target);
-        }
-        sys.core_mut().trace_span_end(Span::Prime);
         // Stage 2: wait for the slowed-down victim to reach and execute the
         // monitored branch (Listing 3's usleep). Background noise keeps
         // running on the shared BPU throughout.

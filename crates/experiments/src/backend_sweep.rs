@@ -18,8 +18,8 @@
 //! perceptron collapses to a coin flip because its per-branch state is a
 //! weight vector with no FSM for the probes to read.
 
-use crate::common::{metric, trials, Scale};
-use crate::covert_cell::{covert_cell, CovertCell, Payload};
+use crate::common::{metric, Scale};
+use crate::covert_cell::{covert_cells, CovertCell, Payload};
 use bscope_bpu::{BackendKind, MicroarchProfile};
 use bscope_core::BscopeError;
 use bscope_uarch::NoiseConfig;
@@ -31,9 +31,8 @@ const SETTINGS: usize = 2;
 type SweepRow = [(f64, f64); SETTINGS];
 
 /// The full sweep: per backend, a [`SweepRow`] for isolated and noisy,
-/// each cell averaged over `runs` transmissions. Configurations are
-/// validated before the fan-out; results are identical for every thread
-/// count.
+/// each cell averaged over `runs` transmissions of [`covert_cells`];
+/// results are identical for every thread count.
 pub fn compute(
     scale: &Scale,
     bits: usize,
@@ -50,26 +49,21 @@ pub fn compute(
             })
         })
         .collect();
-    cells.iter().try_for_each(CovertCell::validate)?;
+    let per_cell = covert_cells(scale, 0xBAC2, &cells, runs)?;
 
-    let per_trial = trials(scale, cells.len() * runs, 0xBAC2, |idx, seed, tracer| {
-        let result = covert_cell(&cells[idx / runs], seed, tracer);
-        (result.error_rate, result.bits_per_mcycle())
-    });
-
+    let n = runs as f64;
     Ok(BackendKind::ALL
         .into_iter()
-        .zip(per_trial.chunks_exact(SETTINGS * runs))
-        .map(|(backend, row_runs)| {
-            let mut row = [(0.0, 0.0); SETTINGS];
-            let n = runs as f64;
-            for (cell_avg, runs_of_cell) in row.iter_mut().zip(row_runs.chunks_exact(runs)) {
-                *cell_avg = (
-                    runs_of_cell.iter().map(|r| r.0).sum::<f64>() / n,
-                    runs_of_cell.iter().map(|r| r.1).sum::<f64>() / n,
-                );
-            }
-            (backend, row)
+        .zip(per_cell.chunks_exact(SETTINGS))
+        .map(|(backend, row)| {
+            let cell = |setting: usize| {
+                let runs_of_cell = &row[setting];
+                (
+                    runs_of_cell.iter().map(|r| r.error_rate).sum::<f64>() / n,
+                    runs_of_cell.iter().map(|r| r.bits_per_mcycle).sum::<f64>() / n,
+                )
+            };
+            (backend, std::array::from_fn(cell))
         })
         .collect())
 }

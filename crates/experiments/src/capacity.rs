@@ -1,8 +1,8 @@
 //! Extension (beyond the paper): covert-channel capacity — error rate and
 //! throughput as functions of background noise and repetition coding.
 
-use crate::common::{metric, trials, Scale};
-use crate::covert_cell::{covert_cell, CovertCell, Payload};
+use crate::common::{metric, Scale};
+use crate::covert_cell::{covert_cells, CovertCell, Payload, RunSummary};
 use bscope_bpu::MicroarchProfile;
 use bscope_core::BscopeError;
 use bscope_harness::splitmix64;
@@ -20,9 +20,9 @@ const NOISE_LEVELS: [(&str, f64); 5] = [
 
 const REDUNDANCIES: [usize; 3] = [1, 3, 5];
 
-/// Error rate and throughput (bits per Mcycle) of one grid cell. Every
-/// cell is validated before the fan-out.
-pub fn compute(scale: &Scale, bits: usize) -> Result<Vec<(f64, f64)>, BscopeError> {
+/// Error rate and throughput of each grid cell, one transmission per
+/// cell, in noise-major order.
+pub fn compute(scale: &Scale, bits: usize) -> Result<Vec<RunSummary>, BscopeError> {
     let profile = MicroarchProfile::skylake();
     let noises = NOISE_LEVELS.map(|(_, rate)| {
         (rate > 0.0)
@@ -42,12 +42,7 @@ pub fn compute(scale: &Scale, bits: usize) -> Result<Vec<(f64, f64)>, BscopeErro
             })
         })
         .collect();
-    cells.iter().try_for_each(CovertCell::validate)?;
-
-    Ok(trials(scale, cells.len(), 0xCA9, |idx, seed, tracer| {
-        let result = covert_cell(&cells[idx], seed, tracer);
-        (result.error_rate, result.bits_per_mcycle())
-    }))
+    Ok(covert_cells(scale, 0xCA9, &cells, 1)?.into_iter().map(|runs| runs[0]).collect())
 }
 
 pub fn run(scale: &Scale) -> Result<(), BscopeError> {
@@ -65,16 +60,14 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     for (row, (label, _)) in NOISE_LEVELS.iter().enumerate() {
         let cells: Vec<String> = (0..REDUNDANCIES.len())
             .map(|col| {
-                let (error_rate, throughput) = grid[row * REDUNDANCIES.len() + col];
-                format!("{:>7.3}% @ {:>6.1} b/Mc", 100.0 * error_rate, throughput)
+                let cell = grid[row * REDUNDANCIES.len() + col];
+                format!("{:>7.3}% @ {:>6.1} b/Mc", 100.0 * cell.error_rate, cell.bits_per_mcycle)
             })
             .collect();
         println!("{label:<24} {:>22} {:>22} {:>22}", cells[0], cells[1], cells[2]);
     }
-    let (heavy_raw, _) = grid[3 * REDUNDANCIES.len()];
-    let (heavy_5x, _) = grid[3 * REDUNDANCIES.len() + 2];
-    metric("capacity/heavy_raw_error", heavy_raw);
-    metric("capacity/heavy_5x_error", heavy_5x);
+    metric("capacity/heavy_raw_error", grid[3 * REDUNDANCIES.len()].error_rate);
+    metric("capacity/heavy_5x_error", grid[3 * REDUNDANCIES.len() + 2].error_rate);
     println!("\nextension beyond the paper: repetition coding buys orders of magnitude in");
     println!("reliability at a proportional throughput cost, so even an extremely noisy");
     println!("core sustains a usable covert channel.");

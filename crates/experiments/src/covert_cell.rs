@@ -1,9 +1,10 @@
-//! The one covert-channel trial behind table2, table3, capacity,
-//! backend_sweep and sensitivity: build a machine, start the sender and the
-//! receiver, derive the message, transmit it (prime → trojan → probe per
-//! bit) and score what the receiver decoded.
+//! The one covert-channel runner behind table2, table3, capacity,
+//! backend_sweep and sensitivity. [`covert_cells`] fans an experiment's
+//! cells out as trials; each trial builds a machine, starts the sender and
+//! the receiver, derives the message, transmits it (prime → trojan → probe
+//! per bit) and scores what the receiver decoded.
 
-use crate::common::with_tracer;
+use crate::common::{trials, with_tracer, Scale};
 use bscope_bpu::{BackendKind, MicroarchProfile};
 use bscope_core::covert::{CovertChannel, EnclaveSender, TransmitResult};
 use bscope_core::{AttackConfig, BscopeError};
@@ -32,8 +33,8 @@ pub enum Payload<'a> {
     Given(&'a [bool]),
 }
 
-/// One cell of a covert-channel experiment; [`covert_cell`] runs one trial
-/// of it.
+/// One cell of a covert-channel experiment; [`covert_cells`] runs its
+/// trials.
 pub struct CovertCell<'a> {
     pub profile: &'a MicroarchProfile,
     pub backend: BackendKind,
@@ -64,13 +65,42 @@ impl<'a> CovertCell<'a> {
     /// Checks the channel and noise configuration, so an experiment fails
     /// with a typed error before its fan-out instead of panicking in a
     /// worker thread.
-    pub fn validate(&self) -> Result<(), BscopeError> {
+    fn validate(&self) -> Result<(), BscopeError> {
         CovertChannel::new(AttackConfig::for_backend(self.profile, self.backend))?;
         if let Some(noise) = self.noise {
             noise.validate()?;
         }
         Ok(())
     }
+}
+
+/// The score of one transmission.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RunSummary {
+    /// Wrong bits over sent bits.
+    pub error_rate: f64,
+    /// Payload bits per million cycles of the shared core.
+    pub bits_per_mcycle: f64,
+}
+
+/// Validates every cell, then runs `runs` transmissions of each as
+/// `cells.len() × runs` trials of [`trials`] with seeds from
+/// `scale.seed ^ salt`. Trial `i` is run `i % runs` of cell `i / runs`, so
+/// the cell order fixes every trial's seed. Returns each cell's runs in
+/// order.
+pub fn covert_cells(
+    scale: &Scale,
+    salt: u64,
+    cells: &[CovertCell<'_>],
+    runs: usize,
+) -> Result<Vec<Vec<RunSummary>>, BscopeError> {
+    cells.iter().try_for_each(CovertCell::validate)?;
+    let mut per_trial = trials(scale, cells.len() * runs, salt, |idx, seed, tracer| {
+        let result = covert_cell(&cells[idx / runs], seed, tracer);
+        RunSummary { error_rate: result.error_rate, bits_per_mcycle: result.bits_per_mcycle() }
+    })
+    .into_iter();
+    Ok(cells.iter().map(|_| per_trial.by_ref().take(runs).collect()).collect())
 }
 
 /// Runs one transmission of `cell` on a fresh machine. Every random choice
@@ -80,7 +110,7 @@ impl<'a> CovertCell<'a> {
 /// # Panics
 ///
 /// Panics if `cell` does not pass [`CovertCell::validate`].
-pub fn covert_cell(cell: &CovertCell<'_>, seed: u64, tracer: &mut Tracer) -> TransmitResult {
+fn covert_cell(cell: &CovertCell<'_>, seed: u64, tracer: &mut Tracer) -> TransmitResult {
     let mut sys = System::with_backend(cell.profile.clone(), cell.backend, seed);
     sys.set_noise(cell.noise.cloned()).expect("noise config validated before fan-out");
     let mut channel = CovertChannel::new(AttackConfig::for_backend(cell.profile, cell.backend))

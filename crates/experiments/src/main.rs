@@ -17,7 +17,10 @@
 //! `--threads N` bounds the worker threads of trial-parallel experiments
 //! (default: all cores). Results are thread-count-invariant — every trial's
 //! seed is derived from the base seed and trial index, never from a worker
-//! (see `bscope-harness`) — so `--threads` only changes wall-clock.
+//! (see `bscope-harness`) — so `--threads` only changes wall-clock. The
+//! trial-parallel experiments are fig4, fig7 and the five covert-channel
+//! experiments (table2, table3, capacity, backend_sweep, sensitivity),
+//! which run their cells through one fan-out, `covert_cell::covert_cells`.
 //!
 //! `--json PATH` writes a machine-readable report: per-experiment
 //! wall-clock seconds, simulated branches (foreground plus noise, as
@@ -208,7 +211,7 @@ const EXPERIMENTS: &[Experiment] = &[
         name: "sensitivity",
         desc: "EXTENSION: error rate vs PHT size",
         run: sensitivity::run,
-        trial_parallel: false,
+        trial_parallel: true,
         backend_aware: false,
     },
 ];

@@ -3,10 +3,10 @@
 //! Bridge's higher error rates come from its smaller predictor tables.
 
 use crate::common::{metric, Scale};
-use crate::covert_cell::{covert_cell, CovertCell, Payload};
+use crate::covert_cell::{covert_cells, CovertCell, Payload};
 use bscope_bpu::{BackendKind, CounterKind, Microarch, MicroarchProfile};
 use bscope_core::BscopeError;
-use bscope_uarch::{NoiseConfig, Tracer};
+use bscope_uarch::NoiseConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,27 +22,45 @@ fn profile_with_pht(pht_size: usize) -> MicroarchProfile {
     }
 }
 
-pub fn run(scale: &Scale) -> Result<(), BscopeError> {
-    let bits = scale.n(6_000, 800);
+/// `(pht_size, error_rate)` for PHT sizes 1K to 64K, one transmission of
+/// the same message each under system noise.
+pub fn compute(scale: &Scale, bits: usize) -> Result<Vec<(usize, f64)>, BscopeError> {
+    let profiles: Vec<MicroarchProfile> =
+        (10..=16).map(|log2| profile_with_pht(1 << log2)).collect();
     let mut rng = StdRng::seed_from_u64(scale.seed ^ 0x5E5);
     let message: Vec<bool> = (0..bits).map(|_| rng.gen()).collect();
     let noise = NoiseConfig::system_activity();
     let shared = Payload::Given(&message);
+    let cells: Vec<CovertCell> = profiles
+        .iter()
+        .map(|profile| CovertCell::new(profile, BackendKind::Hybrid, Some(&noise), shared, bits))
+        .collect();
+    let per_cell = covert_cells(scale, 0x5E4, &cells, 1)?;
+    Ok(profiles.iter().zip(per_cell).map(|(p, runs)| (p.pht_size, runs[0].error_rate)).collect())
+}
 
+pub fn run(scale: &Scale) -> Result<(), BscopeError> {
+    let bits = scale.n(6_000, 800);
     println!("covert-channel error vs PHT size ({bits} bits, system noise)\n");
     println!("{:>10} {:>10}", "PHT size", "error");
-    for log2 in 10..=16 {
-        let pht_size = 1usize << log2;
-        let profile = profile_with_pht(pht_size);
-        let cell = CovertCell::new(&profile, BackendKind::Hybrid, Some(&noise), shared, bits);
-        cell.validate()?;
-        let result = covert_cell(&cell, scale.seed ^ log2 as u64, &mut Tracer::disabled());
-        metric(format!("sensitivity/pht_{pht_size}/error_pct"), 100.0 * result.error_rate);
-        println!("{pht_size:>10} {:>9.3}%", 100.0 * result.error_rate);
+    for (pht_size, error_rate) in compute(scale, bits)? {
+        metric(format!("sensitivity/pht_{pht_size}/error_pct"), 100.0 * error_rate);
+        println!("{pht_size:>10} {:>9.3}%", 100.0 * error_rate);
     }
     println!("\nbigger tables dilute the background noise across more entries, so the");
     println!("probability that an unrelated branch lands on the attacked entry — and with");
     println!("it the channel's error rate — falls roughly inversely with the PHT size.");
     println!("This is the paper's Sandy Bridge (4K) vs Skylake/Haswell (16K) gap, swept.");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::common::assert_thread_count_invariant;
+
+    #[test]
+    fn sweep_is_thread_count_invariant() {
+        assert_thread_count_invariant(|scale| compute(scale, 100).expect("valid preset configs"));
+    }
 }

@@ -1,7 +1,7 @@
 //! Table 2: covert-channel error rates on three CPUs, isolated vs noisy.
 
-use crate::common::{metric, trials, Scale};
-use crate::covert_cell::{covert_cell, CovertCell, Payload};
+use crate::common::{metric, Scale};
+use crate::covert_cell::{covert_cells, CovertCell, Payload};
 use bscope_bpu::MicroarchProfile;
 use bscope_core::BscopeError;
 use bscope_uarch::NoiseConfig;
@@ -11,9 +11,8 @@ const PAYLOADS: [Payload<'static>; 3] =
 
 /// Computes the full table: six machine/noise rows of three payload error
 /// rates (in percent). All `6 rows x 3 payloads x runs` transmissions are
-/// independent trials fanned out over `scale.threads` workers; the result
-/// is identical for every thread count. Every cell is validated before
-/// the fan-out.
+/// independent trials of [`covert_cells`]; the result is identical for
+/// every thread count.
 pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<(String, [f64; 3])>, BscopeError> {
     let machines = MicroarchProfile::paper_machines();
     let settings =
@@ -29,20 +28,15 @@ pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<(String, [
                 .map(|payload| CovertCell::new(profile, scale.backend, Some(noise), payload, bits))
         })
         .collect();
-    cells.iter().try_for_each(CovertCell::validate)?;
-
-    let per_trial = trials(scale, cells.len() * runs, 0x7AB2E2, |idx, seed, tracer| {
-        covert_cell(&cells[idx / runs], seed, tracer).error_rate
-    });
+    let per_cell = covert_cells(scale, 0x7AB2E2, &cells, runs)?;
 
     Ok(rows
         .iter()
-        .zip(per_trial.chunks_exact(PAYLOADS.len() * runs))
-        .map(|((profile, (setting, _)), row_runs)| {
-            let mut errors = [0.0f64; 3];
-            for (cell_err, runs_of_cell) in errors.iter_mut().zip(row_runs.chunks_exact(runs)) {
-                *cell_err = 100.0 * runs_of_cell.iter().sum::<f64>() / runs as f64;
-            }
+        .zip(per_cell.chunks_exact(PAYLOADS.len()))
+        .map(|((profile, (setting, _)), row)| {
+            let errors = std::array::from_fn(|payload| {
+                100.0 * row[payload].iter().map(|r| r.error_rate).sum::<f64>() / runs as f64
+            });
             (format!("{} {setting}", profile.arch), errors)
         })
         .collect())
@@ -116,19 +110,5 @@ mod tests {
         // simulator, or the PRNG stream changes.
         let expected = 0.15;
         assert_eq!(row[2], expected, "Skylake isolated / random payload drifted");
-    }
-
-    /// Backend-refactor regression: selecting the hybrid *explicitly* is
-    /// the identity. The whole table — every machine, noise setting, and
-    /// payload — must come out equal to the default path's, and the
-    /// Skylake cell must still hit the pinned pre-refactor value, proving
-    /// the `PredictorBackend` indirection changed no hybrid behaviour.
-    #[test]
-    fn explicit_hybrid_backend_reproduces_the_pinned_table() {
-        let mut explicit = Scale::quick();
-        explicit.backend = bscope_bpu::BackendKind::Hybrid;
-        let rows = compute(&explicit, 1_000, 2).expect("valid preset configs");
-        assert_eq!(rows, compute(&Scale::quick(), 1_000, 2).expect("valid preset configs"));
-        assert_eq!(rows[0].1[2], 0.15, "pinned pre-refactor value drifted");
     }
 }

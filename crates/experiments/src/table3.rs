@@ -1,15 +1,14 @@
 //! Table 3: covert channel with the trojan (sender) inside an SGX enclave.
 
-use crate::common::{metric, trials, Scale};
-use crate::covert_cell::{covert_cell, CovertCell, Payload, Sender};
+use crate::common::{metric, Scale};
+use crate::covert_cell::{covert_cells, CovertCell, Payload, Sender};
 use bscope_bpu::{BackendKind, MicroarchProfile};
 use bscope_core::BscopeError;
 use bscope_uarch::NoiseConfig;
 
 /// Computes both table rows (error rates in percent): all
 /// `2 settings x 3 payloads x runs` transmissions run as independent
-/// trials on the deterministic parallel runner. Every cell is validated
-/// before the fan-out.
+/// trials of [`covert_cells`].
 pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<[f64; 3]>, BscopeError> {
     let profile = MicroarchProfile::skylake();
     // The attacker-controlled OS single-steps the enclave; in the isolated
@@ -25,20 +24,14 @@ pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<[f64; 3]>,
             })
         })
         .collect();
-    cells.iter().try_for_each(CovertCell::validate)?;
+    let per_cell = covert_cells(scale, 0x560, &cells, runs)?;
 
-    let per_trial = trials(scale, cells.len() * runs, 0x560, |idx, seed, tracer| {
-        covert_cell(&cells[idx / runs], seed, tracer).error_rate
-    });
-
-    Ok(per_trial
-        .chunks_exact(payloads.len() * runs)
-        .map(|row_runs| {
-            let mut row = [0.0f64; 3];
-            for (err, runs_of_cell) in row.iter_mut().zip(row_runs.chunks_exact(runs)) {
-                *err = 100.0 * runs_of_cell.iter().sum::<f64>() / runs as f64;
-            }
-            row
+    Ok(per_cell
+        .chunks_exact(payloads.len())
+        .map(|row| {
+            std::array::from_fn(|payload| {
+                100.0 * row[payload].iter().map(|r| r.error_rate).sum::<f64>() / runs as f64
+            })
         })
         .collect())
 }

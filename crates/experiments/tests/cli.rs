@@ -271,8 +271,9 @@ fn json_report_survives_a_real_parser() {
 
 #[test]
 fn trace_is_deterministic_and_thread_count_invariant() {
-    // table3 runs the SGX enclave sender, next to fig4's ordinary processes.
-    let selection = ["fig4", "table3"];
+    // table3 runs the SGX enclave sender, next to fig4's ordinary processes;
+    // sensitivity runs seven machines that differ only in their PHT size.
+    let selection = ["fig4", "table3", "sensitivity"];
     let capture = |name: &str, threads: &str| {
         let path = scratch(name);
         let out = experiments()
@@ -449,7 +450,8 @@ fn check_passes_against_the_golden_file_and_fails_on_any_difference() {
     let selection = ["mitigations", "apps", "baselines"];
     let out = run(&[&args[..], &[golden.to_str().unwrap()], &selection[..]].concat());
     assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let selection = ["fig2", "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "sensitivity"];
+    let selection =
+        ["fig2", "table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "sensitivity"];
     let out = run(&[&args[..], &[golden.to_str().unwrap()], &selection[..]].concat());
     assert!(out.status.success(), "stderr: {}", stderr(&out));
 

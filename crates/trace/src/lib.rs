@@ -17,11 +17,10 @@
 //!   branch), BTB installs,
 //!   background-noise bursts, and begin/end markers for attack-stage
 //!   [`Span`]s (prime, victim window, probe, randomization block);
-//! * [`TraceSink`] — where events go. The trait's methods default to
-//!   no-ops; [`NullSink`] is the explicit "nowhere", [`RingSink`] keeps the
-//!   most recent `capacity` events *and* feeds every event (kept or
-//!   evicted) into a [`MetricsRegistry`], so aggregate statistics stay
-//!   exact even when the ring wraps;
+//! * [`TraceSink`] — where events go. [`RingSink`] keeps the most recent
+//!   `capacity` events *and* feeds every event (kept or evicted) into a
+//!   [`MetricsRegistry`], so aggregate statistics stay exact even when the
+//!   ring wraps;
 //! * [`Tracer`] — the handle the instrumented code holds: disabled by
 //!   default, enabled by installing a sink. [`Tracer::emit_with`] takes a
 //!   closure so a disabled tracer never constructs the event;
@@ -45,7 +44,7 @@ mod sink;
 
 pub use event::{Span, TraceEvent, TracedEvent};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use sink::{NullSink, RingSink, TraceCapture, TraceSink};
+pub use sink::{RingSink, TraceCapture, TraceSink};
 
 /// The handle instrumented code holds: either disabled (the default — one
 /// `Option` check per emit site, nothing constructed, nothing stored) or

@@ -17,32 +17,16 @@ pub struct TraceCapture {
     pub dropped: u64,
 }
 
-/// Destination for trace events.
-///
-/// Both methods default to no-ops, so a sink only implements what it needs
-/// ([`NullSink`] implements nothing). Sinks must be `Send`: the trial
-/// runner hands each worker thread its own tracer, and instrumented
-/// structures owning a tracer must not lose their `Send`-ness.
+/// Destination for trace events. Sinks must be `Send`: the trial runner
+/// hands each worker thread its own tracer, and instrumented structures
+/// owning a tracer must not lose their `Send`-ness.
 pub trait TraceSink: Send {
-    /// Records one event with its per-tracer sequence number. Default:
-    /// discard.
-    fn record(&mut self, seq: u64, event: &TraceEvent) {
-        let _ = (seq, event);
-    }
+    /// Records one event with its per-tracer sequence number.
+    fn record(&mut self, seq: u64, event: &TraceEvent);
 
-    /// Returns everything captured so far, resetting the sink. Default:
-    /// an empty capture.
-    fn drain(&mut self) -> TraceCapture {
-        TraceCapture::default()
-    }
+    /// Returns everything captured so far, resetting the sink.
+    fn drain(&mut self) -> TraceCapture;
 }
-
-/// The explicit no-op sink: accepts and discards everything. Useful for
-/// measuring the enabled-path dispatch cost in isolation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {}
 
 /// A bounded ring buffer of the most recent `capacity` events.
 ///
@@ -99,13 +83,6 @@ impl TraceSink for RingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_sink_discards_everything() {
-        let mut s = NullSink;
-        s.record(0, &TraceEvent::NoiseBurst { injected: 3 });
-        assert_eq!(s.drain(), TraceCapture::default());
-    }
 
     #[test]
     fn ring_drain_resets() {
