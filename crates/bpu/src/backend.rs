@@ -313,9 +313,10 @@ impl PredictorBackend {
         self.ghr.push(outcome);
         if outcome.is_taken() {
             // An install that allocates the entry for a new branch restarts
-            // the hybrid's chooser for it.
+            // the hybrid's chooser for it. Nothing has written the BTB since
+            // the lookup above, so its miss is the allocation test.
             if let Direction::Hybrid(h) = &mut self.direction {
-                if !self.btb.contains(addr) {
+                if btb_target.is_none() {
                     h.restart_chooser(addr);
                 }
             }

@@ -70,7 +70,7 @@ pub struct BranchScope {
     searched: Option<SearchedPrime>,
     targeted: Option<TargetedPrime>,
     /// Round counter feeding the pre-probe history scramble on
-    /// history-indexed backends (see [`BranchScope::scramble_probe_history`]).
+    /// history-indexed backends (see `scramble_history`).
     scramble_round: u64,
 }
 
@@ -151,14 +151,14 @@ impl BranchScope {
             // can be absorbed by stale tagged entries, so the spy repeats
             // the saturating execution with a re-scramble before each step
             // (harmlessly redundant when the base entry is already
-            // saturated). The final scramble leaves the *victim's* upcoming
-            // execution in a fresh context too.
+            // saturated). Each step runs as the last branch of its
+            // scramble's block. The final scramble leaves the *victim's*
+            // upcoming execution in a fresh context too.
             let direction = self.config.primed.predicted();
             for _ in 0..4 {
-                self.scramble_history(sys, spy, target);
-                sys.cpu(spy).branch_at_abs(target, direction);
+                self.scramble_history(sys, spy, target, Some(direction));
             }
-            self.scramble_history(sys, spy, target);
+            self.scramble_history(sys, spy, target, None);
         }
         sys.core_mut().trace_span_end(Span::Prime);
     }
@@ -192,9 +192,9 @@ impl BranchScope {
         let pattern = if history_indexed {
             // Stage 3 on a history-indexed backend: each probe observation
             // gets its own fresh history context (see `scramble_history`).
-            self.scramble_history(sys, spy, target);
+            self.scramble_history(sys, spy, target, None);
             let first = probe_once(&mut sys.cpu(spy), target, self.config.probe);
-            self.scramble_history(sys, spy, target);
+            self.scramble_history(sys, spy, target, None);
             let second = probe_once(&mut sys.cpu(spy), target, self.config.probe);
             ProbePattern::from_hits(first, second)
         } else {
@@ -236,14 +236,29 @@ impl BranchScope {
     /// is the §6.2 "one-time effort" search extended to the tagged tables:
     /// the attacker characterises the index function offline, then replays
     /// colliding junk branches forever after.
-    fn scramble_history(&mut self, sys: &mut System, spy: Pid, target: VirtAddr) {
+    ///
+    /// `then_target` appends one execution of the target in that
+    /// direction (a reinforcement step of stage 1). The burst runs as one
+    /// straight-line block ([`bscope_os::CpuView::block_at_abs`]) based at
+    /// the target's 2 MiB-aligned region, which holds every alias: each
+    /// displacement `d` is below `2^21`.
+    fn scramble_history(
+        &mut self,
+        sys: &mut System,
+        spy: Pid,
+        target: VirtAddr,
+        then_target: Option<Outcome>,
+    ) {
+        const ALIASES: usize = 64;
+        const REGION_MASK: VirtAddr = (1 << 21) - 1;
         let pht_mask = (sys.core().profile().pht_size - 1) as u64;
         self.scramble_round = self.scramble_round.wrapping_add(1);
         // SplitMix64 stream over the round counter: deterministic, but
         // different in every round.
         let mut x = self.scramble_round.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut cpu = sys.cpu(spy);
-        for _ in 0..64 {
+        let offset = |addr: VirtAddr| (addr & REGION_MASK) as u32;
+        let mut burst = [(offset(target), then_target.unwrap_or(Outcome::NotTaken)); ALIASES + 1];
+        for branch in &mut burst[..ALIASES] {
             x ^= x >> 27;
             x = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
             x ^= x >> 31;
@@ -254,8 +269,10 @@ impl BranchScope {
             let d = p | p << 7 | p << 14;
             let addr = target ^ d;
             debug_assert_ne!(addr & pht_mask, target & pht_mask, "alias must miss the base slot");
-            cpu.branch_at_abs(addr, Outcome::from_bool(x & 1 == 1));
+            *branch = (offset(addr), Outcome::from_bool(x & 1 == 1));
         }
+        let len = ALIASES + usize::from(then_target.is_some());
+        sys.cpu(spy).block_at_abs(target & !REGION_MASK, &burst[..len]);
     }
 
     /// Reads the direction of one victim branch execution.
@@ -287,6 +304,7 @@ impl BranchScope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prime::run_spy;
     use bscope_os::AslrPolicy;
     use bscope_uarch::NoiseConfig;
     use rand::rngs::StdRng;
@@ -393,6 +411,46 @@ mod tests {
             .unwrap()
             .with_searched_prime(searched);
         assert!(matches!(res, Err(AttackError::InvalidParameter(_))));
+    }
+
+    /// Stage 1 on TAGE, branch by branch on the traced (per-branch
+    /// fallback) path: the targeted prime, four scramble blocks of 64
+    /// tagged-set aliases that each end in one saturating execution of the
+    /// target, and a final scramble of 64 aliases. The untraced fast path
+    /// must leave the same machine.
+    #[test]
+    fn tage_prime_runs_its_contract_on_both_block_paths() {
+        const ROUNDS: usize = 2;
+        // TargetedPrime: 256 pollution branches, 4 BTB-alias branches and
+        // the two-bit counter's 3 saturating steps.
+        const TARGETED: usize = 256 + 4 + 3;
+        const ALIASES: usize = 64;
+        let stage1 = |sys: &mut System, spy: Pid, target: VirtAddr| {
+            let config = AttackConfig::for_backend(sys.core().profile(), BackendKind::Tage);
+            let mut attack = BranchScope::new(config).unwrap();
+            for _ in 0..ROUNDS {
+                attack.prime(sys, spy, target);
+            }
+        };
+        let (traced_state, target, branches) = run_spy(BackendKind::Tage, true, stage1);
+        let (fast_state, _, _) = run_spy(BackendKind::Tage, false, stage1);
+        assert_eq!(fast_state, traced_state, "fast path differs from the fallback");
+
+        let is_alias = |&(addr, _): &(VirtAddr, bool)| {
+            let d = addr ^ target;
+            let p = d & 0x7f;
+            (1..=126).contains(&p) && d == p | p << 7 | p << 14
+        };
+        let per_round = TARGETED + 4 * (ALIASES + 1) + ALIASES;
+        assert_eq!(branches.len(), ROUNDS * per_round);
+        for round in branches.chunks_exact(per_round) {
+            let (reinforce, last) = round[TARGETED..].split_at(4 * (ALIASES + 1));
+            for step in reinforce.chunks_exact(ALIASES + 1) {
+                assert!(step[..ALIASES].iter().all(is_alias), "{step:x?}");
+                assert_eq!(step[ALIASES], (target, false), "saturating in the primed direction");
+            }
+            assert!(last.iter().all(is_alias), "{last:x?}");
+        }
     }
 
     #[test]

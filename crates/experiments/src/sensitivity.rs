@@ -22,9 +22,9 @@ fn profile_with_pht(pht_size: usize) -> MicroarchProfile {
     }
 }
 
-/// `(pht_size, error_rate)` for PHT sizes 1K to 64K, one transmission of
-/// the same message each under system noise.
-pub fn compute(scale: &Scale, bits: usize) -> Result<Vec<(usize, f64)>, BscopeError> {
+/// `(pht_size, error_rate)` for PHT sizes 1K to 64K under system noise,
+/// each the mean over `runs` transmissions of the same message.
+pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<(usize, f64)>, BscopeError> {
     let profiles: Vec<MicroarchProfile> =
         (10..=16).map(|log2| profile_with_pht(1 << log2)).collect();
     let mut rng = StdRng::seed_from_u64(scale.seed ^ 0x5E5);
@@ -35,22 +35,34 @@ pub fn compute(scale: &Scale, bits: usize) -> Result<Vec<(usize, f64)>, BscopeEr
         .iter()
         .map(|profile| CovertCell::new(profile, BackendKind::Hybrid, Some(&noise), shared, bits))
         .collect();
-    let per_cell = covert_cells(scale, 0x5E4, &cells, 1)?;
-    Ok(profiles.iter().zip(per_cell).map(|(p, runs)| (p.pht_size, runs[0].error_rate)).collect())
+    let per_cell = covert_cells(scale, 0x5E4, &cells, runs)?;
+    Ok(profiles
+        .iter()
+        .zip(per_cell)
+        .map(|(p, cell)| (p.pht_size, cell.iter().map(|r| r.error_rate).sum::<f64>() / runs as f64))
+        .collect())
 }
 
 pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     let bits = scale.n(6_000, 800);
-    println!("covert-channel error vs PHT size ({bits} bits, system noise)\n");
+    let runs = scale.n(5, 2);
+    println!(
+        "covert-channel error vs PHT size ({bits} bits, system noise, {runs} runs per size)\n"
+    );
     println!("{:>10} {:>10}", "PHT size", "error");
-    for (pht_size, error_rate) in compute(scale, bits)? {
+    let sweep = compute(scale, bits, runs)?;
+    for &(pht_size, error_rate) in &sweep {
         metric(format!("sensitivity/pht_{pht_size}/error_pct"), 100.0 * error_rate);
         println!("{pht_size:>10} {:>9.3}%", 100.0 * error_rate);
     }
-    println!("\nbigger tables dilute the background noise across more entries, so the");
-    println!("probability that an unrelated branch lands on the attacked entry — and with");
-    println!("it the channel's error rate — falls roughly inversely with the PHT size.");
-    println!("This is the paper's Sandy Bridge (4K) vs Skylake/Haswell (16K) gap, swept.");
+    println!("\nbigger tables dilute the background noise across more entries, so an");
+    println!("unrelated branch lands on the attacked entry less often. This is the paper's");
+    println!("Sandy Bridge (4K) vs Skylake/Haswell (16K) gap, swept.");
+
+    println!("\nshape checks:");
+    // The sweep runs 1K, 2K, 4K, ... in order.
+    let (e1k, e4k, e16k) = (sweep[0].1, sweep[2].1, sweep[4].1);
+    println!("  error at 1K > 4K > 16K: {}", e1k > e4k && e4k > e16k);
     Ok(())
 }
 
@@ -61,6 +73,8 @@ mod tests {
 
     #[test]
     fn sweep_is_thread_count_invariant() {
-        assert_thread_count_invariant(|scale| compute(scale, 100).expect("valid preset configs"));
+        assert_thread_count_invariant(|scale| {
+            compute(scale, 100, 2).expect("valid preset configs")
+        });
     }
 }
