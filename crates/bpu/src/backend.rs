@@ -42,7 +42,7 @@ use std::str::FromStr;
 const TAGE_ALLOC_SEED: u64 = 0x7A6E_5EED;
 
 /// Which component produced the final direction prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorKind {
     /// The 1-level bimodal predictor (new branches, or selector preference).
     Bimodal,
@@ -119,7 +119,7 @@ impl Prediction {
 
 /// Which predictor substrate to build — the user-facing backend selector
 /// (`--bpu hybrid|tage|perceptron` in the experiments CLI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// The paper's bimodal+gshare hybrid (Figure 1) — the default.
     #[default]
@@ -145,27 +145,36 @@ impl BackendKind {
         }
     }
 
-    /// Builds the backend for a machine profile.
+    /// The profile this backend actually runs for a machine `profile`.
     ///
-    /// The hybrid uses the profile verbatim. TAGE and the perceptron store
-    /// a *normalised* effective profile: `counter_kind = TwoBit`, since the
-    /// TAGE base table is a 2-bit counter table and the perceptron's
-    /// synthesised state view follows the same four-state FSM, and for TAGE
-    /// a 64-bit GHR (room for the longest tagged history). Attacker code
-    /// that sizes itself from [`PredictorBackend::profile`] (priming,
-    /// decode dictionaries) keeps working.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile fails [`MicroarchProfile::validate`].
+    /// The hybrid uses the profile verbatim. TAGE and the perceptron
+    /// normalise it: `counter_kind = TwoBit`, since the TAGE base table is
+    /// a 2-bit counter table and the perceptron's synthesised state view
+    /// follows the same four-state FSM, and for TAGE a 64-bit GHR (room for
+    /// the longest tagged history).
     #[must_use]
-    pub fn build(self, mut profile: MicroarchProfile) -> PredictorBackend {
+    pub fn effective_profile(self, mut profile: MicroarchProfile) -> MicroarchProfile {
         if self != BackendKind::Hybrid {
             profile.counter_kind = CounterKind::TwoBit;
         }
         if self == BackendKind::Tage {
             profile.ghr_bits = 64;
         }
+        profile
+    }
+
+    /// Builds the backend for a machine profile.
+    ///
+    /// The backend stores its [`effective_profile`](Self::effective_profile),
+    /// so attacker code that sizes itself from [`PredictorBackend::profile`]
+    /// (priming, decode dictionaries) keeps working.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile fails [`MicroarchProfile::validate`].
+    #[must_use]
+    pub fn build(self, profile: MicroarchProfile) -> PredictorBackend {
+        let profile = self.effective_profile(profile);
         profile.validate().expect("invalid microarchitecture profile");
         let direction = match self {
             BackendKind::Hybrid => Direction::Hybrid(Hybrid::new(&profile)),

@@ -1,7 +1,6 @@
 //! The global history register feeding the 2-level predictor.
 
 use crate::counter::Outcome;
-use rand::Rng;
 
 /// Global history register (GHR): a shift register of the outcomes of the
 /// last `len` branches executed on the core (paper §2).
@@ -17,7 +16,7 @@ use rand::Rng;
 /// ghr.push(Outcome::Taken);
 /// assert_eq!(ghr.value(), 0b101);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GlobalHistoryRegister {
     bits: u64,
     len: u32,
@@ -58,17 +57,6 @@ impl GlobalHistoryRegister {
         self.bits = ((self.bits << 1) | u64::from(outcome.is_taken())) & self.mask();
     }
 
-    /// Clears the history to all not-taken.
-    pub fn clear(&mut self) {
-        self.bits = 0;
-    }
-
-    /// Randomises the history — the effect of the attacker's randomization
-    /// block, which leaves the GHR in an unpredictable state (paper §5.2).
-    pub fn scramble<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        self.bits = rng.gen::<u64>() & self.mask();
-    }
-
     fn mask(&self) -> u64 {
         if self.len == 64 {
             u64::MAX
@@ -82,8 +70,6 @@ impl GlobalHistoryRegister {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn push_shifts_most_recent_into_bit_zero() {
@@ -106,14 +92,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_zeroes_history() {
-        let mut ghr = GlobalHistoryRegister::new(16);
-        ghr.push(Outcome::Taken);
-        ghr.clear();
-        assert_eq!(ghr.value(), 0);
-    }
-
-    #[test]
     fn full_width_register_works() {
         let mut ghr = GlobalHistoryRegister::new(64);
         for _ in 0..64 {
@@ -126,16 +104,6 @@ mod tests {
     #[should_panic(expected = "GHR length")]
     fn rejects_zero_length() {
         let _ = GlobalHistoryRegister::new(0);
-    }
-
-    #[test]
-    fn scramble_stays_in_range() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut ghr = GlobalHistoryRegister::new(5);
-        for _ in 0..100 {
-            ghr.scramble(&mut rng);
-            assert!(ghr.value() < 32);
-        }
     }
 
     proptest! {

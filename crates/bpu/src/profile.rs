@@ -4,7 +4,7 @@ use crate::counter::CounterKind;
 use std::fmt;
 
 /// The microarchitecture families the paper evaluates (§5, Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Microarch {
     /// Intel Sandy Bridge (i7-2600).
     SandyBridge,

@@ -367,7 +367,11 @@ mod tests {
             "alias sees a taken-leaning counter"
         );
         let mut fresh_hist = GlobalHistoryRegister::new(64);
-        fresh_hist.scramble(&mut rand::rngs::mock::StepRng::new(0x9e3779b97f4a7c15, 0x517c_c1b7_2722_0a95));
+        let unrelated = 0x9e37_79b9_7f4a_7c15u64;
+        for bit in (0..64).rev() {
+            fresh_hist.push(Outcome::from_bool(unrelated >> bit & 1 == 1));
+        }
+        assert_eq!(fresh_hist.value(), unrelated);
         // Under an unrelated history, the alias reads the base table.
         let p = tage.lookup(0x777 + 1_024, &fresh_hist);
         if p.provider.is_none() {

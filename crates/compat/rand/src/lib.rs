@@ -1,7 +1,7 @@
 //! Offline stand-in for the slice of `rand` 0.8 used by this workspace.
 //!
 //! API-compatible with the upstream names (`Rng`, `SeedableRng`, `RngCore`,
-//! `rngs::StdRng`, `rngs::mock::StepRng`) but *not* stream-compatible:
+//! `rngs::StdRng`) but *not* stream-compatible:
 //! `StdRng` is xoshiro256++ seeded via SplitMix64 rather than ChaCha12.
 //! Every checked-in expected value in this repository was produced with
 //! this implementation.
@@ -262,41 +262,10 @@ pub mod rngs {
             result
         }
     }
-
-    /// Mock generators for tests.
-    pub mod mock {
-        use super::RngCore;
-
-        /// Arithmetic-sequence "generator": yields `initial`,
-        /// `initial + increment`, … (wrapping). Only useful for tests that
-        /// need a fixed, transparent bit stream.
-        #[derive(Debug, Clone, PartialEq, Eq)]
-        pub struct StepRng {
-            v: u64,
-            a: u64,
-        }
-
-        impl StepRng {
-            /// Creates the generator with the given start and increment.
-            #[must_use]
-            pub fn new(initial: u64, increment: u64) -> Self {
-                StepRng { v: initial, a: increment }
-            }
-        }
-
-        impl RngCore for StepRng {
-            fn next_u64(&mut self) -> u64 {
-                let out = self.v;
-                self.v = self.v.wrapping_add(self.a);
-                out
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::rngs::mock::StepRng;
     use super::rngs::StdRng;
     use super::{Rng, RngCore, SeedableRng};
 
@@ -361,12 +330,6 @@ mod tests {
             let f: f64 = r.gen();
             assert!((0.0..1.0).contains(&f));
         }
-    }
-
-    #[test]
-    fn step_rng_steps() {
-        let mut r = StepRng::new(5, 3);
-        assert_eq!([r.next_u64(), r.next_u64(), r.next_u64()], [5, 8, 11]);
     }
 
     #[test]

@@ -21,12 +21,13 @@ pub struct AttackConfig {
     /// Counter flavour of the attacked machine (fixes the decode
     /// dictionary).
     pub counter_kind: CounterKind,
-    /// Cycles the spy waits around the victim trigger (the `usleep` of
-    /// Listing 3 that lets the slowed-down victim execute its branch).
-    /// This is the window in which the primed PHT entry is exposed to
-    /// background noise; Table 2's error rates scale with it.
-    pub victim_wait_cycles: u64,
 }
+
+/// Cycles the spy waits around the victim trigger (the `usleep` of
+/// Listing 3 that lets the slowed-down victim execute its branch). This is
+/// the window in which the primed PHT entry is exposed to background noise;
+/// Table 2's error rates scale with it.
+pub const VICTIM_WAIT_CYCLES: u64 = 40_000;
 
 impl AttackConfig {
     /// The canonical configuration for a machine profile: prime SN, probe
@@ -37,24 +38,18 @@ impl AttackConfig {
             primed: PhtState::StronglyNotTaken,
             probe: ProbeKind::TakenTaken,
             counter_kind: profile.counter_kind,
-            victim_wait_cycles: 40_000,
         }
     }
 
     /// The canonical configuration for a machine profile running on an
     /// explicit predictor backend.
     ///
-    /// The hybrid attacks the profile's native counter flavour; TAGE and
-    /// perceptron backends normalise their effective counter kind to
-    /// [`CounterKind::TwoBit`] (see [`BackendKind::build`]), so the decode
-    /// dictionary must be built for that flavour regardless of the machine.
+    /// The decode dictionary is built for the counter flavour of the
+    /// backend's [`BackendKind::effective_profile`], which is the machine's
+    /// own only on the hybrid.
     #[must_use]
     pub fn for_backend(profile: &MicroarchProfile, backend: BackendKind) -> Self {
-        let counter_kind = match backend {
-            BackendKind::Hybrid => profile.counter_kind,
-            BackendKind::Tage | BackendKind::Perceptron => CounterKind::TwoBit,
-        };
-        AttackConfig { counter_kind, ..AttackConfig::for_profile(profile) }
+        AttackConfig::for_profile(&backend.effective_profile(profile.clone()))
     }
 }
 
@@ -184,9 +179,9 @@ impl BranchScope {
         // monitored branch (Listing 3's usleep). Background noise keeps
         // running on the shared BPU throughout.
         sys.core_mut().trace_span_begin(Span::VictimWindow);
-        sys.cpu(spy).work(self.config.victim_wait_cycles / 2);
+        sys.cpu(spy).work(VICTIM_WAIT_CYCLES / 2);
         trigger(sys);
-        sys.cpu(spy).work(self.config.victim_wait_cycles / 2);
+        sys.cpu(spy).work(VICTIM_WAIT_CYCLES / 2);
         sys.core_mut().trace_span_end(Span::VictimWindow);
         sys.core_mut().trace_span_begin(Span::Probe);
         let pattern = if history_indexed {
@@ -454,12 +449,25 @@ mod tests {
     }
 
     #[test]
+    fn for_backend_decodes_the_counter_kind_the_backend_runs() {
+        for profile in MicroarchProfile::paper_machines() {
+            for backend in BackendKind::ALL {
+                assert_eq!(
+                    AttackConfig::for_backend(&profile, backend).counter_kind,
+                    backend.build(profile.clone()).profile().counter_kind,
+                    "{backend} on {}",
+                    profile.arch
+                );
+            }
+        }
+    }
+
+    #[test]
     fn ambiguous_config_rejected_at_construction() {
         let res = BranchScope::new(AttackConfig {
             primed: PhtState::StronglyTaken,
             probe: ProbeKind::TakenTaken,
             counter_kind: CounterKind::TwoBit,
-            victim_wait_cycles: 0,
         });
         assert!(matches!(res, Err(AttackError::AmbiguousConfiguration { .. })));
     }

@@ -193,12 +193,6 @@ impl EnclaveSender {
     pub fn new(bits: Vec<bool>) -> Self {
         EnclaveSender { bits, next: 0 }
     }
-
-    /// Bits remaining to send.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.bits.len() - self.next
-    }
 }
 
 impl Workload for EnclaveSender {

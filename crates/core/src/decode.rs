@@ -177,7 +177,7 @@ impl DirectionDict {
 }
 
 /// A PHT state as decoded from the two probing variants (§6.2, Fig. 4b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodedState {
     /// The observations match a specific FSM state.
     Known(PhtState),

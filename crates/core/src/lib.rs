@@ -59,7 +59,7 @@ pub mod timing_probe;
 
 mod randomize;
 
-pub use attack::{AttackConfig, BranchScope};
+pub use attack::{AttackConfig, BranchScope, VICTIM_WAIT_CYCLES};
 pub use decode::{decode_state, fsm_transition_row, table1, DecodedState, DirectionDict, Table1Row};
 pub use error::{AttackError, BscopeError, ConfigError};
 pub use poison::BranchPoisoner;

@@ -5,6 +5,7 @@ use crate::error::AttackError;
 use crate::probe::{probe_with_counters, ProbeKind};
 use crate::randomize::RandomizationBlock;
 use bscope_bpu::{Outcome, PhtState, VirtAddr};
+use bscope_harness::splitmix64;
 use bscope_os::{CpuView, Pid, System};
 
 /// The short, surgical prime the paper sketches as future work: "if we
@@ -78,11 +79,9 @@ impl TargetedPrime {
 
     fn next_rand(&mut self) -> u64 {
         // SplitMix64 step: cheap deterministic per-round variation.
+        let z = splitmix64(self.lcg);
         self.lcg = self.lcg.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.lcg;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        z
     }
 
     /// Runs the prime on the spy's view as two straight-line blocks
@@ -226,12 +225,6 @@ impl SearchedPrime {
             return false; // unreachable: trials > 0 is validated by search()
         };
         decode_state(profile.counter_kind, tt, nn) == DecodedState::Known(desired)
-    }
-
-    /// The accepted randomization block.
-    #[must_use]
-    pub fn block(&self) -> &RandomizationBlock {
-        &self.block
     }
 
     /// The state the block leaves the target entry in.

@@ -20,17 +20,22 @@ use rand::{Rng, SeedableRng};
 /// the identical branch sequence.
 ///
 /// ```
+/// use bscope_bpu::CounterKind;
 /// use bscope_core::RandomizationBlock;
 ///
-/// let block = RandomizationBlock::generate(7, 1_000, 0x70_0000);
-/// assert_eq!(block.len(), 1_000);
-/// assert_eq!(block.seed(), 7);
+/// // The same seed regenerates the same block, so an offline analysis of
+/// // one copy predicts what every execution of the other does.
+/// let a = RandomizationBlock::generate(7, 1_000, 0x70_0000);
+/// let b = RandomizationBlock::generate(7, 1_000, 0x70_0000);
+/// assert_eq!(
+///     a.converged_state(256, CounterKind::TwoBit, 0x70_0010),
+///     b.converged_state(256, CounterKind::TwoBit, 0x70_0010),
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct RandomizationBlock {
     region_base: VirtAddr,
     branches: Vec<(u32, Outcome)>,
-    seed: u64,
 }
 
 /// Default code region the spy maps its randomization block at — far from
@@ -59,7 +64,7 @@ impl RandomizationBlock {
             // je/jne is two bytes; with probability ½ a one-byte nop follows.
             offset += 2 + u32::from(rng.gen_bool(0.5));
         }
-        RandomizationBlock { region_base, branches, seed }
+        RandomizationBlock { region_base, branches }
     }
 
     /// A block sized for a specific machine: six branches per PHT entry on
@@ -70,24 +75,6 @@ impl RandomizationBlock {
     #[must_use]
     pub fn for_profile(profile: &MicroarchProfile, seed: u64) -> Self {
         RandomizationBlock::generate(seed, profile.pht_size * 6, DEFAULT_BLOCK_REGION)
-    }
-
-    /// Number of branches in the block.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.branches.len()
-    }
-
-    /// Whether the block is empty (never true once constructed).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.branches.is_empty()
-    }
-
-    /// Seed the block was generated from.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Executes the whole block on the spy's CPU view (stage 1).

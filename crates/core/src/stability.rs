@@ -14,6 +14,13 @@ use crate::randomize::RandomizationBlock;
 use bscope_bpu::VirtAddr;
 use bscope_os::{Pid, System};
 
+/// Dominance threshold for stability (the paper's 85 %).
+pub const STABILITY_THRESHOLD: f64 = 0.85;
+
+/// Base seed for block generation: block *i* of an experiment uses
+/// `BLOCK_SEED_BASE + i`.
+pub const BLOCK_SEED_BASE: u64 = 0xB10C;
+
 /// Parameters of the stability experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StabilityConfig {
@@ -22,12 +29,8 @@ pub struct StabilityConfig {
     pub blocks: usize,
     /// Executions per block and per probing variant (the paper uses 1 000).
     pub reps: usize,
-    /// Dominance threshold for stability (the paper's 85 %).
-    pub threshold: f64,
     /// Fixed address whose PHT entry is probed.
     pub probe_addr: VirtAddr,
-    /// Base seed for block generation (block *i* uses `seed + i`).
-    pub seed: u64,
     /// Average block updates per PHT entry (block length = PHT size × this).
     /// The paper's 100 000 branches on a 2^14-entry PHT correspond to ~6.
     pub updates_per_entry: usize,
@@ -38,9 +41,7 @@ impl Default for StabilityConfig {
         StabilityConfig {
             blocks: 200,
             reps: 50,
-            threshold: 0.85,
             probe_addr: 0x30_0000,
-            seed: 0xB10C,
             updates_per_entry: 6,
         }
     }
@@ -153,7 +154,7 @@ pub fn characterize_block(
     }
     let (tt_dominant, tt_frequency) = dominants[0];
     let (nn_dominant, nn_frequency) = dominants[1];
-    let state = if tt_frequency >= config.threshold && nn_frequency >= config.threshold {
+    let state = if tt_frequency >= STABILITY_THRESHOLD && nn_frequency >= STABILITY_THRESHOLD {
         decode_state(counter_kind, tt_dominant, nn_dominant)
     } else {
         DecodedState::Unknown
@@ -187,7 +188,7 @@ mod tests {
         config: &StabilityConfig,
     ) -> Vec<BlockStability> {
         (0..config.blocks)
-            .map(|i| characterize_block(sys, spy, config, config.seed + i as u64))
+            .map(|i| characterize_block(sys, spy, config, BLOCK_SEED_BASE + i as u64))
             .collect()
     }
 

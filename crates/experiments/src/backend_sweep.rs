@@ -5,10 +5,9 @@
 //! Reruns the Table-2-style covert-channel error-rate measurement and the
 //! capacity measurement on every predictor backend — the paper's
 //! bimodal+gshare hybrid, TAGE, and the perceptron — on Skylake, isolated
-//! and under system-activity noise. Unlike the other backend-aware
-//! experiments this one always sweeps all three substrates (the
-//! comparison is its whole point); `--bpu` still stamps the report entry
-//! like everywhere else.
+//! and under system-activity noise. It always sweeps all three substrates
+//! (the comparison is its whole point), so it ignores `--bpu` and its
+//! report entry names the backend `"all"`.
 //!
 //! Expected shape (see `bscope_bpu::tage` for the full argument): the
 //! hybrid is near-exact; TAGE degrades mildly but stays usable because

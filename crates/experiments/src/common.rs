@@ -21,9 +21,9 @@ pub struct Scale {
     /// Results are thread-count-invariant (see `bscope-harness`), so this
     /// only affects wall-clock.
     pub threads: usize,
-    /// Direction-predictor substrate (`--bpu`) honoured by the
-    /// backend-aware experiments; backend-agnostic experiments always run
-    /// the paper's hybrid model.
+    /// Direction-predictor substrate (`--bpu`) honoured by table2 and
+    /// capacity; backend_sweep runs every backend and the other
+    /// experiments always run the paper's hybrid model.
     pub backend: BackendKind,
     /// Deterministic fault injection for the trial-parallel experiments
     /// (`--inject-fault`); `None` in normal runs.
@@ -215,7 +215,8 @@ pub fn mean(v: &[u64]) -> f64 {
     v.iter().sum::<u64>() as f64 / v.len() as f64
 }
 
-/// Percentile (nearest-rank) of a u64 sample.
+/// Percentile of a sorted u64 sample: the element at the linear rank
+/// `p / 100 * (len - 1)`, rounded to the nearest index (no interpolation).
 pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;

@@ -23,13 +23,12 @@ fn learning_curve(profile: &MicroarchProfile, runs: usize, seed: u64) -> Vec<f64
         // "We execute a single branch instruction conditional on the array
         // bits, once for each bit … repeat the series 20 times … and record
         // the total number of incorrect predictions per iteration."
-        for (iter, total) in totals.iter_mut().enumerate() {
+        for total in &mut totals {
             let before = sys.cpu(pid).counters().branch_misses;
             for &outcome in &pattern {
                 sys.cpu(pid).branch_at(0x6d, outcome);
             }
             let misses = sys.cpu(pid).counters().branch_misses - before;
-            let _ = iter;
             *total += misses as f64;
         }
     }

@@ -3,7 +3,10 @@
 
 use crate::common::{metric, trials, with_tracer, Scale};
 use bscope_bpu::MicroarchProfile;
-use bscope_core::stability::{characterize_block, BlockStability, StabilityConfig, StateDistribution};
+use bscope_core::stability::{
+    characterize_block, BlockStability, StabilityConfig, StateDistribution, BLOCK_SEED_BASE,
+    STABILITY_THRESHOLD,
+};
 use bscope_core::BscopeError;
 use bscope_os::{AslrPolicy, System};
 use bscope_uarch::NoiseConfig;
@@ -23,7 +26,7 @@ fn analyze_parallel(config: &StabilityConfig, scale: &Scale) -> Vec<BlockStabili
             .expect("preset noise is valid");
         let spy = sys.spawn("spy", AslrPolicy::Disabled);
         with_tracer(&mut sys, tracer, |sys| {
-            characterize_block(sys, spy, config, config.seed + idx as u64)
+            characterize_block(sys, spy, config, BLOCK_SEED_BASE + idx as u64)
         })
     })
 }
@@ -48,7 +51,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
         "(a) dominant-pattern frequency per block ({} blocks x {} reps/variant, threshold {:.0}%)\n",
         config.blocks,
         config.reps,
-        100.0 * config.threshold
+        100.0 * STABILITY_THRESHOLD
     );
     println!("  sample of characterised blocks (TT% , NN%) -> state:");
     for p in points.iter().take(16) {

@@ -46,7 +46,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
 
     // (b) scan 2^16 contiguous addresses and find the window minimising the
     // Hamming ratio.
-    let count = scale.n(4 * pht_size, 4 * pht_size);
+    let count = 4 * pht_size;
     let full = scan_states(&mut sys, spy, &block, 0x30_0000, count);
     let windows = candidate_windows(full.len(), pht_size, scale.n(50, 12));
     let mut rng = StdRng::seed_from_u64(scale.seed ^ 0x5B);

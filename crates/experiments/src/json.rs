@@ -31,7 +31,8 @@ pub struct Report {
 struct Entry {
     name: String,
     /// The predictor backend the experiment actually ran on — `--bpu` for
-    /// backend-aware experiments, `"hybrid"` for the rest.
+    /// table2 and capacity, `"all"` for backend_sweep, `"hybrid"` for the
+    /// rest.
     backend: String,
     wall_seconds: f64,
     /// Simulated branches (foreground plus noise) the experiment's cores

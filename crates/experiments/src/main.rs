@@ -40,10 +40,11 @@
 //! Both flags are observers — enabling them changes no experiment result.
 //!
 //! `--bpu hybrid|tage|perceptron` selects the direction-predictor
-//! substrate for the backend-aware experiments (`table2`, `capacity`,
-//! `backend_sweep`). The remaining experiments model mechanisms specific
-//! to the paper's hybrid PHT (1-level mode, state machines, timing) and
-//! always run on the hybrid; their report entries say so.
+//! substrate for `table2` and `capacity`. `backend_sweep` always runs all
+//! three backends. The remaining experiments model mechanisms specific to
+//! the paper's hybrid PHT (1-level mode, state machines, timing) and always
+//! run on the hybrid. Report entries name the backend that ran (`"all"`
+//! for the sweep).
 //!
 //! Experiments are isolated from each other: a panic or typed error in one
 //! is caught, reported as a `"failed"` entry in the report, and the
@@ -96,9 +97,11 @@ struct Experiment {
     /// Whether the experiment fans trials out through `common::trials`
     /// (and so honours `Scale::fault` / `--inject-fault`).
     trial_parallel: bool,
-    /// Whether the experiment honours `Scale::backend` / `--bpu`.
-    /// Backend-agnostic experiments always run the paper's hybrid.
-    backend_aware: bool,
+    /// The backend the experiment always runs on and reports, whatever
+    /// `--bpu` says: `"hybrid"` for the experiments that model the
+    /// paper's hybrid PHT, `"all"` for the sweep across every backend.
+    /// `None` when it runs on `Scale::backend`.
+    backend: Option<&'static str>,
 }
 
 const EXPERIMENTS: &[Experiment] = &[
@@ -107,112 +110,112 @@ const EXPERIMENTS: &[Experiment] = &[
         desc: "2-level predictor learning curve (Fig. 2)",
         run: fig2::run,
         trial_parallel: false,
-        backend_aware: false,
+        backend: Some("hybrid"),
     },
     Experiment {
         name: "table1",
         desc: "FSM transition / observation table (Table 1)",
         run: table1::run,
         trial_parallel: false,
-        backend_aware: false,
+        backend: Some("hybrid"),
     },
     Experiment {
         name: "fig4",
         desc: "randomization-block stability & state distribution (Fig. 4)",
         run: fig4::run,
         trial_parallel: true,
-        backend_aware: false,
+        backend: Some("hybrid"),
     },
     Experiment {
         name: "fig5",
         desc: "PHT granularity, size discovery and alignment (Fig. 5)",
         run: fig5::run,
         trial_parallel: false,
-        backend_aware: false,
+        backend: Some("hybrid"),
     },
     Experiment {
         name: "fig6",
         desc: "covert-channel decoding demonstration (Fig. 6)",
         run: fig6::run,
         trial_parallel: false,
-        backend_aware: false,
+        backend: Some("hybrid"),
     },
     Experiment {
         name: "table2",
         desc: "covert-channel error rates, 3 CPUs x 2 noise settings (Table 2)",
         run: table2::run,
         trial_parallel: true,
-        backend_aware: true,
+        backend: None,
     },
     Experiment {
         name: "fig7",
         desc: "branch latency distributions, hit vs miss (Fig. 7)",
         run: fig7::run,
         trial_parallel: true,
-        backend_aware: false,
+        backend: Some("hybrid"),
     },
     Experiment {
         name: "fig8",
         desc: "timing-detection error vs number of measurements (Fig. 8)",
         run: fig8::run,
         trial_parallel: false,
-        backend_aware: false,
+        backend: Some("hybrid"),
     },
     Experiment {
         name: "fig9",
         desc: "probe latency by PHT state (Fig. 9)",
         run: fig9::run,
         trial_parallel: false,
-        backend_aware: false,
+        backend: Some("hybrid"),
     },
     Experiment {
         name: "table3",
         desc: "SGX covert-channel error rates (Table 3)",
         run: table3::run,
         trial_parallel: true,
-        backend_aware: false,
+        backend: Some("hybrid"),
     },
     Experiment {
         name: "apps",
         desc: "attack applications: Montgomery, libjpeg, ASLR (Sec. 9.2)",
         run: apps::run,
         trial_parallel: false,
-        backend_aware: false,
+        backend: Some("hybrid"),
     },
     Experiment {
         name: "mitigations",
         desc: "attack error under each defense (Sec. 10)",
         run: mitigation_table::run,
         trial_parallel: false,
-        backend_aware: false,
+        backend: Some("hybrid"),
     },
     Experiment {
         name: "baselines",
         desc: "BranchScope vs BTB-based attacks (Sec. 11)",
         run: related::run,
         trial_parallel: false,
-        backend_aware: false,
+        backend: Some("hybrid"),
     },
     Experiment {
         name: "capacity",
         desc: "EXTENSION: channel capacity vs noise and repetition coding",
         run: capacity::run,
         trial_parallel: true,
-        backend_aware: true,
+        backend: None,
     },
     Experiment {
         name: "backend_sweep",
         desc: "EXTENSION: attack error & capacity across predictor backends",
         run: backend_sweep::run,
         trial_parallel: true,
-        backend_aware: true,
+        backend: Some("all"),
     },
     Experiment {
         name: "sensitivity",
         desc: "EXTENSION: error rate vs PHT size",
         run: sensitivity::run,
         trial_parallel: true,
-        backend_aware: false,
+        backend: Some("hybrid"),
     },
 ];
 
@@ -391,14 +394,15 @@ fn main() {
         }
     }
     if scale.backend != bscope_bpu::BackendKind::Hybrid {
-        let agnostic: Vec<&str> =
-            selected.iter().filter(|e| !e.backend_aware).map(|e| e.name).collect();
-        if !agnostic.is_empty() {
+        let fixed: Vec<String> = selected
+            .iter()
+            .filter_map(|e| e.backend.map(|backend| format!("{} ({backend})", e.name)))
+            .collect();
+        if !fixed.is_empty() {
             eprintln!(
-                "note: --bpu {} applies to backend-aware experiments only; {} model \
-                 hybrid-specific mechanisms and run on the hybrid",
+                "note: --bpu {} does not apply to experiments with a fixed backend: {}",
                 scale.backend,
-                agnostic.join(", ")
+                fixed.join(", ")
             );
         }
     }
@@ -473,11 +477,9 @@ fn main() {
                 println!("[{} FAILED after {elapsed:.1?}]\n", exp.name);
             }
         }
-        // Backend-agnostic experiments always ran the hybrid, whatever
-        // `--bpu` said; the report entry records what actually happened.
-        let backend =
-            if exp.backend_aware { scale.backend } else { bscope_bpu::BackendKind::Hybrid };
-        report.record(exp.name, backend.name(), elapsed.as_secs_f64(), sim_branches, metrics, error);
+        // The report entry records the backend that actually ran.
+        let backend = exp.backend.unwrap_or(scale.backend.name());
+        report.record(exp.name, backend, elapsed.as_secs_f64(), sim_branches, metrics, error);
     }
 
     let any_failed = report.has_failures();

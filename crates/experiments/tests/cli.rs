@@ -151,10 +151,13 @@ fn json_entries_record_the_backend_that_ran() {
         "table1",
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
-    // Backend-agnostic experiments run the hybrid whatever --bpu says, and
-    // the harness says so up front.
+    // Experiments with a fixed backend ignore --bpu, and the harness says
+    // so up front.
     assert!(
-        stderr(&out).contains("note: --bpu tage applies to backend-aware experiments only"),
+        stderr(&out).contains(
+            "note: --bpu tage does not apply to experiments with a fixed backend: \
+             backend_sweep (all), table1 (hybrid)"
+        ),
         "stderr: {}",
         stderr(&out)
     );
@@ -169,7 +172,7 @@ fn json_entries_record_the_backend_that_ran() {
             .to_owned()
     };
     let sweep = entry_of("backend_sweep");
-    assert!(sweep.contains("\"backend\": \"tage\""), "sweep entry honours --bpu: {sweep}");
+    assert!(sweep.contains("\"backend\": \"all\""), "the sweep runs every backend: {sweep}");
     // The sweep populates an error-rate and capacity metric per backend.
     for backend in ["hybrid", "tage", "perceptron"] {
         assert!(
@@ -443,7 +446,7 @@ fn check_passes_against_the_golden_file_and_fails_on_any_difference() {
     for backend in ["tage", "perceptron"] {
         let pins = golden.with_file_name(format!("quick_metrics_{backend}.json"));
         let substrate = ["--quick", "--threads", "1", "--bpu", backend, "--check"];
-        let selection = [pins.to_str().unwrap(), "table2", "capacity", "backend_sweep"];
+        let selection = [pins.to_str().unwrap(), "table2", "capacity"];
         let out = run(&[&substrate[..], &selection[..]].concat());
         assert!(out.status.success(), "{backend}: stderr: {}", stderr(&out));
     }

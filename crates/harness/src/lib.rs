@@ -47,7 +47,6 @@
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// SplitMix64 mixing step: maps any `u64` to a well-scrambled `u64`.
 ///
@@ -162,18 +161,11 @@ impl<T> TrialReport<T> {
 /// Deterministic per-trial fault injection: panic decisions keyed off the
 /// trial seed (and optionally a specific trial index), so an injected
 /// fault fires on the same trials regardless of thread count.
-///
-/// The crate's own tests also arm seed-keyed delays, which perturb
-/// *scheduling* without touching results, to show that
-/// [`FaultPolicy::RecordAndSkip`] output is invariant under worker
-/// interleaving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     salt: u64,
     panic_one_in: u64,
     panic_on_index: Option<usize>,
-    delay_one_in: u64,
-    delay_micros: u64,
 }
 
 /// Prefix of every panic message an armed [`FaultPlan`] raises.
@@ -184,7 +176,7 @@ impl FaultPlan {
     /// builder methods to arm it.
     #[must_use]
     pub fn keyed(salt: u64) -> Self {
-        FaultPlan { salt, panic_one_in: 0, panic_on_index: None, delay_one_in: 0, delay_micros: 0 }
+        FaultPlan { salt, panic_one_in: 0, panic_on_index: None }
     }
 
     /// Panic on roughly one in `one_in` trials, selected by the trial seed
@@ -211,20 +203,14 @@ impl FaultPlan {
         self.panic_one_in > 0 && splitmix64(seed ^ self.salt).is_multiple_of(self.panic_one_in)
     }
 
-    /// Applies the plan to one trial: possibly sleeps, then possibly
-    /// panics with a message carrying the trial index and seed.
+    /// Applies the plan to one trial: possibly panics with a message
+    /// carrying the trial index and seed.
     ///
     /// # Panics
     ///
     /// Panics when [`FaultPlan::should_panic`] selects this trial — that
     /// is the plan's entire purpose.
     fn apply(&self, index: usize, seed: u64) {
-        if self.delay_one_in > 0
-            && self.delay_micros > 0
-            && splitmix64(seed ^ self.salt ^ 0xDE1A).is_multiple_of(self.delay_one_in)
-        {
-            std::thread::sleep(Duration::from_micros(self.delay_micros));
-        }
         if self.should_panic(index, seed) {
             panic!("{INJECTED_FAULT_PREFIX} at trial {index} (seed {seed:#018x})");
         }
@@ -470,13 +456,18 @@ mod tests {
 
     #[test]
     fn skip_policy_output_is_thread_count_invariant() {
-        // Panics are seed-keyed and a seed-keyed delay shakes scheduling;
-        // the report must still be identical for every thread count.
-        let panics = FaultPlan::keyed(0xFA17).panic_one_in(5);
-        let plan = FaultPlan { delay_one_in: 3, delay_micros: 200, ..panics };
+        // Panics are seed-keyed and a seed-keyed sleep in the trial shakes
+        // scheduling; the report must still be identical for every thread
+        // count.
+        let plan = FaultPlan::keyed(0xFA17).panic_one_in(5);
         let run = |threads| {
             let opts = RunOptions { threads, policy: FaultPolicy::RecordAndSkip, fault: Some(plan) };
-            run_trials_with(48, 0xB5C0_9E01, &opts, |idx, seed| (idx, splitmix64(seed)))
+            run_trials_with(48, 0xB5C0_9E01, &opts, |idx, seed| {
+                if splitmix64(seed ^ 0xDE1A).is_multiple_of(3) {
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+                (idx, splitmix64(seed))
+            })
         };
         let reference = run(1);
         assert!(!reference.failures.is_empty(), "plan should fault some trials");

@@ -29,12 +29,6 @@ impl IfConvertedVictim {
     pub fn new(secret: Vec<bool>) -> Self {
         IfConvertedVictim { secret, index: 0, accumulator: 0 }
     }
-
-    /// Bits processed so far.
-    #[must_use]
-    pub fn bits_executed(&self) -> usize {
-        self.index
-    }
 }
 
 impl Workload for IfConvertedVictim {
@@ -65,8 +59,7 @@ mod tests {
         let pid = sys.spawn("victim", AslrPolicy::Disabled);
         let mut v = IfConvertedVictim::new(vec![true, false, true, true]);
         let mut cpu = sys.cpu(pid);
-        v.run(&mut cpu, 10);
-        assert_eq!(v.bits_executed(), 4);
+        assert_eq!(v.run(&mut cpu, 10), 4, "one step per bit");
         assert_eq!(sys.cpu(pid).counters().branches_retired, 0, "no branch retired");
         assert_eq!(sys.core().bpu().stats().branches, 0, "BPU never consulted");
     }

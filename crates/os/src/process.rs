@@ -7,7 +7,7 @@ use rand::Rng;
 use std::fmt;
 
 /// Process identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pid(pub u32);
 
 impl fmt::Display for Pid {

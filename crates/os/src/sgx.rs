@@ -39,7 +39,6 @@ impl Error for SgxError {}
 pub struct Enclave<W> {
     pid: Pid,
     program: W,
-    steps_executed: usize,
     finished: bool,
 }
 
@@ -47,7 +46,7 @@ impl<W: Workload> Enclave<W> {
     /// Launches `program` inside a new enclave on `sys`.
     pub fn launch(sys: &mut System, name: &str, program: W) -> Self {
         let pid = sys.spawn(name, AslrPolicy::Disabled);
-        Enclave { pid, program, steps_executed: 0, finished: false }
+        Enclave { pid, program, finished: false }
     }
 
     /// The process id backing this enclave.
@@ -60,12 +59,6 @@ impl<W: Workload> Enclave<W> {
     #[must_use]
     pub fn finished(&self) -> bool {
         self.finished
-    }
-
-    /// Total steps executed so far.
-    #[must_use]
-    pub fn steps_executed(&self) -> usize {
-        self.steps_executed
     }
 
     /// Attempting to read enclave memory from outside always fails — the
@@ -88,7 +81,6 @@ impl<W: Workload> Enclave<W> {
             return false;
         }
         self.finished = !self.program.step(&mut sys.cpu(self.pid));
-        self.steps_executed += 1;
         true
     }
 }
@@ -133,7 +125,7 @@ mod tests {
             next: 0,
         });
         assert!(enclave.single_step(&mut sys));
-        assert_eq!(enclave.steps_executed(), 1);
+        assert_eq!(sys.cpu(enclave.pid()).counters().branches_retired, 1);
         assert!(!enclave.finished());
     }
 
@@ -146,8 +138,11 @@ mod tests {
             bits: vec![true, true, true],
             next: 0,
         });
-        while enclave.single_step(&mut sys) {}
-        assert_eq!(enclave.steps_executed(), 3);
+        let mut steps = 0;
+        while enclave.single_step(&mut sys) {
+            steps += 1;
+        }
+        assert_eq!(steps, 3);
         let addr = sys.process(enclave.pid()).vaddr_of(0x6d);
         assert_eq!(sys.core().bpu().pht_state(addr), PhtState::StronglyTaken);
     }
@@ -160,6 +155,6 @@ mod tests {
         assert!(enclave.single_step(&mut sys), "the last step runs");
         assert!(enclave.finished());
         assert!(!enclave.single_step(&mut sys));
-        assert_eq!(enclave.steps_executed(), 1);
+        assert_eq!(sys.cpu(enclave.pid()).counters().branches_retired, 1);
     }
 }

@@ -4,7 +4,7 @@
 /// [`TraceEvent::SpanBegin`] / [`TraceEvent::SpanEnd`] pairs carrying the
 /// simulated timestamp, so a trace reader can attribute the predictor
 /// events between them to a stage of the attack round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Span {
     /// Stage 1: priming the target PHT entry (targeted or searched prime,
     /// plus the history-reinforcement rounds on history-indexed backends).

@@ -43,7 +43,7 @@ mod metrics;
 mod sink;
 
 pub use event::{Span, TraceEvent, TracedEvent};
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::MetricsRegistry;
 pub use sink::{RingSink, TraceCapture, TraceSink};
 
 /// The handle instrumented code holds: either disabled (the default — one

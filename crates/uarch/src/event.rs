@@ -22,54 +22,3 @@ pub struct BranchEvent {
     /// Whether this execution missed the instruction cache (first touch).
     pub cold: bool,
 }
-
-impl BranchEvent {
-    /// Whether the prediction was correct — a prediction *hit* in the
-    /// paper's H/M notation.
-    #[must_use]
-    pub fn hit(&self) -> bool {
-        !self.mispredicted
-    }
-
-    /// The paper's single-letter observation for this branch: `H` for a
-    /// correct prediction, `M` for a misprediction.
-    #[must_use]
-    pub fn letter(&self) -> char {
-        if self.mispredicted {
-            'M'
-        } else {
-            'H'
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bscope_bpu::PredictorKind;
-
-    fn event(mispredicted: bool) -> BranchEvent {
-        BranchEvent {
-            addr: 0x1000,
-            outcome: Outcome::Taken,
-            prediction: Prediction {
-                direction: if mispredicted { Outcome::NotTaken } else { Outcome::Taken },
-                used: PredictorKind::Bimodal,
-                bimodal: Outcome::Taken,
-                gshare: Outcome::Taken,
-                btb_hit: false,
-                target: None,
-            },
-            mispredicted,
-            cold: false,
-        }
-    }
-
-    #[test]
-    fn letters_match_paper_notation() {
-        assert_eq!(event(false).letter(), 'H');
-        assert_eq!(event(true).letter(), 'M');
-        assert!(event(false).hit());
-        assert!(!event(true).hit());
-    }
-}

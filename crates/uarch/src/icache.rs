@@ -14,8 +14,6 @@ pub struct InstructionCache {
     tags: Vec<Option<u64>>,
     line_shift: u32,
     index_mask: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl InstructionCache {
@@ -34,8 +32,6 @@ impl InstructionCache {
             tags: vec![None; lines],
             line_shift: Self::LINE_BYTES.trailing_zeros(),
             index_mask: (lines - 1) as u64,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -56,37 +52,13 @@ impl InstructionCache {
         let (idx, tag) = self.index_and_tag(addr);
         let hit = self.tags[idx] == Some(tag);
         self.tags[idx] = Some(tag);
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
         hit
-    }
-
-    /// Whether the line containing `addr` is resident, without touching it.
-    #[must_use]
-    pub fn contains(&self, addr: VirtAddr) -> bool {
-        let (idx, tag) = self.index_and_tag(addr);
-        self.tags[idx] == Some(tag)
     }
 
     /// Flushes the whole cache (e.g. on a simulated context switch with a
     /// hostile OS, §9.2).
     pub fn flush(&mut self) {
         self.tags.fill(None);
-    }
-
-    /// (hits, misses) counted since construction.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
-impl Default for InstructionCache {
-    fn default() -> Self {
-        InstructionCache::l1i_default()
     }
 }
 
@@ -100,7 +72,6 @@ mod tests {
         assert!(!ic.touch(0x1000));
         assert!(ic.touch(0x1000));
         assert!(ic.touch(0x1001), "same line");
-        assert_eq!(ic.stats(), (2, 1));
     }
 
     #[test]
@@ -116,7 +87,7 @@ mod tests {
         ic.touch(0);
         // 64 lines of 64 B: addresses 64*64 bytes apart alias.
         ic.touch(64 * 64);
-        assert!(!ic.contains(0), "original line evicted by alias");
+        assert!(!ic.touch(0), "original line evicted by alias");
     }
 
     #[test]
@@ -124,7 +95,7 @@ mod tests {
         let mut ic = InstructionCache::new(64);
         ic.touch(0x2000);
         ic.flush();
-        assert!(!ic.contains(0x2000));
+        assert!(!ic.touch(0x2000));
     }
 
     #[test]

@@ -16,32 +16,13 @@ use bscope_os::{CpuView, Workload};
 #[derive(Debug, Clone)]
 pub struct AslrVictim {
     direction: Outcome,
-    steps: usize,
 }
 
 impl AslrVictim {
     /// Victim whose located branch always resolves to `direction`.
     #[must_use]
     pub fn new(direction: Outcome) -> Self {
-        AslrVictim { direction, steps: 0 }
-    }
-
-    /// The fixed direction of the victim's branch.
-    #[must_use]
-    pub fn direction(&self) -> Outcome {
-        self.direction
-    }
-
-    /// Steps executed so far.
-    #[must_use]
-    pub fn steps_executed(&self) -> usize {
-        self.steps
-    }
-}
-
-impl Default for AslrVictim {
-    fn default() -> Self {
-        AslrVictim::new(Outcome::Taken)
+        AslrVictim { direction }
     }
 }
 
@@ -49,7 +30,6 @@ impl Workload for AslrVictim {
     fn step(&mut self, cpu: &mut CpuView<'_>) -> bool {
         cpu.branch_at(VICTIM_BRANCH_OFFSET, self.direction);
         cpu.work(4);
-        self.steps += 1;
         true // runs as long as it is scheduled
     }
 }
@@ -64,10 +44,9 @@ mod tests {
     fn branch_executes_at_randomized_address() {
         let mut sys = System::new(MicroarchProfile::skylake(), 14);
         let pid = sys.spawn("victim", AslrPolicy::Randomized);
-        let mut v = AslrVictim::default();
+        let mut v = AslrVictim::new(Outcome::Taken);
         let mut cpu = sys.cpu(pid);
-        v.run(&mut cpu, 3);
-        assert_eq!(v.steps_executed(), 3);
+        assert_eq!(v.run(&mut cpu, 3), 3);
         let addr = sys.process(pid).vaddr_of(VICTIM_BRANCH_OFFSET);
         assert_ne!(addr, 0x40_0000 + VICTIM_BRANCH_OFFSET, "base must be randomized");
         assert_eq!(sys.core().bpu().pht_state(addr), PhtState::StronglyTaken);

@@ -20,8 +20,7 @@ use bscope_os::{CpuView, Workload};
 /// let pid = sys.spawn("victim", AslrPolicy::Disabled);
 /// let mut victim = SecretBranchVictim::new(vec![true, false]);
 /// assert_eq!(victim.branch_outcome(0), Outcome::NotTaken); // bit 1 → je falls through
-/// victim.step(&mut sys.cpu(pid));
-/// assert_eq!(victim.bits_executed(), 1);
+/// assert_eq!(victim.run(&mut sys.cpu(pid), 10), 2); // one step per bit
 /// ```
 #[derive(Debug, Clone)]
 pub struct SecretBranchVictim {
@@ -36,24 +35,6 @@ impl SecretBranchVictim {
         SecretBranchVictim { secret, index: 0 }
     }
 
-    /// Number of secret bits.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.secret.len()
-    }
-
-    /// Whether the secret is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.secret.is_empty()
-    }
-
-    /// Bits already leaked through executed branches.
-    #[must_use]
-    pub fn bits_executed(&self) -> usize {
-        self.index
-    }
-
     /// Branch direction the victim executes for bit `i`:
     /// `je` is taken when the tested value is zero (paper Listing 2 B).
     ///
@@ -63,13 +44,6 @@ impl SecretBranchVictim {
     #[must_use]
     pub fn branch_outcome(&self, i: usize) -> Outcome {
         Outcome::from_bool(!self.secret[i])
-    }
-
-    /// Ground-truth secret (test bookkeeping; a real attacker has no such
-    /// access, which is the point).
-    #[must_use]
-    pub fn secret(&self) -> &[bool] {
-        &self.secret
     }
 
     /// Decodes an observed branch direction back into a secret bit.
@@ -119,7 +93,7 @@ mod tests {
         assert!(v.step(&mut cpu));
         assert!(!v.step(&mut cpu), "last bit reports completion");
         assert!(!v.step(&mut cpu), "no further work");
-        assert_eq!(v.bits_executed(), 3);
+        assert_eq!(cpu.counters().branches_retired, 3, "one branch per bit");
     }
 
     #[test]
