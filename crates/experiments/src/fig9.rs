@@ -28,7 +28,11 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
             let mut sys = System::new(profile.clone(), scale.seed);
             let spy = sys.spawn("spy", AslrPolicy::Disabled);
             let stats = probe_latency_by_state(&mut sys, spy, state, kind, reps);
-            metric(format!("fig9/{kind}/{}/second_mean_cycles", state.mnemonic()), stats.second_mean);
+            let pin = |what: &str, value| {
+                metric(format!("fig9/{kind}/{}/{what}_mean_cycles", state.mnemonic()), value);
+            };
+            pin("first", stats.first_mean);
+            pin("second", stats.second_mean);
             println!(
                 "{:<10} {:>7.1} ±{:>4.1} {:>7.1} ±{:>4.1}   {}({})",
                 state.mnemonic(),
