@@ -4,10 +4,74 @@ use crate::btb_timing::{BtbSignal, BtbTimingAttack};
 use bscope_bpu::{MicroarchProfile, Outcome};
 use bscope_core::{AttackConfig, BranchScope};
 use bscope_os::{AslrPolicy, Pid, System};
+use bscope_uarch::Tracer;
 use bscope_victims::VICTIM_BRANCH_OFFSET;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+
+/// One attack of the comparison: BranchScope, or a prior attack reading
+/// the BTB ([`BtbTimingAttack`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Attack {
+    /// BranchScope, reading the directional PHT.
+    BranchScope,
+    /// A BTB-timing baseline reading the given signal.
+    Btb(BtbSignal),
+}
+
+impl Attack {
+    /// Every attack with its name and the predictor structure it reads, in
+    /// the comparison's row order.
+    pub const ALL: [(Attack, &'static str, &'static str); 3] = [
+        (Attack::BranchScope, "BranchScope", "directional PHT"),
+        (Attack::Btb(BtbSignal::Shadowing), "branch shadowing", "BTB presence"),
+        (Attack::Btb(BtbSignal::Eviction), "BTB eviction", "BTB eviction"),
+    ];
+
+    /// Reads every bit of `secret` on a fresh machine seeded with `seed`,
+    /// with `tracer` on its core, and returns the fraction read correctly.
+    /// Each read triggers the victim's secret branch once per round, between
+    /// two BTB flushes when `flush_btb` is set (the OS defense deployed
+    /// against the prior BTB attacks). A fresh machine per attack keeps one
+    /// attack's residue out of another's calibration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `secret` is empty: there would be no accuracy to report.
+    #[must_use]
+    pub fn accuracy(
+        self,
+        profile: &MicroarchProfile,
+        secret: &[Outcome],
+        flush_btb: bool,
+        seed: u64,
+        tracer: &mut Tracer,
+    ) -> f64 {
+        assert!(!secret.is_empty(), "comparing attacks needs at least one secret bit");
+        let mut sys = System::new(profile.clone(), seed);
+        let victim = sys.spawn("victim", AslrPolicy::Disabled);
+        let spy = sys.spawn("spy", AslrPolicy::Disabled);
+        let target = sys.process(victim).vaddr_of(VICTIM_BRANCH_OFFSET);
+        sys.with_tracer(tracer, |sys| match self {
+            Attack::BranchScope => {
+                let mut bscope =
+                    BranchScope::new(AttackConfig::for_profile(profile)).expect("valid config");
+                accuracy(sys, victim, secret, flush_btb, |sys, trigger| {
+                    bscope.read_bit(sys, spy, target, trigger)
+                })
+            }
+            Attack::Btb(signal) => {
+                let rounds = if signal == BtbSignal::Shadowing { 81 } else { 41 };
+                let mut attack = BtbTimingAttack::new(signal, target);
+                attack.calibrate(sys, spy, 60);
+                accuracy(sys, victim, secret, flush_btb, |sys, trigger| {
+                    attack.read_bit(sys, spy, rounds, trigger)
+                })
+            }
+        })
+    }
+}
 
 /// One attack's accuracy with and without the BTB defense.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,6 +116,19 @@ pub struct AttackComparison {
     pub rows: Vec<ComparisonRow>,
 }
 
+impl AttackComparison {
+    /// The comparison from [`Attack::accuracy`] readings in [`Attack::ALL`]
+    /// order, each attack unprotected and then BTB-defended.
+    #[must_use]
+    pub fn from_accuracies(accuracies: &[f64]) -> Self {
+        let rows = Attack::ALL.iter().zip(accuracies.chunks(2)).map(|(&(_, attack, channel), a)| {
+            let (accuracy_unprotected, accuracy_btb_defended) = (a[0], a[1]);
+            ComparisonRow { attack, channel, accuracy_unprotected, accuracy_btb_defended }
+        });
+        AttackComparison { rows: rows.collect() }
+    }
+}
+
 impl fmt::Display for AttackComparison {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for row in &self.rows {
@@ -89,69 +166,26 @@ fn accuracy(
     correct as f64 / secret.len() as f64
 }
 
-/// Runs BranchScope, branch shadowing and the BTB eviction attack against
-/// the same secret-branch victim, first on the unprotected machine and then
-/// with the OS flushing the BTB at every victim↔spy switch (the defense
-/// deployed against the prior BTB attacks — cache-style protection the
-/// paper notes is applicable to the BTB but not to the directional
-/// predictor).
+/// Runs every [`Attack`] against the same secret-branch victim, first on
+/// the unprotected machine and then with the OS flushing the BTB at every
+/// victim↔spy switch (cache-style protection the paper notes is applicable
+/// to the BTB but not to the directional predictor).
+///
+/// # Panics
+///
+/// Panics if `bits` is zero.
 #[must_use]
 pub fn compare_attacks(profile: &MicroarchProfile, bits: usize, seed: u64) -> AttackComparison {
-    let mut rows = Vec::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let secret: Vec<Outcome> = (0..bits).map(|_| Outcome::from_bool(rng.gen())).collect();
-
-    // Each attack measures on a fresh machine so residue from one attack
-    // cannot contaminate another's calibration.
-    let fresh = |seed: u64| -> (System, Pid, Pid, u64) {
-        let mut sys = System::new(profile.clone(), seed);
-        let victim = sys.spawn("victim", AslrPolicy::Disabled);
-        let spy = sys.spawn("spy", AslrPolicy::Disabled);
-        let target = sys.process(victim).vaddr_of(VICTIM_BRANCH_OFFSET);
-        (sys, victim, spy, target)
-    };
-
-    let run = |flush_btb: bool, seed: u64| -> (f64, f64, f64) {
-        let (mut sys, victim, spy, target) = fresh(seed);
-        let mut bscope =
-            BranchScope::new(AttackConfig::for_profile(profile)).expect("valid config");
-        let bscope_acc = accuracy(&mut sys, victim, &secret, flush_btb, |sys, trigger| {
-            bscope.read_bit(sys, spy, target, trigger)
-        });
-
-        let btb = |signal, salt, rounds| {
-            let (mut sys, victim, spy, target) = fresh(seed ^ salt);
-            let mut attack = BtbTimingAttack::new(signal, target);
-            attack.calibrate(&mut sys, spy, 60);
-            accuracy(&mut sys, victim, &secret, flush_btb, |sys, trigger| {
-                attack.read_bit(sys, spy, rounds, trigger)
-            })
-        };
-        (bscope_acc, btb(BtbSignal::Shadowing, 0x10, 81), btb(BtbSignal::Eviction, 0x20, 41))
-    };
-
-    let (bs_open, sh_open, ev_open) = run(false, seed ^ 1);
-    let (bs_def, sh_def, ev_def) = run(true, seed ^ 2);
-
-    rows.push(ComparisonRow {
-        attack: "BranchScope",
-        channel: "directional PHT",
-        accuracy_unprotected: bs_open,
-        accuracy_btb_defended: bs_def,
-    });
-    rows.push(ComparisonRow {
-        attack: "branch shadowing",
-        channel: "BTB presence",
-        accuracy_unprotected: sh_open,
-        accuracy_btb_defended: sh_def,
-    });
-    rows.push(ComparisonRow {
-        attack: "BTB eviction",
-        channel: "BTB eviction",
-        accuracy_unprotected: ev_open,
-        accuracy_btb_defended: ev_def,
-    });
-    AttackComparison { rows }
+    let accuracies: Vec<f64> = (0..2 * Attack::ALL.len())
+        .map(|i| {
+            let seed = seed ^ [1, 2][i % 2] ^ [0, 0x10, 0x20][i / 2];
+            let (attack, flush_btb) = (Attack::ALL[i / 2].0, i % 2 == 1);
+            attack.accuracy(profile, &secret, flush_btb, seed, &mut Tracer::disabled())
+        })
+        .collect();
+    AttackComparison::from_accuracies(&accuracies)
 }
 
 #[cfg(test)]
@@ -172,6 +206,12 @@ mod tests {
             assert!(row.accuracy_unprotected > 0.85, "{row}");
             assert!(row.accuracy_btb_defended < 0.70, "defense must kill {row}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one secret bit")]
+    fn comparing_zero_bits_panics() {
+        let _ = compare_attacks(&MicroarchProfile::haswell(), 0, 1);
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //!   branch left a BTB entry. With [`BtbSignal::Eviction`] (Aciiçmez-style)
 //!   the spy detects whether the victim's taken branch evicted its own
 //!   entry. One calibration and one majority vote serve both;
-//! * [`compare_attacks`] — runs both baselines and BranchScope against the same
-//!   victim, with and without a BTB-flush defense, reproducing the paper's
-//!   claim that *BranchScope is not affected by defenses against BTB-based
-//!   attacks*.
+//! * [`Attack::accuracy`] — one [`Attack`] (BranchScope or either baseline)
+//!   against the secret-branch victim on its own machine, with or without a
+//!   BTB-flush defense; [`compare_attacks`] runs every attack in both
+//!   settings, reproducing the paper's claim that *BranchScope is not
+//!   affected by defenses against BTB-based attacks*.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,4 +27,4 @@ mod btb_timing;
 mod compare;
 
 pub use btb_timing::{BtbSignal, BtbTimingAttack};
-pub use compare::{compare_attacks, AttackComparison, ComparisonRow};
+pub use compare::{compare_attacks, Attack, AttackComparison, ComparisonRow};

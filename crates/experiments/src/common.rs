@@ -17,7 +17,7 @@ pub struct Scale {
     pub quick: bool,
     /// Base seed for all experiment randomness.
     pub seed: u64,
-    /// Worker threads for trial-parallel experiments (`0` = all cores).
+    /// Worker threads for every experiment's trials (`0` = all cores).
     /// Results are thread-count-invariant (see `bscope-harness`), so this
     /// only affects wall-clock.
     pub threads: usize,
@@ -25,12 +25,12 @@ pub struct Scale {
     /// capacity; backend_sweep runs every backend and the other
     /// experiments always run the paper's hybrid model.
     pub backend: BackendKind,
-    /// Deterministic fault injection for the trial-parallel experiments
+    /// Deterministic fault injection into an experiment's trials
     /// (`--inject-fault`); `None` in normal runs.
     pub fault: Option<FaultPlan>,
-    /// Whether trial-parallel experiments capture structured traces
-    /// (`--trace`/`--metrics`). Off by default: the disabled path hands
-    /// every trial a no-op tracer that never allocates or builds events.
+    /// Whether trials capture structured traces (`--trace`/`--metrics`).
+    /// Off by default: the disabled path hands every trial a no-op tracer
+    /// that never allocates or builds events.
     pub trace: bool,
 }
 
@@ -122,22 +122,6 @@ fn traces_sink() -> std::sync::MutexGuard<'static, Vec<TrialCapture>> {
 /// each `trials` call and call order across calls.
 pub fn drain_traces() -> Vec<TrialCapture> {
     std::mem::take(&mut traces_sink())
-}
-
-/// Installs the trial's tracer on `sys`'s core for the duration of `body`,
-/// then reclaims it so the harness can collect the capture. With tracing
-/// disabled this is a pair of no-op moves. (A panicking `body` loses the
-/// capture along with the trial — the trial's report entry carries the
-/// failure instead.)
-pub fn with_tracer<T>(
-    sys: &mut bscope_os::System,
-    tracer: &mut Tracer,
-    body: impl FnOnce(&mut bscope_os::System) -> T,
-) -> T {
-    sys.core_mut().set_tracer(std::mem::take(tracer));
-    let out = body(sys);
-    *tracer = sys.core_mut().take_tracer();
-    out
 }
 
 /// Asserts that `compute` gives the same result at 1, 2 and 8 worker

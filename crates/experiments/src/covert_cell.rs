@@ -4,7 +4,7 @@
 //! the receiver, derives the message, transmits it (prime → trojan → probe
 //! per bit) and scores what the receiver decoded.
 
-use crate::common::{trials, with_tracer, Scale};
+use crate::common::{trials, Scale};
 use bscope_bpu::{BackendKind, MicroarchProfile};
 use bscope_core::covert::{CovertChannel, EnclaveSender, TransmitResult};
 use bscope_core::{AttackConfig, BscopeError};
@@ -128,7 +128,7 @@ fn covert_cell(cell: &CovertCell<'_>, seed: u64, tracer: &mut Tracer) -> Transmi
         Sender::Process => {
             let sender = sys.spawn("trojan", AslrPolicy::Disabled);
             let receiver = sys.spawn("spy", AslrPolicy::Disabled);
-            with_tracer(&mut sys, tracer, |sys| {
+            sys.with_tracer(tracer, |sys| {
                 channel.transmit_with_redundancy(sys, sender, receiver, &message, cell.redundancy)
             })
         }
@@ -136,7 +136,7 @@ fn covert_cell(cell: &CovertCell<'_>, seed: u64, tracer: &mut Tracer) -> Transmi
             let receiver = sys.spawn("spy", AslrPolicy::Disabled);
             let mut enclave =
                 Enclave::launch(&mut sys, "trojan-enclave", EnclaveSender::new(message.clone()));
-            let received = with_tracer(&mut sys, tracer, |sys| {
+            let received = sys.with_tracer(tracer, |sys| {
                 channel.receive_from_enclave(sys, &mut enclave, receiver, message.len())
             });
             received.score(&message)

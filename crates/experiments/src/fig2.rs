@@ -1,38 +1,40 @@
 //! Figure 2: mispredictions per iteration while the 2-level predictor
 //! learns a repeating 10-bit random pattern.
 
-use crate::common::{bar, metric, Scale};
+use crate::common::{bar, metric, trials, Scale};
 use bscope_bpu::{MicroarchProfile, Outcome};
 use bscope_core::BscopeError;
+use bscope_harness::splitmix64;
 use bscope_os::{AslrPolicy, System};
+use bscope_uarch::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const PATTERN_BITS: usize = 10;
 const ITERATIONS: usize = 20;
 
-fn learning_curve(profile: &MicroarchProfile, runs: usize, seed: u64) -> Vec<f64> {
-    let mut totals = [0.0f64; ITERATIONS];
-    let mut rng = StdRng::seed_from_u64(seed);
-    for run in 0..runs {
-        // "We initialize an array of 10 bits to a randomly selected state."
-        let pattern: Vec<Outcome> =
-            (0..PATTERN_BITS).map(|_| Outcome::from_bool(rng.gen())).collect();
-        let mut sys = System::new(profile.clone(), seed ^ run as u64);
-        let pid = sys.spawn("bench", AslrPolicy::Disabled);
-        // "We execute a single branch instruction conditional on the array
-        // bits, once for each bit … repeat the series 20 times … and record
-        // the total number of incorrect predictions per iteration."
-        for total in &mut totals {
+/// Mispredictions per iteration of one run: a fresh machine seeded with
+/// `seed` learns a pattern drawn from `splitmix64(seed)`.
+fn learning_run(profile: &MicroarchProfile, seed: u64, tracer: &mut Tracer) -> [u64; ITERATIONS] {
+    // "We initialize an array of 10 bits to a randomly selected state."
+    let mut rng = StdRng::seed_from_u64(splitmix64(seed));
+    let pattern: Vec<Outcome> = (0..PATTERN_BITS).map(|_| Outcome::from_bool(rng.gen())).collect();
+    let mut sys = System::new(profile.clone(), seed);
+    let pid = sys.spawn("bench", AslrPolicy::Disabled);
+    // "We execute a single branch instruction conditional on the array
+    // bits, once for each bit … repeat the series 20 times … and record
+    // the total number of incorrect predictions per iteration."
+    let mut misses = [0; ITERATIONS];
+    sys.with_tracer(tracer, |sys| {
+        for slot in &mut misses {
             let before = sys.cpu(pid).counters().branch_misses;
             for &outcome in &pattern {
                 sys.cpu(pid).branch_at(0x6d, outcome);
             }
-            let misses = sys.cpu(pid).counters().branch_misses - before;
-            *total += misses as f64;
+            *slot = sys.cpu(pid).counters().branch_misses - before;
         }
-    }
-    totals.iter().map(|t| t / runs as f64).collect()
+    });
+    misses
 }
 
 pub fn run(scale: &Scale) -> Result<(), BscopeError> {
@@ -41,27 +43,28 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
         ("i5-6200U (Skylake)", "Skylake", MicroarchProfile::skylake()),
         ("i7-2600 (Sandy Bridge)", "Sandy Bridge", MicroarchProfile::sandy_bridge()),
     ];
-    let curves: Vec<(&str, Vec<f64>)> = machines
-        .iter()
-        .map(|(name, _, p)| (*name, learning_curve(p, runs, scale.seed)))
+    // One trial per machine × run, machine-major.
+    let per_run = trials(scale, machines.len() * runs, 0xF162, |idx, seed, tracer| {
+        learning_run(&machines[idx / runs].2, seed, tracer)
+    });
+    let curves: Vec<Vec<f64>> = per_run
+        .chunks(runs)
+        .map(|machine_runs| {
+            (0..ITERATIONS)
+                .map(|i| machine_runs.iter().map(|m| m[i] as f64).sum::<f64>() / runs as f64)
+                .collect()
+        })
         .collect();
 
     println!("avg mispredictions per 10-branch iteration ({runs} runs)\n");
-    println!("{:>4}  {:<28} {:<28}", "iter", curves[0].0, curves[1].0);
-    for i in 0..ITERATIONS {
-        println!(
-            "{:>4}  {:>5.2} {}  {:>5.2} {}",
-            i + 1,
-            curves[0].1[i],
-            bar(curves[0].1[i], 5.0, 20),
-            curves[1].1[i],
-            bar(curves[1].1[i], 5.0, 20),
-        );
+    println!("{:>4}  {:<28} {:<28}", "iter", machines[0].0, machines[1].0);
+    for (i, (&a, &b)) in curves[0].iter().zip(&curves[1]).enumerate() {
+        println!("{:>4}  {a:>5.2} {}  {b:>5.2} {}", i + 1, bar(a, 5.0, 20), bar(b, 5.0, 20));
     }
     // Iterations until the average first drops below 0.5; `None` is "never".
     let learned = |c: &[f64]| c.iter().position(|&m| m < 0.5).map(|i| i + 1);
     let converged = |c: &[f64]| learned(c).map_or("never".into(), |i| i.to_string());
-    for ((_, short, _), (_, curve)) in machines.iter().zip(&curves) {
+    for ((_, short, _), curve) in machines.iter().zip(&curves) {
         metric(format!("fig2/{short}/iter1_mispredictions"), curve[0]);
         metric(format!("fig2/{short}/iterations_to_learn"), learned(curve).map_or(f64::NAN, |i| i as f64));
     }
@@ -69,10 +72,10 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     println!("       Skylake learning slightly faster.");
     println!(
         "ours : iteration-1 mispredictions {:.2} / {:.2}; first iteration below 0.5 avg: {} / {}",
-        curves[0].1[0],
-        curves[1].1[0],
-        converged(&curves[0].1),
-        converged(&curves[1].1),
+        curves[0][0],
+        curves[1][0],
+        converged(&curves[0]),
+        converged(&curves[1]),
     );
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! Figure 4: stability of randomization blocks (scatter of dominant-pattern
 //! frequencies) and the distribution of decoded PHT states.
 
-use crate::common::{metric, trials, with_tracer, Scale};
+use crate::common::{metric, trials, Scale};
 use bscope_bpu::MicroarchProfile;
 use bscope_core::stability::{
     characterize_block, BlockStability, StabilityConfig, StateDistribution, BLOCK_SEED_BASE,
@@ -15,17 +15,14 @@ use bscope_uarch::NoiseConfig;
 ///
 /// Each trial builds its own simulated machine (the per-block statistics
 /// are i.i.d. across machines) seeded from the runner's per-trial seed, so
-/// the result is identical for every thread count — unlike the previous
-/// worker-sharded version, where per-worker seeds tied the results to the
-/// worker count. Trial seeds derive from `scale.seed ^ 0xF164`, unchanged
-/// from when this took a bare seed.
+/// the result is identical for every thread count.
 fn analyze_parallel(config: &StabilityConfig, scale: &Scale) -> Vec<BlockStability> {
     trials(scale, config.blocks, 0xF164, |idx, trial_seed, tracer| {
         let mut sys = System::new(MicroarchProfile::haswell(), trial_seed)
             .with_noise(NoiseConfig::isolated_core())
             .expect("preset noise is valid");
         let spy = sys.spawn("spy", AslrPolicy::Disabled);
-        with_tracer(&mut sys, tracer, |sys| {
+        sys.with_tracer(tracer, |sys| {
             characterize_block(sys, spy, config, BLOCK_SEED_BASE + idx as u64)
         })
     })

@@ -1,29 +1,45 @@
 //! Figure 5: PHT probing over address ranges — indexing granularity (a),
 //! Hamming-distance size discovery (b), and aligned repetition (c).
 
-use crate::common::{metric, Scale};
+use crate::common::{metric, trials, Scale};
 use bscope_bpu::MicroarchProfile;
 use bscope_core::reverse::{
     candidate_windows, discover_pht_size, scan_states, GranularityReport,
 };
 use bscope_core::RandomizationBlock;
 use bscope_core::BscopeError;
+use bscope_harness::splitmix64;
 use bscope_os::{AslrPolicy, System};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     let profile = MicroarchProfile::skylake();
     let pht_size = profile.pht_size;
-    let mut sys = System::new(profile.clone(), scale.seed);
-    let spy = sys.spawn("spy", AslrPolicy::Disabled);
-    // A dense block so (nearly) every entry's post-block state is
-    // start-independent; generated once and replayed, per §6.3.
-    let block = RandomizationBlock::generate(scale.seed ^ 0xF16,
-        pht_size * 14, 0x70_0000);
+    let count = 4 * pht_size;
+    let windows = candidate_windows(count, pht_size, scale.n(50, 12));
+    // One trial: the whole figure probes one machine. The block and the
+    // window sampling draw from `splitmix64(seed)`.
+    let (states, full, discovery) = trials(scale, 1, 0xF165, |_, seed, tracer| {
+        let mut sys = System::new(profile.clone(), seed);
+        let spy = sys.spawn("spy", AslrPolicy::Disabled);
+        let mut rng = StdRng::seed_from_u64(splitmix64(seed));
+        // A dense block so (nearly) every entry's post-block state is
+        // start-independent; generated once and replayed, per §6.3.
+        let block = RandomizationBlock::generate(rng.gen(), pht_size * 14, 0x70_0000);
+        let (states, full) = sys.with_tracer(tracer, |sys| {
+            // (a) granularity: 0x300000..0x30010f, as in the paper; (b) 2^16
+            // contiguous addresses for the Hamming-ratio windows.
+            (
+                scan_states(sys, spy, &block, 0x30_0000, 0x110),
+                scan_states(sys, spy, &block, 0x30_0000, count),
+            )
+        });
+        let discovery = discover_pht_size(&full, &windows, 100, &mut rng);
+        (states, full, discovery)
+    })
+    .remove(0);
 
-    // (a) granularity: 0x300000..0x30010f, as in the paper.
-    let states = scan_states(&mut sys, spy, &block, 0x30_0000, 0x110);
     let report = GranularityReport::from_states(&states);
     println!("(a) states for addresses 0x300000..0x30010f");
     println!("    (T=ST t=WT n=WN N=SN d=dirty ?=unknown, one char per byte address):");
@@ -44,13 +60,6 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
         100.0 * report.differing_fraction()
     );
 
-    // (b) scan 2^16 contiguous addresses and find the window minimising the
-    // Hamming ratio.
-    let count = 4 * pht_size;
-    let full = scan_states(&mut sys, spy, &block, 0x30_0000, count);
-    let windows = candidate_windows(full.len(), pht_size, scale.n(50, 12));
-    let mut rng = StdRng::seed_from_u64(scale.seed ^ 0x5B);
-    let discovery = discover_pht_size(&full, &windows, 100, &mut rng);
     println!("(b) Hamming-distance ratio H(w)/w over candidate windows:");
     for &(w, r) in discovery
         .ratios

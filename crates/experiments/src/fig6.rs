@@ -1,9 +1,10 @@
 //! Figure 6: demonstration of covert-channel decoding with the spy's
 //! pattern dictionary.
 
-use crate::common::{metric, Scale};
+use crate::common::{metric, trials, Scale};
 use bscope_bpu::{MicroarchProfile, Outcome};
 use bscope_core::{AttackConfig, BranchScope, BscopeError, ProbePattern};
+use bscope_harness::splitmix64;
 use bscope_os::{AslrPolicy, System};
 use bscope_uarch::NoiseConfig;
 use rand::rngs::StdRng;
@@ -13,22 +14,28 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     let profile = MicroarchProfile::skylake();
     // Heavier-than-usual noise so the short demo plausibly shows an
     // erroneously received bit, as the paper's figure does.
-    let mut sys = System::new(profile.clone(), scale.seed)
-        .with_noise(NoiseConfig { branches_per_kcycle: 30.0, ..NoiseConfig::system_activity() })?;
-    let sender = sys.spawn("trojan", AslrPolicy::Disabled);
-    let spy = sys.spawn("spy", AslrPolicy::Disabled);
-    let target = sys.process(sender).vaddr_of(0x6d);
-    let mut attack = BranchScope::new(AttackConfig::for_profile(&profile))?;
-
-    let mut rng = StdRng::seed_from_u64(scale.seed ^ 0xF166);
-    let original: Vec<bool> = (0..32).map(|_| rng.gen()).collect();
-    let mut patterns: Vec<ProbePattern> = Vec::new();
-    for &bit in &original {
-        let pattern = attack.observe_bit(&mut sys, spy, target, |sys| {
-            sys.cpu(sender).branch_at(0x6d, Outcome::from_bool(bit));
+    let noise = NoiseConfig { branches_per_kcycle: 30.0, ..NoiseConfig::system_activity() };
+    // One trial: 32 bits over one channel, the message drawn from
+    // `splitmix64(seed)`.
+    let (original, patterns, attack) = trials(scale, 1, 0xF166, |_, seed, tracer| {
+        let mut sys = System::new(profile.clone(), seed).with_noise(noise.clone())?;
+        let sender = sys.spawn("trojan", AslrPolicy::Disabled);
+        let spy = sys.spawn("spy", AslrPolicy::Disabled);
+        let target = sys.process(sender).vaddr_of(0x6d);
+        let mut attack = BranchScope::new(AttackConfig::for_profile(&profile))?;
+        let mut rng = StdRng::seed_from_u64(splitmix64(seed));
+        let original: Vec<bool> = (0..32).map(|_| rng.gen()).collect();
+        let mut patterns: Vec<ProbePattern> = Vec::new();
+        sys.with_tracer(tracer, |sys| {
+            for &bit in &original {
+                patterns.push(attack.observe_bit(sys, spy, target, |sys| {
+                    sys.cpu(sender).branch_at(0x6d, Outcome::from_bool(bit));
+                }));
+            }
         });
-        patterns.push(pattern);
-    }
+        Ok::<_, BscopeError>((original, patterns, attack))
+    })
+    .remove(0)?;
     let decoded: Vec<bool> =
         patterns.iter().map(|&p| attack.dict().decode(p).is_taken()).collect();
 

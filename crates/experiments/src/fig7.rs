@@ -1,7 +1,7 @@
 //! Figure 7: measured latency of a single branch, correctly vs incorrectly
 //! predicted, for both actual directions.
 
-use crate::common::{mean, metric, percentile, trials, with_tracer, Scale};
+use crate::common::{mean, metric, percentile, trials, Scale};
 use bscope_bpu::{MicroarchProfile, Outcome, PhtState};
 use bscope_core::BscopeError;
 use bscope_os::{AslrPolicy, System};
@@ -22,7 +22,7 @@ fn samples(
 ) -> Vec<u64> {
     let mut sys = System::new(profile.clone(), seed);
     let pid = sys.spawn("bench", AslrPolicy::Disabled);
-    with_tracer(&mut sys, tracer, |sys| {
+    sys.with_tracer(tracer, |sys| {
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             let addr = 0x100_0000 + sys.cpu(pid).counters().branches_retired * 7;

@@ -1,7 +1,7 @@
 //! Figure 9: probe-pair latency (first and second measurement) as a
 //! function of the PHT entry's starting state, for both probe directions.
 
-use crate::common::{metric, Scale};
+use crate::common::{metric, trials, Scale};
 use bscope_bpu::{MicroarchProfile, PhtState};
 use bscope_core::timing_probe::probe_latency_by_state;
 use bscope_core::{BscopeError, ProbeKind};
@@ -10,24 +10,27 @@ use bscope_os::{AslrPolicy, System};
 pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     let profile = MicroarchProfile::haswell();
     let reps = scale.n(5_000, 500);
-    for (title, kind) in [
+    let mut states = PhtState::ALL; // printed from ST down to SN
+    states.reverse();
+    let kinds = [
         ("probe with two NOT-TAKEN branches", ProbeKind::NotTakenNotTaken),
         ("probe with two TAKEN branches", ProbeKind::TakenTaken),
-    ] {
+    ];
+    // One trial per probe kind × starting state, kind-major.
+    let stats = trials(scale, kinds.len() * states.len(), 0xF169, |idx, seed, tracer| {
+        let mut sys = System::new(profile.clone(), seed);
+        let spy = sys.spawn("spy", AslrPolicy::Disabled);
+        let (kind, state) = (kinds[idx / states.len()].1, states[idx % states.len()]);
+        sys.with_tracer(tracer, |sys| probe_latency_by_state(sys, spy, state, kind, reps))
+    });
+
+    for ((title, kind), stats) in kinds.iter().zip(stats.chunks(states.len())) {
         println!("{title} ({reps} repetitions per state)");
         println!(
             "{:<10} {:>14} {:>14}   expected pattern",
             "state", "1st (cycles)", "2nd (cycles)"
         );
-        for state in [
-            PhtState::StronglyTaken,
-            PhtState::WeaklyTaken,
-            PhtState::WeaklyNotTaken,
-            PhtState::StronglyNotTaken,
-        ] {
-            let mut sys = System::new(profile.clone(), scale.seed);
-            let spy = sys.spawn("spy", AslrPolicy::Disabled);
-            let stats = probe_latency_by_state(&mut sys, spy, state, kind, reps);
+        for (state, stats) in states.iter().zip(stats) {
             let pin = |what: &str, value| {
                 metric(format!("fig9/{kind}/{}/{what}_mean_cycles", state.mnemonic()), value);
             };

@@ -14,13 +14,12 @@
 //! selecting one twice warns and runs it once. `--seed` accepts decimal or
 //! `0x`-prefixed hex.
 //!
-//! `--threads N` bounds the worker threads of trial-parallel experiments
-//! (default: all cores). Results are thread-count-invariant — every trial's
-//! seed is derived from the base seed and trial index, never from a worker
-//! (see `bscope-harness`) — so `--threads` only changes wall-clock. The
-//! trial-parallel experiments are fig4, fig7 and the five covert-channel
-//! experiments (table2, table3, capacity, backend_sweep, sensitivity),
-//! which run their cells through one fan-out, `covert_cell::covert_cells`.
+//! Every experiment runs its machines as trials of one runner,
+//! `common::trials`, and prints only after they return. `--threads N`
+//! bounds its worker threads (default: all cores). Results are
+//! thread-count-invariant — every trial's seed is derived from the base
+//! seed and trial index, never from a worker (see `bscope-harness`) — so
+//! `--threads` only changes wall-clock.
 //!
 //! `--json PATH` writes a machine-readable report: per-experiment
 //! wall-clock seconds, simulated branches (foreground plus noise, as
@@ -29,10 +28,10 @@
 //! metrics each experiment records. Only the metrics are pinned by
 //! `--check`.
 //!
-//! `--trace PATH` captures structured per-trial traces from the
-//! trial-parallel experiments and writes them as JSONL (one event per
-//! line, each stamped with experiment, trial index and per-trial sequence
-//! number; `trial_begin` lines carry the replay seed). Traces are
+//! `--trace PATH` captures structured per-trial traces and writes them as
+//! JSONL (one event per line, each stamped with experiment, trial index
+//! and per-trial sequence number; `trial_begin` lines carry the replay
+//! seed). Traces are
 //! deterministic: the same seed yields byte-identical output at any
 //! `--threads` value. `--metrics` aggregates the same event stream into
 //! per-experiment counters and latency histograms, adds them to the
@@ -60,8 +59,8 @@
 //! experiment; each difference is printed and the exit code is `1`.
 //!
 //! `--inject-fault NAME[:K]` deterministically injects a panic into the
-//! trial-parallel experiment `NAME` (trial 0, or every trial whose keyed
-//! hash is divisible by `K`) — an end-to-end test of the failure path.
+//! experiment `NAME` (trial 0, or every trial whose keyed hash is divisible
+//! by `K`) — an end-to-end test of the failure path.
 
 mod apps;
 mod backend_sweep;
@@ -94,9 +93,6 @@ struct Experiment {
     name: &'static str,
     desc: &'static str,
     run: fn(&Scale) -> Result<(), BscopeError>,
-    /// Whether the experiment fans trials out through `common::trials`
-    /// (and so honours `Scale::fault` / `--inject-fault`).
-    trial_parallel: bool,
     /// The backend the experiment always runs on and reports, whatever
     /// `--bpu` says: `"hybrid"` for the experiments that model the
     /// paper's hybrid PHT, `"all"` for the sweep across every backend.
@@ -109,112 +105,96 @@ const EXPERIMENTS: &[Experiment] = &[
         name: "fig2",
         desc: "2-level predictor learning curve (Fig. 2)",
         run: fig2::run,
-        trial_parallel: false,
         backend: Some("hybrid"),
     },
     Experiment {
         name: "table1",
         desc: "FSM transition / observation table (Table 1)",
         run: table1::run,
-        trial_parallel: false,
         backend: Some("hybrid"),
     },
     Experiment {
         name: "fig4",
         desc: "randomization-block stability & state distribution (Fig. 4)",
         run: fig4::run,
-        trial_parallel: true,
         backend: Some("hybrid"),
     },
     Experiment {
         name: "fig5",
         desc: "PHT granularity, size discovery and alignment (Fig. 5)",
         run: fig5::run,
-        trial_parallel: false,
         backend: Some("hybrid"),
     },
     Experiment {
         name: "fig6",
         desc: "covert-channel decoding demonstration (Fig. 6)",
         run: fig6::run,
-        trial_parallel: false,
         backend: Some("hybrid"),
     },
     Experiment {
         name: "table2",
         desc: "covert-channel error rates, 3 CPUs x 2 noise settings (Table 2)",
         run: table2::run,
-        trial_parallel: true,
         backend: None,
     },
     Experiment {
         name: "fig7",
         desc: "branch latency distributions, hit vs miss (Fig. 7)",
         run: fig7::run,
-        trial_parallel: true,
         backend: Some("hybrid"),
     },
     Experiment {
         name: "fig8",
         desc: "timing-detection error vs number of measurements (Fig. 8)",
         run: fig8::run,
-        trial_parallel: false,
         backend: Some("hybrid"),
     },
     Experiment {
         name: "fig9",
         desc: "probe latency by PHT state (Fig. 9)",
         run: fig9::run,
-        trial_parallel: false,
         backend: Some("hybrid"),
     },
     Experiment {
         name: "table3",
         desc: "SGX covert-channel error rates (Table 3)",
         run: table3::run,
-        trial_parallel: true,
         backend: Some("hybrid"),
     },
     Experiment {
         name: "apps",
         desc: "attack applications: Montgomery, libjpeg, ASLR (Sec. 9.2)",
         run: apps::run,
-        trial_parallel: false,
         backend: Some("hybrid"),
     },
     Experiment {
         name: "mitigations",
         desc: "attack error under each defense (Sec. 10)",
         run: mitigation_table::run,
-        trial_parallel: false,
         backend: Some("hybrid"),
     },
     Experiment {
         name: "baselines",
         desc: "BranchScope vs BTB-based attacks (Sec. 11)",
         run: related::run,
-        trial_parallel: false,
         backend: Some("hybrid"),
     },
     Experiment {
         name: "capacity",
         desc: "EXTENSION: channel capacity vs noise and repetition coding",
         run: capacity::run,
-        trial_parallel: true,
         backend: None,
     },
     Experiment {
         name: "backend_sweep",
         desc: "EXTENSION: attack error & capacity across predictor backends",
         run: backend_sweep::run,
-        trial_parallel: true,
         backend: Some("all"),
     },
     Experiment {
         name: "sensitivity",
         desc: "EXTENSION: error rate vs PHT size",
         run: sensitivity::run,
-        trial_parallel: true,
         backend: Some("hybrid"),
     },
 ];
@@ -285,25 +265,10 @@ fn parse_fault(spec: &str) -> (&'static str, FaultPlan) {
         }
         None => (spec, FaultPlan::keyed(fault_salt(spec)).panic_on_index(0)),
     };
-    let targets = || {
-        EXPERIMENTS
-            .iter()
-            .filter(|e| e.trial_parallel)
-            .map(|e| e.name)
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
     match EXPERIMENTS.iter().find(|e| e.name == name) {
-        Some(e) if e.trial_parallel => (e.name, plan),
-        Some(_) => fail_usage(&format!(
-            "invalid value '{spec}' for --inject-fault: '{name}' is not trial-parallel \
-             (valid targets: {})",
-            targets()
-        )),
+        Some(e) => (e.name, plan),
         None => fail_usage(&format!(
-            "invalid value '{spec}' for --inject-fault: unknown experiment '{name}' \
-             (valid targets: {})",
-            targets()
+            "invalid value '{spec}' for --inject-fault: unknown experiment '{name}'"
         )),
     }
 }
@@ -382,12 +347,6 @@ fn main() {
         fail_usage("no experiments selected");
     }
     scale.trace = trace_path.is_some() || want_metrics;
-    if scale.trace && !selected.iter().any(|e| e.trial_parallel) {
-        eprintln!(
-            "note: --trace/--metrics capture from trial-parallel experiments only; \
-             none is selected, so the trace will be empty"
-        );
-    }
     if let Some((target, _)) = fault {
         if !selected.iter().any(|e| e.name == target) {
             eprintln!("warning: --inject-fault target '{target}' is not among the selected experiments");

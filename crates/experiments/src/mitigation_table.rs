@@ -1,15 +1,15 @@
 //! §10 ablation: attack error rate under each proposed defense.
 
-use crate::common::{metric, Scale};
-use bscope_bpu::MicroarchProfile;
+use crate::common::{metric, trials, Scale};
+use bscope_bpu::{BackendKind, MicroarchProfile};
 use bscope_core::BscopeError;
-use bscope_mitigations::{benign_overhead, evaluate, MeasurementFuzz, Mitigation};
+use bscope_mitigations::{
+    benign_overhead, evaluate_backend, EvalReport, MeasurementFuzz, Mitigation,
+};
 
 pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     let bits = scale.n(3_000, 400);
     let profile = MicroarchProfile::skylake();
-    println!("spy reading a victim's secret branch stream, {bits} bits, Skylake profile");
-    println!("(error ~0% = attack works; ~50% = spy learns nothing)\n");
     let mitigations = [
         Mitigation::None,
         Mitigation::RandomizedPht { rekey_interval: None },
@@ -21,12 +21,26 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
         Mitigation::StochasticFsm { skip_probability: 0.5 },
         Mitigation::IfConversion,
     ];
-    for m in mitigations {
-        let report = evaluate(&m, &profile, bits, scale.seed);
-        let overhead = benign_overhead(&m, &profile, scale.seed);
-        println!("  {report}   [benign mispredict rate {:>5.2}%]", 100.0 * overhead);
-        metric(format!("mitigations/{m}/error_pct"), 100.0 * report.error_rate);
+    // One trial per defense reads the secret (error rates), then one per
+    // defense runs the benign loop (misprediction rates).
+    let n = mitigations.len();
+    let rates = trials(scale, 2 * n, 0x10DEF, |idx, seed, tracer| {
+        let m = &mitigations[idx % n];
+        if idx < n {
+            evaluate_backend(m, &profile, BackendKind::Hybrid, bits, seed, tracer).error_rate
+        } else {
+            benign_overhead(m, &profile, seed, tracer)
+        }
+    });
+    let (errors, overheads) = rates.split_at(n);
+
+    println!("spy reading a victim's secret branch stream, {bits} bits, Skylake profile");
+    println!("(error ~0% = attack works; ~50% = spy learns nothing)\n");
+    for ((m, &error_rate), &overhead) in mitigations.into_iter().zip(errors).zip(overheads) {
+        metric(format!("mitigations/{m}/error_pct"), 100.0 * error_rate);
         metric(format!("mitigations/{m}/benign_mispredict_pct"), 100.0 * overhead);
+        let report = EvalReport { mitigation: m, bits, error_rate };
+        println!("  {report}   [benign mispredict rate {:>5.2}%]", 100.0 * overhead);
     }
     println!("\npaper (Sec. 10): all of these block the side channel; software-only schemes");
     println!("(if-conversion) and measurement fuzzing still leave covert channels possible.");

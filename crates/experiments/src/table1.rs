@@ -1,51 +1,54 @@
 //! Table 1: FSM transitions for a single PHT entry, derived from the FSM
 //! model *and* verified empirically through the attack's own probe channel.
 
-use crate::common::{metric, Scale};
+use crate::common::{metric, trials, Scale};
 use bscope_bpu::{CounterKind, MicroarchProfile, PhtState};
-use bscope_core::{fsm_transition_row, probe_with_counters, table1, BscopeError, ProbeKind};
+use bscope_core::{
+    fsm_transition_row, probe_with_counters, table1, BscopeError, ProbeKind, ProbePattern,
+    Table1Row,
+};
 use bscope_os::{AslrPolicy, System};
+use bscope_uarch::Tracer;
 
-/// Empirically reproduces one Table 1 row on the simulated machine using
-/// only attacker-visible operations: execute the prime branches, the target
+/// Empirically reproduces one Table 1 row on a fresh machine using only
+/// attacker-visible operations: execute the prime branches, the target
 /// branch, then the two probe branches with the misprediction counter.
 fn empirical_observation(
     profile: &MicroarchProfile,
-    prime: bscope_bpu::Outcome,
-    target: bscope_bpu::Outcome,
-    probe: ProbeKind,
+    row: &Table1Row,
     seed: u64,
-) -> bscope_core::ProbePattern {
+    tracer: &mut Tracer,
+) -> ProbePattern {
     let mut sys = System::new(profile.clone(), seed);
     let pid = sys.spawn("probe", AslrPolicy::Disabled);
     let addr = sys.process(pid).vaddr_of(0x6d);
     // Fresh entries start weakly not-taken; force the paper's "no previous
     // history" starting point explicitly for exactness.
     sys.core_mut().bpu_mut().set_pht_state(addr, PhtState::WeaklyNotTaken);
-    for _ in 0..3 {
-        sys.cpu(pid).branch_at_abs(addr, prime);
-    }
-    sys.cpu(pid).branch_at_abs(addr, target);
-    probe_with_counters(&mut sys.cpu(pid), addr, probe)
+    sys.with_tracer(tracer, |sys| {
+        for _ in 0..3 {
+            sys.cpu(pid).branch_at_abs(addr, row.prime);
+        }
+        sys.cpu(pid).branch_at_abs(addr, row.target);
+        probe_with_counters(&mut sys.cpu(pid), addr, row.probe)
+    })
 }
 
 pub fn run(scale: &Scale) -> Result<(), BscopeError> {
-    for (label, counter, profile) in [
+    let machines = [
         ("Haswell / Sandy Bridge (2-bit counter)", "2-bit", MicroarchProfile::haswell()),
         ("Skylake (asymmetric counter)", "asymmetric", MicroarchProfile::skylake()),
-    ] {
+    ];
+    // One trial per machine × row of its eight-row table, machine-major.
+    let measured = trials(scale, 2 * 8, 0x7AB1, |idx, seed, tracer| {
+        let profile = &machines[idx / 8].2;
+        empirical_observation(profile, &table1(profile.counter_kind)[idx % 8], seed, tracer)
+    });
+    for ((label, counter, profile), measured) in machines.iter().zip(measured.chunks(8)) {
         println!("{label}");
         println!("Prime | after | Target | after | Probe | model | measured");
-        let rows = table1(profile.counter_kind);
         let mut matching = 0;
-        for row in &rows {
-            let measured = empirical_observation(
-                &profile,
-                row.prime,
-                row.target,
-                row.probe,
-                scale.seed,
-            );
+        for (row, &measured) in table1(profile.counter_kind).iter().zip(measured) {
             let matches = measured == row.observation;
             matching += usize::from(matches);
             let marker = if matches { "" } else { "  <-- MISMATCH" };

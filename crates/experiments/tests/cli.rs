@@ -76,6 +76,12 @@ fn assert_balanced(s: &str) {
     }
 }
 
+/// Every registered experiment, in registry order.
+const ALL_EXPERIMENTS: [&str; 16] = [
+    "fig2", "table1", "fig4", "fig5", "fig6", "table2", "fig7", "fig8", "fig9", "table3", "apps",
+    "mitigations", "baselines", "capacity", "backend_sweep", "sensitivity",
+];
+
 #[test]
 fn hex_and_decimal_seeds_agree() {
     let hex = run(&["--quick", "--seed", "0xB5C09E01", "--threads", "2", "table1"]);
@@ -193,11 +199,10 @@ fn json_entries_record_the_backend_that_ran() {
 
 #[test]
 fn inject_fault_rejects_invalid_targets() {
-    let out = run(&["--quick", "--inject-fault", "fig2", "fig2"]);
+    let out = run(&["--quick", "--inject-fault", "fig99", "fig2"]);
     assert_eq!(out.status.code(), Some(2));
     let err = stderr(&out);
-    assert!(err.contains("'fig2' is not trial-parallel"), "stderr: {err}");
-    assert!(err.contains("table2"), "valid targets are listed: {err}");
+    assert!(err.contains("unknown experiment 'fig99'"), "stderr: {err}");
 
     let out = run(&["--quick", "--inject-fault", "table2:0", "table2"]);
     assert_eq!(out.status.code(), Some(2));
@@ -257,6 +262,15 @@ fn injected_fault_isolates_the_experiment_and_writes_a_partial_report() {
     // split per entry and check metric keys stay with their experiment.
     let table1_entry = report.split("\"name\": \"table1\"").nth(1).expect("table1 entry");
     assert!(!table1_entry.contains("table2/"), "no metric leak across experiments: {report}");
+
+    // Every experiment runs on the trial runner, so every one takes a fault.
+    let out = run(&["--quick", "--threads", "2", "--inject-fault", "fig8", "fig8", "fig9"]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("[fig8 FAILED"), "failure is announced: {text}");
+    assert!(text.contains("[fig9 finished"), "the next experiment still runs: {text}");
+    let err = stderr(&out);
+    assert!(err.contains("trial 0 (seed 0x"), "failing trial index and seed are reported: {err}");
 }
 
 #[test]
@@ -274,15 +288,11 @@ fn json_report_survives_a_real_parser() {
 
 #[test]
 fn trace_is_deterministic_and_thread_count_invariant() {
-    // table3 runs the SGX enclave sender, next to fig4's ordinary processes;
-    // sensitivity runs seven machines that differ only in their PHT size.
-    let selection = ["fig4", "table3", "sensitivity"];
     let capture = |name: &str, threads: &str| {
         let path = scratch(name);
         let out = experiments()
             .args(["--quick", "--seed", "0xB5C09E01", "--threads", threads])
-            .args(["--trace", path.to_str().unwrap()])
-            .args(selection)
+            .args(["--trace", path.to_str().unwrap(), "all"])
             .output()
             .expect("binary runs");
         assert!(out.status.success(), "stderr: {}", stderr(&out));
@@ -290,11 +300,11 @@ fn trace_is_deterministic_and_thread_count_invariant() {
         std::fs::remove_file(&path).ok();
         s
     };
+    // Two runs of one seed, in separate processes and at different thread
+    // counts, must write the same bytes.
     let a = capture("cli_trace_a.jsonl", "1");
-    let b = capture("cli_trace_b.jsonl", "1");
-    assert_eq!(a, b, "same-seed runs must produce byte-identical traces");
-    let c = capture("cli_trace_c.jsonl", "4");
-    assert_eq!(a, c, "traces must be identical for every thread count");
+    let b = capture("cli_trace_b.jsonl", "4");
+    assert_eq!(a, b, "same-seed traces must be byte-identical at every thread count");
 
     let field = |line: &str, name: &str| -> Option<u64> {
         line.split(&format!("\"{name}\":")).nth(1).map(|rest| {
@@ -302,10 +312,10 @@ fn trace_is_deterministic_and_thread_count_invariant() {
         })
     };
     let mut seen = 0;
-    for name in selection {
+    for name in ALL_EXPERIMENTS {
         let tag = format!("\"experiment\":\"{name}\"");
         let lines: Vec<&str> = a.lines().filter(|l| l.contains(&tag)).collect();
-        assert!(!lines.is_empty(), "{name} is trial-parallel, so the trace has events");
+        assert!(!lines.is_empty(), "{name} runs on the trial runner, so the trace has events");
         seen += lines.len();
         // Each experiment's lines are in (trial, seq) order: a stable sort
         // on that key must be the identity permutation.
@@ -338,7 +348,7 @@ fn trace_is_deterministic_and_thread_count_invariant() {
             }
         }
     }
-    assert_eq!(seen, a.lines().count(), "every line names a selected experiment");
+    assert_eq!(seen, a.lines().count(), "every line names an experiment");
     // Each line is a complete JSON object by a real parser's standards.
     assert_python_accepts(
         "import json,sys; [json.loads(l) for l in sys.stdin if l.strip()]",
@@ -378,7 +388,10 @@ fn metrics_flag_aggregates_traces_into_the_report() {
 fn fault_free_runs_are_unaffected_by_fault_plumbing() {
     let json_a = scratch("cli_nofault_a.json");
     let json_b = scratch("cli_nofault_b.json");
-    let base = ["--quick", "--seed", "0xB5C09E01", "table2"];
+    let base = [
+        "--quick", "--seed", "0xB5C09E01", "table2", "fig2", "table1", "fig5", "fig6", "fig8",
+        "fig9", "apps", "mitigations", "baselines",
+    ];
     let a = experiments().args(base).args(["--threads", "1", "--json", json_a.to_str().unwrap()]).output().unwrap();
     let b = experiments().args(base).args(["--threads", "8", "--json", json_b.to_str().unwrap()]).output().unwrap();
     assert!(a.status.success() && b.status.success());

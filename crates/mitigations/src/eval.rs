@@ -8,7 +8,7 @@ use crate::stochastic_fsm::StochasticFsmPolicy;
 use bscope_bpu::{BackendKind, MicroarchProfile, VirtAddr};
 use bscope_core::{AttackConfig, BranchScope};
 use bscope_os::{AslrPolicy, System, Workload};
-use bscope_uarch::{ContextId, MeasurementFuzz, NOISE_CTX};
+use bscope_uarch::{ContextId, MeasurementFuzz, Tracer, NOISE_CTX};
 use bscope_victims::{SecretBranchVictim, VICTIM_BRANCH_OFFSET};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,6 +107,11 @@ impl fmt::Display for EvalReport {
 /// uniformly random. For [`Mitigation::IfConversion`] the victim runs the
 /// branch-free `cmov` build; every other case runs the ordinary Listing-2
 /// victim with the defense installed in hardware.
+///
+/// # Panics
+///
+/// Panics if `bits` is zero: an error rate over no bits would report the
+/// attack working without reading one.
 #[must_use]
 pub fn evaluate(
     mitigation: &Mitigation,
@@ -114,13 +119,18 @@ pub fn evaluate(
     bits: usize,
     seed: u64,
 ) -> EvalReport {
-    evaluate_backend(mitigation, profile, BackendKind::Hybrid, bits, seed)
+    evaluate_backend(mitigation, profile, BackendKind::Hybrid, bits, seed, &mut Tracer::disabled())
 }
 
-/// [`evaluate`] against an explicit predictor backend: the defenses are
-/// policy wrappers around the core's BPU, so every one of them must compose
-/// with any substrate ([`BackendKind::Tage`], [`BackendKind::Perceptron`]),
-/// not just the paper's hybrid.
+/// [`evaluate`] against an explicit predictor backend, with `tracer` on the
+/// core while the spy reads: the defenses are policy wrappers around the
+/// core's BPU, so every one of them must compose with any substrate
+/// ([`BackendKind::Tage`], [`BackendKind::Perceptron`]), not just the
+/// paper's hybrid.
+///
+/// # Panics
+///
+/// Panics if `bits` is zero.
 #[must_use]
 pub fn evaluate_backend(
     mitigation: &Mitigation,
@@ -128,7 +138,9 @@ pub fn evaluate_backend(
     backend: BackendKind,
     bits: usize,
     seed: u64,
+    tracer: &mut Tracer,
 ) -> EvalReport {
+    assert!(bits > 0, "evaluating a defense needs at least one secret bit");
     let mut sys = System::with_backend(profile.clone(), backend, seed);
     let victim = sys.spawn("victim", AslrPolicy::Disabled);
     let spy = sys.spawn("spy", AslrPolicy::Disabled);
@@ -149,31 +161,35 @@ pub fn evaluate_backend(
         _ => Box::new(SecretBranchVictim::new(secret.clone())),
     };
 
-    let mut errors = 0usize;
-    for &bit in &secret {
-        let outcome = attack.read_bit(&mut sys, spy, target, |sys| {
-            let mut cpu = sys.cpu(victim);
-            workload.step(&mut cpu);
-        });
-        if SecretBranchVictim::bit_from_outcome(outcome) != bit {
-            errors += 1;
-        }
-    }
+    let errors = sys.with_tracer(tracer, |sys| {
+        secret
+            .iter()
+            .filter(|&&bit| {
+                let outcome = attack.read_bit(sys, spy, target, |sys| {
+                    let mut cpu = sys.cpu(victim);
+                    workload.step(&mut cpu);
+                });
+                SecretBranchVictim::bit_from_outcome(outcome) != bit
+            })
+            .count()
+    });
 
-    EvalReport {
-        mitigation: mitigation.clone(),
-        bits,
-        error_rate: if bits == 0 { 0.0 } else { errors as f64 / bits as f64 },
-    }
+    EvalReport { mitigation: mitigation.clone(), bits, error_rate: errors as f64 / bits as f64 }
 }
 
 /// Performance cost of a defense on a *benign* workload: the misprediction
 /// rate of a loop-heavy program (7 taken iterations, 1 not-taken exit,
 /// repeated) under the mitigation, which an unmitigated predictor learns
 /// almost perfectly. The paper notes most of its defenses trade performance
-/// for security (§10); this quantifies the trade on the model.
+/// for security (§10); this quantifies the trade on the model. `tracer` is
+/// on the core while the loop runs.
 #[must_use]
-pub fn benign_overhead(mitigation: &Mitigation, profile: &MicroarchProfile, seed: u64) -> f64 {
+pub fn benign_overhead(
+    mitigation: &Mitigation,
+    profile: &MicroarchProfile,
+    seed: u64,
+    tracer: &mut Tracer,
+) -> f64 {
     let mut sys = System::new(profile.clone(), seed);
     let app = sys.spawn("app", AslrPolicy::Disabled);
     let app_ctx = sys.process(app).ctx();
@@ -182,10 +198,12 @@ pub fn benign_overhead(mitigation: &Mitigation, profile: &MicroarchProfile, seed
     // sensitive.
     install_policy(&mut sys, mitigation, profile, seed, &[app_ctx], (app_ctx, hot_branch));
     let iterations = 4_000u64;
-    for i in 0..iterations {
-        let taken = i % 8 != 7;
-        sys.cpu(app).branch_at(0x50, bscope_bpu::Outcome::from_bool(taken));
-    }
+    sys.with_tracer(tracer, |sys| {
+        for i in 0..iterations {
+            let taken = i % 8 != 7;
+            sys.cpu(app).branch_at(0x50, bscope_bpu::Outcome::from_bool(taken));
+        }
+    });
     let counters = sys.cpu(app).counters();
     counters.branch_misses as f64 / counters.branches_retired as f64
 }
@@ -293,17 +311,16 @@ mod tests {
     #[test]
     fn benign_overhead_ordering_is_sane() {
         let profile = MicroarchProfile::skylake();
-        let base = benign_overhead(&Mitigation::None, &profile, 1);
+        let overhead = |m: Mitigation| benign_overhead(&m, &profile, 1, &mut Tracer::disabled());
+        let base = overhead(Mitigation::None);
         assert!(base < 0.16, "unmitigated loop mispredicts ~1/8 worst case: {base}");
         // Randomized indexing costs nothing on a single workload…
-        let rand_pht =
-            benign_overhead(&Mitigation::RandomizedPht { rekey_interval: None }, &profile, 1);
+        let rand_pht = overhead(Mitigation::RandomizedPht { rekey_interval: None });
         assert!(rand_pht <= base + 0.02, "{rand_pht} vs {base}");
         // …while no-predict on a hot branch and a stochastic FSM clearly cost.
-        let nopredict = benign_overhead(&Mitigation::NoPredictSensitive, &profile, 1);
+        let nopredict = overhead(Mitigation::NoPredictSensitive);
         assert!(nopredict > base + 0.5, "static not-taken on a 7/8-taken loop: {nopredict}");
-        let stochastic =
-            benign_overhead(&Mitigation::StochasticFsm { skip_probability: 0.5 }, &profile, 1);
+        let stochastic = overhead(Mitigation::StochasticFsm { skip_probability: 0.5 });
         assert!(stochastic >= base, "{stochastic} vs {base}");
     }
 
@@ -317,6 +334,7 @@ mod tests {
             BackendKind::Tage,
             BITS,
             0xE7A1,
+            &mut Tracer::disabled(),
         );
         assert!(!r.defeated(), "TAGE base table still leaks: error {:.3}", r.error_rate);
     }
@@ -330,6 +348,7 @@ mod tests {
             BackendKind::Tage,
             BITS,
             0xE7A1,
+            &mut Tracer::disabled(),
         );
         assert!(r.defeated(), "error {:.3}", r.error_rate);
     }
@@ -344,12 +363,19 @@ mod tests {
             BackendKind::Perceptron,
             BITS,
             0xE7A1,
+            &mut Tracer::disabled(),
         );
         assert!(
             r.error_rate > 0.25,
             "perceptron should degrade the attack toward chance: error {:.3}",
             r.error_rate
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one secret bit")]
+    fn evaluating_zero_bits_panics() {
+        let _ = evaluate(&Mitigation::None, &MicroarchProfile::skylake(), 0, 0xE7A1);
     }
 
     #[test]

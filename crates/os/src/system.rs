@@ -4,6 +4,7 @@ use crate::process::{AslrPolicy, Pid, Process};
 use bscope_bpu::{BackendKind, MicroarchProfile, Outcome, VirtAddr};
 use bscope_uarch::{
     BpuPolicy, BranchEvent, ConfigError, MeasurementFuzz, NoiseConfig, PerfCounters, SimCore,
+    Tracer,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -132,6 +133,21 @@ impl System {
     #[must_use]
     pub fn core_mut(&mut self) -> &mut SimCore {
         &mut self.core
+    }
+
+    /// Installs `tracer` on the core for the duration of `body`, then
+    /// hands it back so the caller can drain its capture. With a disabled
+    /// tracer this is a pair of no-op moves. (A panicking `body` loses the
+    /// capture.)
+    pub fn with_tracer<T>(
+        &mut self,
+        tracer: &mut Tracer,
+        body: impl FnOnce(&mut System) -> T,
+    ) -> T {
+        self.core.set_tracer(std::mem::take(tracer));
+        let out = body(self);
+        *tracer = self.core.take_tracer();
+        out
     }
 }
 
