@@ -1,7 +1,7 @@
 //! §9.2 attack applications: Montgomery-ladder key recovery, libjpeg IDCT
 //! complexity recovery, and ASLR derandomization.
 
-use crate::common::{metric, trials, Scale};
+use crate::common::{trials, Scale};
 use bscope_bpu::{MicroarchProfile, Outcome};
 use bscope_core::{AttackConfig, BranchScope, BscopeError};
 use bscope_harness::splitmix64;
@@ -255,7 +255,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     for report in trials(scale, 4, 0xA995, |i, seed, tracer| apps[i](scale, seed, tracer)) {
         let (lines, metrics) = report?;
         lines.iter().for_each(|line| println!("{line}"));
-        metrics.into_iter().for_each(|(name, value)| metric(name, value));
+        metrics.into_iter().for_each(|(name, value)| scale.metric(name, value));
     }
     Ok(())
 }

@@ -17,7 +17,7 @@
 //! perceptron collapses to a coin flip because its per-branch state is a
 //! weight vector with no FSM for the probes to read.
 
-use crate::common::{metric, Scale};
+use crate::common::Scale;
 use crate::covert_cell::{covert_cells, CovertCell, Payload};
 use bscope_bpu::{BackendKind, MicroarchProfile};
 use bscope_core::BscopeError;
@@ -86,9 +86,9 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
             100.0 * noisy_err,
             iso_cap
         );
-        metric(format!("backend_sweep/{}/isolated_error_pct", backend.name()), 100.0 * iso_err);
-        metric(format!("backend_sweep/{}/noise_error_pct", backend.name()), 100.0 * noisy_err);
-        metric(format!("backend_sweep/{}/capacity_bits_per_mcycle", backend.name()), *iso_cap);
+        scale.metric(format!("backend_sweep/{}/isolated_error_pct", backend.name()), 100.0 * iso_err);
+        scale.metric(format!("backend_sweep/{}/noise_error_pct", backend.name()), 100.0 * noisy_err);
+        scale.metric(format!("backend_sweep/{}/capacity_bits_per_mcycle", backend.name()), *iso_cap);
     }
 
     println!("\nheadline: which substrates does the prime+probe FSM strategy survive on?");

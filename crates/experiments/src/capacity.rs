@@ -1,7 +1,7 @@
 //! Extension (beyond the paper): covert-channel capacity — error rate and
 //! throughput as functions of background noise and repetition coding.
 
-use crate::common::{metric, Scale};
+use crate::common::Scale;
 use crate::covert_cell::{covert_cells, CovertCell, Payload, RunSummary};
 use bscope_bpu::MicroarchProfile;
 use bscope_core::BscopeError;
@@ -66,8 +66,8 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
             .collect();
         println!("{label:<24} {:>22} {:>22} {:>22}", cells[0], cells[1], cells[2]);
     }
-    metric("capacity/heavy_raw_error", grid[3 * REDUNDANCIES.len()].error_rate);
-    metric("capacity/heavy_5x_error", grid[3 * REDUNDANCIES.len() + 2].error_rate);
+    scale.metric("capacity/heavy_raw_error", grid[3 * REDUNDANCIES.len()].error_rate);
+    scale.metric("capacity/heavy_5x_error", grid[3 * REDUNDANCIES.len() + 2].error_rate);
     println!("\nextension beyond the paper: repetition coding buys orders of magnitude in");
     println!("reliability at a proportional throughput cost, so even an extremely noisy");
     println!("core sustains a usable covert channel.");

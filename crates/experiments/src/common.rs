@@ -1,17 +1,31 @@
-//! Shared experiment plumbing: scale factors, the headline-metric sink
-//! behind `--json`, trial-runner glue (thread count + fault injection),
-//! and small output helpers.
+//! Shared experiment plumbing: scale factors, the per-experiment record
+//! of headline metrics and trial traces behind `--json`, `--trace` and
+//! `--metrics`, trial-runner glue (thread count + fault injection), and
+//! small output helpers.
 
 use bscope_bpu::BackendKind;
 use bscope_harness::{run_trials_with, FaultPlan, FaultPolicy, RunOptions};
 use bscope_trace::TraceCapture;
 use bscope_uarch::Tracer;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// What one experiment produced besides its printout: the headline
+/// metrics it recorded (for `--json` and `--check`) and its trials'
+/// traces (empty unless `--trace`/`--metrics`).
+#[derive(Debug, Default)]
+pub struct Record {
+    /// Metrics in the order the experiment recorded them.
+    pub metrics: Vec<(String, f64)>,
+    /// Per-trial traces, in trial order within each [`trials`] call and
+    /// call order across calls.
+    pub traces: Vec<TrialCapture>,
+}
 
 /// Experiment scale: `full()` approaches the paper's sample sizes where
 /// affordable; `quick` (the `--quick` flag) runs everything in seconds for
-/// smoke testing.
-#[derive(Debug, Clone, Copy)]
+/// smoke testing. The main loop gives each experiment its own `Scale`,
+/// so each gets an empty [`Record`].
+#[derive(Debug)]
 pub struct Scale {
     /// Whether this is the reduced (smoke-test) scale.
     pub quick: bool,
@@ -32,6 +46,9 @@ pub struct Scale {
     /// Off by default: the disabled path hands every trial a no-op tracer
     /// that never allocates or builds events.
     pub trace: bool,
+    /// Everything the experiment records; the main loop reads it once the
+    /// experiment returns or fails.
+    pub record: Mutex<Record>,
 }
 
 impl Scale {
@@ -43,6 +60,7 @@ impl Scale {
             backend: BackendKind::Hybrid,
             fault: None,
             trace: false,
+            record: Mutex::default(),
         }
     }
 
@@ -59,6 +77,23 @@ impl Scale {
             full
         }
     }
+
+    /// Records a headline result (e.g. a table cell or summary fraction)
+    /// for the `--json` report.
+    pub fn metric(&self, name: impl Into<String>, value: f64) {
+        self.lock_record().metrics.push((name.into(), value));
+    }
+
+    /// Locks the record, recovering from poisoning: metrics recorded before
+    /// a panic still belong to the experiment's report entry.
+    fn lock_record(&self) -> MutexGuard<'_, Record> {
+        self.record.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes the record, leaving it empty.
+    pub fn take_record(&self) -> Record {
+        std::mem::take(&mut self.lock_record())
+    }
 }
 
 /// Newest events kept per trial when tracing is on. The ring keeps the tail
@@ -74,16 +109,16 @@ pub const TRACE_EVENTS_PER_TRIAL: usize = 1024;
 /// Each trial receives a [`Tracer`]: disabled (no-op) unless `scale.trace`
 /// is set, in which case it is a ring of [`TRACE_EVENTS_PER_TRIAL`] slots
 /// built, used and drained inside the trial, and the per-trial captures
-/// accumulate in a global sink the main loop drains per experiment (see
-/// [`drain_traces`]). A trace's position depends only on its trial index,
-/// so the drained traces are as thread-count-invariant as the results.
+/// are appended to `scale`'s [`Record`]. A trace's position depends only
+/// on its trial index, so the recorded traces are as thread-count-invariant
+/// as the results.
 ///
 /// # Panics
 ///
 /// A panicking (or injected-fault) trial is re-raised with its trial index
 /// and seed attached; the binary's per-experiment isolation turns that
 /// into a failure entry in the `--json` report. The failed call adds no
-/// traces to the sink.
+/// traces to the record.
 pub fn trials<T, F>(scale: &Scale, n: usize, salt: u64, f: F) -> Vec<T>
 where
     T: Send,
@@ -100,7 +135,7 @@ where
         (value, Some((idx, seed, tracer.drain())))
     });
     let (values, traces): (Vec<T>, Vec<_>) = report.expect_complete().into_iter().unzip();
-    traces_sink().extend(traces.into_iter().flatten());
+    scale.lock_record().traces.extend(traces.into_iter().flatten());
     values
 }
 
@@ -108,21 +143,6 @@ where
 /// trace line replayable in isolation (`trial_seed(base_seed, trial_index)`
 /// reproduces the trial exactly).
 pub type TrialCapture = (usize, u64, TraceCapture);
-
-/// Per-trial traces captured by [`trials`] since the last drain. Same
-/// scoping discipline as the metric sink: the main loop drains it per
-/// experiment when `--trace`/`--metrics` is active.
-static TRACES: Mutex<Vec<TrialCapture>> = Mutex::new(Vec::new());
-
-fn traces_sink() -> std::sync::MutexGuard<'static, Vec<TrialCapture>> {
-    TRACES.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Takes every trace captured since the last drain, in trial order within
-/// each `trials` call and call order across calls.
-pub fn drain_traces() -> Vec<TrialCapture> {
-    std::mem::take(&mut traces_sink())
-}
 
 /// Asserts that `compute` gives the same result at 1, 2 and 8 worker
 /// threads of a quick-scale run.
@@ -134,53 +154,6 @@ where
     let sequential = compute(&Scale { threads: 1, ..Scale::quick() });
     for threads in [2, 8] {
         assert_eq!(compute(&Scale { threads, ..Scale::quick() }), sequential, "threads={threads}");
-    }
-}
-
-/// Headline metrics reported by experiments since the last drain; the main
-/// loop scopes the sink per experiment (see [`MetricScope`]) when emitting
-/// `--json`.
-static METRICS: Mutex<Vec<(String, f64)>> = Mutex::new(Vec::new());
-
-/// Locks the sink, recovering from poisoning: a panicking experiment must
-/// not wedge metric recording for every later experiment in the run.
-fn metrics_sink() -> std::sync::MutexGuard<'static, Vec<(String, f64)>> {
-    METRICS.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Records a headline result (e.g. a table cell or summary fraction) for
-/// the `--json` report. No-op unless drained by the main loop.
-pub fn metric(name: impl Into<String>, value: f64) {
-    metrics_sink().push((name.into(), value));
-}
-
-/// Scopes the metric sink to one experiment: everything recorded between
-/// [`MetricScope::enter`] and [`MetricScope::finish`] belongs to that
-/// experiment — including metrics recorded before a panic, which used to
-/// leak into the *next* experiment's `--json` entry once experiments were
-/// isolated. Dropping the scope without finishing discards its metrics.
-#[must_use = "an unfinished scope discards its metrics on drop"]
-pub struct MetricScope {
-    _not_send: std::marker::PhantomData<*const ()>, // one experiment at a time
-}
-
-impl MetricScope {
-    /// Opens a scope, discarding anything stale from before it.
-    pub fn enter() -> Self {
-        metrics_sink().clear();
-        MetricScope { _not_send: std::marker::PhantomData }
-    }
-
-    /// Closes the scope and returns every metric recorded inside it, even
-    /// if the experiment subsequently panicked part-way.
-    pub fn finish(self) -> Vec<(String, f64)> {
-        std::mem::take(&mut metrics_sink())
-    }
-}
-
-impl Drop for MetricScope {
-    fn drop(&mut self) {
-        metrics_sink().clear();
     }
 }
 
@@ -213,34 +186,24 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
 mod tests {
     use super::*;
 
-    // The metric sink is global, so these tests must not run concurrently
-    // with each other; a single test covers all scope semantics.
     #[test]
-    fn metric_scope_isolates_experiments_even_across_panics() {
-        // Metrics recorded before the scope are stale and discarded.
-        metric("stale/metric", 1.0);
-        let scope = MetricScope::enter();
-        metric("exp1/a", 1.5);
+    fn each_experiment_keeps_its_metrics_even_across_panics() {
+        let scale = Scale::quick();
+        scale.metric("exp1/a", 1.5);
         // The experiment panics mid-way, as an isolated experiment might.
         let _ = std::panic::catch_unwind(|| {
-            metric("exp1/b", 2.5);
+            scale.metric("exp1/b", 2.5);
             panic!("experiment dies after recording metrics");
         });
-        let got = scope.finish();
+        // The next experiment is built from the same base, as the main loop
+        // does, and its record starts empty: nothing leaked into it.
+        let next = Scale { record: Default::default(), ..scale };
+        assert!(next.lock_record().metrics.is_empty());
+        next.metric("exp2/a", 3.0);
+
+        let got = scale.take_record().metrics;
         assert_eq!(got, vec![("exp1/a".to_owned(), 1.5), ("exp1/b".to_owned(), 2.5)]);
-
-        // The next experiment's scope must start empty: nothing leaked.
-        let scope = MetricScope::enter();
-        metric("exp2/a", 3.0);
-        assert_eq!(scope.finish(), vec![("exp2/a".to_owned(), 3.0)]);
-
-        // A dropped (unfinished) scope discards its metrics.
-        {
-            let _scope = MetricScope::enter();
-            metric("abandoned", 9.0);
-        }
-        let scope = MetricScope::enter();
-        assert!(scope.finish().is_empty());
+        assert_eq!(next.take_record().metrics, vec![("exp2/a".to_owned(), 3.0)]);
     }
 
     #[test]
@@ -252,7 +215,7 @@ mod tests {
         let plain = bscope_harness::run_trials_with(8, scale.seed ^ 0xABC, &opts, |i, s| (i, s));
         assert_eq!(out, plain.expect_complete());
 
-        scale.fault = Some(bscope_harness::FaultPlan::keyed(0).panic_on_index(3));
+        scale.fault = Some(FaultPlan { panic_on_index: 3 });
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             trials(&scale, 8, 0xABC, |idx, seed, _| (idx, seed))
         }))
@@ -261,10 +224,8 @@ mod tests {
         assert!(msg.contains("trial 3"), "fault names its trial: {msg}");
     }
 
-    // The trace sink is global (like the metric sink), so one test covers
-    // capture + drain semantics end to end.
     #[test]
-    fn traced_trials_feed_the_sink_and_untraced_ones_do_not() {
+    fn traced_trials_feed_the_record_and_untraced_ones_do_not() {
         use bscope_harness::{splitmix64, trial_seed};
         use bscope_uarch::TraceEvent;
         // Emits idx + 1 events and returns a seed-derived value, so a
@@ -275,22 +236,21 @@ mod tests {
             }
             splitmix64(seed ^ idx as u64)
         }
-        let _ = drain_traces(); // discard anything stale
         let mut scale = Scale::quick();
         scale.threads = 1;
 
-        // trace = false: tracer is disabled, sink stays empty.
+        // trace = false: tracer is disabled, the record stays empty.
         let untraced = trials(&scale, 5, 0x11, |idx, seed, tracer| {
             assert!(!tracer.is_enabled());
             body(idx, seed, tracer)
         });
-        assert!(drain_traces().is_empty());
+        assert!(scale.take_record().traces.is_empty());
 
         // trace = true: identical results, and one capture per trial, in
         // trial order, stamped with the replay seed.
         scale.trace = true;
         assert_eq!(trials(&scale, 5, 0x11, body), untraced, "tracing must not change results");
-        let traces = drain_traces();
+        let traces = scale.take_record().traces;
         assert_eq!(traces.len(), 5);
         for (i, (idx, seed, capture)) in traces.iter().enumerate() {
             assert_eq!(*idx, i);
@@ -299,19 +259,19 @@ mod tests {
             assert_eq!(capture.events[0].seq, 0, "per-trial sequence numbers restart at zero");
             assert_eq!(capture.metrics.counter("noise_branches"), (i + 1) as u64);
         }
-        // The drain emptied the sink.
-        assert!(drain_traces().is_empty());
+        // Taking the record emptied it.
+        assert!(scale.take_record().traces.is_empty());
 
-        // The drained traces do not depend on the thread count.
+        // The recorded traces do not depend on the thread count.
         scale.threads = 3;
         assert_eq!(trials(&scale, 5, 0x11, body), untraced);
-        assert_eq!(drain_traces(), traces, "threads=3 trace diverged");
+        assert_eq!(scale.take_record().traces, traces, "threads=3 trace diverged");
 
         // A propagated trial failure leaves no partial traces behind to
         // leak into the next experiment.
-        scale.fault = Some(FaultPlan::keyed(0).panic_on_index(1));
+        scale.fault = Some(FaultPlan { panic_on_index: 1 });
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| trials(&scale, 5, 0x11, body)))
             .expect_err("injected fault must propagate");
-        assert!(drain_traces().is_empty(), "a failed run must not feed the sink");
+        assert!(scale.take_record().traces.is_empty(), "a failed run must not feed the record");
     }
 }

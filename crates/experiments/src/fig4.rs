@@ -1,7 +1,7 @@
 //! Figure 4: stability of randomization blocks (scatter of dominant-pattern
 //! frequencies) and the distribution of decoded PHT states.
 
-use crate::common::{metric, trials, Scale};
+use crate::common::{trials, Scale};
 use bscope_bpu::MicroarchProfile;
 use bscope_core::stability::{
     characterize_block, BlockStability, StabilityConfig, StateDistribution, BLOCK_SEED_BASE,
@@ -80,7 +80,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
         "\npaper: 83% of blocks give stable dominant patterns; the rest are unknown/dirty."
     );
     println!("ours : {:.1}% stable.", 100.0 * dist.stable_fraction());
-    metric("fig4/stable_fraction", dist.stable_fraction());
+    scale.metric("fig4/stable_fraction", dist.stable_fraction());
     Ok(())
 }
 

@@ -1,7 +1,7 @@
 //! Figure 5: PHT probing over address ranges — indexing granularity (a),
 //! Hamming-distance size discovery (b), and aligned repetition (c).
 
-use crate::common::{metric, trials, Scale};
+use crate::common::{trials, Scale};
 use bscope_bpu::MicroarchProfile;
 use bscope_core::reverse::{
     candidate_windows, discover_pht_size, scan_states, GranularityReport,
@@ -54,7 +54,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     for chunk in states.chunks(64) {
         println!("    {}", chunk.iter().map(glyph).collect::<String>());
     }
-    metric("fig5/differing_fraction", report.differing_fraction());
+    scale.metric("fig5/differing_fraction", report.differing_fraction());
     println!(
         "    adjacent addresses differ in {:.0}% of pairs -> byte-granular indexing\n",
         100.0 * report.differing_fraction()
@@ -69,7 +69,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
         let marker = if w == discovery.inferred_size { "   <== minimum" } else { "" };
         println!("    w = {w:>6}: {r:.4}{marker}");
     }
-    metric("fig5/inferred_pht_size", discovery.inferred_size as f64);
+    scale.metric("fig5/inferred_pht_size", discovery.inferred_size as f64);
     println!(
         "\npaper: minimum at window 2^14 => PHT size 16 384 entries.\nours : inferred size {} entries.\n",
         discovery.inferred_size

@@ -1,7 +1,7 @@
 //! Figure 6: demonstration of covert-channel decoding with the spy's
 //! pattern dictionary.
 
-use crate::common::{metric, trials, Scale};
+use crate::common::{trials, Scale};
 use bscope_bpu::{MicroarchProfile, Outcome};
 use bscope_core::{AttackConfig, BranchScope, BscopeError, ProbePattern};
 use bscope_harness::splitmix64;
@@ -60,8 +60,10 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
             .collect(),
     );
     let errors = original.iter().zip(&decoded).filter(|(a, b)| a != b).count();
-    metric("fig6/erroneous_bits", errors as f64);
-    println!("\n{errors} erroneous bit(s) out of {} under elevated noise;", original.len());
-    println!("paper's figure likewise demonstrates one erroneously received bit.");
+    scale.metric("fig6/erroneous_bits", errors as f64);
+    println!(
+        "\nerroneous bits under elevated noise: paper's figure 1 / ours {errors} of {}",
+        original.len()
+    );
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! Figure 7: measured latency of a single branch, correctly vs incorrectly
 //! predicted, for both actual directions.
 
-use crate::common::{mean, metric, percentile, trials, Scale};
+use crate::common::{mean, percentile, trials, Scale};
 use bscope_bpu::{MicroarchProfile, Outcome, PhtState};
 use bscope_core::BscopeError;
 use bscope_os::{AslrPolicy, System};
@@ -64,7 +64,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     for ((label, _, _), mut v) in cases.into_iter().zip(per_case) {
         v.sort_unstable();
         let m = mean(&v);
-        metric(format!("fig7/{label}/mean_cycles"), m);
+        scale.metric(format!("fig7/{label}/mean_cycles"), m);
         means.insert(label, m);
         println!(
             "{label:<26} {m:>8.1} {:>6} {:>6} {:>6} {:>6}",

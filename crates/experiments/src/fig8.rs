@@ -2,7 +2,7 @@
 //! of averaged rdtscp measurements, for the first (cold) and second (warm)
 //! executions.
 
-use crate::common::{bar, metric, trials, Scale};
+use crate::common::{bar, trials, Scale};
 use bscope_bpu::MicroarchProfile;
 use bscope_core::timing_probe::detection_error_rate;
 use bscope_core::BscopeError;
@@ -27,8 +27,8 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     println!("as a function of the number of averaged measurements ({n} trials/point)\n");
     println!("{:>3}  {:<34} {:<34}", "k", "1st measurement (cold)", "2nd measurement (warm)");
     for (k, &(cold, warm)) in ks.iter().zip(&errors) {
-        metric(format!("fig8/cold_error_pct_k{k}"), 100.0 * cold);
-        metric(format!("fig8/warm_error_pct_k{k}"), 100.0 * warm);
+        scale.metric(format!("fig8/cold_error_pct_k{k}"), 100.0 * cold);
+        scale.metric(format!("fig8/warm_error_pct_k{k}"), 100.0 * warm);
         println!(
             "{k:>3}  {:>6.1}% {}  {:>6.1}% {}",
             100.0 * cold,

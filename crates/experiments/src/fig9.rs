@@ -1,7 +1,7 @@
 //! Figure 9: probe-pair latency (first and second measurement) as a
 //! function of the PHT entry's starting state, for both probe directions.
 
-use crate::common::{metric, trials, Scale};
+use crate::common::{trials, Scale};
 use bscope_bpu::{MicroarchProfile, PhtState};
 use bscope_core::timing_probe::probe_latency_by_state;
 use bscope_core::{BscopeError, ProbeKind};
@@ -32,7 +32,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
         );
         for (state, stats) in states.iter().zip(stats) {
             let pin = |what: &str, value| {
-                metric(format!("fig9/{kind}/{}/{what}_mean_cycles", state.mnemonic()), value);
+                scale.metric(format!("fig9/{kind}/{}/{what}_mean_cycles", state.mnemonic()), value);
             };
             pin("first", stats.first_mean);
             pin("second", stats.second_mean);

@@ -5,7 +5,7 @@
 //! experiments [--quick] [--seed N] [--threads N] [--json PATH]
 //!             [--trace PATH] [--metrics]
 //!             [--bpu hybrid|tage|perceptron]
-//!             [--inject-fault NAME[:K]] [--check FILE] <experiment>...
+//!             [--inject-fault NAME] [--check FILE] <experiment>...
 //! experiments all            # everything, paper-scale (minutes)
 //! experiments --quick all    # everything, reduced scale (seconds)
 //! ```
@@ -58,9 +58,8 @@
 //! entry with exactly its metrics, and every entry must name an existing
 //! experiment; each difference is printed and the exit code is `1`.
 //!
-//! `--inject-fault NAME[:K]` deterministically injects a panic into the
-//! experiment `NAME` (trial 0, or every trial whose keyed hash is divisible
-//! by `K`) — an end-to-end test of the failure path.
+//! `--inject-fault NAME` deterministically panics trial 0 of the
+//! experiment `NAME` — an end-to-end test of the failure path.
 
 mod apps;
 mod backend_sweep;
@@ -85,7 +84,7 @@ mod table3;
 use bscope_core::BscopeError;
 use bscope_harness::FaultPlan;
 use bscope_uarch::SimCore;
-use common::Scale;
+use common::{Record, Scale};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One registered experiment.
@@ -203,7 +202,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: experiments [--quick] [--seed N] [--threads N] [--json PATH] \
          [--trace PATH] [--metrics] [--bpu hybrid|tage|perceptron] \
-         [--inject-fault NAME[:K]] [--check FILE] <experiment>|all ..."
+         [--inject-fault NAME] [--check FILE] <experiment>|all ..."
     );
     eprintln!("experiments:");
     for e in EXPERIMENTS {
@@ -241,34 +240,13 @@ fn parse_u64(flag: &str, value: &str) -> u64 {
         .unwrap_or_else(|e| fail_usage(&format!("invalid value '{value}' for {flag}: {e}")))
 }
 
-/// Stable name hash for the fault-plan salt, so the injected fault pattern
-/// of `--inject-fault NAME:K` is reproducible across runs.
-fn fault_salt(name: &str) -> u64 {
-    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
-    })
-}
-
-/// Parses `--inject-fault NAME[:K]` into the target experiment name and a
-/// deterministic fault plan: bare `NAME` panics trial 0; `NAME:K` panics
-/// every trial whose seed-keyed hash is divisible by `K`.
-fn parse_fault(spec: &str) -> (&'static str, FaultPlan) {
-    let (name, plan) = match spec.split_once(':') {
-        Some((name, k)) => {
-            let k = match k.parse::<u64>() {
-                Ok(0) | Err(_) => fail_usage(&format!(
-                    "invalid value '{spec}' for --inject-fault: ':K' must be a positive integer"
-                )),
-                Ok(k) => k,
-            };
-            (name, FaultPlan::keyed(fault_salt(name)).panic_one_in(k))
-        }
-        None => (spec, FaultPlan::keyed(fault_salt(spec)).panic_on_index(0)),
-    };
+/// Parses `--inject-fault NAME` into the name of the experiment whose
+/// trial 0 panics.
+fn parse_fault(name: &str) -> &'static str {
     match EXPERIMENTS.iter().find(|e| e.name == name) {
-        Some(e) => (e.name, plan),
+        Some(e) => e.name,
         None => fail_usage(&format!(
-            "invalid value '{spec}' for --inject-fault: unknown experiment '{name}'"
+            "invalid value '{name}' for --inject-fault: unknown experiment '{name}'"
         )),
     }
 }
@@ -279,7 +257,7 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut want_metrics = false;
-    let mut fault: Option<(&'static str, FaultPlan)> = None;
+    let mut fault_target: Option<&'static str> = None;
     let mut check: Option<(String, json::Golden)> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -301,7 +279,7 @@ fn main() {
                     .unwrap_or_else(|e| fail_usage(&format!("invalid value '{value}' for --bpu: {e}")));
             }
             "--inject-fault" => {
-                fault = Some(parse_fault(flag_value(&args, &mut i, "--inject-fault")));
+                fault_target = Some(parse_fault(flag_value(&args, &mut i, "--inject-fault")));
             }
             "--check" => {
                 let path = flag_value(&args, &mut i, "--check");
@@ -347,7 +325,7 @@ fn main() {
         fail_usage("no experiments selected");
     }
     scale.trace = trace_path.is_some() || want_metrics;
-    if let Some((target, _)) = fault {
+    if let Some(target) = fault_target {
         if !selected.iter().any(|e| e.name == target) {
             eprintln!("warning: --inject-fault target '{target}' is not among the selected experiments");
         }
@@ -374,28 +352,22 @@ fn main() {
         println!("==============================================================");
         println!("{}: {}", exp.name, exp.desc);
         println!("==============================================================");
-        let mut scale_local = scale;
-        if let Some((target, plan)) = fault {
-            if target == exp.name {
-                scale_local.fault = Some(plan);
-            }
-        }
-        // Scope the metric sink to this experiment: metrics recorded before
-        // a mid-experiment failure belong to *its* report entry and must
-        // not leak into the next experiment's.
-        let scope = common::MetricScope::enter();
+        // Each experiment records into its own scale's record, so metrics
+        // recorded before a mid-experiment failure belong to *its* report
+        // entry and cannot leak into the next experiment's.
+        let fault = (fault_target == Some(exp.name)).then_some(FaultPlan { panic_on_index: 0 });
+        let exp_scale = Scale { fault, record: Default::default(), ..scale };
         // Every core an experiment builds is dropped by the time it
         // returns, on whichever thread ran it, so the difference is its
         // simulated branches.
         let sim_before = SimCore::dropped_sim_branches();
         let started = std::time::Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| (exp.run)(&scale_local)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| (exp.run)(&exp_scale)));
         let elapsed = started.elapsed();
         let sim_branches = SimCore::dropped_sim_branches() - sim_before;
-        // Drain this experiment's traces (empty unless --trace/--metrics).
-        // Aggregated metrics are recorded while the scope is still open so
-        // they land on this experiment's report entry.
-        let traces = common::drain_traces();
+        // Traces are empty unless --trace/--metrics; their aggregates go on
+        // this experiment's report entry.
+        let Record { mut metrics, traces } = exp_scale.take_record();
         if !traces.is_empty() {
             if want_metrics {
                 let mut agg = bscope_trace::MetricsRegistry::default();
@@ -405,7 +377,7 @@ fn main() {
                 println!("trace metrics ({} trials):", traces.len());
                 for (k, v) in agg.summary() {
                     println!("  {k:<28} {v}");
-                    common::metric(format!("trace/{k}"), v);
+                    metrics.push((format!("trace/{k}"), v));
                 }
             }
             if trace_path.is_some() {
@@ -423,7 +395,6 @@ fn main() {
                 }
             }
         }
-        let metrics = scope.finish();
         let error = match outcome {
             Ok(Ok(())) => None,
             Ok(Err(e)) => Some(e.to_string()),

@@ -1,6 +1,6 @@
 //! §10 ablation: attack error rate under each proposed defense.
 
-use crate::common::{metric, trials, Scale};
+use crate::common::{trials, Scale};
 use bscope_bpu::{BackendKind, MicroarchProfile};
 use bscope_core::BscopeError;
 use bscope_mitigations::{
@@ -37,8 +37,8 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     println!("spy reading a victim's secret branch stream, {bits} bits, Skylake profile");
     println!("(error ~0% = attack works; ~50% = spy learns nothing)\n");
     for ((m, &error_rate), &overhead) in mitigations.into_iter().zip(errors).zip(overheads) {
-        metric(format!("mitigations/{m}/error_pct"), 100.0 * error_rate);
-        metric(format!("mitigations/{m}/benign_mispredict_pct"), 100.0 * overhead);
+        scale.metric(format!("mitigations/{m}/error_pct"), 100.0 * error_rate);
+        scale.metric(format!("mitigations/{m}/benign_mispredict_pct"), 100.0 * overhead);
         let report = EvalReport { mitigation: m, bits, error_rate };
         println!("  {report}   [benign mispredict rate {:>5.2}%]", 100.0 * overhead);
     }

@@ -1,6 +1,6 @@
 //! §11 comparison: BranchScope vs the prior BTB-based attacks.
 
-use crate::common::{metric, trials, Scale};
+use crate::common::{trials, Scale};
 use bscope_baselines::{Attack, AttackComparison};
 use bscope_bpu::{MicroarchProfile, Outcome};
 use bscope_core::BscopeError;
@@ -25,8 +25,8 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     print!("{cmp}");
     for row in &cmp.rows {
         let attack = row.attack;
-        metric(format!("baselines/{attack}/accuracy_unprotected"), row.accuracy_unprotected);
-        metric(format!("baselines/{attack}/accuracy_btb_defended"), row.accuracy_btb_defended);
+        scale.metric(format!("baselines/{attack}/accuracy_unprotected"), row.accuracy_unprotected);
+        scale.metric(format!("baselines/{attack}/accuracy_btb_defended"), row.accuracy_btb_defended);
     }
     println!("\npaper claim (Sec. 1): existing BTB protections are cache-style defenses; they");
     println!("stop the BTB attacks but BranchScope reads the directional PHT and survives.");
@@ -35,5 +35,9 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
         "reproduced: BranchScope keeps {:.1}% accuracy under the BTB defense.",
         100.0 * bscope.accuracy_btb_defended
     );
+    println!("\nshape checks:");
+    for row in &cmp.rows[1..] {
+        println!("  BTB defense reduces {} to guessing: {}", row.attack, row.defense_kills_attack());
+    }
     Ok(())
 }

@@ -2,7 +2,7 @@
 //! the mechanistic version of the paper's §7 explanation that Sandy
 //! Bridge's higher error rates come from its smaller predictor tables.
 
-use crate::common::{metric, Scale};
+use crate::common::Scale;
 use crate::covert_cell::{covert_cells, CovertCell, Payload};
 use bscope_bpu::{BackendKind, CounterKind, Microarch, MicroarchProfile};
 use bscope_core::BscopeError;
@@ -52,7 +52,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     println!("{:>10} {:>10}", "PHT size", "error");
     let sweep = compute(scale, bits, runs)?;
     for &(pht_size, error_rate) in &sweep {
-        metric(format!("sensitivity/pht_{pht_size}/error_pct"), 100.0 * error_rate);
+        scale.metric(format!("sensitivity/pht_{pht_size}/error_pct"), 100.0 * error_rate);
         println!("{pht_size:>10} {:>9.3}%", 100.0 * error_rate);
     }
     println!("\nbigger tables dilute the background noise across more entries, so an");

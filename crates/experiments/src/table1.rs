@@ -1,7 +1,7 @@
 //! Table 1: FSM transitions for a single PHT entry, derived from the FSM
 //! model *and* verified empirically through the attack's own probe channel.
 
-use crate::common::{metric, trials, Scale};
+use crate::common::{trials, Scale};
 use bscope_bpu::{CounterKind, MicroarchProfile, PhtState};
 use bscope_core::{
     fsm_transition_row, probe_with_counters, table1, BscopeError, ProbeKind, ProbePattern,
@@ -63,7 +63,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
                 measured,
             );
         }
-        metric(format!("table1/{counter}/rows_matching_model"), matching as f64);
+        scale.metric(format!("table1/{counter}/rows_matching_model"), matching as f64);
         println!();
     }
 

@@ -1,6 +1,6 @@
 //! Table 2: covert-channel error rates on three CPUs, isolated vs noisy.
 
-use crate::common::{metric, Scale};
+use crate::common::Scale;
 use crate::covert_cell::{covert_cells, CovertCell, Payload};
 use bscope_bpu::MicroarchProfile;
 use bscope_core::BscopeError;
@@ -64,7 +64,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     for (label, row) in &ours {
         println!("{:<26} {:>7.3}% {:>7.3}% {:>7.3}%", label, row[0], row[1], row[2]);
         for (payload, err) in ["all0", "all1", "random"].iter().zip(row) {
-            metric(format!("table2/{label}/{payload}_error_pct"), *err);
+            scale.metric(format!("table2/{label}/{payload}_error_pct"), *err);
         }
     }
     println!();

@@ -1,6 +1,6 @@
 //! Table 3: covert channel with the trojan (sender) inside an SGX enclave.
 
-use crate::common::{metric, Scale};
+use crate::common::Scale;
 use crate::covert_cell::{covert_cells, CovertCell, Payload, Sender};
 use bscope_bpu::{BackendKind, MicroarchProfile};
 use bscope_core::BscopeError;
@@ -47,7 +47,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     for (label, row) in ["SGX with noise", "SGX isolated"].iter().zip(&rows) {
         println!("{label:<26} {:>7.3}% {:>7.3}% {:>7.3}%", row[0], row[1], row[2]);
         for (payload, err) in ["all0", "all1", "random"].iter().zip(row) {
-            metric(format!("table3/{label}/{payload}_error_pct"), *err);
+            scale.metric(format!("table3/{label}/{payload}_error_pct"), *err);
         }
     }
     println!("\n{:<26} {:>8} {:>8} {:>8}", "paper:", "All 0", "All 1", "Random");

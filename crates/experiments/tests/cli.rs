@@ -206,7 +206,7 @@ fn inject_fault_rejects_invalid_targets() {
 
     let out = run(&["--quick", "--inject-fault", "table2:0", "table2"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("':K' must be a positive integer"), "{}", stderr(&out));
+    assert!(stderr(&out).contains("unknown experiment 'table2:0'"), "{}", stderr(&out));
 }
 
 #[test]

@@ -38,8 +38,8 @@
 //!   therefore which trials fail — never depend on scheduling.
 //!
 //! [`FaultPlan`] provides deterministic fault *injection* for exercising
-//! these paths in CI: per-trial panic decisions keyed off the trial
-//! seed, so an injected fault fires on the same trials for every thread
+//! these paths in CI: it panics the trial with one index, so the injected
+//! fault fires on the same trial, with the same seed, for every thread
 //! count.
 
 #![forbid(unsafe_code)]
@@ -158,60 +158,27 @@ impl<T> TrialReport<T> {
     }
 }
 
-/// Deterministic per-trial fault injection: panic decisions keyed off the
-/// trial seed (and optionally a specific trial index), so an injected
-/// fault fires on the same trials regardless of thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Deterministic fault injection: panics the trial with index
+/// `panic_on_index`, with a message carrying that trial's index and seed.
+/// Which trial fails never depends on the thread count.
+#[derive(Debug, Clone, Copy)]
 pub struct FaultPlan {
-    salt: u64,
-    panic_one_in: u64,
-    panic_on_index: Option<usize>,
+    /// Index of the trial that panics.
+    pub panic_on_index: usize,
 }
 
 /// Prefix of every panic message an armed [`FaultPlan`] raises.
-pub const INJECTED_FAULT_PREFIX: &str = "injected fault";
+const INJECTED_FAULT_PREFIX: &str = "injected fault";
 
 impl FaultPlan {
-    /// An inert plan (injects nothing) keyed with `salt`; chain the
-    /// builder methods to arm it.
-    #[must_use]
-    pub fn keyed(salt: u64) -> Self {
-        FaultPlan { salt, panic_one_in: 0, panic_on_index: None }
-    }
-
-    /// Panic on roughly one in `one_in` trials, selected by the trial seed
-    /// (`0` disables seed-keyed panics).
-    #[must_use]
-    pub fn panic_one_in(mut self, one_in: u64) -> Self {
-        self.panic_one_in = one_in;
-        self
-    }
-
-    /// Panic on exactly the trial with this index.
-    #[must_use]
-    pub fn panic_on_index(mut self, index: usize) -> Self {
-        self.panic_on_index = Some(index);
-        self
-    }
-
-    /// Whether the plan panics this trial. Pure function of `(index, seed)`.
-    #[must_use]
-    pub fn should_panic(&self, index: usize, seed: u64) -> bool {
-        if self.panic_on_index == Some(index) {
-            return true;
-        }
-        self.panic_one_in > 0 && splitmix64(seed ^ self.salt).is_multiple_of(self.panic_one_in)
-    }
-
-    /// Applies the plan to one trial: possibly panics with a message
-    /// carrying the trial index and seed.
+    /// Applies the plan to one trial.
     ///
     /// # Panics
     ///
-    /// Panics when [`FaultPlan::should_panic`] selects this trial — that
-    /// is the plan's entire purpose.
+    /// Panics when `index` is the plan's trial — that is the plan's entire
+    /// purpose.
     fn apply(&self, index: usize, seed: u64) {
-        if self.should_panic(index, seed) {
+        if self.panic_on_index == index {
             panic!("{INJECTED_FAULT_PREFIX} at trial {index} (seed {seed:#018x})");
         }
     }
@@ -459,13 +426,13 @@ mod tests {
         // Panics are seed-keyed and a seed-keyed sleep in the trial shakes
         // scheduling; the report must still be identical for every thread
         // count.
-        let plan = FaultPlan::keyed(0xFA17).panic_one_in(5);
         let run = |threads| {
-            let opts = RunOptions { threads, policy: FaultPolicy::RecordAndSkip, fault: Some(plan) };
+            let opts = RunOptions { threads, policy: FaultPolicy::RecordAndSkip, fault: None };
             run_trials_with(48, 0xB5C0_9E01, &opts, |idx, seed| {
                 if splitmix64(seed ^ 0xDE1A).is_multiple_of(3) {
                     std::thread::sleep(std::time::Duration::from_micros(200));
                 }
+                assert!(!splitmix64(seed ^ 0xFA17).is_multiple_of(5), "seed-keyed fault");
                 (idx, splitmix64(seed))
             })
         };
@@ -478,22 +445,18 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_is_deterministic_and_targeted() {
-        let plan = FaultPlan::keyed(9).panic_on_index(4);
-        assert!(plan.should_panic(4, 12345));
-        assert!(!plan.should_panic(5, 12345));
-        let msg = panic_text(move || plan.apply(4, trial_seed(1, 4)));
-        assert!(msg.starts_with(INJECTED_FAULT_PREFIX));
-        assert!(msg.contains("trial 4"));
-
-        // Seed-keyed selection is a pure function of the seed.
-        let keyed = FaultPlan::keyed(0xAB).panic_one_in(4);
-        let hits: Vec<bool> = (0..64).map(|i| keyed.should_panic(i, trial_seed(7, i as u64))).collect();
-        assert_eq!(
-            hits,
-            (0..64).map(|i| keyed.should_panic(i, trial_seed(7, i as u64))).collect::<Vec<_>>()
-        );
-        assert!(hits.iter().any(|&h| h) && !hits.iter().all(|&h| h));
+    fn fault_plan_panics_its_trial_at_every_thread_count() {
+        let plan = FaultPlan { panic_on_index: 4 };
+        plan.apply(5, 12345); // any other trial runs normally
+        for threads in [1, 3] {
+            let opts = RunOptions { threads, policy: FaultPolicy::RecordAndSkip, fault: Some(plan) };
+            let report = run_trials_with(8, 1, &opts, |idx, _| idx);
+            assert_eq!(report.failures.len(), 1, "threads={threads}");
+            let e = &report.failures[0];
+            assert_eq!((e.index, e.seed), (4, trial_seed(1, 4)));
+            assert!(e.message.starts_with(INJECTED_FAULT_PREFIX));
+            assert!(e.message.contains(&format!("trial 4 (seed {:#018x})", e.seed)));
+        }
     }
 
     #[test]
