@@ -2,7 +2,7 @@
 
 use crate::decode::DirectionDict;
 use crate::error::AttackError;
-use crate::prime::{SearchedPrime, TargetedPrime};
+use crate::prime::TargetedPrime;
 use crate::probe::{probe_once, probe_with_counters, ProbeKind, ProbePattern};
 use bscope_bpu::{BackendKind, CounterKind, MicroarchProfile, Outcome, PhtState, VirtAddr};
 use bscope_os::{Pid, System};
@@ -62,7 +62,6 @@ impl AttackConfig {
 pub struct BranchScope {
     config: AttackConfig,
     dict: DirectionDict,
-    searched: Option<SearchedPrime>,
     targeted: Option<TargetedPrime>,
     /// Round counter feeding the pre-probe history scramble on
     /// history-indexed backends (see `scramble_history`).
@@ -79,26 +78,7 @@ impl BranchScope {
     /// (see [`DirectionDict::build`]).
     pub fn new(config: AttackConfig) -> Result<Self, AttackError> {
         let dict = DirectionDict::build(config.counter_kind, config.primed, config.probe)?;
-        Ok(BranchScope { config, dict, searched: None, targeted: None, scramble_round: 0 })
-    }
-
-    /// Uses a pre-searched randomization block (the paper's full §6.2
-    /// prime) instead of the fast targeted prime.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::InvalidParameter`] if the block's desired
-    /// state differs from the configured prime state.
-    pub fn with_searched_prime(mut self, prime: SearchedPrime) -> Result<Self, AttackError> {
-        if prime.desired() != self.config.primed {
-            return Err(AttackError::InvalidParameter(format!(
-                "searched prime leaves {} but the attack expects {}",
-                prime.desired(),
-                self.config.primed
-            )));
-        }
-        self.searched = Some(prime);
-        Ok(self)
+        Ok(BranchScope { config, dict, targeted: None, scramble_round: 0 })
     }
 
     /// The active configuration.
@@ -113,33 +93,23 @@ impl BranchScope {
         &self.dict
     }
 
-    /// Stage 1 for `target`. The targeted prime is cached across rounds so
-    /// its per-round GHR scramble actually varies — replaying an identical
-    /// scramble would hand the 2-level predictor a learnable context, which
-    /// is precisely what stage 1 must prevent.
-    fn run_prime(&mut self, sys: &mut System, spy: Pid, target: VirtAddr) {
-        if let Some(s) = &self.searched {
-            if s.target() == target {
-                s.prime(&mut sys.cpu(spy));
-                return;
-            }
-        }
-        let needs_new = !matches!(&self.targeted, Some(t) if t.target() == target);
-        if needs_new {
-            self.targeted = Some(TargetedPrime::new(target, self.config.primed));
-        }
-        let prime = self.targeted.as_mut().expect("just ensured");
-        prime.prime(&mut sys.cpu(spy));
-    }
-
     /// Runs stage 1 (prime) only: the same stage 1 as
     /// [`BranchScope::observe_bit`], reinforcement on history-indexed
     /// backends included. Useful when composing a custom stage-3
     /// observation, e.g. probing through the §8 timing channel instead of
     /// the performance counters.
+    ///
+    /// The targeted prime is cached across rounds so its per-round GHR
+    /// scramble actually varies: replaying an identical scramble would hand
+    /// the 2-level predictor a learnable context, which is precisely what
+    /// stage 1 must prevent.
     pub fn prime(&mut self, sys: &mut System, spy: Pid, target: VirtAddr) {
         sys.core_mut().trace_span_begin(Span::Prime);
-        self.run_prime(sys, spy, target);
+        let targeted = match &mut self.targeted {
+            Some(t) if t.target() == target => t,
+            slot => slot.insert(TargetedPrime::new(target, self.config.primed)),
+        };
+        targeted.prime(&mut sys.cpu(spy));
         if sys.core().bpu().kind() != BackendKind::Hybrid {
             // Reinforce the prime under fresh history contexts: on a
             // tagged/history-indexed substrate, individual saturation steps
@@ -367,45 +337,6 @@ mod tests {
         let errors = read.iter().zip(&secret).filter(|(a, b)| a != b).count();
         let rate = errors as f64 / secret.len() as f64;
         assert!(rate < 0.05, "error rate {rate:.4} too high under system noise");
-    }
-
-    #[test]
-    fn works_with_searched_prime() {
-        let profile = MicroarchProfile::skylake();
-        let (mut sys, victim, spy, target) = setup(profile.clone(), 23);
-        let searched = SearchedPrime::search(
-            &mut sys,
-            spy,
-            target,
-            PhtState::StronglyNotTaken,
-            3,
-            64,
-            500,
-        )
-        .unwrap();
-        let mut attack = BranchScope::new(AttackConfig::for_profile(&profile))
-            .unwrap()
-            .with_searched_prime(searched)
-            .unwrap();
-        for &secret in &[Outcome::NotTaken, Outcome::Taken] {
-            let read = attack.read_bit(&mut sys, spy, target, |sys| {
-                sys.cpu(victim).branch_at(0x6d, secret);
-            });
-            assert_eq!(read, secret);
-        }
-    }
-
-    #[test]
-    fn mismatched_searched_prime_rejected() {
-        let profile = MicroarchProfile::haswell();
-        let (mut sys, _victim, spy, target) = setup(profile.clone(), 3);
-        let searched =
-            SearchedPrime::search(&mut sys, spy, target, PhtState::StronglyTaken, 3, 64, 800)
-                .unwrap();
-        let res = BranchScope::new(AttackConfig::for_profile(&profile))
-            .unwrap()
-            .with_searched_prime(searched);
-        assert!(matches!(res, Err(AttackError::InvalidParameter(_))));
     }
 
     /// Stage 1 on TAGE, branch by branch on the traced (per-branch

@@ -29,9 +29,16 @@ pub struct TransmitResult {
 }
 
 impl TransmitResult {
+    /// Scores `received` against `sent`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sent` is empty: with no bits sent there is no error rate,
+    /// and 0.0 would report a working channel.
     fn new(sent: &[bool], received: Vec<bool>, cycles: u64) -> Self {
+        assert!(!sent.is_empty(), "a transmission needs at least one bit");
         let errors = sent.iter().zip(&received).filter(|(a, b)| a != b).count();
-        let error_rate = if sent.is_empty() { 0.0 } else { errors as f64 / sent.len() as f64 };
+        let error_rate = errors as f64 / sent.len() as f64;
         TransmitResult { received, errors, error_rate, cycles }
     }
 
@@ -69,31 +76,13 @@ impl CovertChannel {
         &self.attack
     }
 
-    /// Transmits a bit stream given by `bit_at`, decoding straight into the
-    /// received `Vec<bool>` (no intermediate outcome buffer, no
-    /// materialised repetition-expanded payload).
-    fn transmit_stream(
-        &mut self,
-        sys: &mut System,
-        sender: Pid,
-        receiver: Pid,
-        len: usize,
-        bit_at: impl Fn(usize) -> bool,
-    ) -> (Vec<bool>, u64) {
-        let target = sys.process(sender).vaddr_of(SENDER_BRANCH_OFFSET);
-        let start = sys.core().rdtscp();
-        let mut received = Vec::with_capacity(len);
-        for i in 0..len {
-            let outcome = self.attack.read_bit(sys, receiver, target, |sys| {
-                sys.cpu(sender).branch_at(SENDER_BRANCH_OFFSET, Outcome::from_bool(bit_at(i)));
-            });
-            received.push(outcome.is_taken());
-        }
-        (received, sys.core().rdtscp() - start)
-    }
-
     /// Transmits `bits` from `sender` to `receiver`, bit `true` encoded as
     /// a taken branch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is empty: a transmission of nothing has no error
+    /// rate.
     pub fn transmit(
         &mut self,
         sys: &mut System,
@@ -101,8 +90,7 @@ impl CovertChannel {
         receiver: Pid,
         bits: &[bool],
     ) -> TransmitResult {
-        let (received, cycles) = self.transmit_stream(sys, sender, receiver, bits.len(), |i| bits[i]);
-        TransmitResult::new(bits, received, cycles)
+        self.transmit_with_redundancy(sys, sender, receiver, bits, 1)
     }
 
     /// Transmits with `n`-fold repetition coding: the sender repeats every
@@ -112,7 +100,8 @@ impl CovertChannel {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or even (majority voting needs an odd count).
+    /// Panics if `n` is zero or even (majority voting needs an odd count),
+    /// or if `bits` is empty.
     pub fn transmit_with_redundancy(
         &mut self,
         sys: &mut System,
@@ -122,13 +111,20 @@ impl CovertChannel {
         n: usize,
     ) -> TransmitResult {
         assert!(n % 2 == 1, "redundancy must be odd, got {n}");
-        let (raw, cycles) =
-            self.transmit_stream(sys, sender, receiver, bits.len() * n, |i| bits[i / n]);
-        let decoded: Vec<bool> = raw
-            .chunks(n)
-            .map(|votes| votes.iter().filter(|&&v| v).count() * 2 > n)
-            .collect();
-        TransmitResult::new(bits, decoded, cycles)
+        let target = sys.process(sender).vaddr_of(SENDER_BRANCH_OFFSET);
+        let start = sys.core().rdtscp();
+        let mut decoded = Vec::with_capacity(bits.len());
+        for &bit in bits {
+            let mut votes = 0;
+            for _ in 0..n {
+                let outcome = self.attack.read_bit(sys, receiver, target, |sys| {
+                    sys.cpu(sender).branch_at(SENDER_BRANCH_OFFSET, Outcome::from_bool(bit));
+                });
+                votes += usize::from(outcome.is_taken());
+            }
+            decoded.push(votes * 2 > n);
+        }
+        TransmitResult::new(bits, decoded, sys.core().rdtscp() - start)
     }
 
     /// Receives from inside an SGX enclave (§9.2): the enclave runs an
@@ -173,6 +169,10 @@ pub struct ReceivedBits {
 impl ReceivedBits {
     /// Scores the reception against the ground-truth secret (benchmark
     /// bookkeeping, not something the attacker can do).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no bits were received.
     #[must_use]
     pub fn score(&self, sent: &[bool]) -> TransmitResult {
         TransmitResult::new(&sent[..self.bits.len()], self.bits.clone(), self.cycles)
@@ -333,6 +333,16 @@ mod tests {
             &[true],
             2,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one bit")]
+    fn zero_bit_transmission_rejected() {
+        let profile = MicroarchProfile::skylake();
+        let mut sys = System::new(profile.clone(), 83);
+        let sender = sys.spawn("trojan", AslrPolicy::Disabled);
+        let receiver = sys.spawn("spy", AslrPolicy::Disabled);
+        let _ = channel_for(&profile).transmit(&mut sys, sender, receiver, &[]);
     }
 
     #[test]

@@ -25,14 +25,6 @@ pub enum AttackError {
         /// Probe direction that fails to discriminate.
         probe: Outcome,
     },
-    /// No randomization block leaving the target entry in the desired state
-    /// was found within the search budget (paper §6.2 pre-attack search).
-    PrimeSearchExhausted {
-        /// Desired target-entry state.
-        desired: PhtState,
-        /// Candidate blocks tried.
-        attempts: usize,
-    },
     /// A parameter was out of its documented range.
     InvalidParameter(String),
 }
@@ -43,10 +35,6 @@ impl fmt::Display for AttackError {
             AttackError::AmbiguousConfiguration { primed, probe } => write!(
                 f,
                 "priming {primed} and probing with {probe} branches cannot distinguish the victim direction"
-            ),
-            AttackError::PrimeSearchExhausted { desired, attempts } => write!(
-                f,
-                "no randomization block left the target entry in {desired} after {attempts} candidates"
             ),
             AttackError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
         }
@@ -63,8 +51,7 @@ impl Error for AttackError {}
 /// layer's own message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BscopeError {
-    /// The attack primitive was misconfigured or its pre-attack search
-    /// failed ([`AttackError`]).
+    /// The attack primitive was misconfigured ([`AttackError`]).
     Attack(AttackError),
     /// The simulated system was configured outside its documented ranges
     /// ([`ConfigError`], e.g. an invalid [`bscope_uarch::NoiseConfig`]).
@@ -112,11 +99,6 @@ mod tests {
             probe: Outcome::Taken,
         };
         assert!(e.to_string().contains("ST"));
-        let e = AttackError::PrimeSearchExhausted {
-            desired: PhtState::StronglyNotTaken,
-            attempts: 32,
-        };
-        assert!(e.to_string().contains("32"));
         let e = AttackError::InvalidParameter("k must be positive".into());
         assert!(e.to_string().contains("k must be positive"));
     }

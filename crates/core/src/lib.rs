@@ -63,7 +63,7 @@ pub use attack::{AttackConfig, BranchScope, VICTIM_WAIT_CYCLES};
 pub use decode::{decode_state, fsm_transition_row, table1, DecodedState, DirectionDict, Table1Row};
 pub use error::{AttackError, BscopeError, ConfigError};
 pub use poison::BranchPoisoner;
-pub use prime::{SearchedPrime, TargetedPrime};
+pub use prime::TargetedPrime;
 pub use probe::{probe_once, probe_with_counters, ProbeKind, ProbePattern};
 pub use randomize::RandomizationBlock;
 pub use timing_probe::TimingDetector;

@@ -1,12 +1,8 @@
-//! Stage-1 priming strategies.
+//! The stage-1 prime.
 
-use crate::decode::{decode_state, DecodedState};
-use crate::error::AttackError;
-use crate::probe::{probe_with_counters, ProbeKind};
-use crate::randomize::RandomizationBlock;
 use bscope_bpu::{Outcome, PhtState, VirtAddr};
 use bscope_harness::splitmix64;
-use bscope_os::{CpuView, Pid, System};
+use bscope_os::CpuView;
 
 /// The short, surgical prime the paper sketches as future work: "if we
 /// focus only on evicting a particular branch, we may be able to come up
@@ -27,8 +23,7 @@ use bscope_os::{CpuView, Pid, System};
 ///
 /// It is 3–4 orders of magnitude cheaper than replaying a full
 /// randomization block, which is what makes million-bit covert-channel
-/// benchmarks practical; the full-fidelity block prime remains available
-/// as [`SearchedPrime`].
+/// benchmarks practical.
 #[derive(Debug, Clone)]
 pub struct TargetedPrime {
     target: VirtAddr,
@@ -136,115 +131,6 @@ impl TargetedPrime {
     }
 }
 
-/// The paper's §6.2 prime: a pre-attack search finds a randomization block
-/// that both randomizes the PHT / disables 2-level prediction *and* leaves
-/// the target entry in the attacker's desired state, verified statistically
-/// through the probe channel ("Finding the appropriate randomization code
-/// is a one-time effort by the attacker").
-#[derive(Debug, Clone)]
-pub struct SearchedPrime {
-    block: RandomizationBlock,
-    desired: PhtState,
-    target: VirtAddr,
-}
-
-impl SearchedPrime {
-    /// Searches candidate blocks (seeds `seed`, `seed+1`, …) until one
-    /// reliably leaves the entry colliding with `target` in `desired`
-    /// state, using only attacker-visible observations (probe patterns and
-    /// the state dictionary of §6.2).
-    ///
-    /// `trials` prime-and-probe repetitions are run per candidate and per
-    /// probing variant; a candidate is accepted when every trial decodes to
-    /// the desired state (the paper's ≥85 % dominance threshold, tightened
-    /// to "all" for the small trial counts used here).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::PrimeSearchExhausted`] when `max_attempts`
-    /// candidates all fail, and [`AttackError::InvalidParameter`] for a
-    /// zero `trials`/`max_attempts`.
-    pub fn search(
-        sys: &mut System,
-        spy: Pid,
-        target: VirtAddr,
-        desired: PhtState,
-        trials: usize,
-        max_attempts: usize,
-        seed: u64,
-    ) -> Result<Self, AttackError> {
-        if trials == 0 || max_attempts == 0 {
-            return Err(AttackError::InvalidParameter(
-                "trials and max_attempts must be positive".to_owned(),
-            ));
-        }
-        let profile = sys.core().profile().clone();
-        for attempt in 0..max_attempts {
-            let block = RandomizationBlock::for_profile(&profile, seed.wrapping_add(attempt as u64));
-            if Self::candidate_accepted(sys, spy, target, desired, trials, &block, &profile) {
-                return Ok(SearchedPrime { block, desired, target });
-            }
-        }
-        Err(AttackError::PrimeSearchExhausted { desired, attempts: max_attempts })
-    }
-
-    fn candidate_accepted(
-        sys: &mut System,
-        spy: Pid,
-        target: VirtAddr,
-        desired: PhtState,
-        trials: usize,
-        block: &RandomizationBlock,
-        profile: &bscope_bpu::MicroarchProfile,
-    ) -> bool {
-        // Offline pre-filter (the attacker's one-time analysis): the block
-        // must drive the target entry to the desired state regardless of
-        // its prior contents.
-        if block.converged_state(profile.pht_size, profile.counter_kind, target)
-            != Some(desired)
-        {
-            return false;
-        }
-        let mut dominants = [None; 2];
-        for (slot, kind) in
-            dominants.iter_mut().zip([ProbeKind::TakenTaken, ProbeKind::NotTakenNotTaken])
-        {
-            let mut dominant = None;
-            for _ in 0..trials {
-                block.execute(&mut sys.cpu(spy));
-                let pattern = probe_with_counters(&mut sys.cpu(spy), target, kind);
-                match dominant {
-                    None => dominant = Some(pattern),
-                    Some(d) if d != pattern => return false, // unstable block
-                    Some(_) => {}
-                }
-            }
-            *slot = dominant;
-        }
-        let (Some(tt), Some(nn)) = (dominants[0], dominants[1]) else {
-            return false; // unreachable: trials > 0 is validated by search()
-        };
-        decode_state(profile.counter_kind, tt, nn) == DecodedState::Known(desired)
-    }
-
-    /// The state the block leaves the target entry in.
-    #[must_use]
-    pub fn desired(&self) -> PhtState {
-        self.desired
-    }
-
-    /// The primed target address.
-    #[must_use]
-    pub fn target(&self) -> VirtAddr {
-        self.target
-    }
-
-    /// Stage 1: replay the block.
-    pub fn prime(&self, cpu: &mut CpuView<'_>) {
-        self.block.execute(cpu);
-    }
-}
-
 /// What one spy run leaves behind: every PHT entry, the GHR, the BTB, the
 /// spy's counters, `rdtscp`, `sim_branches` and the predictor statistics.
 #[cfg(test)]
@@ -269,9 +155,9 @@ pub(crate) type MachineState = (
 pub(crate) fn run_spy(
     backend: bscope_bpu::BackendKind,
     traced: bool,
-    spy_work: impl FnOnce(&mut System, Pid, VirtAddr),
+    spy_work: impl FnOnce(&mut bscope_os::System, bscope_os::Pid, VirtAddr),
 ) -> (MachineState, VirtAddr, Vec<(VirtAddr, bool)>) {
-    use bscope_os::AslrPolicy;
+    use bscope_os::{AslrPolicy, System};
     use bscope_uarch::{NoiseConfig, TraceEvent, Tracer};
     let profile = bscope_bpu::MicroarchProfile::skylake();
     let mut sys =
@@ -318,7 +204,7 @@ pub(crate) fn run_spy(
 mod tests {
     use super::*;
     use bscope_bpu::{BackendKind, Counter, MicroarchProfile};
-    use bscope_os::AslrPolicy;
+    use bscope_os::{AslrPolicy, Pid, System};
 
     fn setup() -> (System, Pid, Pid) {
         let mut sys = System::new(MicroarchProfile::skylake(), 21);
@@ -399,28 +285,5 @@ mod tests {
     #[should_panic(expected = "strong")]
     fn weak_prime_state_rejected() {
         let _ = TargetedPrime::new(0x1000, PhtState::WeaklyTaken);
-    }
-
-    #[test]
-    fn searched_prime_finds_a_block() {
-        let (mut sys, victim, spy) = setup();
-        let target = sys.process(victim).vaddr_of(0x6d);
-        let prime =
-            SearchedPrime::search(&mut sys, spy, target, PhtState::StronglyNotTaken, 3, 64, 1000)
-                .expect("a suitable block exists within 64 candidates");
-        // Replaying the found block must leave the entry in the desired
-        // state even from adversarial starting conditions.
-        sys.core_mut().bpu_mut().set_pht_state(target, PhtState::StronglyTaken);
-        prime.prime(&mut sys.cpu(spy));
-        assert_eq!(sys.core().bpu().pht_state(target), PhtState::StronglyNotTaken);
-        assert_eq!(prime.desired(), PhtState::StronglyNotTaken);
-        assert_eq!(prime.target(), target);
-    }
-
-    #[test]
-    fn searched_prime_validates_parameters() {
-        let (mut sys, _victim, spy) = setup();
-        let err = SearchedPrime::search(&mut sys, spy, 0x1000, PhtState::StronglyNotTaken, 0, 4, 0);
-        assert!(matches!(err, Err(AttackError::InvalidParameter(_))));
     }
 }

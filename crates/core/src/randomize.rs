@@ -1,6 +1,6 @@
 //! Stage-1 PHT randomization code (the paper's Listing 1).
 
-use bscope_bpu::{Counter, CounterKind, MicroarchProfile, Outcome, PhtState, VirtAddr};
+use bscope_bpu::{Counter, CounterKind, Outcome, PhtState, VirtAddr};
 use bscope_os::CpuView;
 use bscope_uarch::Span;
 use rand::rngs::StdRng;
@@ -67,16 +67,6 @@ impl RandomizationBlock {
         RandomizationBlock { region_base, branches }
     }
 
-    /// A block sized for a specific machine: six branches per PHT entry on
-    /// average, matching the paper's empirically-sufficient 100 000
-    /// branches for the 2^14-entry Skylake PHT. Fewer than ~3 updates per
-    /// entry would leave entries whose final state still depends on their
-    /// prior state, defeating the pre-attack block search.
-    #[must_use]
-    pub fn for_profile(profile: &MicroarchProfile, seed: u64) -> Self {
-        RandomizationBlock::generate(seed, profile.pht_size * 6, DEFAULT_BLOCK_REGION)
-    }
-
     /// Executes the whole block on the spy's CPU view (stage 1).
     pub fn execute(&self, cpu: &mut CpuView<'_>) {
         cpu.core_mut().trace_span_begin(Span::Randomize);
@@ -131,8 +121,14 @@ impl RandomizationBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bscope_bpu::PhtState;
+    use bscope_bpu::{MicroarchProfile, PhtState};
     use bscope_os::{AslrPolicy, System};
+
+    /// A block of six branches per entry of the profile's PHT, the length
+    /// `StabilityConfig::updates_per_entry` gives fig4.
+    fn profile_block(profile: &MicroarchProfile, seed: u64) -> RandomizationBlock {
+        RandomizationBlock::generate(seed, profile.pht_size * 6, DEFAULT_BLOCK_REGION)
+    }
 
     /// The PHT entries of a `pht_size`-entry table the block's branches
     /// index, one per branch.
@@ -171,8 +167,8 @@ mod tests {
     fn profile_sized_block_covers_most_of_the_pht() {
         // §5.2: the block must "affect a large number of entries inside the
         // PHT".
-        let profile = bscope_bpu::MicroarchProfile::skylake();
-        let block = RandomizationBlock::for_profile(&profile, 11);
+        let profile = MicroarchProfile::skylake();
+        let block = profile_block(&profile, 11);
         let mut touched = vec![false; profile.pht_size];
         for entry in entries(&block, profile.pht_size) {
             touched[entry] = true;
@@ -183,7 +179,8 @@ mod tests {
 
     #[test]
     fn execution_scrambles_pht_and_evicts_btb() {
-        let mut sys = System::new(bscope_bpu::MicroarchProfile::skylake(), 5);
+        let profile = MicroarchProfile::skylake();
+        let mut sys = System::new(profile.clone(), 5);
         let victim = sys.spawn("victim", AslrPolicy::Disabled);
         let spy = sys.spawn("spy", AslrPolicy::Disabled);
 
@@ -195,8 +192,7 @@ mod tests {
         assert!(sys.core().bpu().btb().contains(victim_addr));
         assert_eq!(sys.core().bpu().pht_state(victim_addr), PhtState::StronglyTaken);
 
-        let block =
-            RandomizationBlock::for_profile(&bscope_bpu::MicroarchProfile::skylake(), 17);
+        let block = profile_block(&profile, 17);
         block.execute(&mut sys.cpu(spy));
 
         // The victim's BTB entry must be gone (1-level fallback restored)…
@@ -217,13 +213,13 @@ mod tests {
         // final state of any entry it touches ≥3 times is independent of
         // the entry's prior state — the property that makes the paper's
         // pre-attack block search meaningful.
-        let profile = bscope_bpu::MicroarchProfile::skylake();
+        let profile = MicroarchProfile::skylake();
         let probe_addr = 0x30_0000u64;
         // Pick (offline, as the attacker would) a block whose update
         // sequence provably coalesces for this entry.
         let (block, expected) = (0u64..200)
             .find_map(|seed| {
-                let b = RandomizationBlock::for_profile(&profile, 23 + seed);
+                let b = profile_block(&profile, 23 + seed);
                 b.converged_state(profile.pht_size, profile.counter_kind, probe_addr)
                     .map(|s| (b, s))
             })

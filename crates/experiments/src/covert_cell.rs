@@ -7,7 +7,7 @@
 use crate::common::{trials, Scale};
 use bscope_bpu::{BackendKind, MicroarchProfile};
 use bscope_core::covert::{CovertChannel, EnclaveSender, TransmitResult};
-use bscope_core::{AttackConfig, BscopeError};
+use bscope_core::{AttackConfig, AttackError, BscopeError};
 use bscope_harness::splitmix64;
 use bscope_os::{AslrPolicy, Enclave, System};
 use bscope_uarch::{NoiseConfig, Tracer};
@@ -62,10 +62,15 @@ impl<'a> CovertCell<'a> {
         CovertCell { profile, backend, noise, sender, payload, bits, redundancy: 1 }
     }
 
-    /// Checks the channel and noise configuration, so an experiment fails
-    /// with a typed error before its fan-out instead of panicking in a
-    /// worker thread.
+    /// Checks the bit count, the redundancy and the channel and noise
+    /// configuration, so an experiment fails with a typed error before its
+    /// fan-out instead of panicking in a worker thread.
     fn validate(&self) -> Result<(), BscopeError> {
+        let (bits, n) = (self.bits, self.redundancy);
+        if bits == 0 || n % 2 == 0 {
+            let msg = format!("bits must be positive and redundancy odd, got {bits} and {n}");
+            return Err(AttackError::InvalidParameter(msg).into());
+        }
         CovertChannel::new(AttackConfig::for_backend(self.profile, self.backend))?;
         if let Some(noise) = self.noise {
             noise.validate()?;
@@ -140,6 +145,27 @@ fn covert_cell(cell: &CovertCell<'_>, seed: u64, tracer: &mut Tracer) -> Transmi
                 channel.receive_from_enclave(sys, &mut enclave, receiver, message.len())
             });
             received.score(&message)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn invalid_cells_fail_before_the_fan_out() {
+        let profile = MicroarchProfile::skylake();
+        let raw = CovertCell::new(&profile, BackendKind::Hybrid, None, Payload::AllOne, 8);
+        assert!(covert_cells(&Scale::quick(), 0, &[raw], 1).is_ok());
+        for (bits, redundancy) in [(8, 2), (8, 0), (0, 1)] {
+            let cell = CovertCell {
+                bits,
+                redundancy,
+                ..CovertCell::new(&profile, BackendKind::Hybrid, None, Payload::AllOne, 8)
+            };
+            let err = covert_cells(&Scale::quick(), 0, &[cell], 1).unwrap_err();
+            assert!(matches!(err, BscopeError::Attack(AttackError::InvalidParameter(_))), "{err}");
         }
     }
 }

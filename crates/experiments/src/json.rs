@@ -200,7 +200,8 @@ fn show(v: Option<f64>) -> String {
 ///
 /// # Errors
 ///
-/// Describes the first syntax error and its byte offset.
+/// Describes the first syntax error or repeated experiment or metric key,
+/// and its byte offset.
 pub fn parse_golden(text: &str) -> Result<Golden, String> {
     let mut p = Parser { s: text, i: 0 };
     let golden = p.object(|p| p.object(Parser::value))?;
@@ -243,7 +244,7 @@ impl Parser<'_> {
         }
     }
 
-    /// `{"key": item, ...}` with keys in any order.
+    /// `{"key": item, ...}` with keys in any order, each key once.
     fn object<T>(
         &mut self,
         mut item: impl FnMut(&mut Self) -> Result<T, String>,
@@ -254,7 +255,12 @@ impl Parser<'_> {
             return Ok(out);
         }
         loop {
+            self.ws();
+            let at = self.i;
             let key = self.string()?;
+            if out.contains_key(&key) {
+                return Err(format!("repeated key \"{key}\" at byte {at}"));
+            }
             self.expect(':')?;
             out.insert(key, item(self)?);
             if self.eat('}') {
@@ -368,6 +374,12 @@ mod tests {
         for bad in ["", "{", "{\"a\": 1}", "{\"a\": {\"b\": x}}", "{\"a\": {}} {}"] {
             assert!(parse_golden(bad).is_err(), "accepted {bad:?}");
         }
+        // A repeated key would replace the first pin unchecked.
+        let metric = parse_golden(r#"{"a": {"x": 1, "x": 2}}"#);
+        assert_eq!(metric.unwrap_err(), r#"repeated key "x" at byte 15"#);
+        let experiment = parse_golden(r#"{"a": {}, "a": {}}"#);
+        assert_eq!(experiment.unwrap_err(), r#"repeated key "a" at byte 10"#);
+        assert!(parse_golden(r#"{"a": {"x": 1}, "b": {"x": 2}}"#).is_ok());
 
         let registry = ["fig2", "fig4", "fig9", "t\u{e9}"];
         let mut r = Report::new(&Scale::quick());

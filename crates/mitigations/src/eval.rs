@@ -161,18 +161,16 @@ pub fn evaluate_backend(
         _ => Box::new(SecretBranchVictim::new(secret.clone())),
     };
 
-    let errors = sys.with_tracer(tracer, |sys| {
-        secret
-            .iter()
-            .filter(|&&bit| {
-                let outcome = attack.read_bit(sys, spy, target, |sys| {
-                    let mut cpu = sys.cpu(victim);
-                    workload.step(&mut cpu);
-                });
-                SecretBranchVictim::bit_from_outcome(outcome) != bit
-            })
-            .count()
+    let read = sys.with_tracer(tracer, |sys| {
+        attack.read_bits(sys, spy, target, bits, |sys, _| {
+            workload.step(&mut sys.cpu(victim));
+        })
     });
+    let errors = read
+        .iter()
+        .zip(&secret)
+        .filter(|&(&outcome, &bit)| SecretBranchVictim::bit_from_outcome(outcome) != bit)
+        .count();
 
     EvalReport { mitigation: mitigation.clone(), bits, error_rate: errors as f64 / bits as f64 }
 }

@@ -6,8 +6,8 @@
 /// events between them to a stage of the attack round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Span {
-    /// Stage 1: priming the target PHT entry (targeted or searched prime,
-    /// plus the history-reinforcement rounds on history-indexed backends).
+    /// Stage 1: priming the target PHT entry (the targeted prime, plus the
+    /// history-reinforcement rounds on history-indexed backends).
     Prime,
     /// Stage 2: the spy's wait window around the victim trigger (the
     /// `usleep` of the paper's Listing 3) — the interval in which the
