@@ -294,12 +294,6 @@ impl Counter {
     }
 }
 
-impl Default for Counter {
-    fn default() -> Self {
-        Counter::new(CounterKind::TwoBit)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

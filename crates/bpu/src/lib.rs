@@ -60,7 +60,7 @@ pub use backend::{BackendKind, Prediction, PredictorBackend, PredictorKind};
 pub use btb::{BranchTargetBuffer, BtbEntry};
 pub use counter::{Counter, CounterKind, Outcome, PhtState};
 pub use ghr::GlobalHistoryRegister;
-pub use profile::{Microarch, MicroarchProfile, TimingParams};
+pub use profile::{Microarch, MicroarchProfile};
 pub use stats::PredictionStats;
 
 /// A virtual address of a branch instruction.

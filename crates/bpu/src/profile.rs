@@ -27,73 +27,6 @@ impl fmt::Display for Microarch {
     }
 }
 
-/// Branch-latency parameters of the simulated core, in cycles.
-///
-/// Calibrated so the timing experiments land in the ranges of the paper's
-/// Figures 7–9: correctly-predicted branches measured via `rdtscp` average
-/// ≈85 cycles, mispredicted ones ≈135, with tails up to ≈200 and a
-/// pronounced extra cost + variance on the first (cold-cache) execution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimingParams {
-    /// Mean measured latency of a correctly predicted, i-cache-warm branch
-    /// (includes `rdtscp` serialisation overhead, as the paper measures).
-    pub base_hit_cycles: f64,
-    /// Mean extra cycles charged for a misprediction (pipeline restart).
-    pub mispredict_penalty: f64,
-    /// Standard deviation of the per-measurement Gaussian jitter.
-    pub jitter_sigma: f64,
-    /// Mean extra latency on a cold i-cache (first) execution.
-    pub cold_miss_extra: f64,
-    /// Extra jitter standard deviation applied to cold executions.
-    pub cold_jitter_sigma: f64,
-    /// Probability that a measurement catches an unrelated stall (interrupt,
-    /// TLB walk, SMT contention) — models the heavy upper tail in Fig. 7.
-    pub spike_probability: f64,
-    /// Mean magnitude of such a spike, in cycles.
-    pub spike_cycles: f64,
-    /// Wall-clock cost of one branch in straight-line (untimed) code.
-    /// Distinct from the measured latency above: a `rdtscp`-bracketed
-    /// branch serialises the pipeline, while ordinary branches retire at
-    /// throughput. This is what advances the core clock.
-    pub throughput_cycles: f64,
-    /// Extra wall-clock cycles a misprediction stalls the pipeline for.
-    pub mispredict_stall: f64,
-    /// Extra wall-clock cycles for an instruction-cache miss.
-    pub cold_stall: f64,
-    /// Extra measured cycles when a *taken* branch misses the BTB (front-end
-    /// fetch redirect). This is the signal BTB-presence attacks time.
-    pub btb_miss_taken_extra: f64,
-    /// Wall-clock counterpart of the BTB-miss redirect bubble.
-    pub btb_miss_taken_stall: f64,
-}
-
-impl TimingParams {
-    /// Parameters matching the paper's measured latency distributions.
-    #[must_use]
-    pub fn paper_calibrated() -> Self {
-        TimingParams {
-            base_hit_cycles: 85.0,
-            mispredict_penalty: 50.0,
-            jitter_sigma: 27.0,
-            cold_miss_extra: 22.0,
-            cold_jitter_sigma: 26.0,
-            spike_probability: 0.02,
-            spike_cycles: 45.0,
-            throughput_cycles: 2.0,
-            mispredict_stall: 18.0,
-            cold_stall: 30.0,
-            btb_miss_taken_extra: 14.0,
-            btb_miss_taken_stall: 8.0,
-        }
-    }
-}
-
-impl Default for TimingParams {
-    fn default() -> Self {
-        TimingParams::paper_calibrated()
-    }
-}
-
 /// Full configuration of a simulated branch prediction unit.
 ///
 /// The concrete geometries of Intel BPUs are undocumented; the paper only
@@ -116,8 +49,6 @@ pub struct MicroarchProfile {
     pub selector_size: usize,
     /// BTB sets (power of two).
     pub btb_size: usize,
-    /// Branch latency model parameters.
-    pub timing: TimingParams,
 }
 
 impl MicroarchProfile {
@@ -134,7 +65,6 @@ impl MicroarchProfile {
             ghr_bits: 12,
             selector_size: 4_096,
             btb_size: 4_096,
-            timing: TimingParams::paper_calibrated(),
         }
     }
 
@@ -149,7 +79,6 @@ impl MicroarchProfile {
             ghr_bits: 14,
             selector_size: 4_096,
             btb_size: 4_096,
-            timing: TimingParams::paper_calibrated(),
         }
     }
 
@@ -165,7 +94,6 @@ impl MicroarchProfile {
             ghr_bits: 14,
             selector_size: 1_024,
             btb_size: 2_048,
-            timing: TimingParams::paper_calibrated(),
         }
     }
 
@@ -195,12 +123,6 @@ impl MicroarchProfile {
             return Err(format!("ghr_bits {} out of range 1..=64", self.ghr_bits));
         }
         Ok(())
-    }
-}
-
-impl Default for MicroarchProfile {
-    fn default() -> Self {
-        MicroarchProfile::skylake()
     }
 }
 

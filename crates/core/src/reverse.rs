@@ -217,7 +217,6 @@ mod tests {
             ghr_bits: 10,
             selector_size: 256,
             btb_size: 256,
-            timing: Default::default(),
         }
     }
 

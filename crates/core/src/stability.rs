@@ -177,7 +177,6 @@ mod tests {
             ghr_bits: 10,
             selector_size: 256,
             btb_size: 256,
-            timing: Default::default(),
         }
     }
 
@@ -224,7 +223,6 @@ mod tests {
             ghr_bits: 12,
             selector_size: 1_024,
             btb_size: 1_024,
-            timing: Default::default(),
         };
         let mut sys = System::new(profile, 92).with_noise(NoiseConfig::isolated_core()).unwrap();
         let spy = sys.spawn("spy", AslrPolicy::Disabled);

@@ -18,7 +18,6 @@ fn profile_with_pht(pht_size: usize) -> MicroarchProfile {
         ghr_bits: 14,
         selector_size: (pht_size / 4).max(256),
         btb_size: (pht_size / 4).max(256),
-        timing: Default::default(),
     }
 }
 

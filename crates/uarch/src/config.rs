@@ -1,11 +1,11 @@
 //! Typed configuration errors for the simulated-core layer.
 //!
 //! [`NoiseConfig::validate`](crate::NoiseConfig::validate) and
-//! [`MeasurementFuzz::validate`](crate::MeasurementFuzz::validate) used to
-//! return `Result<(), String>`, and the setters on the core panicked on
-//! invalid input; now an invalid configuration is a [`ConfigError`] that
-//! the whole stack (`bscope-os`, `bscope-core`, the experiments binary)
-//! propagates as a typed, attributable failure.
+//! [`MeasurementFuzz::validate`](crate::MeasurementFuzz::validate) report
+//! an invalid configuration as a [`ConfigError`], and the core's setters
+//! return it and keep the configuration they had. The whole stack
+//! (`bscope-os`, `bscope-core`, the experiments binary) propagates it as a
+//! typed, attributable failure.
 
 use std::error::Error;
 use std::fmt;

@@ -5,7 +5,7 @@ use crate::event::BranchEvent;
 use crate::icache::InstructionCache;
 use crate::noise::NoiseConfig;
 use crate::policy::{BpuPolicy, MeasurementFuzz, Route};
-use crate::timing::TimingModel;
+use crate::timing;
 use bscope_bpu::{
     BackendKind, MicroarchProfile, Outcome, Prediction, PredictorBackend, PredictorKind, VirtAddr,
 };
@@ -78,7 +78,6 @@ const STATIC_NOT_TAKEN: Prediction = Prediction {
 #[derive(Debug)]
 pub struct SimCore {
     bpu: PredictorBackend,
-    timing: TimingModel,
     icache: InstructionCache,
     counters: Vec<PerfCounters>,
     tsc: u64,
@@ -89,7 +88,7 @@ pub struct SimCore {
     branches: u64,
     /// Background-noise branches executed so far.
     noise_branches: u64,
-    noise: Option<NoiseParams>,
+    noise: Option<NoiseConfig>,
     noise_rng: StdRng,
     /// Exact (fractional) cycle of the next noise arrival.
     noise_arrival: f64,
@@ -104,29 +103,6 @@ pub struct SimCore {
     tracer: Tracer,
 }
 
-/// Validated, `Copy` image of a [`NoiseConfig`], cached so the noise path
-/// stays allocation-free (`NoiseConfig` holds a `Range`, which is not
-/// `Copy`).
-#[derive(Debug, Clone, Copy)]
-struct NoiseParams {
-    /// Mean gap between arrivals, in cycles; infinite at rate zero.
-    mean_gap: f64,
-    addr_lo: u64,
-    addr_hi: u64,
-    taken_bias: f64,
-}
-
-impl From<&NoiseConfig> for NoiseParams {
-    fn from(cfg: &NoiseConfig) -> Self {
-        NoiseParams {
-            mean_gap: 1_000.0 / cfg.branches_per_kcycle,
-            addr_lo: cfg.addr_range.start,
-            addr_hi: cfg.addr_range.end,
-            taken_bias: cfg.taken_bias,
-        }
-    }
-}
-
 impl SimCore {
     /// Creates a core for the given microarchitecture with the paper's
     /// hybrid predictor, all randomness derived from `seed`.
@@ -137,13 +113,11 @@ impl SimCore {
 
     /// Creates a core running on an explicit predictor backend (see
     /// [`bscope_bpu::BackendKind`]); [`SimCore::new`] is the hybrid special
-    /// case. Timing parameters come from the backend's effective profile.
+    /// case.
     #[must_use]
     pub fn with_backend(backend: PredictorBackend, seed: u64) -> Self {
-        let timing = TimingModel::new(backend.profile().timing);
         SimCore {
             bpu: backend,
-            timing,
             icache: InstructionCache::l1i_default(),
             counters: vec![PerfCounters::new(); 2],
             tsc: 0,
@@ -197,7 +171,7 @@ impl SimCore {
         if let Some(cfg) = &noise {
             cfg.validate()?;
         }
-        self.noise = noise.as_ref().map(NoiseParams::from);
+        self.noise = noise;
         self.noise_arrival = self.tsc as f64;
         self.schedule_next_noise();
         Ok(())
@@ -383,7 +357,7 @@ impl SimCore {
             let cold = !self.icache.touch(addr);
             let (prediction, correct) = self.bpu.execute(addr, outcome, None);
             let taken_btb_miss = outcome.is_taken() && !prediction.btb_hit;
-            self.tsc += self.timing.advance(!correct, cold, taken_btb_miss);
+            self.tsc += timing::advance(!correct, cold, taken_btb_miss);
             misses += u64::from(!correct);
         }
         let retired = branches.len() as u64;
@@ -432,9 +406,9 @@ impl SimCore {
         // report (Fig. 7); the core clock advances by the much smaller
         // throughput cost of straight-line execution.
         let taken_btb_miss = outcome.is_taken() && !prediction.btb_hit;
-        let mut latency = TIMED
-            .then(|| self.timing.sample(self.seed, index, mispredicted, cold, taken_btb_miss));
-        self.tsc += self.timing.advance(mispredicted, cold, taken_btb_miss);
+        let mut latency =
+            TIMED.then(|| timing::sample(self.seed, index, mispredicted, cold, taken_btb_miss));
+        self.tsc += timing::advance(mispredicted, cold, taken_btb_miss);
         let mut recorded_miss = mispredicted;
         if let Some(fuzz) = self.fuzz {
             recorded_miss = fuzz.fuzz_miss(self.seed, index, mispredicted);
@@ -483,14 +457,13 @@ impl SimCore {
     /// Moves the next arrival one exponential gap past the current one, or
     /// unschedules noise when it is off or its rate is zero.
     fn schedule_next_noise(&mut self) {
-        let mean_gap = match self.noise {
-            Some(cfg) if cfg.mean_gap.is_finite() => cfg.mean_gap,
-            _ => {
-                self.noise_arrival = f64::INFINITY;
-                self.next_noise_at = u64::MAX;
-                return;
-            }
-        };
+        let mean_gap =
+            self.noise.as_ref().map_or(f64::INFINITY, |cfg| 1_000.0 / cfg.branches_per_kcycle);
+        if !mean_gap.is_finite() {
+            self.noise_arrival = f64::INFINITY;
+            self.next_noise_at = u64::MAX;
+            return;
+        }
         let u: f64 = self.noise_rng.gen_range(0.0..1.0);
         self.noise_arrival += mean_gap * -(1.0 - u).ln();
         // Arrivals are continuous; one at time t is due once tsc >= t,
@@ -503,9 +476,9 @@ impl SimCore {
     /// it appears in no foreground context's counters and does not advance
     /// the foreground clock.
     fn execute_noise_branch(&mut self) {
-        let Some(cfg) = self.noise else { return };
+        let Some(cfg) = &self.noise else { return };
         self.noise_branches += 1;
-        let addr = self.noise_rng.gen_range(cfg.addr_lo..cfg.addr_hi);
+        let addr = self.noise_rng.gen_range(cfg.addr_range.clone());
         let outcome = Outcome::from_bool(self.noise_rng.gen_bool(cfg.taken_bias));
         let route = match &mut self.policy {
             None => Route::Predict(addr),

@@ -8,7 +8,7 @@ use bscope_bpu::VirtAddr;
 /// (§8) executes "each branch instance two times, but only record\[s\] the
 /// latency during the second execution, after the instruction has been
 /// placed in the cache". The first touch of a line is reported cold; the
-/// model feeds that into [`TimingModel`](crate::TimingModel).
+/// core feeds that into the [`timing`](crate::timing) model.
 ///
 /// Each set holds the number (`addr >> 6`) of its resident line, or
 /// `u64::MAX` when nothing is resident. A line number is below 2^58, so it

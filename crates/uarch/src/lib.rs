@@ -10,11 +10,12 @@
 //!   [`SimCore::with_backend`] — charges cycles for them and exposes the
 //!   two measurement channels the paper's attacker uses: **performance
 //!   counters** (§7) and the **timestamp counter** (§8);
-//! * [`TimingModel`] — the latency of a timed branch
-//!   ([`SimCore::execute_timed_branch_in`]), calibrated against the paper's
+//! * [`timing`] — the latency of a timed branch
+//!   ([`SimCore::execute_timed_branch_in`]) and the clock step of every
+//!   branch, calibrated once for all three machines against the paper's
 //!   Figure 7 distributions (hit ≈ 85 cycles, misprediction ≈ +50, heavy
-//!   upper tail, extra cost and variance for cold-i-cache executions) and
-//!   sampled only for branches the caller times;
+//!   upper tail, extra cost and variance for cold-i-cache executions); the
+//!   latency is sampled only for branches the caller times;
 //! * [`InstructionCache`] — a direct-mapped i-cache model driving the
 //!   first-vs-second measurement gap of Figure 8;
 //! * [`PerfCounters`] — retired-branch / mispredicted-branch counters as
@@ -46,7 +47,7 @@ mod event;
 mod icache;
 mod noise;
 mod policy;
-mod timing;
+pub mod timing;
 
 pub use config::ConfigError;
 pub use core_impl::{ContextId, SimCore, NOISE_CTX};
@@ -58,4 +59,3 @@ pub use counters::PerfCounters;
 pub use event::BranchEvent;
 pub use icache::InstructionCache;
 pub use noise::NoiseConfig;
-pub use timing::TimingModel;

@@ -97,7 +97,7 @@ impl MeasurementFuzz {
     /// The misprediction flag the counters record for foreground branch
     /// `index` of a core seeded with `seed`: flipped with probability
     /// [`counter_flip_probability`](Self::counter_flip_probability). A pure
-    /// function of its arguments, like [`TimingModel::sample`](crate::TimingModel::sample).
+    /// function of its arguments, like [`timing::sample`](crate::timing::sample).
     #[must_use]
     pub fn fuzz_miss(&self, seed: u64, index: u64, mispredicted: bool) -> bool {
         let flip = self.counter_flip_probability > 0.0

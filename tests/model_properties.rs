@@ -10,8 +10,8 @@ use branchscope::mitigations::{
 };
 use branchscope::os::{AslrPolicy, System};
 use branchscope::uarch::{
-    BpuPolicy, BranchEvent, MeasurementFuzz, NoiseConfig, PerfCounters, Route, SimCore,
-    TimingModel, NOISE_CTX,
+    timing, BpuPolicy, BranchEvent, MeasurementFuzz, NoiseConfig, PerfCounters, Route, SimCore,
+    NOISE_CTX,
 };
 use bscope_harness::splitmix64;
 use proptest::prelude::*;
@@ -485,6 +485,15 @@ impl RefICache {
 /// `StdRng::seed_from_u64(splitmix64(seed ^ NOISE_STREAM))`.
 const NOISE_STREAM: u64 = 0x4E01_5E00_D1A7_0003;
 
+/// Cycles one branch advances the core clock: the throughput cost plus a
+/// stall for each of misprediction, cold i-cache and taken BTB miss.
+/// Written out here rather than imported, so the lockstep checks the
+/// core's values.
+const THROUGHPUT_CYCLES: u64 = 2;
+const MISPREDICT_STALL: u64 = 18;
+const COLD_STALL: u64 = 30;
+const BTB_MISS_TAKEN_STALL: u64 = 8;
+
 /// `SimCore` written out straight-line over a [`PredictorBackend`] (which
 /// [`RefHybrid`] checks): it samples every branch's latency eagerly,
 /// checks for due noise arrivals inline on every branch by comparing
@@ -494,7 +503,6 @@ const NOISE_STREAM: u64 = 0x4E01_5E00_D1A7_0003;
 /// its re-arming, and where the policy call sits.
 struct RefCore {
     bpu: PredictorBackend,
-    timing: TimingModel,
     icache: RefICache,
     policy: Option<Box<dyn BpuPolicy>>,
     fuzz: Option<MeasurementFuzz>,
@@ -513,7 +521,6 @@ struct RefCore {
 impl RefCore {
     fn new(bpu: PredictorBackend, seed: u64) -> Self {
         RefCore {
-            timing: TimingModel::new(bpu.profile().timing),
             bpu,
             icache: RefICache::new(),
             policy: None,
@@ -599,17 +606,15 @@ impl RefCore {
             }
         };
         let taken_btb_miss = outcome.is_taken() && !prediction.btb_hit;
-        let mut latency = self.timing.sample(self.seed, index, mispredicted, cold, taken_btb_miss);
-        let t = self.bpu.profile().timing;
-        let mut advance = t.throughput_cycles;
+        let mut latency = timing::sample(self.seed, index, mispredicted, cold, taken_btb_miss);
+        self.tsc += THROUGHPUT_CYCLES;
         for (stalled, stall) in [
-            (mispredicted, t.mispredict_stall),
-            (cold, t.cold_stall),
-            (taken_btb_miss, t.btb_miss_taken_stall),
+            (mispredicted, MISPREDICT_STALL),
+            (cold, COLD_STALL),
+            (taken_btb_miss, BTB_MISS_TAKEN_STALL),
         ] {
-            advance += if stalled { stall } else { 0.0 };
+            self.tsc += if stalled { stall } else { 0 };
         }
-        self.tsc += advance.max(1.0).round() as u64;
         let mut recorded = mispredicted;
         if let Some(fuzz) = self.fuzz {
             recorded = fuzz.fuzz_miss(self.seed, index, mispredicted);
