@@ -50,7 +50,12 @@ impl BtbTimingAttack {
     /// timed, then evicted through an alias and timed again. The threshold
     /// is the midpoint of the two means. Must run before
     /// [`BtbTimingAttack::read_bit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is zero: there would be no mean to split.
     pub fn calibrate(&mut self, sys: &mut System, spy: Pid, samples: usize) {
+        assert!(samples > 0, "need at least one calibration sample, got samples {samples}");
         let btb_size = sys.core().profile().btb_size as u64;
         // Scratch base (XORed into the target) and stride of the spy's
         // calibration branches, away from the victim's BTB set.
@@ -173,6 +178,14 @@ mod tests {
         let mut attack = BtbTimingAttack::new(BtbSignal::Eviction, 0x40_006d);
         attack.calibrate(&mut sys, spy, 10);
         let _ = attack.read_bit(&mut sys, spy, 0, |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one calibration sample, got samples 0")]
+    fn calibrate_without_samples_panics() {
+        let mut sys = System::new(MicroarchProfile::haswell(), 44);
+        let spy = sys.spawn("spy", AslrPolicy::Disabled);
+        BtbTimingAttack::new(BtbSignal::Shadowing, 0x40_006d).calibrate(&mut sys, spy, 0);
     }
 
     #[test]

@@ -3,12 +3,12 @@
 use crate::VirtAddr;
 
 /// One BTB entry: the tag of the owning branch and its last taken target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BtbEntry {
+#[derive(Debug, Clone, Copy)]
+struct BtbEntry {
     /// Address tag distinguishing aliasing branches.
-    pub tag: u64,
+    tag: u64,
     /// Last recorded target address of the branch.
-    pub target: VirtAddr,
+    target: VirtAddr,
 }
 
 /// A direct-mapped branch target buffer.
@@ -46,21 +46,7 @@ impl BranchTargetBuffer {
         BranchTargetBuffer { entries: vec![None; size], mask: (size - 1) as u64 }
     }
 
-    /// Number of sets.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the BTB holds zero sets (never true once constructed).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Set index for a branch address.
-    #[must_use]
-    pub fn index_of(&self, addr: VirtAddr) -> usize {
+    fn index_of(&self, addr: VirtAddr) -> usize {
         (addr & self.mask) as usize
     }
 
@@ -82,21 +68,18 @@ impl BranchTargetBuffer {
         self.lookup(addr).is_some()
     }
 
-    /// Installs (or replaces) the entry for a taken branch, returning the
-    /// evicted entry if an aliasing branch occupied the set.
-    pub fn insert(&mut self, addr: VirtAddr, target: VirtAddr) -> Option<BtbEntry> {
+    /// Installs (or replaces) the entry for a taken branch, evicting any
+    /// aliasing branch that occupied the set.
+    pub fn insert(&mut self, addr: VirtAddr, target: VirtAddr) {
         let idx = self.index_of(addr);
-        let tag = self.tag_of(addr);
-        self.entries[idx].replace(BtbEntry { tag, target })
+        self.entries[idx] = Some(BtbEntry { tag: self.tag_of(addr), target });
     }
 
-    /// Removes the entry for `addr` if present (tag must match), returning
-    /// it. Used by flush-style mitigations.
-    pub fn evict(&mut self, addr: VirtAddr) -> Option<BtbEntry> {
-        let idx = self.index_of(addr);
-        match self.entries[idx] {
-            Some(e) if e.tag == self.tag_of(addr) => self.entries[idx].take(),
-            _ => None,
+    /// Removes the entry for `addr` if present (tag must match).
+    pub fn evict(&mut self, addr: VirtAddr) {
+        if self.contains(addr) {
+            let idx = self.index_of(addr);
+            self.entries[idx] = None;
         }
     }
 
@@ -122,9 +105,9 @@ mod tests {
     fn aliasing_branch_evicts() {
         let mut btb = BranchTargetBuffer::new(64);
         btb.insert(0x10, 0xAAAA);
+        assert_eq!(btb.lookup(0x10), Some(0xAAAA));
         // 0x10 + 64 maps to the same set with a different tag.
-        let evicted = btb.insert(0x10 + 64, 0xBBBB);
-        assert_eq!(evicted.map(|e| e.target), Some(0xAAAA));
+        btb.insert(0x10 + 64, 0xBBBB);
         assert_eq!(btb.lookup(0x10), None, "victim entry evicted");
         assert_eq!(btb.lookup(0x10 + 64), Some(0xBBBB));
     }
@@ -141,9 +124,9 @@ mod tests {
     fn evict_requires_matching_tag() {
         let mut btb = BranchTargetBuffer::new(64);
         btb.insert(0x10, 0xAAAA);
-        assert_eq!(btb.evict(0x10 + 64), None);
-        assert!(btb.contains(0x10));
-        assert_eq!(btb.evict(0x10).map(|e| e.target), Some(0xAAAA));
+        btb.evict(0x10 + 64);
+        assert_eq!(btb.lookup(0x10), Some(0xAAAA), "an alias evicts nothing");
+        btb.evict(0x10);
         assert!(!btb.contains(0x10));
     }
 

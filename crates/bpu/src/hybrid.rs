@@ -14,13 +14,36 @@
 //! different entry for every history context, which is why it converges
 //! slowly on new branches (§5.1) and resists attacker collisions.
 
-use crate::backend::{Prediction, PredictorKind};
 use crate::counter::{Outcome, PhtState};
 use crate::ghr::GlobalHistoryRegister;
 use crate::pht::PatternHistoryTable;
 use crate::profile::MicroarchProfile;
 use crate::selector::SelectorTable;
 use crate::VirtAddr;
+
+/// What the hybrid's components answer for one branch, read by
+/// [`Hybrid::predict`] and handed back to [`Hybrid::train`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HybridLookup {
+    /// What the bimodal PHT predicts.
+    bimodal: Outcome,
+    /// What the gshare PHT predicts under the current history.
+    gshare: Outcome,
+    /// Whether the selector chose gshare.
+    pub(crate) use_gshare: bool,
+}
+
+impl HybridLookup {
+    /// The chosen component's direction.
+    #[inline]
+    pub(crate) fn direction(&self) -> Outcome {
+        if self.use_gshare {
+            self.gshare
+        } else {
+            self.bimodal
+        }
+    }
+}
 
 /// Bimodal + gshare PHTs and the selector table.
 ///
@@ -51,44 +74,43 @@ impl Hybrid {
         }
     }
 
-    /// `(used, bimodal, gshare)` for the branch at `addr`; the selector is
-    /// consulted only for BTB-resident branches.
+    /// Both components' answers for the branch at `addr` and the choice
+    /// between them; the selector is consulted only for BTB-resident
+    /// branches.
     #[inline]
     pub(crate) fn predict(
         &self,
         addr: VirtAddr,
         ghr: &GlobalHistoryRegister,
         btb_hit: bool,
-    ) -> (PredictorKind, Outcome, Outcome) {
-        let bimodal = self.bimodal.predict(self.bimodal.index_of(addr));
-        let gshare = self.gshare.predict(self.gshare.index_of(addr ^ ghr.value()));
-        let used = if btb_hit && self.selector.prefers_gshare(addr) {
-            PredictorKind::Gshare
-        } else {
-            PredictorKind::Bimodal
-        };
-        (used, bimodal, gshare)
+    ) -> HybridLookup {
+        HybridLookup {
+            bimodal: self.bimodal.predict(self.bimodal.index_of(addr)),
+            gshare: self.gshare.predict(self.gshare.index_of(addr ^ ghr.value())),
+            use_gshare: btb_hit && self.selector.prefers_gshare(addr),
+        }
     }
 
-    /// Trains both PHTs (gshare under the history that produced the
-    /// prediction) and, for BTB-resident branches, the selector. The
-    /// selector observes component accuracy only for branches it actually
-    /// arbitrates; this keeps single-shot spy branches from perturbing
-    /// chooser state, matching the paper's "new branch ⇒ 1-level" behaviour.
+    /// Trains both PHTs (gshare under the history that produced `lookup`)
+    /// and, for BTB-resident branches, the selector. The selector observes
+    /// component accuracy only for branches it actually arbitrates; this
+    /// keeps single-shot spy branches from perturbing chooser state,
+    /// matching the paper's "new branch ⇒ 1-level" behaviour.
     #[inline]
     pub(crate) fn train(
         &mut self,
         addr: VirtAddr,
         ghr: &GlobalHistoryRegister,
         outcome: Outcome,
-        prediction: &Prediction,
+        lookup: &HybridLookup,
+        btb_hit: bool,
     ) {
         let b = self.bimodal.index_of(addr);
         self.bimodal.update(b, outcome);
         let g = self.gshare.index_of(addr ^ ghr.value());
         self.gshare.update(g, outcome);
-        if prediction.btb_hit {
-            self.selector.train(addr, prediction.bimodal == outcome, prediction.gshare == outcome);
+        if btb_hit {
+            self.selector.train(addr, lookup.bimodal == outcome, lookup.gshare == outcome);
         }
     }
 
@@ -138,12 +160,10 @@ mod tests {
         outcome: Outcome,
         btb_hit: bool,
     ) -> (bool, bool) {
-        let (used, bimodal, gshare) = h.predict(addr, ghr, btb_hit);
-        let direction = if used == PredictorKind::Gshare { gshare } else { bimodal };
-        let prediction = Prediction { direction, used, bimodal, gshare, btb_hit, target: None };
-        h.train(addr, ghr, outcome, &prediction);
+        let lookup = h.predict(addr, ghr, btb_hit);
+        h.train(addr, ghr, outcome, &lookup, btb_hit);
         ghr.push(outcome);
-        (bimodal == outcome, gshare == outcome)
+        (lookup.bimodal == outcome, lookup.gshare == outcome)
     }
 
     #[test]
@@ -188,10 +208,10 @@ mod tests {
                 step(&mut h, &mut ghr, 0x300, outcome, btb_hit);
                 outcome = outcome.flipped();
             }
-            h.predict(0x300, &ghr, true).0
+            h.predict(0x300, &ghr, true).use_gshare
         };
-        assert_eq!(run(false), PredictorKind::Bimodal, "BTB misses never train the chooser");
-        assert_eq!(run(true), PredictorKind::Gshare, "resident branches migrate");
+        assert!(!run(false), "BTB misses never train the chooser");
+        assert!(run(true), "resident branches migrate");
     }
 
     #[test]
@@ -203,9 +223,9 @@ mod tests {
             outcome = outcome.flipped();
         }
         h.restart_chooser(0x300);
-        assert_eq!(h.predict(0x300, &ghr, true).0, PredictorKind::Bimodal);
+        assert!(!h.predict(0x300, &ghr, true).use_gshare);
         h.set_pht_state(0x300 + 1_024, PhtState::StronglyTaken);
         assert_eq!(h.pht_state(0x300), PhtState::StronglyTaken, "aliases share an entry");
-        assert_eq!(h.predict(0x300, &ghr, false).1, Outcome::Taken);
+        assert_eq!(h.predict(0x300, &ghr, false).bimodal, Outcome::Taken);
     }
 }

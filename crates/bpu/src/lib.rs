@@ -28,17 +28,18 @@
 //! # Example
 //!
 //! ```
-//! use bscope_bpu::{BackendKind, MicroarchProfile, Outcome, PredictorKind};
+//! use bscope_bpu::{BackendKind, MicroarchProfile, Outcome};
 //!
 //! let mut bpu = BackendKind::Hybrid.build(MicroarchProfile::skylake());
-//! assert_eq!(bpu.predict(0x40_0000).used, PredictorKind::Bimodal, "new branches use the 1-level predictor");
+//! assert!(!bpu.predict(0x40_0000).two_level, "new branches use the 1-level predictor");
 //! // Train a branch at address 0x40_0000 to be always taken: `execute`
 //! // predicts and commits one dynamic branch, and is the only commit path.
 //! for _ in 0..4 {
 //!     bpu.execute(0x40_0000, Outcome::Taken, Some(0x40_0040));
 //! }
 //! let (prediction, correct) = bpu.execute(0x40_0000, Outcome::Taken, Some(0x40_0040));
-//! assert!(correct && prediction.target == Some(0x40_0040));
+//! assert!(correct && prediction.direction == Outcome::Taken);
+//! assert_eq!(bpu.btb().lookup(0x40_0000), Some(0x40_0040));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,8 +57,8 @@ mod selector;
 mod stats;
 mod tage;
 
-pub use backend::{BackendKind, Prediction, PredictorBackend, PredictorKind};
-pub use btb::{BranchTargetBuffer, BtbEntry};
+pub use backend::{BackendKind, Prediction, PredictorBackend};
+pub use btb::BranchTargetBuffer;
 pub use counter::{Counter, CounterKind, Outcome, PhtState};
 pub use ghr::GlobalHistoryRegister;
 pub use profile::{Microarch, MicroarchProfile};

@@ -13,9 +13,12 @@ pub struct PredictionStats {
     pub branches: u64,
     /// Branches whose predicted direction was wrong.
     pub mispredictions: u64,
-    /// Branches routed to the 1-level (bimodal) component.
+    /// Branches whose direction the address-indexed PHT provided.
     pub bimodal_used: u64,
-    /// Branches routed to the 2-level (gshare) component.
+    /// Branches whose direction a history-indexed component provided
+    /// ([`Prediction::two_level`](crate::Prediction::two_level)): the
+    /// hybrid's gshare side, a confident tagged TAGE component, or the
+    /// perceptron.
     pub gshare_used: u64,
 }
 
@@ -30,11 +33,11 @@ impl PredictionStats {
     /// branching on them, so an unpredictable outcome stream costs the
     /// host no mispredictions here.
     #[inline]
-    pub fn record(&mut self, used_gshare: bool, mispredicted: bool) {
+    pub fn record(&mut self, two_level: bool, mispredicted: bool) {
         self.branches += 1;
         self.mispredictions += u64::from(mispredicted);
-        self.gshare_used += u64::from(used_gshare);
-        self.bimodal_used += u64::from(!used_gshare);
+        self.gshare_used += u64::from(two_level);
+        self.bimodal_used += u64::from(!two_level);
     }
 
     /// Misprediction rate in `[0, 1]`; zero when no branches were recorded.
@@ -47,7 +50,7 @@ impl PredictionStats {
         }
     }
 
-    /// Fraction of branches routed to the 2-level component.
+    /// Fraction of branches a history-indexed component predicted.
     #[must_use]
     fn gshare_fraction(&self) -> f64 {
         if self.branches == 0 {
@@ -62,7 +65,7 @@ impl fmt::Display for PredictionStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} branches, {} mispredicted ({:.2}%), {:.1}% via gshare",
+            "{} branches, {} mispredicted ({:.2}%), {:.1}% two-level",
             self.branches,
             self.mispredictions,
             100.0 * self.misprediction_rate(),

@@ -39,7 +39,7 @@
 //!
 //! Each branch is looked up once. [`TagePredictor::lookup`] folds every
 //! component's history once and records each component's index and tag,
-//! the raw hit, the confident provider and the base prediction;
+//! the raw hit, the confident provider and the predicted direction;
 //! [`PredictorBackend::execute`](crate::PredictorBackend::execute), the
 //! only commit path, builds the prediction from that lookup and hands it to
 //! [`TagePredictor::train`].
@@ -76,8 +76,6 @@ pub(crate) struct TageLookup {
     hit: Option<usize>,
     /// Base-table index of the branch.
     base_index: usize,
-    /// What the base table predicts.
-    pub(crate) base: Outcome,
     /// Predicted direction.
     pub(crate) direction: Outcome,
     /// Longest *confident* matching component, which provided `direction`
@@ -156,14 +154,12 @@ impl TagePredictor {
     pub(crate) fn lookup(&self, pc: VirtAddr, ghr: &GlobalHistoryRegister) -> TageLookup {
         let history = ghr.value();
         let base_index = self.base.index_of(pc);
-        let base = self.base.predict(base_index);
         let mut lookup = TageLookup {
             index: [0; COMPONENTS],
             tag: [0; COMPONENTS],
             hit: None,
             base_index,
-            base,
-            direction: base,
+            direction: self.base.predict(base_index),
             provider: None,
         };
         for i in (0..COMPONENTS).rev() {

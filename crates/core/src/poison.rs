@@ -65,6 +65,10 @@ impl BranchPoisoner {
     /// Measures the victim misprediction rate the poisoner achieves over
     /// `rounds` rounds of steer → victim-execute, where the victim's branch
     /// always resolves to `victim_direction` (benchmark helper).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rounds` is zero: there would be no round to count.
     pub fn misprediction_rate(
         &mut self,
         sys: &mut System,
@@ -74,6 +78,7 @@ impl BranchPoisoner {
         victim_direction: Outcome,
         rounds: usize,
     ) -> f64 {
+        assert!(rounds > 0, "need at least one round, got rounds {rounds}");
         let mut missed = 0usize;
         for _ in 0..rounds {
             self.force_misprediction(&mut sys.cpu(spy), victim_direction);
@@ -81,7 +86,7 @@ impl BranchPoisoner {
                 missed += 1;
             }
         }
-        missed as f64 / rounds.max(1) as f64
+        missed as f64 / rounds as f64
     }
 }
 
@@ -149,5 +154,13 @@ mod tests {
             }
         }
         assert_eq!(missed, 20, "every poisoned execution mispredicts");
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one round, got rounds 0")]
+    fn misprediction_rate_without_rounds_panics() {
+        let (mut sys, victim, spy, target) = setup();
+        let mut poisoner = BranchPoisoner::new(target);
+        let _ = poisoner.misprediction_rate(&mut sys, spy, victim, 0x6d, Outcome::Taken, 0);
     }
 }

@@ -1,11 +1,9 @@
 //! §10 ablation: attack error rate under each proposed defense.
 
 use crate::common::{trials, Scale};
-use bscope_bpu::{BackendKind, MicroarchProfile};
+use bscope_bpu::MicroarchProfile;
 use bscope_core::BscopeError;
-use bscope_mitigations::{
-    benign_overhead, evaluate_backend, EvalReport, MeasurementFuzz, Mitigation,
-};
+use bscope_mitigations::{benign_overhead, evaluate, EvalReport, MeasurementFuzz, Mitigation};
 
 pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     let bits = scale.n(3_000, 400);
@@ -27,7 +25,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     let rates = trials(scale, 2 * n, 0x10DEF, |idx, seed, tracer| {
         let m = &mitigations[idx % n];
         if idx < n {
-            evaluate_backend(m, &profile, BackendKind::Hybrid, bits, seed, tracer).error_rate
+            evaluate(m, &profile, bits, seed, tracer).error_rate
         } else {
             benign_overhead(m, &profile, seed, tracer)
         }

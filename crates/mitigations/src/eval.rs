@@ -5,7 +5,7 @@ use crate::no_predict::NoPredictPolicy;
 use crate::partitioned::PartitionedBpuPolicy;
 use crate::randomized_pht::RandomizedPhtPolicy;
 use crate::stochastic_fsm::StochasticFsmPolicy;
-use bscope_bpu::{BackendKind, MicroarchProfile, VirtAddr};
+use bscope_bpu::{MicroarchProfile, VirtAddr};
 use bscope_core::{AttackConfig, BranchScope};
 use bscope_os::{AslrPolicy, System, Workload};
 use bscope_uarch::{ContextId, MeasurementFuzz, Tracer, NOISE_CTX};
@@ -101,7 +101,8 @@ impl fmt::Display for EvalReport {
 }
 
 /// Runs the BranchScope side-channel (spy reading a victim's secret branch
-/// bit stream) under `mitigation` and reports the residual error rate.
+/// bit stream) under `mitigation` and reports the residual error rate,
+/// with `tracer` on the core while the spy reads.
 ///
 /// The victim and spy co-reside as in the paper's §7 setup; the secret is
 /// uniformly random. For [`Mitigation::IfConversion`] the victim runs the
@@ -118,43 +119,35 @@ pub fn evaluate(
     profile: &MicroarchProfile,
     bits: usize,
     seed: u64,
+    tracer: &mut Tracer,
 ) -> EvalReport {
-    evaluate_backend(mitigation, profile, BackendKind::Hybrid, bits, seed, &mut Tracer::disabled())
+    evaluate_on(System::new(profile.clone(), seed), mitigation, bits, seed, tracer)
 }
 
-/// [`evaluate`] against an explicit predictor backend, with `tracer` on the
-/// core while the spy reads: the defenses are policy wrappers around the
-/// core's BPU, so every one of them must compose with any substrate
-/// ([`BackendKind::Tage`], [`BackendKind::Perceptron`]), not just the
-/// paper's hybrid.
-///
-/// # Panics
-///
-/// Panics if `bits` is zero.
-#[must_use]
-pub fn evaluate_backend(
+/// [`evaluate`] on the machine `sys`, whatever its predictor backend: the
+/// defenses are policy wrappers around the core's BPU, so the tests run
+/// them on TAGE and the perceptron too.
+fn evaluate_on(
+    mut sys: System,
     mitigation: &Mitigation,
-    profile: &MicroarchProfile,
-    backend: BackendKind,
     bits: usize,
     seed: u64,
     tracer: &mut Tracer,
 ) -> EvalReport {
     assert!(bits > 0, "evaluating a defense needs at least one secret bit");
-    let mut sys = System::with_backend(profile.clone(), backend, seed);
     let victim = sys.spawn("victim", AslrPolicy::Disabled);
     let spy = sys.spawn("spy", AslrPolicy::Disabled);
     let target = sys.process(victim).vaddr_of(VICTIM_BRANCH_OFFSET);
     let victim_ctx = sys.process(victim).ctx();
     let keyed = [victim_ctx, sys.process(spy).ctx(), NOISE_CTX];
-    install_policy(&mut sys, mitigation, profile, seed, &keyed, (victim_ctx, target));
+    install_policy(&mut sys, mitigation, seed, &keyed, (victim_ctx, target));
     if let Mitigation::NoisyMeasurements(fuzz) = mitigation {
         sys.set_measurement_fuzz(Some(*fuzz)).expect("evaluated fuzz configs are valid");
     }
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC2);
     let secret: Vec<bool> = (0..bits).map(|_| rng.gen()).collect();
-    let mut attack = BranchScope::new(AttackConfig::for_backend(profile, backend))
+    let mut attack = BranchScope::new(AttackConfig::for_profile(sys.core().profile()))
         .expect("canonical config is valid");
     let mut workload: Box<dyn Workload> = match mitigation {
         Mitigation::IfConversion => Box::new(IfConvertedVictim::new(secret.clone())),
@@ -194,7 +187,7 @@ pub fn benign_overhead(
     let hot_branch = sys.process(app).vaddr_of(0x50);
     // Under no-prediction, the developer flagged this (hot!) branch as
     // sensitive.
-    install_policy(&mut sys, mitigation, profile, seed, &[app_ctx], (app_ctx, hot_branch));
+    install_policy(&mut sys, mitigation, seed, &[app_ctx], (app_ctx, hot_branch));
     let iterations = 4_000u64;
     sys.with_tracer(tracer, |sys| {
         for i in 0..iterations {
@@ -214,7 +207,6 @@ pub fn benign_overhead(
 fn install_policy(
     sys: &mut System,
     mitigation: &Mitigation,
-    profile: &MicroarchProfile,
     seed: u64,
     keyed: &[ContextId],
     protected: (ContextId, VirtAddr),
@@ -232,10 +224,8 @@ fn install_policy(
             sys.set_policy(Box::new(policy));
         }
         Mitigation::PartitionedBpu { partitions } => {
-            sys.set_policy(Box::new(PartitionedBpuPolicy::new(
-                profile.pht_size as u64,
-                *partitions,
-            )));
+            let pht_size = sys.core().profile().pht_size as u64;
+            sys.set_policy(Box::new(PartitionedBpuPolicy::new(pht_size, *partitions)));
         }
         Mitigation::NoPredictSensitive => {
             let (ctx, addr) = protected;
@@ -250,11 +240,18 @@ fn install_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bscope_bpu::BackendKind;
 
     const BITS: usize = 400;
 
     fn run(mitigation: Mitigation) -> EvalReport {
-        evaluate(&mitigation, &MicroarchProfile::skylake(), BITS, 0xE7A1)
+        evaluate(&mitigation, &MicroarchProfile::skylake(), BITS, 0xE7A1, &mut Tracer::disabled())
+    }
+
+    /// [`run`] on the `backend` substrate.
+    fn run_on(backend: BackendKind, mitigation: Mitigation) -> EvalReport {
+        let sys = System::with_backend(MicroarchProfile::skylake(), backend, 0xE7A1);
+        evaluate_on(sys, &mitigation, BITS, 0xE7A1, &mut Tracer::disabled())
     }
 
     #[test]
@@ -326,28 +323,14 @@ mod tests {
     fn baseline_attack_succeeds_on_tage_backend() {
         // The base-table fallback keeps the channel alive on TAGE, and the
         // evaluation harness must drive it through the generic surface.
-        let r = evaluate_backend(
-            &Mitigation::None,
-            &MicroarchProfile::skylake(),
-            BackendKind::Tage,
-            BITS,
-            0xE7A1,
-            &mut Tracer::disabled(),
-        );
+        let r = run_on(BackendKind::Tage, Mitigation::None);
         assert!(!r.defeated(), "TAGE base table still leaks: error {:.3}", r.error_rate);
     }
 
     #[test]
     fn randomized_pht_defeats_the_attack_on_tage_backend() {
         // Defenses are policy wrappers: they must compose with any backend.
-        let r = evaluate_backend(
-            &Mitigation::RandomizedPht { rekey_interval: None },
-            &MicroarchProfile::skylake(),
-            BackendKind::Tage,
-            BITS,
-            0xE7A1,
-            &mut Tracer::disabled(),
-        );
+        let r = run_on(BackendKind::Tage, Mitigation::RandomizedPht { rekey_interval: None });
         assert!(r.defeated(), "error {:.3}", r.error_rate);
     }
 
@@ -355,14 +338,7 @@ mod tests {
     fn perceptron_backend_resists_even_the_unmitigated_attack() {
         // The structural headline: with no saturating counter to prime, the
         // spy reads close to coin flips without any defense installed.
-        let r = evaluate_backend(
-            &Mitigation::None,
-            &MicroarchProfile::skylake(),
-            BackendKind::Perceptron,
-            BITS,
-            0xE7A1,
-            &mut Tracer::disabled(),
-        );
+        let r = run_on(BackendKind::Perceptron, Mitigation::None);
         assert!(
             r.error_rate > 0.25,
             "perceptron should degrade the attack toward chance: error {:.3}",
@@ -373,7 +349,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one secret bit")]
     fn evaluating_zero_bits_panics() {
-        let _ = evaluate(&Mitigation::None, &MicroarchProfile::skylake(), 0, 0xE7A1);
+        let profile = MicroarchProfile::skylake();
+        let _ = evaluate(&Mitigation::None, &profile, 0, 0xE7A1, &mut Tracer::disabled());
     }
 
     #[test]

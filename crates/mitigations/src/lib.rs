@@ -35,7 +35,7 @@ mod randomized_pht;
 mod stochastic_fsm;
 
 pub use bscope_uarch::MeasurementFuzz;
-pub use eval::{benign_overhead, evaluate, evaluate_backend, EvalReport, Mitigation};
+pub use eval::{benign_overhead, evaluate, EvalReport, Mitigation};
 pub use if_conversion::IfConvertedVictim;
 pub use no_predict::NoPredictPolicy;
 pub use partitioned::PartitionedBpuPolicy;

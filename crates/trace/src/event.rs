@@ -55,8 +55,8 @@ impl std::fmt::Display for Span {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// One conditional branch retired by the simulated core: the full
-    /// predictor decision (predicted direction, whether the hybrid's
-    /// selector chose the 2-level side, BTB hit) plus, for a timed branch,
+    /// predictor decision (predicted direction, whether a history-indexed
+    /// component provided it, BTB hit) plus, for a timed branch,
     /// the latency the `rdtscp` pair around it read.
     Branch {
         /// Hardware context (logical CPU) that executed the branch.
@@ -70,7 +70,9 @@ pub enum TraceEvent {
         /// Whether the branch mispredicted (as recorded by the counters,
         /// i.e. after any measurement fuzzing).
         mispredicted: bool,
-        /// Whether the selector chose the 2-level (gshare) side.
+        /// Whether a history-indexed component provided the direction, on
+        /// any backend: the hybrid's gshare side, a confident tagged TAGE
+        /// component, or the perceptron (always).
         two_level: bool,
         /// Whether the BTB held the branch's target.
         btb_hit: bool,

@@ -6,9 +6,7 @@ use crate::icache::InstructionCache;
 use crate::noise::NoiseConfig;
 use crate::policy::{BpuPolicy, MeasurementFuzz, Route};
 use crate::timing;
-use bscope_bpu::{
-    BackendKind, MicroarchProfile, Outcome, Prediction, PredictorBackend, PredictorKind, VirtAddr,
-};
+use bscope_bpu::{BackendKind, MicroarchProfile, Outcome, Prediction, PredictorBackend, VirtAddr};
 use bscope_harness::splitmix64;
 use bscope_trace::{Span, TraceEvent, Tracer};
 use rand::rngs::StdRng;
@@ -33,14 +31,8 @@ const NOISE_STREAM: u64 = 0x4E01_5E00_D1A7_0003;
 static DROPPED_SIM_BRANCHES: AtomicU64 = AtomicU64::new(0);
 
 /// The static prediction of a branch that bypasses the predictor.
-const STATIC_NOT_TAKEN: Prediction = Prediction {
-    direction: Outcome::NotTaken,
-    used: PredictorKind::Bimodal,
-    bimodal: Outcome::NotTaken,
-    gshare: Outcome::NotTaken,
-    btb_hit: false,
-    target: None,
-};
+const STATIC_NOT_TAKEN: Prediction =
+    Prediction { direction: Outcome::NotTaken, two_level: false, btb_hit: false };
 
 /// A simulated physical core: one shared branch prediction unit, a cycle
 /// clock, an instruction cache, per-context performance counters and an
@@ -422,7 +414,7 @@ impl SimCore {
                 taken: outcome.is_taken(),
                 predicted_taken: prediction.direction.is_taken(),
                 mispredicted: recorded_miss,
-                two_level: prediction.used == PredictorKind::Gshare,
+                two_level: prediction.two_level,
                 btb_hit: prediction.btb_hit,
                 latency,
             });

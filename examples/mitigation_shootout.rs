@@ -6,6 +6,7 @@
 
 use branchscope::bpu::MicroarchProfile;
 use branchscope::mitigations::{evaluate, MeasurementFuzz, Mitigation};
+use branchscope::trace::Tracer;
 
 fn main() {
     let profile = MicroarchProfile::skylake();
@@ -21,7 +22,7 @@ fn main() {
         Mitigation::StochasticFsm { skip_probability: 0.5 },
         Mitigation::IfConversion,
     ] {
-        println!("  {}", evaluate(&mitigation, &profile, bits, 0xD1FE));
+        println!("  {}", evaluate(&mitigation, &profile, bits, 0xD1FE, &mut Tracer::disabled()));
     }
     println!("\n~0% error = channel wide open; ~50% = spy reduced to coin flipping.");
 }

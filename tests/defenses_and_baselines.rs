@@ -4,9 +4,10 @@
 use branchscope::baselines::compare_attacks;
 use branchscope::bpu::MicroarchProfile;
 use branchscope::mitigations::{evaluate, EvalReport, MeasurementFuzz, Mitigation};
+use branchscope::trace::Tracer;
 
 fn eval(m: Mitigation) -> EvalReport {
-    evaluate(&m, &MicroarchProfile::skylake(), 300, 0xD00D)
+    evaluate(&m, &MicroarchProfile::skylake(), 300, 0xD00D, &mut Tracer::disabled())
 }
 
 #[test]
@@ -35,13 +36,10 @@ fn software_defense_and_fuzzing_degrade_the_attack() {
 #[test]
 fn defenses_hold_on_every_paper_machine() {
     for profile in MicroarchProfile::paper_machines() {
-        let baseline = evaluate(&Mitigation::None, &profile, 200, 0xF00);
-        let defended = evaluate(
-            &Mitigation::RandomizedPht { rekey_interval: None },
-            &profile,
-            200,
-            0xF00,
-        );
+        let tracer = &mut Tracer::disabled();
+        let baseline = evaluate(&Mitigation::None, &profile, 200, 0xF00, tracer);
+        let randomized = Mitigation::RandomizedPht { rekey_interval: None };
+        let defended = evaluate(&randomized, &profile, 200, 0xF00, tracer);
         assert!(baseline.error_rate < 0.05, "{}: baseline {}", profile.arch, baseline);
         assert!(defended.defeated(), "{}: {}", profile.arch, defended);
     }

@@ -3,7 +3,7 @@
 use branchscope::attack::{AttackConfig, BranchScope, DirectionDict, ProbeKind};
 use branchscope::bpu::{
     BackendKind, CounterKind, MicroarchProfile, Outcome, PhtState, Prediction, PredictionStats,
-    PredictorBackend, PredictorKind,
+    PredictorBackend,
 };
 use branchscope::mitigations::{
     NoPredictPolicy, PartitionedBpuPolicy, RandomizedPhtPolicy, StochasticFsmPolicy,
@@ -39,7 +39,6 @@ struct RefPrediction {
     taken: bool,
     btb_hit: bool,
     used_gshare: bool,
-    target: Option<u64>,
 }
 
 impl RefHybrid {
@@ -59,12 +58,10 @@ impl RefHybrid {
         let b = (addr % self.bimodal.len() as u64) as usize;
         let g = ((addr ^ self.ghr) % self.gshare.len() as u64) as usize;
         let c = (addr % self.chooser.len() as u64) as usize;
-        let set = (addr % self.btb.len() as u64) as usize;
-        let tag = addr / self.btb.len() as u64;
+        let (set, tag) = self.set_and_tag(addr);
         let bimodal = self.bimodal[b] >= 2;
         let gshare = self.gshare[g] >= 2;
-        let entry = self.btb[set].filter(|&(t, _)| t == tag);
-        let btb_hit = entry.is_some();
+        let btb_hit = self.btb_target(addr).is_some();
         let used_gshare = btb_hit && self.chooser[c] >= 4;
         let direction = if used_gshare { gshare } else { bimodal };
         let step = |level: &mut u8, max: u8| {
@@ -87,12 +84,18 @@ impl RefHybrid {
             }
             self.btb[set] = Some((tag, addr + 2));
         }
-        RefPrediction {
-            taken: direction,
-            btb_hit,
-            used_gshare,
-            target: entry.filter(|_| direction).map(|(_, target)| target),
-        }
+        RefPrediction { taken: direction, btb_hit, used_gshare }
+    }
+
+    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+        let n = self.btb.len() as u64;
+        ((addr % n) as usize, addr / n)
+    }
+
+    /// The target the BTB holds for `addr`, `None` on a miss.
+    fn btb_target(&self, addr: u64) -> Option<u64> {
+        let (set, tag) = self.set_and_tag(addr);
+        self.btb[set].filter(|&(t, _)| t == tag).map(|(_, target)| target)
     }
 
     fn pht_state(&self, index: usize) -> PhtState {
@@ -135,18 +138,13 @@ impl RefFrontEnd {
         self.btb[set].filter(|&(t, _)| t == tag).map(|(_, target)| target)
     }
 
-    /// The front end's view of a direction predictor's answer: `gshare`
-    /// provides when `used_gshare`, `bimodal` otherwise.
-    fn prediction(&self, addr: u64, used_gshare: bool, bimodal: bool, gshare: bool) -> Prediction {
-        let target = self.target(addr);
-        let direction = if used_gshare { gshare } else { bimodal };
+    /// The front end's view of a direction predictor's answer: its
+    /// `direction`, and whether a history-indexed component provided it.
+    fn prediction(&self, addr: u64, two_level: bool, direction: bool) -> Prediction {
         Prediction {
             direction: Outcome::from_bool(direction),
-            used: if used_gshare { PredictorKind::Gshare } else { PredictorKind::Bimodal },
-            bimodal: Outcome::from_bool(bimodal),
-            gshare: Outcome::from_bool(gshare),
-            btb_hit: target.is_some(),
-            target: target.filter(|_| direction),
+            two_level,
+            btb_hit: self.target(addr).is_some(),
         }
     }
 
@@ -161,7 +159,7 @@ impl RefFrontEnd {
         let s = &mut self.stats;
         s.branches += 1;
         s.mispredictions += u64::from(prediction.direction.is_taken() != taken);
-        if prediction.used == PredictorKind::Gshare {
+        if prediction.two_level {
             s.gshare_used += 1;
         } else {
             s.bimodal_used += 1;
@@ -349,8 +347,7 @@ impl RefSubstrate for RefTage {
 
     fn execute(&mut self, addr: u64, taken: bool) -> Prediction {
         let (direction, provider) = self.predict(addr);
-        let base = self.base[(addr & self.mask()) as usize] >= 2;
-        let prediction = self.front.prediction(addr, provider.is_some(), base, direction);
+        let prediction = self.front.prediction(addr, provider.is_some(), direction);
         self.train(addr, taken);
         self.front.commit(addr, taken, &prediction);
         prediction
@@ -373,7 +370,7 @@ impl RefSubstrate for RefPerceptron {
 
     fn execute(&mut self, addr: u64, taken: bool) -> Prediction {
         let direction = self.output(addr) >= 0;
-        let prediction = self.front.prediction(addr, true, direction, direction);
+        let prediction = self.front.prediction(addr, true, direction);
         self.train(addr, taken);
         self.front.commit(addr, taken, &prediction);
         prediction
@@ -593,15 +590,8 @@ impl RefCore {
                 (prediction, prediction.direction != outcome)
             }
             Route::Bypass => {
-                let nt = Outcome::NotTaken;
-                let prediction = Prediction {
-                    direction: nt,
-                    used: PredictorKind::Bimodal,
-                    bimodal: nt,
-                    gshare: nt,
-                    btb_hit: false,
-                    target: None,
-                };
+                let prediction =
+                    Prediction { direction: Outcome::NotTaken, two_level: false, btb_hit: false };
                 (prediction, outcome.is_taken())
             }
         };
@@ -715,8 +705,9 @@ proptest! {
     }
 
     /// The hybrid backend agrees branch by branch with [`RefHybrid`] on
-    /// every paper machine: direction, BTB hit, component used, target and
-    /// correctness, then every bimodal PHT entry and the GHR at the end.
+    /// every paper machine: direction, BTB hit, component used, correctness
+    /// and the branch's BTB target after the commit, then every bimodal PHT
+    /// entry and the GHR at the end.
     ///
     /// Random addresses almost never hit the BTB or migrate a chooser, so
     /// the stream is a loop body of six branches, each repeating its own
@@ -752,11 +743,11 @@ proptest! {
                 let got_view = RefPrediction {
                     taken: got.direction.is_taken(),
                     btb_hit: got.btb_hit,
-                    used_gshare: got.used == PredictorKind::Gshare,
-                    target: got.target,
+                    used_gshare: got.two_level,
                 };
                 prop_assert_eq!(&got_view, &want, "{:?} at {:#x}", profile.arch, addr);
                 prop_assert_eq!(correct, want.taken == taken);
+                prop_assert_eq!(backend.btb().lookup(addr), model.btb_target(addr));
             }
             let arch = profile.arch;
             prop_assert!(backend.stats().gshare_used > 0, "{:?}: chooser never migrated", arch);
