@@ -2,7 +2,7 @@
 
 use crate::btb_timing::{BtbSignal, BtbTimingAttack};
 use bscope_bpu::{MicroarchProfile, Outcome};
-use bscope_core::{AttackConfig, BranchScope};
+use bscope_core::{AttackConfig, BranchScope, Confusion};
 use bscope_os::{AslrPolicy, Pid, System};
 use bscope_uarch::Tracer;
 use bscope_victims::VICTIM_BRANCH_OFFSET;
@@ -30,7 +30,7 @@ impl Attack {
     ];
 
     /// Reads every bit of `secret` on a fresh machine seeded with `seed`,
-    /// with `tracer` on its core, and returns the fraction read correctly.
+    /// with `tracer` on its core, and scores the reads against it.
     /// Each read triggers the victim's secret branch once per round, between
     /// two BTB flushes when `flush_btb` is set (the OS defense deployed
     /// against the prior BTB attacks). A fresh machine per attack keeps one
@@ -38,16 +38,16 @@ impl Attack {
     ///
     /// # Panics
     ///
-    /// Panics if `secret` is empty: there would be no accuracy to report.
+    /// Panics if `secret` is empty: there would be nothing to score.
     #[must_use]
-    pub fn accuracy(
+    pub fn score(
         self,
         profile: &MicroarchProfile,
         secret: &[Outcome],
         flush_btb: bool,
         seed: u64,
         tracer: &mut Tracer,
-    ) -> f64 {
+    ) -> Confusion {
         assert!(!secret.is_empty(), "comparing attacks needs at least one secret bit");
         let mut sys = System::new(profile.clone(), seed);
         let victim = sys.spawn("victim", AslrPolicy::Disabled);
@@ -57,7 +57,7 @@ impl Attack {
             Attack::BranchScope => {
                 let mut bscope =
                     BranchScope::new(AttackConfig::for_profile(profile)).expect("valid config");
-                accuracy(sys, victim, secret, flush_btb, |sys, trigger| {
+                score(sys, victim, secret, flush_btb, |sys, trigger| {
                     bscope.read_bit(sys, spy, target, trigger)
                 })
             }
@@ -65,7 +65,7 @@ impl Attack {
                 let rounds = if signal == BtbSignal::Shadowing { 81 } else { 41 };
                 let mut attack = BtbTimingAttack::new(signal, target);
                 attack.calibrate(sys, spy, 60);
-                accuracy(sys, victim, secret, flush_btb, |sys, trigger| {
+                score(sys, victim, secret, flush_btb, |sys, trigger| {
                     attack.read_bit(sys, spy, rounds, trigger)
                 })
             }
@@ -73,25 +73,31 @@ impl Attack {
     }
 }
 
-/// One attack's accuracy with and without the BTB defense.
+/// One attack's reads with and without the BTB defense.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonRow {
     /// Attack name.
     pub attack: &'static str,
     /// Which predictor structure the attack reads.
     pub channel: &'static str,
-    /// Bit-recovery accuracy on the unprotected machine.
-    pub accuracy_unprotected: f64,
-    /// Bit-recovery accuracy with the BTB flushed on every context switch
-    /// (a representative defense against the prior BTB attacks).
-    pub accuracy_btb_defended: f64,
+    /// Secret × read bits on the unprotected machine.
+    pub unprotected: Confusion,
+    /// Secret × read bits with the BTB flushed on every context switch (a
+    /// representative defense against the prior BTB attacks).
+    pub btb_defended: Confusion,
 }
 
 impl ComparisonRow {
-    /// Whether the defense reduced this attack to guessing.
+    /// The rows of the full comparison (paper §11, and §1's claim that
+    /// "BranchScope is not affected by defenses against BTB-based
+    /// attacks") from [`Attack::score`] tables in [`Attack::ALL`] order,
+    /// each attack unprotected and then BTB-defended.
     #[must_use]
-    pub fn defense_kills_attack(&self) -> bool {
-        self.accuracy_btb_defended < 0.65 && self.accuracy_unprotected > 0.85
+    pub fn from_scores(scores: &[Confusion]) -> Vec<Self> {
+        let rows = Attack::ALL.iter().zip(scores.chunks(2)).map(|(&(_, attack, channel), s)| {
+            ComparisonRow { attack, channel, unprotected: s[0], btb_defended: s[1] }
+        });
+        rows.collect()
     }
 }
 
@@ -102,55 +108,25 @@ impl fmt::Display for ComparisonRow {
             "{:<18} ({:<22}) unprotected {:>5.1}%   BTB-defended {:>5.1}%",
             self.attack,
             self.channel,
-            100.0 * self.accuracy_unprotected,
-            100.0 * self.accuracy_btb_defended,
+            100.0 * self.unprotected.accuracy(),
+            100.0 * self.btb_defended.accuracy(),
         )
     }
 }
 
-/// The full comparison (paper §11 + the §1 claim that "BranchScope is not
-/// affected by defenses against BTB-based attacks").
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttackComparison {
-    /// One row per attack.
-    pub rows: Vec<ComparisonRow>,
-}
-
-impl AttackComparison {
-    /// The comparison from [`Attack::accuracy`] readings in [`Attack::ALL`]
-    /// order, each attack unprotected and then BTB-defended.
-    #[must_use]
-    pub fn from_accuracies(accuracies: &[f64]) -> Self {
-        let rows = Attack::ALL.iter().zip(accuracies.chunks(2)).map(|(&(_, attack, channel), a)| {
-            let (accuracy_unprotected, accuracy_btb_defended) = (a[0], a[1]);
-            ComparisonRow { attack, channel, accuracy_unprotected, accuracy_btb_defended }
-        });
-        AttackComparison { rows: rows.collect() }
-    }
-}
-
-impl fmt::Display for AttackComparison {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for row in &self.rows {
-            writeln!(f, "{row}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Reads every bit of `secret` with one attack's `read_bit` and returns
-/// the fraction read correctly. The trigger handed to `read_bit` is the
-/// victim's secret branch, between two BTB flushes when `flush_btb` is set.
-fn accuracy(
+/// Reads every bit of `secret` with one attack's `read_bit` and scores
+/// the reads. The trigger handed to `read_bit` is the victim's secret
+/// branch, between two BTB flushes when `flush_btb` is set.
+fn score(
     sys: &mut System,
     victim: Pid,
     secret: &[Outcome],
     flush_btb: bool,
     mut read_bit: impl FnMut(&mut System, &mut dyn FnMut(&mut System)) -> Outcome,
-) -> f64 {
-    let correct = secret
+) -> Confusion {
+    secret
         .iter()
-        .filter(|&&s| {
+        .map(|&s| {
             let mut trigger = |sys: &mut System| {
                 if flush_btb {
                     sys.core_mut().bpu_mut().btb_mut().clear();
@@ -160,10 +136,9 @@ fn accuracy(
                     sys.core_mut().bpu_mut().btb_mut().clear();
                 }
             };
-            read_bit(sys, &mut trigger) == s
+            (s.is_taken(), read_bit(sys, &mut trigger).is_taken())
         })
-        .count();
-    correct as f64 / secret.len() as f64
+        .collect()
 }
 
 /// Runs every [`Attack`] against the same secret-branch victim, first on
@@ -175,17 +150,17 @@ fn accuracy(
 ///
 /// Panics if `bits` is zero.
 #[must_use]
-pub fn compare_attacks(profile: &MicroarchProfile, bits: usize, seed: u64) -> AttackComparison {
+pub fn compare_attacks(profile: &MicroarchProfile, bits: usize, seed: u64) -> Vec<ComparisonRow> {
     let mut rng = StdRng::seed_from_u64(seed);
     let secret: Vec<Outcome> = (0..bits).map(|_| Outcome::from_bool(rng.gen())).collect();
-    let accuracies: Vec<f64> = (0..2 * Attack::ALL.len())
+    let scores: Vec<Confusion> = (0..2 * Attack::ALL.len())
         .map(|i| {
             let seed = seed ^ [1, 2][i % 2] ^ [0, 0x10, 0x20][i / 2];
             let (attack, flush_btb) = (Attack::ALL[i / 2].0, i % 2 == 1);
-            attack.accuracy(profile, &secret, flush_btb, seed, &mut Tracer::disabled())
+            attack.score(profile, &secret, flush_btb, seed, &mut Tracer::disabled())
         })
         .collect();
-    AttackComparison::from_accuracies(&accuracies)
+    ComparisonRow::from_scores(&scores)
 }
 
 #[cfg(test)]
@@ -195,16 +170,17 @@ mod tests {
     #[test]
     fn branchscope_survives_btb_defense_baselines_die() {
         let cmp = compare_attacks(&MicroarchProfile::haswell(), 120, 0xC0DE);
-        let by_name = |name: &str| cmp.rows.iter().find(|r| r.attack == name).unwrap();
+        let by_name = |name: &str| cmp.iter().find(|r| r.attack == name).unwrap();
 
         let bscope = by_name("BranchScope");
-        assert!(bscope.accuracy_unprotected > 0.95, "{bscope}");
-        assert!(bscope.accuracy_btb_defended > 0.95, "BranchScope must survive: {bscope}");
+        assert!(bscope.unprotected.accuracy() > 0.95, "{bscope}");
+        assert!(bscope.btb_defended.accuracy() > 0.95, "BranchScope must survive: {bscope}");
 
         for name in ["branch shadowing", "BTB eviction"] {
             let row = by_name(name);
-            assert!(row.accuracy_unprotected > 0.85, "{row}");
-            assert!(row.accuracy_btb_defended < 0.70, "defense must kill {row}");
+            assert!(row.unprotected.accuracy() > 0.85, "{row}");
+            assert!(row.btb_defended.accuracy() < 0.70, "defense must kill {row}");
+            assert!(!row.btb_defended.leaks(), "defense must kill {row}");
         }
     }
 
@@ -216,9 +192,8 @@ mod tests {
 
     #[test]
     fn comparison_renders() {
-        let cmp = compare_attacks(&MicroarchProfile::haswell(), 20, 1);
-        let text = cmp.to_string();
-        assert!(text.contains("BranchScope"));
-        assert!(text.lines().count() >= 3);
+        let rows = compare_attacks(&MicroarchProfile::haswell(), 20, 1);
+        assert_eq!(rows.len(), 3);
+        assert!(rows[0].to_string().contains("BranchScope"));
     }
 }

@@ -14,9 +14,10 @@
 //!   branch left a BTB entry. With [`BtbSignal::Eviction`] (Aciiçmez-style)
 //!   the spy detects whether the victim's taken branch evicted its own
 //!   entry. One calibration and one majority vote serve both;
-//! * [`Attack::accuracy`] — one [`Attack`] (BranchScope or either baseline)
+//! * [`Attack::score`] — one [`Attack`] (BranchScope or either baseline)
 //!   against the secret-branch victim on its own machine, with or without a
-//!   BTB-flush defense; [`compare_attacks`] runs every attack in both
+//!   BTB-flush defense, scored as a `bscope_core::Confusion` of secret ×
+//!   read bits; [`compare_attacks`] runs every attack in both
 //!   settings, reproducing the paper's claim that *BranchScope is not
 //!   affected by defenses against BTB-based attacks*.
 
@@ -27,4 +28,4 @@ mod btb_timing;
 mod compare;
 
 pub use btb_timing::{BtbSignal, BtbTimingAttack};
-pub use compare::{compare_attacks, Attack, AttackComparison, ComparisonRow};
+pub use compare::{compare_attacks, Attack, ComparisonRow};

@@ -7,6 +7,7 @@
 //! channel (Table 3) are provided.
 
 use crate::attack::{AttackConfig, BranchScope};
+use crate::confusion::Confusion;
 use crate::error::AttackError;
 use bscope_bpu::Outcome;
 use bscope_os::{CpuView, Enclave, Pid, System, Workload};
@@ -26,6 +27,8 @@ pub struct TransmitResult {
     pub error_rate: f64,
     /// Cycles elapsed on the shared core during the transmission.
     pub cycles: u64,
+    /// Sent × received counts, from which `errors` and `error_rate` come.
+    pub confusion: Confusion,
 }
 
 impl TransmitResult {
@@ -37,9 +40,9 @@ impl TransmitResult {
     /// and 0.0 would report a working channel.
     fn new(sent: &[bool], received: Vec<bool>, cycles: u64) -> Self {
         assert!(!sent.is_empty(), "a transmission needs at least one bit");
-        let errors = sent.iter().zip(&received).filter(|(a, b)| a != b).count();
-        let error_rate = errors as f64 / sent.len() as f64;
-        TransmitResult { received, errors, error_rate, cycles }
+        let confusion: Confusion = sent.iter().copied().zip(received.iter().copied()).collect();
+        let (errors, error_rate) = (confusion.errors() as usize, confusion.error_rate());
+        TransmitResult { received, errors, error_rate, cycles, confusion }
     }
 
     /// Channel capacity in bits per million cycles (throughput measure).
@@ -359,6 +362,7 @@ mod tests {
     fn transmit_result_metrics() {
         let res = TransmitResult::new(&[true, false, true], vec![true, true, true], 3_000_000);
         assert_eq!(res.errors, 1);
+        assert_eq!(res.confusion.counts, [[0, 1], [0, 2]]);
         assert!((res.error_rate - 1.0 / 3.0).abs() < 1e-12);
         assert!((res.bits_per_mcycle() - 1.0).abs() < 1e-12);
     }

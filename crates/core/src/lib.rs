@@ -22,6 +22,9 @@
 //! channel ([`covert`]), the PHT reverse-engineering tooling of §6.3
 //! ([`reverse`]: state scans, Hamming-distance size discovery) and the
 //! randomization-block stability analysis of Fig. 4 ([`stability`]).
+//! Every read of a secret is scored by one table, [`Confusion`]: sent ×
+//! decoded counts, with the error rate, the information per read and a
+//! G-test for a leak.
 //!
 //! # Example: reading one victim branch
 //!
@@ -47,10 +50,10 @@
 #![warn(missing_docs)]
 
 mod attack;
+mod confusion;
 pub mod covert;
 mod decode;
 mod error;
-mod poison;
 mod prime;
 mod probe;
 pub mod reverse;
@@ -60,9 +63,9 @@ pub mod timing_probe;
 mod randomize;
 
 pub use attack::{AttackConfig, BranchScope, VICTIM_WAIT_CYCLES};
+pub use confusion::Confusion;
 pub use decode::{decode_state, fsm_transition_row, table1, DecodedState, DirectionDict, Table1Row};
 pub use error::{AttackError, BscopeError, ConfigError};
-pub use poison::BranchPoisoner;
 pub use prime::TargetedPrime;
 pub use probe::{probe_once, probe_with_counters, ProbeKind, ProbePattern};
 pub use randomize::RandomizationBlock;

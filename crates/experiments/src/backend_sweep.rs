@@ -17,17 +17,19 @@
 //! perceptron collapses to a coin flip because its per-branch state is a
 //! weight vector with no FSM for the probes to read.
 
+use crate::claim::Claim;
 use crate::common::Scale;
 use crate::covert_cell::{covert_cells, CovertCell, Payload};
 use bscope_bpu::{BackendKind, MicroarchProfile};
-use bscope_core::BscopeError;
+use bscope_core::{BscopeError, Confusion};
 use bscope_uarch::NoiseConfig;
 
 /// Noise settings, in row order: isolated core, then system activity.
 const SETTINGS: usize = 2;
 
-/// One backend's row: `(error_rate, bits_per_mcycle)` per noise setting.
-type SweepRow = [(f64, f64); SETTINGS];
+/// One backend's row: per noise setting, the mean error rate and
+/// bits per Mcycle of its runs, and their bits pooled.
+type SweepRow = [(f64, f64, Confusion); SETTINGS];
 
 /// The full sweep: per backend, a [`SweepRow`] for isolated and noisy,
 /// each cell averaged over `runs` transmissions of [`covert_cells`];
@@ -58,8 +60,9 @@ pub fn compute(
             let cell = |setting: usize| {
                 let runs_of_cell = &row[setting];
                 (
-                    runs_of_cell.iter().map(|r| r.error_rate).sum::<f64>() / n,
+                    runs_of_cell.iter().map(|r| r.confusion.error_rate()).sum::<f64>() / n,
                     runs_of_cell.iter().map(|r| r.bits_per_mcycle).sum::<f64>() / n,
+                    runs_of_cell.iter().map(|r| r.confusion).sum(),
                 )
             };
             (backend, std::array::from_fn(cell))
@@ -72,36 +75,37 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     let runs = scale.n(5, 2);
     println!("Skylake, {bits} random payload bits per run, {runs} runs per cell\n");
     println!(
-        "{:<12} {:>14} {:>14} {:>18}",
-        "backend", "isolated err", "noisy err", "capacity (b/Mc)"
+        "{:<12} {:>14} {:>14} {:>18} {:>14}",
+        "backend", "isolated err", "noisy err", "capacity (b/Mc)", "info (b/Mc)"
     );
 
     let sweep = compute(scale, bits, runs)?;
     for (backend, row) in &sweep {
-        let [(iso_err, iso_cap), (noisy_err, _)] = row;
+        let [(iso_err, iso_cap, iso), (noisy_err, ..)] = row;
+        // Capacity counts symbols; information is what the spy learns.
+        let info = iso.mutual_information() * iso_cap;
         println!(
-            "{:<12} {:>13.3}% {:>13.3}% {:>18.1}",
+            "{:<12} {:>13.3}% {:>13.3}% {:>18.1} {:>14.1}",
             backend.name(),
             100.0 * iso_err,
             100.0 * noisy_err,
-            iso_cap
+            iso_cap,
+            info
         );
         scale.metric(format!("backend_sweep/{}/isolated_error_pct", backend.name()), 100.0 * iso_err);
         scale.metric(format!("backend_sweep/{}/noise_error_pct", backend.name()), 100.0 * noisy_err);
         scale.metric(format!("backend_sweep/{}/capacity_bits_per_mcycle", backend.name()), *iso_cap);
+        scale.metric(format!("backend_sweep/{}/info_bits_per_mcycle", backend.name()), info);
     }
 
     println!("\nheadline: which substrates does the prime+probe FSM strategy survive on?");
-    for (backend, row) in &sweep {
-        let err = row[0].0;
-        let verdict = if err < 0.05 {
-            "attack survives"
-        } else if err < 0.25 {
-            "attack degraded"
+    for (backend, [(.., iso), _]) in &sweep {
+        let claim = if *backend == BackendKind::Perceptron {
+            Claim::no_leak("the perceptron leaves the spy nothing to read", iso)
         } else {
-            "attack defeated (at chance)"
+            Claim::leak(format!("the attack reads the secret on {}", backend.name()), iso)
         };
-        println!("  {:<12} {verdict} ({:.1}% error)", backend.name(), 100.0 * err);
+        scale.claim(&format!("backend_sweep/{}", backend.name()), &claim);
     }
     println!("\nthe hybrid's 1-level mode is the paper's setting; TAGE survives because its");
     println!("base bimodal table is itself a saturating-counter PHT and weak tagged entries");

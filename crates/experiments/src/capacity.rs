@@ -61,13 +61,15 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
         let cells: Vec<String> = (0..REDUNDANCIES.len())
             .map(|col| {
                 let cell = grid[row * REDUNDANCIES.len() + col];
-                format!("{:>7.3}% @ {:>6.1} b/Mc", 100.0 * cell.error_rate, cell.bits_per_mcycle)
+                let error = 100.0 * cell.confusion.error_rate();
+                format!("{error:>7.3}% @ {:>6.1} b/Mc", cell.bits_per_mcycle)
             })
             .collect();
         println!("{label:<24} {:>22} {:>22} {:>22}", cells[0], cells[1], cells[2]);
     }
-    scale.metric("capacity/heavy_raw_error", grid[3 * REDUNDANCIES.len()].error_rate);
-    scale.metric("capacity/heavy_5x_error", grid[3 * REDUNDANCIES.len() + 2].error_rate);
+    let heavy = &grid[3 * REDUNDANCIES.len()..];
+    scale.metric("capacity/heavy_raw_error", heavy[0].confusion.error_rate());
+    scale.metric("capacity/heavy_5x_error", heavy[2].confusion.error_rate());
     println!("\nextension beyond the paper: repetition coding buys orders of magnitude in");
     println!("reliability at a proportional throughput cost, so even an extremely noisy");
     println!("core sustains a usable covert channel.");

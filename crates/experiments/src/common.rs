@@ -1,8 +1,9 @@
 //! Shared experiment plumbing: scale factors, the per-experiment record
-//! of headline metrics and trial traces behind `--json`, `--trace` and
-//! `--metrics`, trial-runner glue (thread count + fault injection), and
-//! small output helpers.
+//! of headline metrics, checked claims and trial traces behind `--json`,
+//! `--trace` and `--metrics`, trial-runner glue (thread count + fault
+//! injection), and small output helpers.
 
+use crate::claim::Claim;
 use bscope_bpu::BackendKind;
 use bscope_harness::{run_trials_with, FaultPlan, FaultPolicy, RunOptions};
 use bscope_trace::TraceCapture;
@@ -82,6 +83,13 @@ impl Scale {
     /// for the `--json` report.
     pub fn metric(&self, name: impl Into<String>, value: f64) {
         self.lock_record().metrics.push((name.into(), value));
+    }
+
+    /// Prints `claim` on one line and records its verdict as
+    /// `claims/<name>` (1, 0 or −1).
+    pub fn claim(&self, name: &str, claim: &Claim) {
+        println!("  {claim}");
+        self.metric(format!("claims/{name}"), f64::from(claim.verdict as i8));
     }
 
     /// Locks the record, recovering from poisoning: metrics recorded before

@@ -7,7 +7,7 @@
 use crate::common::{trials, Scale};
 use bscope_bpu::{BackendKind, MicroarchProfile};
 use bscope_core::covert::{CovertChannel, EnclaveSender, TransmitResult};
-use bscope_core::{AttackConfig, AttackError, BscopeError};
+use bscope_core::{AttackConfig, AttackError, BscopeError, Confusion};
 use bscope_harness::splitmix64;
 use bscope_os::{AslrPolicy, Enclave, System};
 use bscope_uarch::{NoiseConfig, Tracer};
@@ -82,8 +82,8 @@ impl<'a> CovertCell<'a> {
 /// The score of one transmission.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunSummary {
-    /// Wrong bits over sent bits.
-    pub error_rate: f64,
+    /// Sent × received payload bits.
+    pub confusion: Confusion,
     /// Payload bits per million cycles of the shared core.
     pub bits_per_mcycle: f64,
 }
@@ -102,7 +102,7 @@ pub fn covert_cells(
     cells.iter().try_for_each(CovertCell::validate)?;
     let mut per_trial = trials(scale, cells.len() * runs, salt, |idx, seed, tracer| {
         let result = covert_cell(&cells[idx / runs], seed, tracer);
-        RunSummary { error_rate: result.error_rate, bits_per_mcycle: result.bits_per_mcycle() }
+        RunSummary { confusion: result.confusion, bits_per_mcycle: result.bits_per_mcycle() }
     })
     .into_iter();
     Ok(cells.iter().map(|_| per_trial.by_ref().take(runs).collect()).collect())

@@ -1,6 +1,7 @@
 //! Figure 2: mispredictions per iteration while the 2-level predictor
 //! learns a repeating 10-bit random pattern.
 
+use crate::claim::Claim;
 use crate::common::{bar, trials, Scale};
 use bscope_bpu::{MicroarchProfile, Outcome};
 use bscope_core::BscopeError;
@@ -77,13 +78,15 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
         converged(&curves[0]),
         converged(&curves[1]),
     );
-    let total = |c: &[f64]| c.iter().sum::<f64>();
-    let (skylake, sandy_bridge) = (total(&curves[0]), total(&curves[1]));
-    println!("\nshape checks:");
-    println!(
-        "  Skylake learns slightly faster, as in the paper \
-         ({ITERATIONS}-iteration mispredictions {skylake:.2} vs {sandy_bridge:.2}): {}",
-        skylake < sandy_bridge
+    // Mispredictions over all runs and iterations, of every branch run.
+    let branches = (runs * ITERATIONS * PATTERN_BITS) as u64;
+    let wrong = |machine: &[[u64; ITERATIONS]]| (machine.iter().flatten().sum(), branches);
+    let (skylake, sandy_bridge) = (wrong(&per_run[..runs]), wrong(&per_run[runs..]));
+    let sentence = format!(
+        "Skylake learns slightly faster ({} vs {} mispredictions)",
+        skylake.0, sandy_bridge.0
     );
+    println!("\nclaims:");
+    scale.claim("fig2/Skylake learns faster", &Claim::below(sentence, skylake, sandy_bridge));
     Ok(())
 }

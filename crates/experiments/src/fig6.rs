@@ -3,7 +3,7 @@
 
 use crate::common::{trials, Scale};
 use bscope_bpu::{MicroarchProfile, Outcome};
-use bscope_core::{AttackConfig, BranchScope, BscopeError, ProbePattern};
+use bscope_core::{AttackConfig, BranchScope, BscopeError, Confusion, ProbePattern};
 use bscope_harness::splitmix64;
 use bscope_os::{AslrPolicy, System};
 use bscope_uarch::NoiseConfig;
@@ -59,7 +59,8 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
             .map(|(a, b)| if a == b { "  ".to_owned() } else { " ^".to_owned() })
             .collect(),
     );
-    let errors = original.iter().zip(&decoded).filter(|(a, b)| a != b).count();
+    let score: Confusion = original.iter().copied().zip(decoded.iter().copied()).collect();
+    let errors = score.errors();
     scale.metric("fig6/erroneous_bits", errors as f64);
     println!(
         "\nerroneous bits under elevated noise: paper's figure 1 / ours {errors} of {}",

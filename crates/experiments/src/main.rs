@@ -64,6 +64,7 @@
 mod apps;
 mod backend_sweep;
 mod capacity;
+mod claim;
 mod common;
 mod covert_cell;
 mod fig2;

@@ -2,10 +2,11 @@
 //! the mechanistic version of the paper's §7 explanation that Sandy
 //! Bridge's higher error rates come from its smaller predictor tables.
 
+use crate::claim::Claim;
 use crate::common::Scale;
 use crate::covert_cell::{covert_cells, CovertCell, Payload};
 use bscope_bpu::{BackendKind, CounterKind, Microarch, MicroarchProfile};
-use bscope_core::BscopeError;
+use bscope_core::{BscopeError, Confusion};
 use bscope_uarch::NoiseConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,9 +22,14 @@ fn profile_with_pht(pht_size: usize) -> MicroarchProfile {
     }
 }
 
-/// `(pht_size, error_rate)` for PHT sizes 1K to 64K under system noise,
-/// each the mean over `runs` transmissions of the same message.
-pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<(usize, f64)>, BscopeError> {
+/// `(pht_size, error_rate, pooled)` for PHT sizes 1K to 64K under system
+/// noise: the mean over `runs` transmissions of the same message, and
+/// their bits pooled.
+pub fn compute(
+    scale: &Scale,
+    bits: usize,
+    runs: usize,
+) -> Result<Vec<(usize, f64, Confusion)>, BscopeError> {
     let profiles: Vec<MicroarchProfile> =
         (10..=16).map(|log2| profile_with_pht(1 << log2)).collect();
     let mut rng = StdRng::seed_from_u64(scale.seed ^ 0x5E5);
@@ -38,7 +44,11 @@ pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<(usize, f6
     Ok(profiles
         .iter()
         .zip(per_cell)
-        .map(|(p, cell)| (p.pht_size, cell.iter().map(|r| r.error_rate).sum::<f64>() / runs as f64))
+        .map(|(p, cell)| {
+            let rates = cell.iter().map(|r| r.confusion.error_rate());
+            let error_rate = rates.sum::<f64>() / runs as f64;
+            (p.pht_size, error_rate, cell.iter().map(|r| r.confusion).sum())
+        })
         .collect())
 }
 
@@ -50,7 +60,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     );
     println!("{:>10} {:>10}", "PHT size", "error");
     let sweep = compute(scale, bits, runs)?;
-    for &(pht_size, error_rate) in &sweep {
+    for &(pht_size, error_rate, _) in &sweep {
         scale.metric(format!("sensitivity/pht_{pht_size}/error_pct"), 100.0 * error_rate);
         println!("{pht_size:>10} {:>9.3}%", 100.0 * error_rate);
     }
@@ -58,10 +68,15 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     println!("unrelated branch lands on the attacked entry less often. This is the paper's");
     println!("Sandy Bridge (4K) vs Skylake/Haswell (16K) gap, swept.");
 
-    println!("\nshape checks:");
+    println!("\nclaims:");
     // The sweep runs 1K, 2K, 4K, ... in order.
-    let (e1k, e4k, e16k) = (sweep[0].1, sweep[2].1, sweep[4].1);
-    println!("  error at 1K > 4K > 16K: {}", e1k > e4k && e4k > e16k);
+    let wrong = |i: usize| (sweep[i].2.errors(), sweep[i].2.total());
+    for (smaller, larger) in [(0, 2), (2, 4)] {
+        let (small, large) = (sweep[smaller].0 >> 10, sweep[larger].0 >> 10);
+        let sentence = format!("a {large}K-entry PHT errs less than a {small}K-entry one");
+        let claim = Claim::below(sentence, wrong(larger), wrong(smaller));
+        scale.claim(&format!("sensitivity/{large}K below {small}K"), &claim);
+    }
     Ok(())
 }
 

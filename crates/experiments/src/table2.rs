@@ -1,19 +1,22 @@
 //! Table 2: covert-channel error rates on three CPUs, isolated vs noisy.
 
+use crate::claim::Claim;
 use crate::common::Scale;
 use crate::covert_cell::{covert_cells, CovertCell, Payload};
 use bscope_bpu::MicroarchProfile;
-use bscope_core::BscopeError;
+use bscope_core::{BscopeError, Confusion};
 use bscope_uarch::NoiseConfig;
 
 const PAYLOADS: [Payload<'static>; 3] =
     [Payload::AllZero, Payload::AllOne, Payload::Random { salt: 0x7AB1E2 }];
 
-/// Computes the full table: six machine/noise rows of three payload error
-/// rates (in percent). All `6 rows x 3 payloads x runs` transmissions are
-/// independent trials of [`covert_cells`]; the result is identical for
-/// every thread count.
-pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<(String, [f64; 3])>, BscopeError> {
+/// A row's label, mean error of each payload (percent) and pooled bits.
+pub type Row = (String, [f64; 3], Confusion);
+
+/// Computes the full table: six machine/noise [`Row`]s. All `6 rows x 3
+/// payloads x runs` transmissions are independent trials of
+/// [`covert_cells`]; the result is identical for every thread count.
+pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<Row>, BscopeError> {
     let machines = MicroarchProfile::paper_machines();
     let settings =
         [("isolated", NoiseConfig::isolated_core()), ("with noise", NoiseConfig::system_activity())];
@@ -35,9 +38,11 @@ pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<(String, [
         .zip(per_cell.chunks_exact(PAYLOADS.len()))
         .map(|((profile, (setting, _)), row)| {
             let errors = std::array::from_fn(|payload| {
-                100.0 * row[payload].iter().map(|r| r.error_rate).sum::<f64>() / runs as f64
+                100.0 * row[payload].iter().map(|r| r.confusion.error_rate()).sum::<f64>()
+                    / runs as f64
             });
-            (format!("{} {setting}", profile.arch), errors)
+            let pooled = row.iter().flatten().map(|r| r.confusion).sum();
+            (format!("{} {setting}", profile.arch), errors, pooled)
         })
         .collect())
 }
@@ -61,7 +66,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
 
     let ours = compute(scale, bits, runs)?;
 
-    for (label, row) in &ours {
+    for (label, row, _) in &ours {
         println!("{:<26} {:>7.3}% {:>7.3}% {:>7.3}%", label, row[0], row[1], row[2]);
         for (payload, err) in ["all0", "all1", "random"].iter().zip(row) {
             scale.metric(format!("table2/{label}/{payload}_error_pct"), *err);
@@ -72,17 +77,23 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
         println!("{:<26} {:>7.2}% {:>7.2}% {:>7.2}%", label, row[0], row[1], row[2]);
     }
 
-    println!("\nshape checks:");
-    let avg = |r: &[f64; 3]| (r[0] + r[1] + r[2]) / 3.0;
-    let sl = (avg(&ours[0].1), avg(&ours[1].1));
-    let hw = (avg(&ours[2].1), avg(&ours[3].1));
-    let sb = (avg(&ours[4].1), avg(&ours[5].1));
-    println!("  error rates below 1% on Skylake/Haswell: {}", sl.1 < 1.0 && hw.1 < 1.0);
-    println!("  Sandy Bridge worse than Skylake & Haswell: {}", sb.1 > sl.1 && sb.1 > hw.1);
-    println!(
-        "  isolated <= noisy on every machine: {}",
-        sl.0 <= sl.1 && hw.0 <= hw.1 && sb.0 <= sb.1
-    );
+    println!("\nclaims:");
+    let wrong = |row: usize| (ours[row].2.errors(), ours[row].2.total());
+    for (machine, noisy) in [("Skylake", 1), ("Haswell", 3)] {
+        let sentence = format!("{machine} with noise errs on below 1% of bits");
+        let claim = Claim::below_bound(sentence, wrong(noisy), 0.01);
+        scale.claim(&format!("table2/{machine} with noise below 1%"), &claim);
+    }
+    for (machine, noisy) in [("Skylake", 1), ("Haswell", 3)] {
+        let sentence = format!("Sandy Bridge with noise errs more than {machine} with noise");
+        let claim = Claim::below(sentence, wrong(noisy), wrong(5));
+        scale.claim(&format!("table2/Sandy Bridge noisier than {machine}"), &claim);
+    }
+    for (machine, isolated) in [("Skylake", 0), ("Haswell", 2), ("Sandy Bridge", 4)] {
+        let sentence = format!("{machine} isolated errs less than with noise");
+        let claim = Claim::below(sentence, wrong(isolated), wrong(isolated + 1));
+        scale.claim(&format!("table2/{machine} isolated below noisy"), &claim);
+    }
     Ok(())
 }
 
@@ -104,7 +115,7 @@ mod tests {
     #[test]
     fn quick_scale_cell_is_pinned() {
         let rows = compute(&Scale::quick(), 1_000, 2).expect("valid preset configs");
-        let (label, row) = &rows[0];
+        let (label, row, _) = &rows[0];
         assert_eq!(label, "Skylake isolated");
         // Pinned value; update deliberately when the seed schedule, the
         // simulator, or the PRNG stream changes.

@@ -1,15 +1,20 @@
 //! Table 3: covert channel with the trojan (sender) inside an SGX enclave.
 
+use crate::claim::Claim;
 use crate::common::Scale;
 use crate::covert_cell::{covert_cells, CovertCell, Payload, Sender};
 use bscope_bpu::{BackendKind, MicroarchProfile};
-use bscope_core::BscopeError;
+use bscope_core::{BscopeError, Confusion};
 use bscope_uarch::NoiseConfig;
 
-/// Computes both table rows (error rates in percent): all
-/// `2 settings x 3 payloads x runs` transmissions run as independent
-/// trials of [`covert_cells`].
-pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<[f64; 3]>, BscopeError> {
+/// Computes both table rows, each the mean error of every payload (percent)
+/// and the row's pooled bits: all `2 settings x 3 payloads x runs`
+/// transmissions run as independent trials of [`covert_cells`].
+pub fn compute(
+    scale: &Scale,
+    bits: usize,
+    runs: usize,
+) -> Result<Vec<([f64; 3], Confusion)>, BscopeError> {
     let profile = MicroarchProfile::skylake();
     // The attacker-controlled OS single-steps the enclave; in the isolated
     // setting it also prevents any other activity.
@@ -29,9 +34,11 @@ pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<[f64; 3]>,
     Ok(per_cell
         .chunks_exact(payloads.len())
         .map(|row| {
-            std::array::from_fn(|payload| {
-                100.0 * row[payload].iter().map(|r| r.error_rate).sum::<f64>() / runs as f64
-            })
+            let errors = std::array::from_fn(|payload| {
+                100.0 * row[payload].iter().map(|r| r.confusion.error_rate()).sum::<f64>()
+                    / runs as f64
+            });
+            (errors, row.iter().flatten().map(|r| r.confusion).sum())
         })
         .collect())
 }
@@ -44,7 +51,7 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
 
     println!("{:<26} {:>8} {:>8} {:>8}", "", "All 0", "All 1", "Random");
     let rows = compute(scale, bits, runs)?;
-    for (label, row) in ["SGX with noise", "SGX isolated"].iter().zip(&rows) {
+    for (label, (row, _)) in ["SGX with noise", "SGX isolated"].iter().zip(&rows) {
         println!("{label:<26} {:>7.3}% {:>7.3}% {:>7.3}%", row[0], row[1], row[2]);
         for (payload, err) in ["all0", "all1", "random"].iter().zip(row) {
             scale.metric(format!("table3/{label}/{payload}_error_pct"), *err);
@@ -54,13 +61,12 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     println!("{:<26} {:>7.3}% {:>7.3}% {:>7.3}%", "SGX with noise (paper)", 0.008, 0.53, 0.73);
     println!("{:<26} {:>7.3}% {:>7.3}% {:>7.3}%", "SGX isolated (paper)", 0.003, 0.153, 0.51);
 
-    let avg = |r: &[f64; 3]| (r[0] + r[1] + r[2]) / 3.0;
-    println!("\nshape checks:");
-    println!(
-        "  OS-controlled noise suppression improves the channel: {}",
-        avg(&rows[1]) <= avg(&rows[0])
-    );
-    println!("  isolated SGX error near zero: {}", avg(&rows[1]) < 0.1);
+    let wrong = |row: usize| (rows[row].1.errors(), rows[row].1.total());
+    println!("\nclaims:");
+    let sentence = "OS-controlled noise suppression improves the channel";
+    scale.claim("table3/isolated below noisy", &Claim::below(sentence, wrong(1), wrong(0)));
+    let sentence = "isolated SGX errs on below 0.1% of bits";
+    scale.claim("table3/isolated below 0.1%", &Claim::below_bound(sentence, wrong(1), 0.001));
     Ok(())
 }
 

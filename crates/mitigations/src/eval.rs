@@ -6,7 +6,7 @@ use crate::partitioned::PartitionedBpuPolicy;
 use crate::randomized_pht::RandomizedPhtPolicy;
 use crate::stochastic_fsm::StochasticFsmPolicy;
 use bscope_bpu::{MicroarchProfile, VirtAddr};
-use bscope_core::{AttackConfig, BranchScope};
+use bscope_core::{AttackConfig, BranchScope, Confusion};
 use bscope_os::{AslrPolicy, System, Workload};
 use bscope_uarch::{ContextId, MeasurementFuzz, Tracer, NOISE_CTX};
 use bscope_victims::{SecretBranchVictim, VICTIM_BRANCH_OFFSET};
@@ -72,37 +72,28 @@ impl fmt::Display for Mitigation {
 pub struct EvalReport {
     /// The evaluated defense.
     pub mitigation: Mitigation,
-    /// Secret bits the spy attempted to read.
-    pub bits: usize,
-    /// Fraction of bits read incorrectly. ≈0 means the attack works;
-    /// ≈0.5 means the spy learned nothing (coin flipping).
-    pub error_rate: f64,
-}
-
-impl EvalReport {
-    /// Whether the defense destroyed the channel (error indistinguishable
-    /// from guessing, with slack for finite samples).
-    #[must_use]
-    pub fn defeated(&self) -> bool {
-        self.error_rate > 0.25
-    }
+    /// Secret bits (rows) against the bits the spy decoded (columns). An
+    /// error rate near 0 means the attack works; a table that does not
+    /// [`leak`](Confusion::leaks) means the spy learned nothing, whatever
+    /// its error rate.
+    pub confusion: Confusion,
 }
 
 impl fmt::Display for EvalReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:<48} error {:>6.2}%  -> {}",
-            self.mitigation.to_string(),
-            100.0 * self.error_rate,
-            if self.defeated() { "attack DEFEATED" } else { "attack still works" },
-        )
+        let (m, c) = (self.mitigation.to_string(), &self.confusion);
+        write!(f, "{m:<48} error {:>6.2}%  -> ", 100.0 * c.error_rate())?;
+        if c.leaks() {
+            write!(f, "leaks {:.3} bits per read", c.mutual_information())
+        } else {
+            f.write_str("no detectable leak")
+        }
     }
 }
 
 /// Runs the BranchScope side-channel (spy reading a victim's secret branch
-/// bit stream) under `mitigation` and reports the residual error rate,
-/// with `tracer` on the core while the spy reads.
+/// bit stream) under `mitigation` and scores what the spy read, with
+/// `tracer` on the core while the spy reads.
 ///
 /// The victim and spy co-reside as in the paper's §7 setup; the secret is
 /// uniformly random. For [`Mitigation::IfConversion`] the victim runs the
@@ -111,8 +102,8 @@ impl fmt::Display for EvalReport {
 ///
 /// # Panics
 ///
-/// Panics if `bits` is zero: an error rate over no bits would report the
-/// attack working without reading one.
+/// Panics if `bits` is zero: a score over no bits would report the attack
+/// working without reading one.
 #[must_use]
 pub fn evaluate(
     mitigation: &Mitigation,
@@ -159,13 +150,12 @@ fn evaluate_on(
             workload.step(&mut sys.cpu(victim));
         })
     });
-    let errors = read
+    let confusion = secret
         .iter()
-        .zip(&secret)
-        .filter(|&(&outcome, &bit)| SecretBranchVictim::bit_from_outcome(outcome) != bit)
-        .count();
-
-    EvalReport { mitigation: mitigation.clone(), bits, error_rate: errors as f64 / bits as f64 }
+        .zip(read)
+        .map(|(&bit, outcome)| (bit, SecretBranchVictim::bit_from_outcome(outcome)))
+        .collect();
+    EvalReport { mitigation: mitigation.clone(), confusion }
 }
 
 /// Performance cost of a defense on a *benign* workload: the misprediction
@@ -241,66 +231,116 @@ fn install_policy(
 mod tests {
     use super::*;
     use bscope_bpu::BackendKind;
+    use bscope_uarch::TraceEvent;
 
     const BITS: usize = 400;
+    const SEED: u64 = 0xE7A1;
 
     fn run(mitigation: Mitigation) -> EvalReport {
-        evaluate(&mitigation, &MicroarchProfile::skylake(), BITS, 0xE7A1, &mut Tracer::disabled())
+        evaluate(&mitigation, &MicroarchProfile::skylake(), BITS, SEED, &mut Tracer::disabled())
     }
 
     /// [`run`] on the `backend` substrate.
     fn run_on(backend: BackendKind, mitigation: Mitigation) -> EvalReport {
-        let sys = System::with_backend(MicroarchProfile::skylake(), backend, 0xE7A1);
-        evaluate_on(sys, &mitigation, BITS, 0xE7A1, &mut Tracer::disabled())
+        let sys = System::with_backend(MicroarchProfile::skylake(), backend, SEED);
+        evaluate_on(sys, &mitigation, BITS, SEED, &mut Tracer::disabled())
+    }
+
+    /// Asserts that the spy's reads under `mitigation` carry no detectable
+    /// information about the secret.
+    fn assert_blocks(report: &EvalReport) {
+        let c = &report.confusion;
+        assert!(!c.leaks(), "{report} (G {:.1}, {:?})", c.g_statistic(), c.counts);
     }
 
     #[test]
     fn baseline_attack_succeeds() {
         let r = run(Mitigation::None);
-        assert!(r.error_rate < 0.02, "baseline error {:.3}", r.error_rate);
-        assert!(!r.defeated());
+        assert!(r.confusion.error_rate() < 0.02, "{r}");
+        assert!(r.confusion.leaks());
+        assert_eq!(r.confusion.total(), BITS as u64);
     }
 
     #[test]
     fn randomized_pht_defeats_the_attack() {
-        let r = run(Mitigation::RandomizedPht { rekey_interval: None });
-        assert!(r.defeated(), "error {:.3}", r.error_rate);
+        assert_blocks(&run(Mitigation::RandomizedPht { rekey_interval: None }));
     }
 
     #[test]
     fn periodic_rekey_also_defeats() {
-        let r = run(Mitigation::RandomizedPht { rekey_interval: Some(1_000) });
-        assert!(r.defeated(), "error {:.3}", r.error_rate);
+        assert_blocks(&run(Mitigation::RandomizedPht { rekey_interval: Some(1_000) }));
     }
 
+    /// Four partitions of Skylake's 16K-entry PHT make each slice 4K
+    /// entries, the size of its BTB. The prime's BTB-eviction alias
+    /// (`target + btb_size`) then routes onto the spy's own target and
+    /// installs the target's BTB entry instead of evicting it; the victim's
+    /// routed branch shares that BTB set under another tag and replaces
+    /// the entry when taken. So the spy's first probe misses the BTB
+    /// exactly when the victim's branch was taken, and the predictor mode
+    /// that a BTB hit or miss selects leaks into the decoded bits. Two
+    /// partitions (8K slices) give the alias a slice of its own.
     #[test]
-    fn partitioning_defeats_the_attack() {
-        let r = run(Mitigation::PartitionedBpu { partitions: 4 });
-        assert!(r.defeated(), "error {:.3}", r.error_rate);
+    fn four_partitions_leak_the_secret_through_the_btb() {
+        let profile = MicroarchProfile::skylake();
+        assert_eq!(profile.pht_size / 4, profile.btb_size);
+        let partitioned = Mitigation::PartitionedBpu { partitions: 4 };
+        let mut tracer = Tracer::ring(1 << 18);
+        let r = evaluate(&partitioned, &profile, BITS, SEED, &mut tracer);
+        assert!(r.confusion.leaks(), "{r} (G {:.1})", r.confusion.g_statistic());
+
+        // The contexts and target `evaluate` builds: victim first, then spy.
+        let mut sys = System::new(profile.clone(), SEED);
+        let victim = sys.spawn("victim", AslrPolicy::Disabled);
+        let spy = sys.spawn("spy", AslrPolicy::Disabled);
+        let target = sys.process(victim).vaddr_of(VICTIM_BRANCH_OFFSET);
+        let (victim_ctx, spy_ctx) = (sys.process(victim).ctx(), sys.process(spy).ctx());
+        let capture = tracer.drain();
+        assert_eq!(capture.dropped, 0, "the ring holds the whole read");
+        // Each victim branch at the target, paired with whether the spy's
+        // next branch there (its first probe) hit the BTB.
+        let mut victim_taken = None;
+        let mut rounds = Vec::new();
+        for traced in &capture.events {
+            if let TraceEvent::Branch { ctx, addr, taken, btb_hit, .. } = traced.event {
+                if addr == target && ctx == victim_ctx {
+                    victim_taken = Some(taken);
+                } else if addr == target && ctx == spy_ctx {
+                    if let Some(taken) = victim_taken.take() {
+                        rounds.push((taken, btb_hit));
+                    }
+                }
+            }
+        }
+        assert_eq!(rounds.len(), BITS);
+        assert!(rounds.iter().any(|&(taken, _)| taken) && rounds.iter().any(|&(taken, _)| !taken));
+        for (bit, &(taken, btb_hit)) in rounds.iter().enumerate() {
+            assert_eq!(taken, !btb_hit, "bit {bit}: taken iff the first probe misses the BTB");
+        }
+
+        assert_blocks(&run(Mitigation::PartitionedBpu { partitions: 2 }));
     }
 
     #[test]
     fn no_predict_defeats_the_attack() {
-        let r = run(Mitigation::NoPredictSensitive);
-        assert!(r.defeated(), "error {:.3}", r.error_rate);
+        assert_blocks(&run(Mitigation::NoPredictSensitive));
     }
 
     #[test]
     fn stochastic_fsm_degrades_the_attack() {
         let r = run(Mitigation::StochasticFsm { skip_probability: 0.5 });
-        assert!(r.error_rate > 0.1, "error {:.3}", r.error_rate);
+        assert!(r.confusion.error_rate() > 0.1, "{r}");
     }
 
     #[test]
     fn noisy_measurements_degrade_the_attack() {
         let r = run(Mitigation::NoisyMeasurements(MeasurementFuzz::strong()));
-        assert!(r.error_rate > 0.15, "error {:.3}", r.error_rate);
+        assert!(r.confusion.error_rate() > 0.15, "{r}");
     }
 
     #[test]
     fn if_conversion_defeats_the_attack() {
-        let r = run(Mitigation::IfConversion);
-        assert!(r.defeated(), "error {:.3}", r.error_rate);
+        assert_blocks(&run(Mitigation::IfConversion));
     }
 
     #[test]
@@ -324,14 +364,14 @@ mod tests {
         // The base-table fallback keeps the channel alive on TAGE, and the
         // evaluation harness must drive it through the generic surface.
         let r = run_on(BackendKind::Tage, Mitigation::None);
-        assert!(!r.defeated(), "TAGE base table still leaks: error {:.3}", r.error_rate);
+        assert!(r.confusion.leaks(), "TAGE base table still leaks: {r}");
     }
 
     #[test]
     fn randomized_pht_defeats_the_attack_on_tage_backend() {
         // Defenses are policy wrappers: they must compose with any backend.
-        let r = run_on(BackendKind::Tage, Mitigation::RandomizedPht { rekey_interval: None });
-        assert!(r.defeated(), "error {:.3}", r.error_rate);
+        let randomized = Mitigation::RandomizedPht { rekey_interval: None };
+        assert_blocks(&run_on(BackendKind::Tage, randomized));
     }
 
     #[test]
@@ -340,9 +380,8 @@ mod tests {
         // spy reads close to coin flips without any defense installed.
         let r = run_on(BackendKind::Perceptron, Mitigation::None);
         assert!(
-            r.error_rate > 0.25,
-            "perceptron should degrade the attack toward chance: error {:.3}",
-            r.error_rate
+            r.confusion.error_rate() > 0.25,
+            "perceptron should degrade the attack toward chance: {r}"
         );
     }
 
@@ -350,14 +389,15 @@ mod tests {
     #[should_panic(expected = "at least one secret bit")]
     fn evaluating_zero_bits_panics() {
         let profile = MicroarchProfile::skylake();
-        let _ = evaluate(&Mitigation::None, &profile, 0, 0xE7A1, &mut Tracer::disabled());
+        let _ = evaluate(&Mitigation::None, &profile, 0, SEED, &mut Tracer::disabled());
     }
 
     #[test]
     fn reports_render() {
-        let r = run(Mitigation::None);
-        let text = r.to_string();
-        assert!(text.contains("baseline"));
+        let text = run(Mitigation::None).to_string();
+        assert!(text.contains("baseline") && text.contains("leaks 1.000 bits per read"), "{text}");
+        let blocked = run(Mitigation::RandomizedPht { rekey_interval: None }).to_string();
+        assert!(blocked.contains("no detectable leak"), "{blocked}");
         assert!(Mitigation::PartitionedBpu { partitions: 2 }.to_string().contains("2"));
     }
 }

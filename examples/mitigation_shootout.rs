@@ -24,5 +24,6 @@ fn main() {
     ] {
         println!("  {}", evaluate(&mitigation, &profile, bits, 0xD1FE, &mut Tracer::disabled()));
     }
-    println!("\n~0% error = channel wide open; ~50% = spy reduced to coin flipping.");
+    println!("\n~0% error = channel wide open; a leak is reads that depend on the secret");
+    println!("(G-test, p < 0.001), whatever their error rate.");
 }
