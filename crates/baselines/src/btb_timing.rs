@@ -30,7 +30,7 @@ pub enum BtbSignal {
 ///
 /// Unlike BranchScope this channel reads the *BTB*, so BTB-focused
 /// defenses (flushing, partitioning the BTB) kill it — see
-/// [`compare_attacks`](crate::compare_attacks).
+/// [`Attack::score`](crate::Attack::score).
 #[derive(Debug, Clone)]
 pub struct BtbTimingAttack {
     signal: BtbSignal,

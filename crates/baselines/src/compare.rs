@@ -6,8 +6,6 @@ use bscope_core::{AttackConfig, BranchScope, Confusion};
 use bscope_os::{AslrPolicy, Pid, System};
 use bscope_uarch::Tracer;
 use bscope_victims::VICTIM_BRANCH_OFFSET;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::fmt;
 
 /// One attack of the comparison: BranchScope, or a prior attack reading
@@ -141,35 +139,30 @@ fn score(
         .collect()
 }
 
-/// Runs every [`Attack`] against the same secret-branch victim, first on
-/// the unprotected machine and then with the OS flushing the BTB at every
-/// victim↔spy switch (cache-style protection the paper notes is applicable
-/// to the BTB but not to the directional predictor).
-///
-/// # Panics
-///
-/// Panics if `bits` is zero.
-#[must_use]
-pub fn compare_attacks(profile: &MicroarchProfile, bits: usize, seed: u64) -> Vec<ComparisonRow> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let secret: Vec<Outcome> = (0..bits).map(|_| Outcome::from_bool(rng.gen())).collect();
-    let scores: Vec<Confusion> = (0..2 * Attack::ALL.len())
-        .map(|i| {
-            let seed = seed ^ [1, 2][i % 2] ^ [0, 0x10, 0x20][i / 2];
-            let (attack, flush_btb) = (Attack::ALL[i / 2].0, i % 2 == 1);
-            attack.score(profile, &secret, flush_btb, seed, &mut Tracer::disabled())
-        })
-        .collect();
-    ComparisonRow::from_scores(&scores)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Every attack's reads of one random `bits`-bit secret on Haswell,
+    /// unprotected and then BTB-defended, as rows.
+    fn compare(bits: usize, seed: u64) -> Vec<ComparisonRow> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let secret: Vec<Outcome> = (0..bits).map(|_| Outcome::from_bool(rng.gen())).collect();
+        let scores: Vec<Confusion> = (0..6)
+            .map(|i| {
+                let seed = seed ^ [1, 2][i % 2] ^ [0, 0x10, 0x20][i / 2];
+                let (attack, haswell) = (Attack::ALL[i / 2].0, MicroarchProfile::haswell());
+                attack.score(&haswell, &secret, i % 2 == 1, seed, &mut Tracer::disabled())
+            })
+            .collect();
+        ComparisonRow::from_scores(&scores)
+    }
 
     #[test]
     fn branchscope_survives_btb_defense_baselines_die() {
-        let cmp = compare_attacks(&MicroarchProfile::haswell(), 120, 0xC0DE);
+        let cmp = compare(120, 0xC0DE);
         let by_name = |name: &str| cmp.iter().find(|r| r.attack == name).unwrap();
 
         let bscope = by_name("BranchScope");
@@ -187,12 +180,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one secret bit")]
     fn comparing_zero_bits_panics() {
-        let _ = compare_attacks(&MicroarchProfile::haswell(), 0, 1);
+        let haswell = MicroarchProfile::haswell();
+        let _ = Attack::BranchScope.score(&haswell, &[], false, 1, &mut Tracer::disabled());
     }
 
     #[test]
     fn comparison_renders() {
-        let rows = compare_attacks(&MicroarchProfile::haswell(), 20, 1);
+        let rows = compare(20, 1);
         assert_eq!(rows.len(), 3);
         assert!(rows[0].to_string().contains("BranchScope"));
     }

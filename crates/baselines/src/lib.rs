@@ -17,9 +17,9 @@
 //! * [`Attack::score`] — one [`Attack`] (BranchScope or either baseline)
 //!   against the secret-branch victim on its own machine, with or without a
 //!   BTB-flush defense, scored as a `bscope_core::Confusion` of secret ×
-//!   read bits; [`compare_attacks`] runs every attack in both
-//!   settings, reproducing the paper's claim that *BranchScope is not
-//!   affected by defenses against BTB-based attacks*.
+//!   read bits; [`ComparisonRow::from_scores`] pairs each attack's two
+//!   settings into a row, reproducing the paper's claim that *BranchScope
+//!   is not affected by defenses against BTB-based attacks*.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,4 +28,4 @@ mod btb_timing;
 mod compare;
 
 pub use btb_timing::{BtbSignal, BtbTimingAttack};
-pub use compare::{compare_attacks, Attack, ComparisonRow};
+pub use compare::{Attack, ComparisonRow};

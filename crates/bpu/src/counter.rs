@@ -80,12 +80,6 @@ impl fmt::Display for Outcome {
     }
 }
 
-impl From<bool> for Outcome {
-    fn from(taken: bool) -> Self {
-        Outcome::from_bool(taken)
-    }
-}
-
 /// Architectural state of one PHT entry as observable by the attack.
 ///
 /// These are the four states of the paper's Figure 3 FSM. On Skylake the
@@ -196,12 +190,6 @@ impl Counter {
     #[must_use]
     pub fn new(kind: CounterKind) -> Self {
         Counter { kind, level: 1 }
-    }
-
-    /// The counter flavour.
-    #[must_use]
-    pub fn kind(self) -> CounterKind {
-        self.kind
     }
 
     /// Maximum internal level for this counter kind.

@@ -14,25 +14,6 @@ use std::ops::{Range, RangeInclusive};
 pub trait RngCore {
     /// Returns the next 64 uniformly random bits.
     fn next_u64(&mut self) -> u64;
-
-    /// Returns the next 32 uniformly random bits.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-}
-
-impl<R: RngCore + ?Sized> RngCore for &mut R {
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
 }
 
 /// User-facing sampling helpers, blanket-implemented for every [`RngCore`].
@@ -116,12 +97,6 @@ macro_rules! impl_standard_int {
 }
 impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-impl Standard for u128 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64())
-    }
-}
-
 impl Standard for bool {
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64() >> 63 == 1
@@ -131,12 +106,6 @@ impl Standard for bool {
 impl Standard for f64 {
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         unit_f64(rng.next_u64())
-    }
-}
-
-impl Standard for f32 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 }
 
@@ -201,17 +170,6 @@ impl SampleUniform for f64 {
 
     fn sample_inclusive<R: RngCore + ?Sized>(low: Self, high: Self, rng: &mut R) -> Self {
         low + unit_f64(rng.next_u64()) * (high - low)
-    }
-}
-
-impl SampleUniform for f32 {
-    fn sample_half_open<R: RngCore + ?Sized>(low: Self, high: Self, rng: &mut R) -> Self {
-        let v = low + f32::sample_standard(rng) * (high - low);
-        if v >= high { low } else { v }
-    }
-
-    fn sample_inclusive<R: RngCore + ?Sized>(low: Self, high: Self, rng: &mut R) -> Self {
-        low + f32::sample_standard(rng) * (high - low)
     }
 }
 

@@ -73,12 +73,6 @@ impl CovertChannel {
         Ok(CovertChannel { attack: BranchScope::new(config)? })
     }
 
-    /// The underlying attack instance.
-    #[must_use]
-    pub fn attack(&self) -> &BranchScope {
-        &self.attack
-    }
-
     /// Transmits `bits` from `sender` to `receiver`, bit `true` encoded as
     /// a taken branch.
     ///

@@ -89,12 +89,6 @@ impl ProbePattern {
     pub fn second_hit(self) -> bool {
         matches!(self, ProbePattern::HH | ProbePattern::MH)
     }
-
-    /// Number of mispredictions in the pattern (0–2).
-    #[must_use]
-    pub fn mispredictions(self) -> u32 {
-        u32::from(!self.first_hit()) + u32::from(!self.second_hit())
-    }
 }
 
 impl fmt::Display for ProbePattern {
@@ -146,8 +140,6 @@ mod tests {
         assert_eq!(ProbePattern::from_hits(false, true), ProbePattern::MH);
         assert!(ProbePattern::MH.second_hit());
         assert!(!ProbePattern::MH.first_hit());
-        assert_eq!(ProbePattern::MM.mispredictions(), 2);
-        assert_eq!(ProbePattern::HH.mispredictions(), 0);
         assert_eq!(ProbePattern::HM.to_string(), "HM");
     }
 

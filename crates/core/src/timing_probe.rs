@@ -74,21 +74,9 @@ impl TimingDetector {
         self.threshold
     }
 
-    /// Classifies the mean of `measurements`: `true` = mispredicted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `measurements` is empty.
-    #[must_use]
-    fn classify_mean(&self, measurements: &[u64]) -> bool {
-        assert!(!measurements.is_empty(), "need at least one measurement");
-        let mean = measurements.iter().sum::<u64>() as f64 / measurements.len() as f64;
-        mean > self.threshold
-    }
-
     /// Runs the stage-3 probe through the timing channel instead of the
-    /// performance counters: each probing branch's latency is classified
-    /// individually.
+    /// performance counters: each probing branch hit if its latency is at
+    /// most the threshold.
     pub fn probe_with_timing(
         &self,
         cpu: &mut CpuView<'_>,
@@ -97,7 +85,8 @@ impl TimingDetector {
     ) -> ProbePattern {
         let first = cpu.timed_branch_at_abs(addr, kind.outcome());
         let second = cpu.timed_branch_at_abs(addr, kind.outcome());
-        ProbePattern::from_hits(!self.classify_mean(&[first]), !self.classify_mean(&[second]))
+        let hit = |latency: u64| latency as f64 <= self.threshold;
+        ProbePattern::from_hits(hit(first), hit(second))
     }
 }
 
@@ -250,8 +239,6 @@ mod tests {
         assert!(TimingDetector::from_samples(&[100], &[90]).is_err(), "inverted means");
         let det = TimingDetector::from_samples(&[80, 90], &[130, 140]).unwrap();
         assert!((det.threshold() - 110.0).abs() < 1e-9);
-        assert!(det.classify_mean(&[150]));
-        assert!(!det.classify_mean(&[80]));
     }
 
     #[test]
@@ -370,12 +357,5 @@ mod tests {
     fn probe_latency_without_reps_panics() {
         let (mut sys, spy) = setup();
         let _ = probe_latency_by_state(&mut sys, spy, PhtState::StronglyTaken, ProbeKind::TakenTaken, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one measurement")]
-    fn classify_empty_panics() {
-        let det = TimingDetector::from_samples(&[80], &[130]).unwrap();
-        let _ = det.classify_mean(&[]);
     }
 }

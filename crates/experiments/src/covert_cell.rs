@@ -88,6 +88,16 @@ pub struct RunSummary {
     pub bits_per_mcycle: f64,
 }
 
+/// A table row from its three payload cells' runs: each payload's mean
+/// error (percent) and the bits of every run pooled.
+pub fn payload_row(row: &[Vec<RunSummary>]) -> ([f64; 3], Confusion) {
+    let errors = std::array::from_fn(|payload| {
+        let runs = row[payload].len();
+        100.0 * row[payload].iter().map(|r| r.confusion.error_rate()).sum::<f64>() / runs as f64
+    });
+    (errors, row.iter().flatten().map(|r| r.confusion).sum())
+}
+
 /// Validates every cell, then runs `runs` transmissions of each as
 /// `cells.len() × runs` trials of [`trials`] with seeds from
 /// `scale.seed ^ salt`. Trial `i` is run `i % runs` of cell `i / runs`, so

@@ -195,129 +195,67 @@ fn show(v: Option<f64>) -> String {
     v.map_or_else(|| "null".to_owned(), number)
 }
 
-/// Parses a metrics file in the golden format, `{name: {metric: number}}`
-/// (`crates/experiments/golden/quick_metrics.json`).
+/// Reads a metrics file in the layout the re-pin recipe writes,
+/// `json.dumps(pins, indent=2) + "\n"` (`golden/quick_metrics.json`): a
+/// `{` line; per experiment a `"name": {` line, one `"metric": number` or
+/// `"metric": null` line per metric and a `}` line (or one `"name": {}`
+/// line); then `}`. Keys hold no `"` or `\`.
 ///
 /// # Errors
 ///
-/// Describes the first syntax error or repeated experiment or metric key,
-/// and its byte offset.
+/// Names the line of the first departure from that layout (a repeated
+/// experiment or metric key among them), or the line past the end of a
+/// file that ends before its closing brace.
 pub fn parse_golden(text: &str) -> Result<Golden, String> {
-    let mut p = Parser { s: text, i: 0 };
-    let golden = p.object(|p| p.object(Parser::value))?;
-    p.ws();
-    if p.i != p.s.len() {
-        return Err(p.error("trailing characters"));
+    let mut lines = text.lines().zip(1..);
+    if lines.next().map(|(line, _)| line) != Some("{") {
+        return Err("line 1: expected `{`".to_owned());
     }
-    Ok(golden)
-}
-
-/// A small JSON reader for the one shape [`parse_golden`] accepts.
-struct Parser<'a> {
-    s: &'a str,
-    /// Byte offset of the next unread character.
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn error(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.i)
-    }
-
-    fn ws(&mut self) {
-        let rest = &self.s[self.i..];
-        self.i += rest.len() - rest.trim_start().len();
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        self.ws();
-        let hit = self.s[self.i..].starts_with(c);
-        self.i += usize::from(hit);
-        hit
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{c}'")))
-        }
-    }
-
-    /// `{"key": item, ...}` with keys in any order, each key once.
-    fn object<T>(
-        &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<T, String>,
-    ) -> Result<BTreeMap<String, T>, String> {
-        self.expect('{')?;
-        let mut out = BTreeMap::new();
-        if self.eat('}') {
-            return Ok(out);
-        }
-        loop {
-            self.ws();
-            let at = self.i;
-            let key = self.string()?;
-            if out.contains_key(&key) {
-                return Err(format!("repeated key \"{key}\" at byte {at}"));
+    let mut golden = Golden::new();
+    // The experiment whose metrics are being read, and whether an entry
+    // must come next (after an opening brace or a comma).
+    let (mut open, mut more): (Option<String>, bool) = (None, true);
+    for (line, n) in lines.by_ref() {
+        let at = |what: &str| format!("line {n}: {what}");
+        let (entry, comma) = line.strip_suffix(',').map_or((line, false), |e| (e, true));
+        let (indent, close) = if open.is_some() { ("    ", "  }") } else { ("  ", "}") };
+        if entry == close && !more && (open.is_some() || !comma) {
+            if open.take().is_none() {
+                return match lines.next() {
+                    Some((_, n)) => Err(format!("line {n}: text after the closing brace")),
+                    None => Ok(golden),
+                };
             }
-            self.expect(':')?;
-            out.insert(key, item(self)?);
-            if self.eat('}') {
-                return Ok(out);
+            more = comma;
+            continue;
+        }
+        let quoted = entry.strip_prefix(indent).and_then(|e| e.strip_prefix('"'));
+        let pair = quoted.and_then(|e| e.split_once("\": "));
+        let Some((key, value)) = pair.filter(|(key, _)| more && !key.contains(['"', '\\'])) else {
+            return Err(at(&format!("expected `{indent}\"key\": value` or `{close}`")));
+        };
+        let repeated = match &open {
+            None if (value == "{" && !comma) || value == "{}" => {
+                open = (value == "{").then(|| key.to_owned());
+                golden.insert(key.to_owned(), BTreeMap::new()).is_some()
             }
-            self.expect(',')?;
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            let mut chars = self.s[self.i..].chars();
-            let c = chars.next().ok_or_else(|| self.error("unterminated string"))?;
-            self.i += c.len_utf8();
-            match c {
-                '"' => return Ok(out),
-                '\\' => {
-                    let e = chars.next().ok_or_else(|| self.error("unterminated escape"))?;
-                    self.i += e.len_utf8();
-                    out.push(match e {
-                        '"' | '\\' | '/' => e,
-                        'n' => '\n',
-                        't' => '\t',
-                        'r' => '\r',
-                        'b' => '\u{8}',
-                        'f' => '\u{c}',
-                        'u' => {
-                            let hex = self.s.get(self.i..self.i + 4).unwrap_or_default();
-                            let code = u32::from_str_radix(hex, 16).ok().and_then(char::from_u32);
-                            let c = code.ok_or_else(|| self.error("bad \\u escape"))?;
-                            self.i += 4;
-                            c
-                        }
-                        _ => return Err(self.error("unknown escape")),
-                    });
-                }
-                c => out.push(c),
+            None => return Err(at("expected `{` or `{}` after the experiment name")),
+            Some(name) => {
+                let number = value.parse().ok().filter(|v: &f64| v.is_finite());
+                let metric = match value {
+                    "null" => None,
+                    _ => Some(number.ok_or_else(|| at("bad number"))?),
+                };
+                let metrics = golden.get_mut(name).expect("open experiment");
+                metrics.insert(key.to_owned(), metric).is_some()
             }
+        };
+        if repeated {
+            return Err(at(&format!("repeated key \"{key}\"")));
         }
+        more = comma || value == "{";
     }
-
-    /// A number, or `null` as `None`.
-    fn value(&mut self) -> Result<Option<f64>, String> {
-        self.ws();
-        let rest = &self.s[self.i..];
-        if rest.starts_with("null") {
-            self.i += 4;
-            return Ok(None);
-        }
-        let len =
-            rest.find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c))).unwrap_or(rest.len());
-        let v = rest[..len].parse().map_err(|_| self.error("expected a number or null"))?;
-        self.i += len;
-        Ok(Some(v))
-    }
+    Err(format!("line {}: the file ends before its closing brace", text.lines().count() + 1))
 }
 
 /// Atomic file write: stream into a hidden temp file *in the destination's
@@ -361,27 +299,49 @@ mod tests {
         }
     }
 
+    /// `lines`, one per line, as `json.dumps(.., indent=2) + "\n"` ends them.
+    fn layout(lines: &[&str]) -> String {
+        lines.join("\n") + "\n"
+    }
+
     #[test]
     fn golden_files_parse_and_check_exactly() {
-        let text = "{\n  \"fig2\": {},\n  \"fig4\": {\n    \
-                    \"fig4/stable_fraction\": 0.7333333333333333\n  },\n  \
-                    \"t\\u00e9\": {\"a/b c\": -1.5e-3, \"n\": null}\n}\n";
-        let golden = parse_golden(text).unwrap();
+        let text = layout(&[
+            "{",
+            "  \"fig2\": {},",
+            "  \"fig4\": {",
+            "    \"fig4/stable_fraction\": 0.7333333333333333",
+            "  },",
+            "  \"t\": {",
+            "    \"a/b c\": -0.0015,",
+            "    \"n\": null",
+            "  }",
+            "}",
+        ]);
+        let golden = parse_golden(&text).unwrap();
         assert_eq!(golden["fig2"].len(), 0);
         assert_eq!(golden["fig4"]["fig4/stable_fraction"], Some(0.733_333_333_333_333_3));
-        assert_eq!(golden["t\u{e9}"]["a/b c"], Some(-1.5e-3));
-        assert_eq!(golden["t\u{e9}"]["n"], None);
-        for bad in ["", "{", "{\"a\": 1}", "{\"a\": {\"b\": x}}", "{\"a\": {}} {}"] {
-            assert!(parse_golden(bad).is_err(), "accepted {bad:?}");
+        assert_eq!(golden["t"]["a/b c"], Some(-1.5e-3));
+        assert_eq!(golden["t"]["n"], None);
+        // Every departure from the layout is named by its line; a repeated
+        // key would replace the first pin unchecked.
+        let metrics = |lines: &[&'static str]| [&["{", "  \"a\": {"], lines, &["  }", "}"]].concat();
+        for (lines, error) in [
+            (vec!["{\"a\": {\"x\": 1}}"], "line 1: expected `{`"),
+            (vec!["{", "  \"a\": {},", "  \"a\": {}", "}"], "line 3: repeated key \"a\""),
+            (metrics(&["    \"x\": 1,", "    \"x\": 2"]), "line 4: repeated key \"x\""),
+            (metrics(&["    \"x\": 1.2.3"]), "line 3: bad number"),
+            (vec!["{", "  \"a\": {}", "}", "{}"], "line 4: text after the closing brace"),
+            (vec!["{", "  \"a\": {}"], "line 3: the file ends before its closing brace"),
+        ] {
+            assert_eq!(parse_golden(&layout(&lines)).unwrap_err(), error, "{lines:?}");
         }
-        // A repeated key would replace the first pin unchecked.
-        let metric = parse_golden(r#"{"a": {"x": 1, "x": 2}}"#);
-        assert_eq!(metric.unwrap_err(), r#"repeated key "x" at byte 15"#);
-        let experiment = parse_golden(r#"{"a": {}, "a": {}}"#);
-        assert_eq!(experiment.unwrap_err(), r#"repeated key "a" at byte 10"#);
-        assert!(parse_golden(r#"{"a": {"x": 1}, "b": {"x": 2}}"#).is_ok());
+        for key in ["    \"t\\u00e9\": 1", "    \"a\\\"b\": 1"] {
+            let err = parse_golden(&layout(&metrics(&[key]))).unwrap_err();
+            assert!(err.starts_with("line 3: expected"), "{key}: {err}");
+        }
 
-        let registry = ["fig2", "fig4", "fig9", "t\u{e9}"];
+        let registry = ["fig2", "fig4", "fig9", "t"];
         let mut r = Report::new(&Scale::quick());
         r.record("fig2", "hybrid", 0.1, 0, vec![], None);
         let pinned = vec![("fig4/stable_fraction".into(), 0.733_333_333_333_333_3)];
@@ -389,10 +349,7 @@ mod tests {
         assert!(r.check(&golden, &registry).is_empty());
         // An entry for an experiment that no longer exists is a difference,
         // whether or not the run selected everything.
-        assert_eq!(
-            r.check(&golden, &registry[..3]),
-            ["t\u{e9}: expected, but no experiment has this name"]
-        );
+        assert_eq!(r.check(&golden, &registry[..3]), ["t: expected, but no experiment has this name"]);
 
         let mut off = Report::new(&Scale::quick());
         let drifted = vec![("fig4/stable_fraction".into(), 0.7), ("x".into(), 1.0)];
@@ -417,11 +374,18 @@ mod tests {
     #[test]
     fn a_report_checks_clean_against_itself() {
         let mut r = Report::new(&Scale::quick());
-        let metrics = vec![("table2/a \"q\"".into(), 0.1 + 0.2), ("nan".into(), f64::NAN)];
+        let metrics = vec![("table2/a q".into(), 0.1 + 0.2), ("nan".into(), f64::NAN)];
         r.record("table2", "hybrid", 0.1, 0, metrics, None);
-        // The report's own JSON, reshaped to the golden format.
-        let golden = "{\"table2\": {\"table2/a \\\"q\\\"\": 0.30000000000000004, \"nan\": null}}";
-        assert!(r.check(&parse_golden(golden).unwrap(), &["table2"]).is_empty());
+        // The report's own metrics, written as the re-pin recipe writes them.
+        let golden = layout(&[
+            "{",
+            "  \"table2\": {",
+            "    \"table2/a q\": 0.30000000000000004,",
+            "    \"nan\": null",
+            "  }",
+            "}",
+        ]);
+        assert!(r.check(&parse_golden(&golden).unwrap(), &["table2"]).is_empty());
     }
 
     #[test]

@@ -54,7 +54,9 @@
 //! `--check FILE` verifies a run against pinned results: FILE maps
 //! experiment names to their expected metrics (the golden format,
 //! `{"fig4": {"fig4/stable_fraction": 0.8}, ...}`, as in
-//! `golden/quick_metrics.json`). Every experiment that ran must have an
+//! `golden/quick_metrics.json`), laid out as the re-pin recipe writes it,
+//! `json.dumps(pins, indent=2) + "\n"`: one key per line, no `"` or `\`
+//! in a key. Every experiment that ran must have an
 //! entry with exactly its metrics, and every entry must name an existing
 //! experiment; each difference is printed and the exit code is `1`.
 //!

@@ -4,7 +4,7 @@ use crate::claim::Claim;
 use crate::common::{trials, Scale};
 use bscope_bpu::MicroarchProfile;
 use bscope_core::BscopeError;
-use bscope_mitigations::{benign_overhead, evaluate, EvalReport, MeasurementFuzz, Mitigation};
+use bscope_mitigations::{benign_overhead, evaluate, EvalReport, Mitigation};
 
 pub fn run(scale: &Scale) -> Result<(), BscopeError> {
     let bits = scale.n(3_000, 400);
@@ -16,8 +16,8 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
         Mitigation::PartitionedBpu { partitions: 2 },
         Mitigation::PartitionedBpu { partitions: 4 },
         Mitigation::NoPredictSensitive,
-        Mitigation::NoisyMeasurements(MeasurementFuzz::strong()),
-        Mitigation::StochasticFsm { skip_probability: 0.5 },
+        Mitigation::NoisyMeasurements,
+        Mitigation::StochasticFsm,
         Mitigation::IfConversion,
     ];
     // One trial per defense reads the secret, then one per defense runs the

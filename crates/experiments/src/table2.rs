@@ -2,7 +2,7 @@
 
 use crate::claim::Claim;
 use crate::common::Scale;
-use crate::covert_cell::{covert_cells, CovertCell, Payload};
+use crate::covert_cell::{covert_cells, payload_row, CovertCell, Payload};
 use bscope_bpu::MicroarchProfile;
 use bscope_core::{BscopeError, Confusion};
 use bscope_uarch::NoiseConfig;
@@ -37,11 +37,7 @@ pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<Row>, Bsco
         .iter()
         .zip(per_cell.chunks_exact(PAYLOADS.len()))
         .map(|((profile, (setting, _)), row)| {
-            let errors = std::array::from_fn(|payload| {
-                100.0 * row[payload].iter().map(|r| r.confusion.error_rate()).sum::<f64>()
-                    / runs as f64
-            });
-            let pooled = row.iter().flatten().map(|r| r.confusion).sum();
+            let (errors, pooled) = payload_row(row);
             (format!("{} {setting}", profile.arch), errors, pooled)
         })
         .collect())

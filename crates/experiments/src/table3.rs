@@ -2,7 +2,7 @@
 
 use crate::claim::Claim;
 use crate::common::Scale;
-use crate::covert_cell::{covert_cells, CovertCell, Payload, Sender};
+use crate::covert_cell::{covert_cells, payload_row, CovertCell, Payload, Sender};
 use bscope_bpu::{BackendKind, MicroarchProfile};
 use bscope_core::{BscopeError, Confusion};
 use bscope_uarch::NoiseConfig;
@@ -31,16 +31,7 @@ pub fn compute(
         .collect();
     let per_cell = covert_cells(scale, 0x560, &cells, runs)?;
 
-    Ok(per_cell
-        .chunks_exact(payloads.len())
-        .map(|row| {
-            let errors = std::array::from_fn(|payload| {
-                100.0 * row[payload].iter().map(|r| r.confusion.error_rate()).sum::<f64>()
-                    / runs as f64
-            });
-            (errors, row.iter().flatten().map(|r| r.confusion).sum())
-        })
-        .collect())
+    Ok(per_cell.chunks_exact(payloads.len()).map(payload_row).collect())
 }
 
 pub fn run(scale: &Scale) -> Result<(), BscopeError> {

@@ -489,7 +489,7 @@ fn check_passes_against_the_golden_file_and_fails_on_any_difference() {
 
     // An entry naming no experiment (one renamed or dropped since the file
     // was pinned) fails the check even though it is outside the selection.
-    let extra = text.replacen('{', "{\n  \"fig99\": {\"fig99/x\": 1},", 1);
+    let extra = text.replacen('{', "{\n  \"fig99\": {\n    \"fig99/x\": 1\n  },", 1);
     let path = scratch("cli_check_extra.json");
     std::fs::write(&path, extra).unwrap();
     let out = run(&[&args[..], &[path.to_str().unwrap(), "table2", "table3"]].concat());

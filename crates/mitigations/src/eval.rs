@@ -14,6 +14,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
+/// The probability that [`Mitigation::StochasticFsm`] skips an update.
+const SKIP_PROBABILITY: f64 = 0.5;
+
 /// A defense configuration to evaluate.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Mitigation {
@@ -32,13 +35,12 @@ pub enum Mitigation {
     },
     /// Flagged sensitive branches bypass prediction entirely (§10.2).
     NoPredictSensitive,
-    /// Noisy performance counters / timing measurements (§10.2).
-    NoisyMeasurements(MeasurementFuzz),
-    /// Stochastic prediction FSM: updates randomly suppressed (§10.2).
-    StochasticFsm {
-        /// Probability that a branch's FSM update is skipped.
-        skip_probability: f64,
-    },
+    /// Noisy performance counters / timing measurements,
+    /// [`MeasurementFuzz::strong`] (§10.2).
+    NoisyMeasurements,
+    /// Stochastic prediction FSM: each branch's update skipped with
+    /// probability 0.5 (§10.2).
+    StochasticFsm,
     /// Victim compiled with if-conversion: no secret-dependent branch
     /// exists (§10.1).
     IfConversion,
@@ -58,10 +60,8 @@ impl fmt::Display for Mitigation {
                 write!(f, "partitioned BPU ({partitions} partitions)")
             }
             Mitigation::NoPredictSensitive => f.write_str("no prediction for sensitive branches"),
-            Mitigation::NoisyMeasurements(_) => f.write_str("noisy counters/timers"),
-            Mitigation::StochasticFsm { skip_probability } => {
-                write!(f, "stochastic FSM (skip p={skip_probability})")
-            }
+            Mitigation::NoisyMeasurements => f.write_str("noisy counters/timers"),
+            Mitigation::StochasticFsm => write!(f, "stochastic FSM (skip p={SKIP_PROBABILITY})"),
             Mitigation::IfConversion => f.write_str("if-converted victim (cmov)"),
         }
     }
@@ -132,8 +132,8 @@ fn evaluate_on(
     let victim_ctx = sys.process(victim).ctx();
     let keyed = [victim_ctx, sys.process(spy).ctx(), NOISE_CTX];
     install_policy(&mut sys, mitigation, seed, &keyed, (victim_ctx, target));
-    if let Mitigation::NoisyMeasurements(fuzz) = mitigation {
-        sys.set_measurement_fuzz(Some(*fuzz)).expect("evaluated fuzz configs are valid");
+    if *mitigation == Mitigation::NoisyMeasurements {
+        sys.set_measurement_fuzz(Some(MeasurementFuzz::strong())).expect("strong fuzz is valid");
     }
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC2);
@@ -202,7 +202,7 @@ fn install_policy(
     protected: (ContextId, VirtAddr),
 ) {
     match mitigation {
-        Mitigation::None | Mitigation::IfConversion | Mitigation::NoisyMeasurements(_) => {}
+        Mitigation::None | Mitigation::IfConversion | Mitigation::NoisyMeasurements => {}
         Mitigation::RandomizedPht { rekey_interval } => {
             let mut policy = RandomizedPhtPolicy::new(seed ^ 0xDEFE_17CE);
             for &ctx in keyed {
@@ -221,8 +221,8 @@ fn install_policy(
             let (ctx, addr) = protected;
             sys.set_policy(Box::new(NoPredictPolicy::new().with_protected(ctx, addr)));
         }
-        Mitigation::StochasticFsm { skip_probability } => {
-            sys.set_policy(Box::new(StochasticFsmPolicy::new(*skip_probability, seed ^ 0x570C)));
+        Mitigation::StochasticFsm => {
+            sys.set_policy(Box::new(StochasticFsmPolicy::new(SKIP_PROBABILITY, seed ^ 0x570C)));
         }
     }
 }
@@ -328,13 +328,13 @@ mod tests {
 
     #[test]
     fn stochastic_fsm_degrades_the_attack() {
-        let r = run(Mitigation::StochasticFsm { skip_probability: 0.5 });
+        let r = run(Mitigation::StochasticFsm);
         assert!(r.confusion.error_rate() > 0.1, "{r}");
     }
 
     #[test]
     fn noisy_measurements_degrade_the_attack() {
-        let r = run(Mitigation::NoisyMeasurements(MeasurementFuzz::strong()));
+        let r = run(Mitigation::NoisyMeasurements);
         assert!(r.confusion.error_rate() > 0.15, "{r}");
     }
 
@@ -355,7 +355,7 @@ mod tests {
         // …while no-predict on a hot branch and a stochastic FSM clearly cost.
         let nopredict = overhead(Mitigation::NoPredictSensitive);
         assert!(nopredict > base + 0.5, "static not-taken on a 7/8-taken loop: {nopredict}");
-        let stochastic = overhead(Mitigation::StochasticFsm { skip_probability: 0.5 });
+        let stochastic = overhead(Mitigation::StochasticFsm);
         assert!(stochastic >= base, "{stochastic} vs {base}");
     }
 

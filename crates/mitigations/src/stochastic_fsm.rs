@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Makes the prediction FSM stochastic: each dynamic branch's state update
-/// is *skipped* with probability `skip_probability`, "interfering with the
+/// is *skipped* with a fixed probability, "interfering with the
 /// attacker's ability to precisely infer the direction of the branch taken
 /// by the victim" (§10.2).
 ///
@@ -18,35 +18,29 @@ use rand::{Rng, SeedableRng};
 /// is what makes this a plausible hardware knob.
 #[derive(Debug)]
 pub struct StochasticFsmPolicy {
-    skip_probability: f64,
+    probability: f64,
     rng: StdRng,
 }
 
 impl StochasticFsmPolicy {
-    /// Policy skipping each update with probability `skip_probability`.
+    /// Policy skipping each update with probability `probability`.
     ///
     /// # Panics
     ///
-    /// Panics unless `skip_probability` lies in `[0, 1]`.
+    /// Panics unless `probability` lies in `[0, 1]`.
     #[must_use]
-    pub fn new(skip_probability: f64, seed: u64) -> Self {
+    pub fn new(probability: f64, seed: u64) -> Self {
         assert!(
-            (0.0..=1.0).contains(&skip_probability),
-            "skip probability must be in [0,1], got {skip_probability}"
+            (0.0..=1.0).contains(&probability),
+            "skip probability must be in [0,1], got {probability}"
         );
-        StochasticFsmPolicy { skip_probability, rng: StdRng::seed_from_u64(seed) }
-    }
-
-    /// The configured skip probability.
-    #[must_use]
-    pub fn skip_probability(&self) -> f64 {
-        self.skip_probability
+        StochasticFsmPolicy { probability, rng: StdRng::seed_from_u64(seed) }
     }
 }
 
 impl BpuPolicy for StochasticFsmPolicy {
     fn route(&mut self, _ctx: ContextId, addr: VirtAddr, _tsc: u64) -> Route {
-        if self.skip_probability > 0.0 && self.rng.gen_bool(self.skip_probability) {
+        if self.probability > 0.0 && self.rng.gen_bool(self.probability) {
             Route::PredictNoUpdate(addr)
         } else {
             Route::Predict(addr)

@@ -54,8 +54,6 @@ pub fn mod_exp(base: u64, exponent: u64, modulus: u64) -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MontgomeryLadder {
-    base: u64,
-    key: u64,
     modulus: u64,
     /// Remaining bit positions, MSB first. Empty once finished.
     bits: Vec<bool>,
@@ -76,8 +74,6 @@ impl MontgomeryLadder {
         let nbits = if key == 0 { 1 } else { 64 - key.leading_zeros() as usize };
         let bits = (0..nbits).rev().map(|i| (key >> i) & 1 == 1).collect();
         MontgomeryLadder {
-            base,
-            key,
             modulus,
             bits,
             next: 0,
@@ -90,18 +86,6 @@ impl MontgomeryLadder {
     #[must_use]
     pub fn key_bits(&self) -> usize {
         self.bits.len()
-    }
-
-    /// The secret key (ground truth for experiments).
-    #[must_use]
-    pub fn key(&self) -> u64 {
-        self.key
-    }
-
-    /// The exponentiation base.
-    #[must_use]
-    pub fn base(&self) -> u64 {
-        self.base
     }
 
     /// The computed exponentiation result, once all bits are processed.

@@ -74,18 +74,6 @@ impl SlidingWindowExp {
         }
     }
 
-    /// Window size in bits.
-    #[must_use]
-    pub fn window(&self) -> u32 {
-        self.window
-    }
-
-    /// The secret key (ground truth for experiments).
-    #[must_use]
-    pub fn key(&self) -> u64 {
-        self.key
-    }
-
     /// Result once every position has been scanned. A zero key finishes
     /// immediately with result 1.
     #[must_use]

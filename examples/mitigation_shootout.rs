@@ -5,7 +5,7 @@
 //! ```
 
 use branchscope::bpu::MicroarchProfile;
-use branchscope::mitigations::{evaluate, MeasurementFuzz, Mitigation};
+use branchscope::mitigations::{evaluate, Mitigation};
 use branchscope::trace::Tracer;
 
 fn main() {
@@ -18,8 +18,8 @@ fn main() {
         Mitigation::RandomizedPht { rekey_interval: Some(10_000) },
         Mitigation::PartitionedBpu { partitions: 2 },
         Mitigation::NoPredictSensitive,
-        Mitigation::NoisyMeasurements(MeasurementFuzz::strong()),
-        Mitigation::StochasticFsm { skip_probability: 0.5 },
+        Mitigation::NoisyMeasurements,
+        Mitigation::StochasticFsm,
         Mitigation::IfConversion,
     ] {
         println!("  {}", evaluate(&mitigation, &profile, bits, 0xD1FE, &mut Tracer::disabled()));

@@ -1,10 +1,13 @@
 //! Integration tests for §10 defenses and §11 baseline comparisons through
 //! the façade crate.
 
-use branchscope::baselines::compare_attacks;
-use branchscope::bpu::MicroarchProfile;
-use branchscope::mitigations::{evaluate, EvalReport, MeasurementFuzz, Mitigation};
+use branchscope::attack::Confusion;
+use branchscope::baselines::{Attack, ComparisonRow};
+use branchscope::bpu::{MicroarchProfile, Outcome};
+use branchscope::mitigations::{evaluate, EvalReport, Mitigation};
 use branchscope::trace::Tracer;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn eval(m: Mitigation) -> EvalReport {
     evaluate(&m, &MicroarchProfile::skylake(), 300, 0xD00D, &mut Tracer::disabled())
@@ -33,7 +36,7 @@ fn every_hardware_defense_defeats_the_attack() {
 #[test]
 fn software_defense_and_fuzzing_degrade_the_attack() {
     assert_blocks(&eval(Mitigation::IfConversion));
-    let fuzz = eval(Mitigation::NoisyMeasurements(MeasurementFuzz::strong()));
+    let fuzz = eval(Mitigation::NoisyMeasurements);
     assert!(fuzz.confusion.error_rate() > 0.15, "{fuzz}");
 }
 
@@ -51,7 +54,17 @@ fn defenses_hold_on_every_paper_machine() {
 
 #[test]
 fn branchscope_beats_btb_defenses_that_stop_prior_attacks() {
-    let cmp = compare_attacks(&MicroarchProfile::haswell(), 100, 0xFACE);
+    let mut rng = StdRng::seed_from_u64(0xFACE);
+    let secret: Vec<Outcome> = (0..100).map(|_| Outcome::from_bool(rng.gen())).collect();
+    // Each attack unprotected, then with the BTB flushed around the victim.
+    let scores: Vec<Confusion> = (0..6)
+        .map(|i| {
+            let seed = 0xFACE ^ [1, 2][i % 2] ^ [0, 0x10, 0x20][i / 2];
+            let (attack, haswell) = (Attack::ALL[i / 2].0, MicroarchProfile::haswell());
+            attack.score(&haswell, &secret, i % 2 == 1, seed, &mut Tracer::disabled())
+        })
+        .collect();
+    let cmp = ComparisonRow::from_scores(&scores);
     let bscope = cmp.iter().find(|r| r.attack == "BranchScope").unwrap();
     assert!(bscope.unprotected.accuracy() > 0.95);
     assert!(bscope.btb_defended.accuracy() > 0.95, "BranchScope unaffected by BTB flushing");
