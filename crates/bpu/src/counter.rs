@@ -285,7 +285,8 @@ impl Counter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn two_bit_counter_follows_figure_3() {
@@ -403,51 +404,56 @@ mod tests {
         assert_eq!(PhtState::WeaklyNotTaken.to_string(), "WN");
     }
 
-    proptest! {
-        /// The counter level never leaves its legal range whatever the
-        /// outcome sequence.
-        #[test]
-        fn counter_level_stays_in_range(
-            kind_sky in any::<bool>(),
-            outcomes in proptest::collection::vec(any::<bool>(), 0..256),
-        ) {
-            let kind = if kind_sky { CounterKind::SkylakeAsymmetric } else { CounterKind::TwoBit };
+    /// The counter level never leaves its legal range whatever the outcome
+    /// sequence.
+    #[test]
+    fn counter_level_stays_in_range() {
+        for case in 0..64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let kind = if rng.gen() { CounterKind::SkylakeAsymmetric } else { CounterKind::TwoBit };
             let mut c = Counter::new(kind);
-            for o in outcomes {
-                c.update(Outcome::from_bool(o));
-                prop_assert!(c.level() <= c.max_level());
+            for step in 0..rng.gen_range(0..256) {
+                c.update(Outcome::from_bool(rng.gen()));
+                assert!(
+                    c.level() <= c.max_level(),
+                    "case {case} (seed {case}): {kind:?} step {step}"
+                );
             }
         }
+    }
 
-        /// Saturation: enough identical outcomes always reach the matching
-        /// strong state, from any starting state.
-        #[test]
-        fn saturation_reaches_strong_state(
-            kind_sky in any::<bool>(),
-            start in 0usize..4,
-            taken in any::<bool>(),
-        ) {
-            let kind = if kind_sky { CounterKind::SkylakeAsymmetric } else { CounterKind::TwoBit };
-            let mut c = kind.counter_in(PhtState::ALL[start]);
-            let outcome = Outcome::from_bool(taken);
-            for _ in 0..5 {
-                c.update(outcome);
+    /// Saturation: enough identical outcomes always reach the matching
+    /// strong state, from any starting state.
+    #[test]
+    fn saturation_reaches_strong_state() {
+        for kind in [CounterKind::TwoBit, CounterKind::SkylakeAsymmetric] {
+            for start in PhtState::ALL {
+                for taken in [false, true] {
+                    let mut c = kind.counter_in(start);
+                    for _ in 0..5 {
+                        c.update(Outcome::from_bool(taken));
+                    }
+                    let want =
+                        if taken { PhtState::StronglyTaken } else { PhtState::StronglyNotTaken };
+                    assert_eq!(c.state(), want, "{kind:?} from {start}, taken {taken}");
+                }
             }
-            let want = if taken { PhtState::StronglyTaken } else { PhtState::StronglyNotTaken };
-            prop_assert_eq!(c.state(), want);
         }
+    }
 
-        /// A strong state survives exactly one opposite outcome and still
-        /// predicts its side — the hysteresis the attack's prime step relies
-        /// on.
-        #[test]
-        fn strong_state_survives_one_flip(kind_sky in any::<bool>(), taken in any::<bool>()) {
-            let kind = if kind_sky { CounterKind::SkylakeAsymmetric } else { CounterKind::TwoBit };
-            let strong = if taken { PhtState::StronglyTaken } else { PhtState::StronglyNotTaken };
-            let mut c = kind.counter_in(strong);
-            let flip = Outcome::from_bool(!taken);
-            c.update(flip);
-            prop_assert_eq!(c.predict(), Outcome::from_bool(taken));
+    /// A strong state survives exactly one opposite outcome and still
+    /// predicts its side — the hysteresis the attack's prime step relies
+    /// on.
+    #[test]
+    fn strong_state_survives_one_flip() {
+        for kind in [CounterKind::TwoBit, CounterKind::SkylakeAsymmetric] {
+            for taken in [false, true] {
+                let strong =
+                    if taken { PhtState::StronglyTaken } else { PhtState::StronglyNotTaken };
+                let mut c = kind.counter_in(strong);
+                c.update(Outcome::from_bool(!taken));
+                assert_eq!(c.predict(), Outcome::from_bool(taken), "{kind:?} from {strong}");
+            }
         }
     }
 }

@@ -69,7 +69,8 @@ impl GlobalHistoryRegister {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn push_shifts_most_recent_into_bit_zero() {
@@ -106,22 +107,31 @@ mod tests {
         let _ = GlobalHistoryRegister::new(0);
     }
 
-    proptest! {
-        /// value() always fits in len bits.
-        #[test]
-        fn value_fits_len(len in 1u32..=64, pushes in proptest::collection::vec(any::<bool>(), 0..200)) {
+    /// value() always fits in len bits.
+    #[test]
+    fn value_fits_len() {
+        for case in 0..64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let len = rng.gen_range(1..=64);
             let mut ghr = GlobalHistoryRegister::new(len);
-            for p in pushes {
-                ghr.push(Outcome::from_bool(p));
+            for push in 0..rng.gen_range(0..200) {
+                ghr.push(Outcome::from_bool(rng.gen()));
                 if len < 64 {
-                    prop_assert!(ghr.value() < (1u64 << len));
+                    assert!(
+                        ghr.value() < (1u64 << len),
+                        "case {case} (seed {case}): len {len} push {push}"
+                    );
                 }
             }
         }
+    }
 
-        /// The register faithfully records the last `len` outcomes.
-        #[test]
-        fn records_last_len_outcomes(pushes in proptest::collection::vec(any::<bool>(), 8..64)) {
+    /// The register faithfully records the last `len` outcomes.
+    #[test]
+    fn records_last_len_outcomes() {
+        for case in 0..64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let pushes: Vec<bool> = (0..rng.gen_range(8..64)).map(|_| rng.gen()).collect();
             let len = 8u32;
             let mut ghr = GlobalHistoryRegister::new(len);
             for &p in &pushes {
@@ -131,7 +141,7 @@ mod tests {
             for &p in &pushes[pushes.len() - len as usize..] {
                 want = (want << 1) | u64::from(p);
             }
-            prop_assert_eq!(ghr.value(), want);
+            assert_eq!(ghr.value(), want, "case {case} (seed {case})");
         }
     }
 }

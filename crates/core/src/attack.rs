@@ -11,17 +11,18 @@ use bscope_uarch::Span;
 /// Configuration of a BranchScope instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttackConfig {
-    /// Strong state the target entry is primed into before each victim
-    /// execution. Default: strongly not-taken.
-    pub primed: PhtState,
-    /// Probe direction pair. Must oppose the primed state; default:
-    /// taken-taken. (This SN + TT default works on all three paper
-    /// machines, including Skylake with its ST/WT ambiguity.)
-    pub probe: ProbeKind,
     /// Counter flavour of the attacked machine (fixes the decode
     /// dictionary).
     pub counter_kind: CounterKind,
 }
+
+/// Strong state the target entry is primed into before each victim
+/// execution.
+const PRIMED: PhtState = PhtState::StronglyNotTaken;
+
+/// Probe direction pair, opposing [`PRIMED`]. This SN + TT pair works on
+/// all three paper machines, including Skylake with its ST/WT ambiguity.
+const PROBE: ProbeKind = ProbeKind::TakenTaken;
 
 /// Cycles the spy waits around the victim trigger (the `usleep` of
 /// Listing 3 that lets the slowed-down victim execute its branch). This is
@@ -30,15 +31,12 @@ pub struct AttackConfig {
 pub const VICTIM_WAIT_CYCLES: u64 = 40_000;
 
 impl AttackConfig {
-    /// The canonical configuration for a machine profile: prime SN, probe
-    /// TT, dictionary for the profile's counter flavour.
+    /// The configuration for a machine profile: the decode dictionary for
+    /// the profile's counter flavour (the attack always primes SN and
+    /// probes TT).
     #[must_use]
     pub fn for_profile(profile: &MicroarchProfile) -> Self {
-        AttackConfig {
-            primed: PhtState::StronglyNotTaken,
-            probe: ProbeKind::TakenTaken,
-            counter_kind: profile.counter_kind,
-        }
+        AttackConfig { counter_kind: profile.counter_kind }
     }
 
     /// The canonical configuration for a machine profile running on an
@@ -60,7 +58,6 @@ impl AttackConfig {
 /// GHR-scramble randomness; the decode dictionary is fixed at construction.
 #[derive(Debug)]
 pub struct BranchScope {
-    config: AttackConfig,
     dict: DirectionDict,
     targeted: Option<TargetedPrime>,
     /// Round counter feeding the pre-probe history scramble on
@@ -73,18 +70,12 @@ impl BranchScope {
     ///
     /// # Errors
     ///
-    /// Returns [`AttackError::AmbiguousConfiguration`] if the prime/probe
-    /// combination cannot distinguish victim directions on this counter
-    /// (see [`DirectionDict::build`]).
+    /// Returns [`AttackError::AmbiguousConfiguration`] if the SN prime and
+    /// TT probe cannot distinguish victim directions on this counter (see
+    /// [`DirectionDict::build`]).
     pub fn new(config: AttackConfig) -> Result<Self, AttackError> {
-        let dict = DirectionDict::build(config.counter_kind, config.primed, config.probe)?;
-        Ok(BranchScope { config, dict, targeted: None, scramble_round: 0 })
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> AttackConfig {
-        self.config
+        let dict = DirectionDict::build(config.counter_kind, PRIMED, PROBE)?;
+        Ok(BranchScope { dict, targeted: None, scramble_round: 0 })
     }
 
     /// The decode dictionary in use.
@@ -107,7 +98,7 @@ impl BranchScope {
         sys.core_mut().trace_span_begin(Span::Prime);
         let targeted = match &mut self.targeted {
             Some(t) if t.target() == target => t,
-            slot => slot.insert(TargetedPrime::new(target, self.config.primed)),
+            slot => slot.insert(TargetedPrime::new(target, PRIMED)),
         };
         targeted.prime(&mut sys.cpu(spy));
         if sys.core().bpu().kind() != BackendKind::Hybrid {
@@ -119,7 +110,7 @@ impl BranchScope {
             // saturated). Each step runs as the last branch of its
             // scramble's block. The final scramble leaves the *victim's*
             // upcoming execution in a fresh context too.
-            let direction = self.config.primed.predicted();
+            let direction = PRIMED.predicted();
             for _ in 0..4 {
                 self.scramble_history(sys, spy, target, Some(direction));
             }
@@ -158,13 +149,13 @@ impl BranchScope {
             // Stage 3 on a history-indexed backend: each probe observation
             // gets its own fresh history context (see `scramble_history`).
             self.scramble_history(sys, spy, target, None);
-            let first = probe_once(&mut sys.cpu(spy), target, self.config.probe);
+            let first = probe_once(&mut sys.cpu(spy), target, PROBE);
             self.scramble_history(sys, spy, target, None);
-            let second = probe_once(&mut sys.cpu(spy), target, self.config.probe);
+            let second = probe_once(&mut sys.cpu(spy), target, PROBE);
             ProbePattern::from_hits(first, second)
         } else {
             // stage 3, the paper's back-to-back probe pair
-            probe_with_counters(&mut sys.cpu(spy), target, self.config.probe)
+            probe_with_counters(&mut sys.cpu(spy), target, PROBE)
         };
         sys.core_mut().trace_span_end(Span::Probe);
         pattern
@@ -391,15 +382,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn ambiguous_config_rejected_at_construction() {
-        let res = BranchScope::new(AttackConfig {
-            primed: PhtState::StronglyTaken,
-            probe: ProbeKind::TakenTaken,
-            counter_kind: CounterKind::TwoBit,
-        });
-        assert!(matches!(res, Err(AttackError::AmbiguousConfiguration { .. })));
     }
 }

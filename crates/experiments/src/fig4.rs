@@ -87,22 +87,16 @@ pub fn run(scale: &Scale) -> Result<(), BscopeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_thread_count_invariant;
 
     fn quick_config() -> StabilityConfig {
         StabilityConfig { blocks: 30, reps: 12, updates_per_entry: 10, ..StabilityConfig::default() }
     }
 
-    fn scale_with_threads(threads: usize) -> Scale {
-        Scale { threads, ..Scale::quick() }
-    }
-
     #[test]
     fn analysis_is_thread_count_invariant() {
         let config = quick_config();
-        let sequential = analyze_parallel(&config, &scale_with_threads(1));
-        for threads in [2, 8] {
-            assert_eq!(analyze_parallel(&config, &scale_with_threads(threads)), sequential);
-        }
+        assert_thread_count_invariant(|scale| analyze_parallel(&config, scale));
     }
 
     /// Regression pin of the quick-scale stable fraction; fails if the
@@ -110,7 +104,7 @@ mod tests {
     /// deliberately when any of those changes.
     #[test]
     fn quick_scale_stable_fraction_is_pinned() {
-        let points = analyze_parallel(&quick_config(), &scale_with_threads(0));
+        let points = analyze_parallel(&quick_config(), &Scale::quick());
         let fraction = StateDistribution::from_blocks(&points).stable_fraction();
         // Pinned value; update deliberately when the seed schedule, the
         // simulator, or the PRNG stream changes.

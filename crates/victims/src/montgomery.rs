@@ -141,7 +141,8 @@ mod tests {
     use super::*;
     use bscope_bpu::MicroarchProfile;
     use bscope_os::{AslrPolicy, System};
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn run_ladder(base: u64, key: u64, modulus: u64) -> u64 {
         let mut sys = System::new(MicroarchProfile::haswell(), 9);
@@ -184,24 +185,32 @@ mod tests {
         let _ = MontgomeryLadder::new(2, 3, 1);
     }
 
-    proptest! {
-        /// The ladder agrees with square-and-multiply for arbitrary inputs.
-        #[test]
-        fn ladder_matches_reference(
-            base in 0u64..1_000_000,
-            key in 0u64..=u64::from(u32::MAX),
-            modulus in 2u64..1_000_000,
-        ) {
-            prop_assert_eq!(run_ladder(base, key, modulus), mod_exp(base, key, modulus));
+    /// The ladder agrees with square-and-multiply for arbitrary inputs.
+    #[test]
+    fn ladder_matches_reference() {
+        for case in 0..64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let base = rng.gen_range(0..1_000_000);
+            let key = rng.gen_range(0..=u64::from(u32::MAX));
+            let modulus = rng.gen_range(2..1_000_000);
+            assert_eq!(
+                run_ladder(base, key, modulus),
+                mod_exp(base, key, modulus),
+                "case {case} (seed {case}): {base}^{key:#x} mod {modulus}"
+            );
         }
+    }
 
-        /// Branch outcomes encode exactly the key bits.
-        #[test]
-        fn outcomes_encode_key(key in 1u64..=u64::MAX) {
+    /// Branch outcomes encode exactly the key bits.
+    #[test]
+    fn outcomes_encode_key() {
+        for case in 0..64 {
+            let key = StdRng::seed_from_u64(case).gen_range(1..=u64::MAX);
             let ladder = MontgomeryLadder::new(2, key, 1_000_003);
             let outcomes: Vec<Outcome> =
                 (0..ladder.key_bits()).map(|i| ladder.branch_outcome(i)).collect();
-            prop_assert_eq!(MontgomeryLadder::key_from_outcomes(&outcomes), key);
+            let decoded = MontgomeryLadder::key_from_outcomes(&outcomes);
+            assert_eq!(decoded, key, "case {case} (seed {case})");
         }
     }
 }

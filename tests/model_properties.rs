@@ -14,9 +14,9 @@ use branchscope::uarch::{
     NOISE_CTX,
 };
 use bscope_harness::splitmix64;
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// The Figure 1 front end written out straight-line over flat arrays: the
 /// bimodal and gshare PHTs, a `0..=7` chooser with threshold 4, a
@@ -393,8 +393,8 @@ impl RefSubstrate for RefPerceptron {
     }
 }
 
-/// Steps `kind`'s backend and `model` branch by branch on a stream seeded
-/// with `seed`: a loop body of eight branches, each repeating its own
+/// Steps `kind`'s backend and `model` branch by branch on a stream drawn
+/// from `StdRng::seed_from_u64(case)`: a loop body of eight branches, each repeating its own
 /// outcome pattern (period 2-7) with a rare flip, plus taken or not-taken
 /// executions of PHT aliases of the loop branches, forced PHT states and
 /// forgotten branches in between. Every prediction and its correctness
@@ -404,11 +404,11 @@ fn substrate_lockstep<M: RefSubstrate>(
     kind: BackendKind,
     profile: &MicroarchProfile,
     mut model: M,
-    seed: u64,
+    case: u64,
 ) -> u64 {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(case);
     let mut backend = kind.build(profile.clone());
-    let what = format!("{:?}/{kind}", profile.arch);
+    let what = format!("case {case} (seed {case}): {:?}/{kind}", profile.arch);
     let branches: Vec<(u64, u64, u64)> = (0..8u64)
         .map(|i| (pool_addr(i), rng.gen_range(2..8), rng.gen::<u64>()))
         .collect();
@@ -668,16 +668,20 @@ fn defense(
     (policy, (name == "fuzz").then(MeasurementFuzz::strong))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// `len` random `(address or offset, taken)` branches, addresses below
+/// `span`.
+fn random_branches(rng: &mut StdRng, span: u64, len: Range<usize>) -> Vec<(u64, bool)> {
+    (0..rng.gen_range(len)).map(|_| (rng.gen_range(0..span), rng.gen())).collect()
+}
 
-    /// The whole machine is deterministic: identical seeds and identical
-    /// branch traces produce identical predictions, counters and clocks.
-    #[test]
-    fn simulation_is_deterministic(
-        seed in any::<u64>(),
-        trace in proptest::collection::vec((0u64..4096, any::<bool>()), 1..200),
-    ) {
+/// The whole machine is deterministic: identical seeds and identical branch
+/// traces produce identical predictions, counters and clocks.
+#[test]
+fn simulation_is_deterministic() {
+    for case in 0..48 {
+        let mut rng = StdRng::seed_from_u64(case);
+        let seed = rng.gen();
+        let trace = random_branches(&mut rng, 4096, 1..200);
         let run = || {
             let mut sys = System::new(MicroarchProfile::skylake(), seed);
             let pid = sys.spawn("p", AslrPolicy::Disabled);
@@ -686,38 +690,42 @@ proptest! {
             }
             (sys.cpu(pid).counters(), sys.cpu(pid).rdtscp())
         };
-        prop_assert_eq!(run(), run());
+        assert_eq!(run(), run(), "case {case} (seed {case})");
     }
+}
 
-    /// Two hybrid predictors fed the same dynamic stream stay in lockstep —
-    /// prediction is a pure function of architectural history.
-    #[test]
-    fn hybrid_predictors_stay_in_lockstep(
-        trace in proptest::collection::vec((0u64..2048, any::<bool>()), 1..300),
-    ) {
+/// Two hybrid predictors fed the same dynamic stream stay in lockstep —
+/// prediction is a pure function of architectural history.
+#[test]
+fn hybrid_predictors_stay_in_lockstep() {
+    for case in 0..48 {
+        let trace = random_branches(&mut StdRng::seed_from_u64(case), 2048, 1..300);
         let mut a = BackendKind::Hybrid.build(MicroarchProfile::haswell());
         let mut b = BackendKind::Hybrid.build(MicroarchProfile::haswell());
-        for &(addr, taken) in &trace {
+        for (step, &(addr, taken)) in trace.iter().enumerate() {
             let (pa, _) = a.execute(addr, Outcome::from_bool(taken), None);
             let (pb, _) = b.execute(addr, Outcome::from_bool(taken), None);
-            prop_assert_eq!(pa, pb);
+            assert_eq!(pa, pb, "case {case} (seed {case}): step {step}");
         }
     }
+}
 
-    /// The hybrid backend agrees branch by branch with [`RefHybrid`] on
-    /// every paper machine: direction, BTB hit, component used, correctness
-    /// and the branch's BTB target after the commit, then every bimodal PHT
-    /// entry and the GHR at the end.
-    ///
-    /// Random addresses almost never hit the BTB or migrate a chooser, so
-    /// the stream is a loop body of six branches, each repeating its own
-    /// outcome pattern (period 2-6, never constant) with a rare flip, plus
-    /// occasional taken executions of two BTB aliases of the first branch,
-    /// which evict its entry and so restart its chooser.
-    #[test]
-    fn hybrid_backend_matches_reference_model(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
+/// The hybrid backend agrees branch by branch with [`RefHybrid`] on every
+/// paper machine: direction, BTB hit, component used, correctness and the
+/// branch's BTB target after the commit, then every bimodal PHT entry and
+/// the GHR at the end.
+///
+/// Random addresses almost never hit the BTB or migrate a chooser, so the
+/// stream is a loop body of six branches, each repeating its own outcome
+/// pattern (period 2-6, never constant) with a rare flip, plus occasional
+/// taken executions of two BTB aliases of the first branch, which evict its
+/// entry and so restart its chooser.
+#[test]
+fn hybrid_backend_matches_reference_model() {
+    for case in 0..48 {
+        let mut rng = StdRng::seed_from_u64(case);
         for profile in MicroarchProfile::paper_machines() {
+            let what = format!("case {case} (seed {case}): {:?}", profile.arch);
             let mut backend = BackendKind::Hybrid.build(profile.clone());
             let mut model = RefHybrid::new(&profile);
             // (address, period, pattern): bit 0 taken and bit 1 not taken,
@@ -745,90 +753,111 @@ proptest! {
                     btb_hit: got.btb_hit,
                     used_gshare: got.two_level,
                 };
-                prop_assert_eq!(&got_view, &want, "{:?} at {:#x}", profile.arch, addr);
-                prop_assert_eq!(correct, want.taken == taken);
-                prop_assert_eq!(backend.btb().lookup(addr), model.btb_target(addr));
+                assert_eq!(&got_view, &want, "{what} at {addr:#x}");
+                assert_eq!(correct, want.taken == taken, "{what} at {addr:#x}");
+                let target = backend.btb().lookup(addr);
+                assert_eq!(target, model.btb_target(addr), "{what} at {addr:#x}");
             }
-            let arch = profile.arch;
-            prop_assert!(backend.stats().gshare_used > 0, "{:?}: chooser never migrated", arch);
+            assert!(backend.stats().gshare_used > 0, "{what}: chooser never migrated");
             for index in 0..profile.pht_size {
-                prop_assert_eq!(backend.pht_state(index as u64), model.pht_state(index));
+                let got = backend.pht_state(index as u64);
+                assert_eq!(got, model.pht_state(index), "{what}: entry {index}");
             }
-            prop_assert_eq!(backend.ghr().value(), model.ghr);
+            assert_eq!(backend.ghr().value(), model.ghr, "{what}");
         }
     }
+}
 
-    /// The TAGE backend agrees branch by branch with [`RefTage`] on every
-    /// paper machine, and the stream reaches confident tagged providers.
-    #[test]
-    fn tage_backend_matches_reference_model(seed in any::<u64>()) {
+/// The TAGE backend agrees branch by branch with [`RefTage`] on every paper
+/// machine, and the stream reaches confident tagged providers.
+#[test]
+fn tage_backend_matches_reference_model() {
+    for case in 0..48 {
         for profile in MicroarchProfile::paper_machines() {
             let model = RefTage::new(&profile);
-            let tagged = substrate_lockstep(BackendKind::Tage, &profile, model, seed);
-            prop_assert!(tagged > 0, "{:?}: no tagged component ever provided", profile.arch);
+            let tagged = substrate_lockstep(BackendKind::Tage, &profile, model, case);
+            let arch = profile.arch;
+            let what = format!("case {case} (seed {case}): {arch:?}");
+            assert!(tagged > 0, "{what}: no tagged component ever provided");
         }
     }
+}
 
-    /// The perceptron backend agrees branch by branch with
-    /// [`RefPerceptron`] on every paper machine.
-    #[test]
-    fn perceptron_backend_matches_reference_model(seed in any::<u64>()) {
+/// The perceptron backend agrees branch by branch with [`RefPerceptron`] on
+/// every paper machine.
+#[test]
+fn perceptron_backend_matches_reference_model() {
+    for case in 0..48 {
         for profile in MicroarchProfile::paper_machines() {
             let model = RefPerceptron::new(&profile);
-            substrate_lockstep(BackendKind::Perceptron, &profile, model, seed);
+            substrate_lockstep(BackendKind::Perceptron, &profile, model, case);
         }
     }
+}
 
-    /// Priming is idempotent at the architectural level: after a prime, the
-    /// target entry is in the configured strong state regardless of any
-    /// prior branch history.
-    #[test]
-    fn prime_always_lands_in_the_configured_state(
-        history in proptest::collection::vec((0u64..65_536, any::<bool>()), 0..300),
-        prime_taken in any::<bool>(),
-    ) {
+/// Priming is idempotent at the architectural level: after a prime, the
+/// target entry is in the configured strong state regardless of any prior
+/// branch history, the empty one included.
+#[test]
+fn prime_always_lands_in_the_configured_state() {
+    let check = |history: &[(u64, bool)], prime_taken: bool, what: &str| {
         let profile = MicroarchProfile::skylake();
         let mut sys = System::new(profile.clone(), 7);
         let victim = sys.spawn("victim", AslrPolicy::Disabled);
         let spy = sys.spawn("spy", AslrPolicy::Disabled);
         let target = sys.process(victim).vaddr_of(0x6d);
         // Arbitrary victim activity first.
-        for &(off, taken) in &history {
+        for &(off, taken) in history {
             sys.cpu(victim).branch_at(off, Outcome::from_bool(taken));
         }
         let state = if prime_taken { PhtState::StronglyTaken } else { PhtState::StronglyNotTaken };
         let mut prime = branchscope::attack::TargetedPrime::new(target, state);
         prime.prime(&mut sys.cpu(spy));
-        prop_assert_eq!(sys.core().bpu().pht_state(target), state);
+        assert_eq!(sys.core().bpu().pht_state(target), state, "{what}");
         // The victim's own BTB entry is always evicted; a *taken* prime then
         // installs the spy's entry at the same address (same tag), so only
         // the not-taken prime leaves the slot empty.
-        prop_assert_eq!(sys.core().bpu().btb().contains(target), prime_taken);
+        assert_eq!(sys.core().bpu().btb().contains(target), prime_taken, "{what}");
+    };
+    for prime_taken in [false, true] {
+        check(&[], prime_taken, &format!("empty history, prime_taken {prime_taken}"));
     }
+    for case in 0..48 {
+        let mut rng = StdRng::seed_from_u64(case);
+        let history = random_branches(&mut rng, 65_536, 0..300);
+        let prime_taken = rng.gen();
+        let what = format!("case {case} (seed {case}), prime_taken {prime_taken}");
+        check(&history, prime_taken, &what);
+    }
+}
 
-    /// For every usable (counter, primed-state, probe) configuration, the
-    /// dictionary decodes its own expected patterns back to the victim
-    /// direction that produced them.
-    #[test]
-    fn dictionaries_are_self_consistent(kind_sky in any::<bool>(), primed_taken in any::<bool>()) {
-        let kind = if kind_sky { CounterKind::SkylakeAsymmetric } else { CounterKind::TwoBit };
-        let primed = if primed_taken { PhtState::StronglyTaken } else { PhtState::StronglyNotTaken };
-        for probe in [ProbeKind::TakenTaken, ProbeKind::NotTakenNotTaken] {
-            if let Ok(dict) = DirectionDict::build(kind, primed, probe) {
-                for victim in [Outcome::Taken, Outcome::NotTaken] {
-                    prop_assert_eq!(dict.decode(dict.expected(victim)), victim);
+/// For every usable (counter, primed-state, probe) configuration, the
+/// dictionary decodes its own expected patterns back to the victim
+/// direction that produced them.
+#[test]
+fn dictionaries_are_self_consistent() {
+    for kind in [CounterKind::TwoBit, CounterKind::SkylakeAsymmetric] {
+        for primed in [PhtState::StronglyTaken, PhtState::StronglyNotTaken] {
+            for probe in [ProbeKind::TakenTaken, ProbeKind::NotTakenNotTaken] {
+                if let Ok(dict) = DirectionDict::build(kind, primed, probe) {
+                    for victim in [Outcome::Taken, Outcome::NotTaken] {
+                        let decoded = dict.decode(dict.expected(victim));
+                        assert_eq!(decoded, victim, "{kind:?}, primed {primed}, probe {probe}");
+                    }
                 }
             }
         }
     }
+}
 
-    /// A single noiseless attack round reads the victim's direction
-    /// correctly from any prior machine state the victim may have created.
-    #[test]
-    fn one_round_is_correct_from_arbitrary_machine_state(
-        warmup in proptest::collection::vec((0u64..32_768, any::<bool>()), 0..200),
-        secret in any::<bool>(),
-    ) {
+/// A single noiseless attack round reads the victim's direction correctly
+/// from any prior machine state the victim may have created.
+#[test]
+fn one_round_is_correct_from_arbitrary_machine_state() {
+    for case in 0..48 {
+        let mut rng = StdRng::seed_from_u64(case);
+        let warmup = random_branches(&mut rng, 32_768, 0..200);
+        let secret = rng.gen();
         let profile = MicroarchProfile::haswell();
         let mut sys = System::new(profile.clone(), 11);
         let victim = sys.spawn("victim", AslrPolicy::Disabled);
@@ -841,27 +870,26 @@ proptest! {
         let read = attack.read_bit(&mut sys, spy, target, |sys| {
             sys.cpu(victim).branch_at(0x6d, Outcome::from_bool(secret));
         });
-        prop_assert_eq!(read, Outcome::from_bool(secret));
+        assert_eq!(read, Outcome::from_bool(secret), "case {case} (seed {case})");
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// `SimCore` agrees step by step with [`RefCore`] on random streams of
-    /// timed and plain branches and straight-line blocks
-    /// (`SimCore::execute_block`, replayed branch by branch by the
-    /// reference) from two contexts, clock advances, noise
-    /// re-configurations, i-cache flushes and timed branches at i-cache set
-    /// aliases of the pool, on every backend, under every defense, with
-    /// noise on and off: every branch event (so every cold touch), every
-    /// timed latency, then the counters, the clock, the simulated-branch
-    /// count, every PHT entry, the GHR and the predictor statistics.
-    #[test]
-    fn sim_core_matches_reference_core(
-        seed in any::<u64>(),
-        ops in proptest::collection::vec((0u8..18, any::<bool>(), 0u64..48, any::<bool>()), 50..250),
-    ) {
+/// `SimCore` agrees step by step with [`RefCore`] on random streams of timed
+/// and plain branches and straight-line blocks (`SimCore::execute_block`,
+/// replayed branch by branch by the reference) from two contexts, clock
+/// advances, noise re-configurations, i-cache flushes and timed branches at
+/// i-cache set aliases of the pool, on every backend, under every defense,
+/// with noise on and off: every branch event (so every cold touch), every
+/// timed latency, then the counters, the clock, the simulated-branch count,
+/// every PHT entry, the GHR and the predictor statistics.
+#[test]
+fn sim_core_matches_reference_core() {
+    for case in 0..12 {
+        let mut rng = StdRng::seed_from_u64(case);
+        let seed: u64 = rng.gen();
+        let ops: Vec<(u8, bool, u64, bool)> = (0..rng.gen_range(50..250))
+            .map(|_| (rng.gen_range(0..18), rng.gen(), rng.gen_range(0..48), rng.gen()))
+            .collect();
         let profile = MicroarchProfile::paper_machines()[(seed % 3) as usize].clone();
         for backend in BackendKind::ALL {
             for name in DEFENSES {
@@ -878,7 +906,10 @@ proptest! {
                         core.set_noise(Some(NoiseConfig::heavy())).unwrap();
                         reference.set_noise(Some(NoiseConfig::heavy()));
                     }
-                    let what = format!("{:?}/{backend}/{name}/noise {noisy}", profile.arch);
+                    let what = format!(
+                        "case {case} (seed {case}): {:?}/{backend}/{name}/noise {noisy}",
+                        profile.arch
+                    );
                     for (step, &(kind, ctx, slot, taken)) in ops.iter().enumerate() {
                         let (ctx, addr, outcome) = (u32::from(ctx), pool_addr(slot), Outcome::from_bool(taken));
                         match kind {
@@ -895,7 +926,7 @@ proptest! {
                             }
                             2..=4 => {
                                 let got = core.execute_timed_branch_in(ctx, addr, outcome);
-                                prop_assert_eq!(got, reference.branch(ctx, addr, outcome), "{} step {}", what, step);
+                                assert_eq!(got, reference.branch(ctx, addr, outcome), "{what} step {step}");
                             }
                             5 => {
                                 core.icache_mut().flush();
@@ -906,7 +937,7 @@ proptest! {
                                 // same set, another line, so it evicts.
                                 let alias = addr + RefICache::LINES * RefICache::LINE_BYTES;
                                 let got = core.execute_timed_branch_in(ctx, alias, outcome);
-                                prop_assert_eq!(got, reference.branch(ctx, alias, outcome), "{} step {}", what, step);
+                                assert_eq!(got, reference.branch(ctx, alias, outcome), "{what} step {step}");
                             }
                             16 | 17 => {
                                 let run = block_run(seed, step);
@@ -917,17 +948,18 @@ proptest! {
                             }
                             _ => {
                                 let got = core.execute_branch_in(ctx, addr, outcome, None);
-                                prop_assert_eq!(got, reference.branch(ctx, addr, outcome).0, "{} step {}", what, step);
+                                assert_eq!(got, reference.branch(ctx, addr, outcome).0, "{what} step {step}");
                             }
                         }
                     }
-                    prop_assert_eq!(core.rdtscp(), reference.tsc, "{}", what);
-                    prop_assert_eq!(core.sim_branches(), reference.n + reference.noise_branches, "{}", what);
-                    prop_assert_eq!([core.counters(0), core.counters(1)], reference.counters, "{}", what);
-                    prop_assert_eq!(core.bpu().stats(), reference.bpu.stats(), "{}", what);
-                    prop_assert_eq!(core.bpu().ghr().value(), reference.bpu.ghr().value(), "{}", what);
+                    assert_eq!(core.rdtscp(), reference.tsc, "{what}");
+                    assert_eq!(core.sim_branches(), reference.n + reference.noise_branches, "{what}");
+                    assert_eq!([core.counters(0), core.counters(1)], reference.counters, "{what}");
+                    assert_eq!(core.bpu().stats(), reference.bpu.stats(), "{what}");
+                    assert_eq!(core.bpu().ghr().value(), reference.bpu.ghr().value(), "{what}");
                     for index in 0..profile.pht_size as u64 {
-                        prop_assert_eq!(core.bpu().pht_state(index), reference.bpu.pht_state(index), "{} entry {}", what, index);
+                        let got = core.bpu().pht_state(index);
+                        assert_eq!(got, reference.bpu.pht_state(index), "{what} entry {index}");
                     }
                 }
             }
